@@ -260,16 +260,10 @@ def _cmd_curve(args):
         curve = curves.quadratic_witness_2x2(a, b)
         h = 1e-5
         deriv = (curve(h) - curve(-h)) / (2.0 * h)
-        trace_poly, det_poly = curves.spectrum_polynomials_2x2(curve)
         residuals = {
             "endpoint_base": float(np.linalg.norm(curve(0.0) - a)),
             "derivative": float(np.linalg.norm(deriv - b)),
-            "max_nonconstant_coefficient": float(
-                max(
-                    np.max(np.abs(trace_poly[1:])) if len(trace_poly) > 1 else 0.0,
-                    np.max(np.abs(det_poly[1:])) if len(det_poly) > 1 else 0.0,
-                )
-            ),
+            "max_nonconstant_coefficient": curves._max_nonconstant_variation(curve),
         }
     check = curves.verify_constant_spectrum(
         curve, spectrum(a), samples=args.samples, radius=args.radius

@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     UnsupportedError,
 )
-from .geometry import bottleneck_assignment
+from .geometry import _phase_align, bottleneck_assignment
 from .matcore import (
     DEFAULT_TOL,
     as_matrix,
@@ -49,7 +49,11 @@ STRUCTURE_TOL = 1e-8
 
 @dataclass(eq=False)
 class TriangularConjugationCurve:
-    """exp(H0 + lam H1) ((1-lam) T0 + lam T1) exp(-(H0 + lam H1))."""
+    """exp(H0 + lam H1) ((1-lam) T0 + lam T1) exp(-(H0 + lam H1)).
+
+    A scalar parameter gives one (n, n) matrix; a 1-D array of m parameters
+    gives the (m, n, n) stack of values.
+    """
 
     h0: np.ndarray
     h1: np.ndarray
@@ -58,38 +62,51 @@ class TriangularConjugationCurve:
     kind: str = "triangular_conjugation"
 
     def __call__(self, lam):
-        x = self.h0 + complex(lam) * self.h1
+        lam = np.asarray(lam, dtype=complex)[..., None, None]
+        x = self.h0 + lam * self.h1
         mid = (1.0 - lam) * self.t0 + lam * self.t1
         return scipy.linalg.expm(x) @ mid @ scipy.linalg.expm(-x)
 
 
 @dataclass(eq=False)
 class ExpConjugationCurve:
-    """exp(-lam Y) A exp(lam Y); spectrum is constant identically."""
+    """exp(-lam Y) A exp(lam Y); spectrum is constant identically.
+
+    A scalar parameter gives one (n, n) matrix; a 1-D array of m parameters
+    gives the (m, n, n) stack of values.
+    """
 
     base: np.ndarray
     generator: np.ndarray
     kind: str = "exp_conjugation"
 
     def __call__(self, lam):
-        x = complex(lam) * self.generator
+        x = np.asarray(lam, dtype=complex)[..., None, None] * self.generator
         return scipy.linalg.expm(-x) @ self.base @ scipy.linalg.expm(x)
 
 
 @dataclass(eq=False)
 class MatrixPolynomialCurve:
-    """sum_k lam^k C_k for a list of coefficient matrices."""
+    """sum_k lam^k C_k for a list of coefficient matrices.
+
+    A scalar parameter gives one (n, n) matrix; a 1-D array of m parameters
+    gives the (m, n, n) stack of values.
+    """
 
     coefficients: list
     kind: str = "matrix_polynomial"
 
     def __call__(self, lam):
-        lam = complex(lam)
+        lam = np.asarray(lam, dtype=complex)[..., None, None]
         out = np.zeros_like(self.coefficients[0])
-        power = 1.0 + 0.0j
+        power = np.ones_like(lam)
         for c in self.coefficients:
             out = out + power * c
-            power *= lam
+            # unfused complex product: numpy's vectorized one may use fused
+            # multiply-adds and then rounds unlike a scalar evaluation
+            power = (power.real * lam.real - power.imag * lam.imag) + 1j * (
+                power.real * lam.imag + power.imag * lam.real
+            )
         return out
 
 
@@ -115,15 +132,6 @@ def _pair_greedy(a_vals, b_vals, tol_abs):
     return pairing
 
 
-def _phase_align_unitaries(v, t, u):
-    """Diagonal-phase gauge making diag(v* u) real nonnegative."""
-    d = np.diag(v.conj().T @ u).copy()
-    d[np.abs(d) < 1e-12] = 1.0
-    phases = d / np.abs(d)
-    dm = np.diag(phases)
-    return v @ dm, dm.conj().T @ t @ dm
-
-
 def iso_spectral_curve(a, b) -> TriangularConjugationCurve:
     """Entire curve through A (at 0) and B (at 1) with constant spectrum.
 
@@ -146,7 +154,7 @@ def iso_spectral_curve(a, b) -> TriangularConjugationCurve:
 
     u, t0 = ordered_triangularize(A, sp_a.values)
     v, t1 = ordered_triangularize(B, sp_b.values[pairing])
-    v, t1 = _phase_align_unitaries(v, t1, u)
+    v, t1 = _phase_align(v, t1, u)
     # shared diagonal: the affine interpolation then fixes the spectrum
     np.fill_diagonal(t1, np.diag(t0))
 
@@ -337,25 +345,46 @@ class SpectrumCheck:
 
 
 def _sample_points(samples, radius):
-    """Deterministic low-discrepancy sampling of the disk |lam| <= radius."""
+    """Deterministic low-discrepancy sampling of the disk |lam| <= radius.
+
+    Returns 0, 1 and samples - 2 further points; *samples* is at least 2.
+    """
     golden = (np.sqrt(5.0) - 1.0) / 2.0
     pts = [0.0 + 0.0j, 1.0 + 0.0j]
-    for k in range(max(samples - 2, 0)):
-        r = radius * np.sqrt((k + 0.5) / max(samples - 2, 1))
+    for k in range(samples - 2):
+        r = radius * np.sqrt((k + 0.5) / (samples - 2))
         theta = 2.0 * np.pi * ((k * golden) % 1.0)
         pts.append(r * np.exp(1j * theta))
-    return np.array(pts[:samples])
+    return np.array(pts)
 
 
-def multiset_distance(values_a, values_b) -> float:
-    """Optimal-pairing max distance between two eigenvalue multisets."""
+def multiset_distance(values_a, values_b):
+    """Optimal-pairing max distance between two eigenvalue multisets.
+
+    *values_a* may be a stack of multisets, shape (..., n), compared each
+    against the same *values_b*; the result then has shape (...), and a
+    single multiset gives a float.
+
+    Every value of *values_a* is paired with some value of *values_b*, so
+    the largest distance to a nearest value is a lower bound.  When the
+    nearest values are distinct, that pairing attains the bound and it is
+    the exact value; any other multiset goes to ``bottleneck_assignment``.
+    Either way the result is an exact entry of the distance matrix.
+    """
     a = np.atleast_1d(np.asarray(values_a, dtype=complex))
     b = np.atleast_1d(np.asarray(values_b, dtype=complex))
-    if len(a) != len(b):
+    n = len(b)
+    if a.shape[-1] != n:
         raise InvalidInputError("multisets must have equal size")
-    cost = np.abs(a[:, None] - b[None, :])
-    value, _ = bottleneck_assignment(cost)
-    return value
+    cost = np.abs(a[..., :, None] - b).reshape(-1, n, n)
+    nearest = np.argmin(cost, axis=2)
+    value = np.min(cost, axis=2).max(axis=1)
+    distinct = (np.sort(nearest, axis=1) == np.arange(n)).all(axis=1)
+    for k in np.flatnonzero(~distinct):
+        value[k], _ = bottleneck_assignment(cost[k])
+    if a.ndim == 1:
+        return float(value[0])
+    return value.reshape(a.shape[:-1])
 
 
 def verify_constant_spectrum(
@@ -368,25 +397,39 @@ def verify_constant_spectrum(
     """Sample a curve and compare every spectrum against the expected one.
 
     Evaluates the curve at *samples* points with |lam| <= radius (always
-    including 0 and 1), measures the optimal-pairing eigenvalue deviation
-    and passes iff the worst deviation is at most *tol*.
+    including 0 and 1, so at least two samples are required), measures the
+    optimal-pairing eigenvalue deviation and passes iff the worst deviation
+    is at most *tol*.  The curve is called once, with the 1-D array of
+    sample points, and must return the stack of its values, one (n, n)
+    matrix per point, as the curve classes of this module do.
     """
+    if samples < 2:
+        raise InvalidInputError(
+            f"at least 2 samples are required (0 and 1 are always sampled), got {samples}"
+        )
     exp_values = np.atleast_1d(
         np.asarray(getattr(expected, "values", expected), dtype=complex)
     )
-    worst = -1.0
-    worst_point = 0.0 + 0.0j
-    for lam in _sample_points(samples, radius):
-        vals = np.linalg.eigvals(as_matrix(curve(lam)))
-        dev = multiset_distance(vals, exp_values)
-        if dev > worst:
-            worst = dev
-            worst_point = complex(lam)
+    points = _sample_points(samples, radius)
+    values = np.asarray(curve(points), dtype=complex)
+    if (
+        values.ndim != 3
+        or values.shape[0] != samples
+        or values.shape[1] != values.shape[2]
+    ):
+        raise InvalidInputError(
+            f"expected {samples} stacked square matrices, got shape {values.shape}"
+        )
+    if not np.isfinite(values).all():
+        raise InvalidInputError("matrix entries must be finite")
+    deviations = multiset_distance(np.linalg.eigvals(values), exp_values)
+    k = int(np.argmax(deviations))
+    worst = float(deviations[k])
     return SpectrumCheck(
         passed=bool(worst <= tol),
-        max_deviation=float(worst),
+        max_deviation=worst,
         samples=samples,
         radius=radius,
         tol=tol,
-        worst_point=worst_point,
+        worst_point=complex(points[k]),
     )

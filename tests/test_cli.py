@@ -168,6 +168,17 @@ class TestCommands:
         assert out == ""
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_curve_too_few_samples_exit_2(self, tmp_path, capsys, samples):
+        p1 = write_matrix(tmp_path / "a.json", np.diag([0.3, 0.5]))
+        p2 = write_matrix(tmp_path / "b.json", np.array([[0.3, 7.0], [0.0, 0.5]]))
+        code, out, err = run_cli(
+            capsys, "curve", "--input", p1, "--input2", p2, "--samples", samples
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["kind"] == "InvalidInputError"
+
     def test_discontinuity_gap_case(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "b.json", np.diag([0.8, 0.0]))
         code, out, _ = run_cli(capsys, "discontinuity", "--input", path)

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectralball as sb
-from conftest import random_ball_matrix, random_gaussian, random_unitary
+import spectralball.curves as curves_module
+from conftest import (
+    brute_force_bottleneck,
+    random_ball_matrix,
+    random_gaussian,
+    random_unitary,
+)
 
 
 def nearby_conjugate(rng, a, scale=0.15):
@@ -181,6 +189,153 @@ class TestVerifier:
         c = sb.ExpConjugationCurve(base=a, generator=y)
         check = sb.verify_constant_spectrum(c, sb.spectrum(a), tol=1e-8)
         assert check.passed
+
+    @pytest.mark.parametrize("samples", [-3, 0, 1])
+    def test_rejects_fewer_than_two_samples(self, samples):
+        # A + lam I is not constant, but lam = 0 alone would not show it
+        a = np.diag([0.2, 0.4])
+        c = sb.MatrixPolynomialCurve([a, np.eye(2)])
+        with pytest.raises(sb.InvalidInputError):
+            sb.verify_constant_spectrum(c, sb.spectrum(a), samples=samples)
+
+    def test_two_samples_suffice(self):
+        a = np.diag([0.2, 0.4])
+        c = sb.MatrixPolynomialCurve([a, np.eye(2)])
+        check = sb.verify_constant_spectrum(c, sb.spectrum(a), samples=2)
+        assert not check.passed
+        assert check.max_deviation == 1.0 and check.worst_point == 1.0
+
+    def test_non_finite_values_rejected(self):
+        def c(lam):
+            return np.full((len(lam), 2, 2), np.inf)
+
+        with pytest.raises(sb.InvalidInputError, match="finite"):
+            sb.verify_constant_spectrum(c, np.zeros(2))
+
+    def test_curve_must_accept_parameter_arrays(self):
+        a = np.diag([0.2, 0.4])
+        with pytest.raises(sb.InvalidInputError, match="stacked"):
+            sb.verify_constant_spectrum(lambda lam: a, sb.spectrum(a))
+
+
+def reference_check(curve, expected, samples=100, radius=10.0, tol=1e-6):
+    """The verifier as a per-point loop: scalar evaluation, one eigensolve
+    and one bottleneck assignment per sample, first maximum kept."""
+    exp_values = np.asarray(expected.values)
+    worst, worst_point = -1.0, None
+    for lam in curves_module._sample_points(samples, radius):
+        vals = np.linalg.eigvals(curve(lam))
+        dev, _ = sb.bottleneck_assignment(np.abs(vals[:, None] - exp_values[None, :]))
+        if dev > worst:
+            worst, worst_point = dev, complex(lam)
+    return worst <= tol, worst, worst_point
+
+
+def scalar_polynomial(coefficients, lam):
+    """sum_k lam^k C_k with powers formed by Python complex products."""
+    out, power = 0.0, 1.0 + 0.0j
+    for c in coefficients:
+        out = out + power * c
+        power *= complex(lam)
+    return out
+
+
+def curves_of_each_class(rng, n):
+    """Base matrix and one curve of each class at size n."""
+    a = random_ball_matrix(rng, n, radius=0.7)
+    iso = sb.iso_spectral_curve(a, nearby_conjugate(rng, a))
+    exp = sb.ExpConjugationCurve(base=a, generator=0.2 * random_gaussian(rng, n))
+    poly = sb.MatrixPolynomialCurve(
+        [a, 1e-3 * random_gaussian(rng, n), 1e-9 * random_gaussian(rng, n)]
+    )
+    return a, (iso, exp, poly)
+
+
+class TestVectorizedVerifier:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_stacked_evaluation_matches_pointwise(self, n):
+        rng = np.random.default_rng(600 + n)
+        _, curves = curves_of_each_class(rng, n)
+        points = curves_module._sample_points(40, 10.0)
+        for curve in curves:
+            assert curve(points[3]).shape == (n, n)
+            stacked = curve(points)
+            assert stacked.shape == (len(points), n, n)
+            np.testing.assert_array_equal(stacked, np.stack([curve(p) for p in points]))
+        # the polynomial's powers round like Python's scalar complex product
+        poly = sb.MatrixPolynomialCurve([random_gaussian(rng, n) for _ in range(4)])
+        np.testing.assert_array_equal(
+            poly(points), np.stack([scalar_polynomial(poly.coefficients, p) for p in points])
+        )
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_verifier_matches_reference_loop(self, n):
+        rng = np.random.default_rng(700 + n)
+        a, curves = curves_of_each_class(rng, n)
+        expected = sb.spectrum(a)
+        for curve in curves:
+            check = sb.verify_constant_spectrum(curve, expected)
+            passed, worst, worst_point = reference_check(curve, expected)
+            assert abs(check.max_deviation - worst) <= 1e-12
+            assert check.worst_point == worst_point
+            assert check.passed == passed
+
+    def test_verifier_fallback_on_shared_nearest_value(self, monkeypatch):
+        # both computed eigenvalues (0.4, 0.45) lie nearest to the expected 0,
+        # so the nearest-value pairing is no permutation: the optimal one
+        # pairs 0.4 -> 0 and 0.45 -> 1, at distance 0.55, not 0.45
+        calls = []
+        original = curves_module.bottleneck_assignment
+
+        def counting(cost):
+            calls.append(cost)
+            return original(cost)
+
+        monkeypatch.setattr(curves_module, "bottleneck_assignment", counting)
+        c = sb.MatrixPolynomialCurve([np.diag([0.4, 0.45])])
+        check = sb.verify_constant_spectrum(c, np.array([0.0, 1.0]), samples=5)
+        assert len(calls) == 5
+        assert check.max_deviation == 0.55
+        assert check.worst_point == 0.0 and not check.passed
+        passed, worst, worst_point = reference_check(c, sb.spectrum(np.diag([0.0, 1.0])), 5)
+        assert (passed, worst, worst_point) == (False, 0.55, 0.0)
+
+    def test_multiset_distance_mixed_stack(self):
+        b = np.array([0.0, 1.0])
+        stack = np.array([[0.4, 0.45], [0.25, 0.75], [1.0, 0.125]])
+        np.testing.assert_array_equal(sb.multiset_distance(stack, b), [0.55, 0.25, 0.125])
+        assert isinstance(sb.multiset_distance(stack[0], b), float)
+        with pytest.raises(sb.InvalidInputError):
+            sb.multiset_distance(stack, np.zeros(3))
+
+
+_grid_value = st.builds(
+    complex, st.integers(-3, 3).map(lambda k: k / 2), st.integers(-3, 3).map(lambda k: k / 2)
+)
+_value = st.one_of(_grid_value, st.complex_numbers(max_magnitude=4.0, allow_nan=False))
+
+
+@st.composite
+def stacked_multisets(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    a = np.array(draw(st.lists(st.lists(_value, min_size=n, max_size=n), min_size=m, max_size=m)))
+    b = np.array(draw(st.lists(_value, min_size=n, max_size=n)))
+    return a, b, draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+
+
+class TestMultisetDistanceProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(stacked_multisets())
+    def test_matches_brute_force_and_is_permutation_invariant(self, case):
+        a, b, perm_a, perm_b = case
+        got = sb.multiset_distance(a, b)
+        assert got.shape == (len(a),)
+        for row, value in zip(a, got):
+            cost = np.abs(row[:, None] - b[None, :])
+            assert value == brute_force_bottleneck(cost)[0]
+        np.testing.assert_array_equal(sb.multiset_distance(a[:, perm_a], b), got)
+        np.testing.assert_array_equal(sb.multiset_distance(a, b[perm_b]), got)
 
 
 class TestTaylorDecay:
