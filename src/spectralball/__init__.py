@@ -92,6 +92,7 @@ from .pick import (
     ZeroInterpolant,
     blaschke_through_roots_of_unity,
     degenerate_interpolant,
+    discontinuity_report,
     gap_certificate,
     gn_disc_from_blaschke,
     is_psd,
@@ -140,6 +141,7 @@ __all__ = [
     "commutation_operator",
     "companion",
     "degenerate_interpolant",
+    "discontinuity_report",
     "disk_automorphism",
     "elementary_symmetric",
     "gap_certificate",

@@ -28,6 +28,7 @@ from .errors import (
     UnsupportedError,
 )
 from .matcore import DEFAULT_TOL, as_matrix, companion, sigma, spectrum
+from .pick import discontinuity_report
 
 USER_ERRORS = (InvalidInputError, DomainError, PreconditionError, UnsupportedError)
 SOLVER_ERRORS = (NumericError, InternalError)
@@ -331,69 +332,6 @@ def _cmd_discontinuity(args):
     else:
         doc["residuals"] = {}
     return doc
-
-
-def discontinuity_report(b, t: complex = 0.0, tol: float = DEFAULT_TOL) -> dict:
-    """Two-sided discontinuity report at the scalar base point tI.
-
-    The two-point distance at tI is compared with the certified upper bound
-    of its limit along generic perturbations of the base; the infinitesimal
-    metric at tI is compared with its exact generic limit |tr B| / n, which
-    is reported at t = 0 only.  Jumps vanish exactly when the eigenvalues of
-    B are equal (within tolerance): equality forces both limits to agree
-    with the base values, so the report pins the jumps to zero rather than
-    carrying search noise into them.
-    """
-    B = as_matrix(b)
-    t = complex(t)
-    n = B.shape[0]
-    sp = spectrum(B)
-    if not sp.in_spectral_ball():
-        raise DomainError("matrix lies outside the spectral ball")
-    if abs(t) >= 1.0:
-        raise DomainError("|t| must be below 1")
-
-    lempert_value = geometry.lempert_scalar_base(t, B)
-    kobayashi_value = geometry.kobayashi_scalar_base(t, B)
-
-    shifted = geometry.disk_automorphism(t, B) if t != 0.0 else B
-    cert = pick.gap_certificate(shifted, tol=tol)
-
-    values = sp.values
-    spread = max(
-        abs(values[i] - values[j]) for i in range(n) for j in range(n)
-    )
-    eigenvalues_equal = bool(spread <= 1e-9 * (1.0 + sp.radius))
-
-    if t == 0.0:
-        kobayashi_limit = float(abs(np.trace(B))) / n
-    else:
-        kobayashi_limit = None
-
-    if eigenvalues_equal:
-        jump_lempert = 0.0
-        jump_kobayashi = 0.0 if kobayashi_limit is not None else None
-    else:
-        jump_lempert = max(lempert_value - cert.upper, 0.0)
-        jump_kobayashi = (
-            max(kobayashi_value - kobayashi_limit, 0.0)
-            if kobayashi_limit is not None
-            else None
-        )
-
-    return {
-        "lempert": {
-            "value_at_scalar_base": float(lempert_value),
-            "generic_limit_upper": float(cert.upper),
-        },
-        "kobayashi": {
-            "value_at_scalar_base": float(kobayashi_value),
-            "generic_limit": kobayashi_limit,
-        },
-        "jump_lempert": jump_lempert,
-        "jump_kobayashi": jump_kobayashi,
-        "eigenvalues_equal": eigenvalues_equal,
-    }
 
 
 def sample_omega(n: int, count: int, seed) -> list:

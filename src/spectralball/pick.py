@@ -5,7 +5,8 @@ the Pick matrix, recovery of the unique Blaschke-product solution in the
 singular case, a boundary search producing a Blaschke product through scaled
 roots of unity, the induced analytic disc into the symmetrized polydisc, and
 the resulting certified gap between the spectral radius and the generic
-two-point distance limit at scalar base points.
+two-point distance limit at scalar base points, and the two-sided
+discontinuity report built on it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
+from .geometry import disk_automorphism, kobayashi_scalar_base, lempert_scalar_base
 from .matcore import DEFAULT_TOL, as_matrix, elementary_symmetric, spectrum
 
 #: Descending step of the coarse feasibility scan.
@@ -29,12 +31,22 @@ COARSE_STEP = 1e-2
 #: Width of the final bisection bracket.
 BISECT_WIDTH = 1e-10
 
+#: Most midpoints the bisection tests.
+_BISECT_STEPS = 200
+
+#: Levels of the bisection tree solved together in one stacked call.
+_BISECT_LEVELS = 3
+
 _CIRCLE_SAMPLES = 256
 
 
 @dataclass(eq=False)
 class PickProblem:
-    """Disk interpolation data: distinct nodes in D and target values."""
+    """Disk interpolation data: distinct nodes in D and target values.
+
+    Nodes and targets have shape ``(n,)``, or ``(..., n)`` for a stack of
+    problems of the same size; every problem in the stack is validated.
+    """
 
     nodes: np.ndarray
     targets: np.ndarray
@@ -42,21 +54,37 @@ class PickProblem:
     def __post_init__(self):
         self.nodes = np.atleast_1d(np.asarray(self.nodes, dtype=complex))
         self.targets = np.atleast_1d(np.asarray(self.targets, dtype=complex))
-        if len(self.nodes) != len(self.targets):
+        x = self.nodes
+        if x.shape != self.targets.shape:
             raise InvalidInputError("nodes and targets must have equal length")
-        if np.max(np.abs(self.nodes)) >= 1.0:
+        if x.size == 0:
+            raise InvalidInputError("interpolation problem is empty")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(self.targets))):
+            raise InvalidInputError("nodes and targets must be finite")
+        if np.max(np.abs(x)) >= 1.0:
             raise InvalidInputError("nodes must lie in the open unit disk")
-        n = len(self.nodes)
-        for j in range(n):
-            for k in range(j + 1, n):
-                if abs(self.nodes[j] - self.nodes[k]) <= 1e-12 * (
-                    1.0 + abs(self.nodes[j])
-                ):
-                    raise InvalidInputError("interpolation nodes must be distinct")
+        j, k = _pairs(x.shape[-1])
+        xj = x[..., j]
+        if np.any(np.abs(xj - x[..., k]) <= 1e-12 * (1.0 + np.abs(xj))):
+            raise InvalidInputError("interpolation nodes must be distinct")
 
     @property
     def size(self) -> int:
-        return len(self.nodes)
+        return self.nodes.shape[-1]
+
+
+_PAIRS: dict = {}
+
+
+def _pairs(n):
+    """Index pairs (j, k) with j < k among n nodes, built once per n."""
+    pairs = _PAIRS.get(n)
+    if pairs is None:
+        pairs = np.triu_indices(n, 1)
+        for index in pairs:
+            index.flags.writeable = False
+        _PAIRS[n] = pairs
+    return pairs
 
 
 class BlaschkeProduct:
@@ -114,14 +142,16 @@ def pick_matrix(problem: PickProblem) -> np.ndarray:
 
     Entry (j, k) is (1 - w_j conj(w_k)) / (1 - x_j conj(x_k)); the problem
     admits a holomorphic disk-to-disk solution exactly when this matrix is
-    positive semidefinite.
+    positive semidefinite.  A stacked problem with data of shape ``(..., n)``
+    gives the stack ``(..., n, n)`` of its Pick matrices, each equal to the
+    matrix of its own slice.
     """
     x = problem.nodes
     w = problem.targets
-    num = 1.0 - w[:, None] * np.conj(w)[None, :]
-    den = 1.0 - x[:, None] * np.conj(x)[None, :]
+    num = 1.0 - w[..., :, None] * np.conj(w)[..., None, :]
+    den = 1.0 - x[..., :, None] * np.conj(x)[..., None, :]
     m = num / den
-    return (m + m.conj().T) / 2.0
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
@@ -252,14 +282,47 @@ def _roots_of_unity(n):
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def _pick_problem_at(lambdas, eps, r):
-    nodes = eps * r
+def _pick_problem_at(lambdas, eps, radii):
+    """Reduced Pick problem at one radius, or the stack of them for an array."""
+    nodes = eps * np.asarray(radii)[..., None]
     targets = lambdas / nodes
     return PickProblem(nodes, targets)
 
 
-def _smallest_eig(lambdas, eps, r):
-    return float(np.linalg.eigvalsh(pick_matrix(_pick_problem_at(lambdas, eps, r)))[0])
+def _smallest_eigs(lambdas, eps, radii):
+    """Smallest Pick eigenvalue at each radius of an array: one stacked solve."""
+    return np.linalg.eigvalsh(pick_matrix(_pick_problem_at(lambdas, eps, radii)))[:, 0]
+
+
+def _bisect(lambdas, eps, r_hi, r_lo):
+    """Lower end of the bisection bracket of the feasibility boundary.
+
+    The test at each midpoint is the sign of the smallest Pick eigenvalue
+    (``>= 0`` is feasible).  Each round solves every midpoint of the next
+    ``_BISECT_LEVELS`` levels of the bisection tree in one stacked call and
+    then walks down the tree: the walk tests the same floating-point
+    midpoints, in the same order, as one midpoint at a time would, so the
+    bracket is the same to the last bit.
+    """
+    steps = 0
+    while steps < _BISECT_STEPS and r_hi - r_lo > BISECT_WIDTH:
+        mids = []
+        brackets = [(r_hi, r_lo)]
+        for i in range(2**_BISECT_LEVELS - 1):
+            hi, lo = brackets[i]
+            mid = (hi + lo) / 2.0
+            mids.append(mid)
+            # heap order: child 2i + 1 if mid is feasible, 2i + 2 if not
+            brackets += [(mid, lo), (hi, mid)]
+        feasible = _smallest_eigs(lambdas, eps, np.array(mids)) >= 0.0
+        node = 0
+        while node < len(mids) and steps < _BISECT_STEPS and r_hi - r_lo > BISECT_WIDTH:
+            if feasible[node]:
+                r_hi, node = mids[node], 2 * node + 1
+            else:
+                r_lo, node = mids[node], 2 * node + 2
+            steps += 1
+    return r_lo
 
 
 def blaschke_through_roots_of_unity(lambdas, tol: float = DEFAULT_TOL) -> BoundarySolution:
@@ -269,13 +332,20 @@ def blaschke_through_roots_of_unity(lambdas, tol: float = DEFAULT_TOL) -> Bounda
     disk and a Blaschke product B of order at most n with B(0) = 0 and
     B(eps_j beta) = lambda_j at the n-th roots of unity eps_j.  The radius
     |beta| is located where the Pick matrix of the reduced data (which
-    depends on |beta| only) first turns singular positive semidefinite:
-    a coarse descending scan from just below 1 followed by bisection on the
-    sign of the smallest eigenvalue.  All-zero data is returned as the
-    degenerate flagged case with beta = 0.
+    depends on |beta| only) first turns singular positive semidefinite.
+    A coarse descending scan from just below 1 solves the whole grid in one
+    stacked eigenvalue call; bisection on the sign of the smallest
+    eigenvalue then follows the sequential path, solving the midpoints of
+    several levels per stacked call, and certifies the lower (infeasible)
+    end of its final bracket.  All-zero data is returned as the degenerate
+    flagged case with beta = 0.
     """
     lam = np.atleast_1d(np.asarray(lambdas, dtype=complex))
     n = len(lam)
+    if n == 0:
+        raise InvalidInputError("no values to interpolate")
+    if not np.all(np.isfinite(lam)):
+        raise InvalidInputError("values must be finite")
     if np.max(np.abs(lam)) >= 1.0:
         raise DomainError("values must lie in the open unit disk")
     if np.max(np.abs(lam)) <= tol:
@@ -294,31 +364,20 @@ def blaschke_through_roots_of_unity(lambdas, tol: float = DEFAULT_TOL) -> Bounda
 
     grid = np.arange(hi, lo, -COARSE_STEP)
     grid = np.append(grid, lo)
-    vals = np.array([_smallest_eig(lam, eps, r) for r in grid])
+    vals = _smallest_eigs(lam, eps, grid)
 
     # lowest feasibility transition: last sign change scanning downward
-    crossing = None
-    for i in range(len(grid) - 1):
-        if vals[i] >= 0.0 > vals[i + 1]:
-            crossing = i
-    if crossing is None:
+    crossings = np.flatnonzero((vals[:-1] >= 0.0) & (vals[1:] < 0.0))
+    if crossings.size == 0:
         if np.all(vals >= 0.0):
             # feasible all the way down: boundary point at the bracket bottom
             r0 = lo
         else:
             raise NumericError("feasibility scan found no positive region")
     else:
-        r_hi, r_lo = grid[crossing], grid[crossing + 1]
-        for _ in range(200):
-            if r_hi - r_lo <= BISECT_WIDTH:
-                break
-            mid = (r_hi + r_lo) / 2.0
-            if _smallest_eig(lam, eps, mid) >= 0.0:
-                r_hi = mid
-            else:
-                r_lo = mid
+        i = crossings[-1]
         # lower endpoint: the certified radius never exceeds the true boundary
-        r0 = r_lo
+        r0 = _bisect(lam, eps, grid[i], grid[i + 1])
 
     problem = _pick_problem_at(lam, eps, r0)
     m = pick_matrix(problem)
@@ -449,3 +508,64 @@ def gap_certificate(b, tol: float = DEFAULT_TOL) -> GapCertificate:
         degenerate=sol.degenerate,
         interpolation_residual=sol.interpolation_residual,
     )
+
+
+def discontinuity_report(b, t: complex = 0.0, tol: float = DEFAULT_TOL) -> dict:
+    """Two-sided discontinuity report at the scalar base point tI.
+
+    The two-point distance at tI is compared with the certified upper bound
+    of its limit along generic perturbations of the base; the infinitesimal
+    metric at tI is compared with its exact generic limit |tr B| / n, which
+    is reported at t = 0 only.  Jumps vanish exactly when the eigenvalues of
+    B are equal (within tolerance): equality forces both limits to agree
+    with the base values, so the report pins the jumps to zero rather than
+    carrying search noise into them.
+    """
+    B = as_matrix(b)
+    t = complex(t)
+    n = B.shape[0]
+    sp = spectrum(B)
+    if not sp.in_spectral_ball():
+        raise DomainError("matrix lies outside the spectral ball")
+    if abs(t) >= 1.0:
+        raise DomainError("|t| must be below 1")
+
+    lempert_value = lempert_scalar_base(t, B)
+    kobayashi_value = kobayashi_scalar_base(t, B)
+
+    shifted = disk_automorphism(t, B) if t != 0.0 else B
+    cert = gap_certificate(shifted, tol=tol)
+
+    values = sp.values
+    spread = np.max(np.abs(values[:, None] - values[None, :]))
+    eigenvalues_equal = bool(spread <= 1e-9 * (1.0 + sp.radius))
+
+    if t == 0.0:
+        kobayashi_limit = float(abs(np.trace(B))) / n
+    else:
+        kobayashi_limit = None
+
+    if eigenvalues_equal:
+        jump_lempert = 0.0
+        jump_kobayashi = 0.0 if kobayashi_limit is not None else None
+    else:
+        jump_lempert = max(lempert_value - cert.upper, 0.0)
+        jump_kobayashi = (
+            max(kobayashi_value - kobayashi_limit, 0.0)
+            if kobayashi_limit is not None
+            else None
+        )
+
+    return {
+        "lempert": {
+            "value_at_scalar_base": float(lempert_value),
+            "generic_limit_upper": float(cert.upper),
+        },
+        "kobayashi": {
+            "value_at_scalar_base": float(kobayashi_value),
+            "generic_limit": kobayashi_limit,
+        },
+        "jump_lempert": jump_lempert,
+        "jump_kobayashi": jump_kobayashi,
+        "eigenvalues_equal": eigenvalues_equal,
+    }

@@ -5,8 +5,13 @@ from __future__ import annotations
 from itertools import permutations
 
 import numpy as np
+from hypothesis import settings
 
 import spectralball as sb
+
+# Property tests draw the same examples on every run and host.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_gaussian(rng, n):

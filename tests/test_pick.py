@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import spectralball as sb
-from spectralball.pick import PickProblem
+from spectralball.pick import BISECT_WIDTH, COARSE_STEP, PickProblem
 from conftest import random_ball_matrix, random_unitary
 
 GAP_RADIUS_SQ = 2.0 / 3.0  # positive root of 3.36 x^2 - 1.28 x - 0.64
@@ -10,6 +12,70 @@ GAP_RADIUS_SQ = 2.0 / 3.0  # positive root of 3.36 x^2 - 1.28 x - 0.64
 
 def circle_grid(k=256):
     return np.exp(2j * np.pi * np.arange(k) / k)
+
+
+def _sequential_smallest_eig(lam, eps, r):
+    return float(np.linalg.eigvalsh(sb.pick_matrix(PickProblem(eps * r, lam / (eps * r))))[0])
+
+
+def sequential_scan(lam):
+    """Reference coarse scan: one Pick matrix per grid radius.
+
+    Returns the grid, its smallest eigenvalues and the index of the lowest
+    feasibility transition (None if there is none).
+    """
+    n = len(lam)
+    eps = np.exp(2j * np.pi * np.arange(n) / n)
+    lo = float(np.max(np.abs(lam))) * (1.0 + 1e-12) + 1e-14
+    grid = np.append(np.arange(1.0 - 1e-6, lo, -COARSE_STEP), lo)
+    vals = np.array([_sequential_smallest_eig(lam, eps, r) for r in grid])
+    crossing = None
+    for i in range(len(grid) - 1):
+        if vals[i] >= 0.0 > vals[i + 1]:
+            crossing = i
+    return grid, vals, crossing
+
+
+def sequential_search(lam):
+    """Reference boundary search: the scan, then one midpoint per solve.
+
+    Returns beta, the interpolation residual and the recovered product.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    n = len(lam)
+    eps = np.exp(2j * np.pi * np.arange(n) / n)
+    grid, vals, crossing = sequential_scan(lam)
+    if crossing is None:
+        assert np.all(vals >= 0.0)
+        r0 = grid[-1]
+    else:
+        r_hi, r_lo = grid[crossing], grid[crossing + 1]
+        for _ in range(200):
+            if r_hi - r_lo <= BISECT_WIDTH:
+                break
+            mid = (r_hi + r_lo) / 2.0
+            if _sequential_smallest_eig(lam, eps, mid) >= 0.0:
+                r_hi = mid
+            else:
+                r_lo = mid
+        r0 = r_lo
+    problem = PickProblem(eps * r0, lam / (eps * r0))
+    _, vecs = np.linalg.eigh(sb.pick_matrix(problem))
+    bp = sb.degenerate_interpolant(problem, vecs[:, 0]).prepend_zero_at_origin()
+    residual = float(np.max(np.abs(bp(eps * r0) - lam)))
+    return complex(r0), residual, bp
+
+
+def seeded_spectra():
+    rng = np.random.default_rng(49)
+    cases = [np.array([0.8, 0.0]), np.array([0.5, 0.5])]
+    for n in range(1, 9):
+        cases.append(np.full(n, 0.7 * np.exp(0.3j * n)))
+    for n in range(2, 9):
+        for radius in (0.3, 0.55, 0.8, 0.95, 0.999):
+            lam = np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+            cases.append(lam * (radius / np.max(np.abs(lam))))
+    return cases
 
 
 class TestPickMatrix:
@@ -53,6 +119,82 @@ class TestPickMatrix:
             beta = r * np.exp(2j * np.pi * rng.uniform())
             m = sb.pick_matrix(PickProblem(eps * beta, lam / (eps * beta)))
             assert np.abs(m - base).max() <= 1e-12
+
+
+class TestStackedPickMatrix:
+    def _stack(self, rng, shape):
+        nodes = 0.9 * np.sqrt(rng.uniform(size=shape)) * np.exp(2j * np.pi * rng.uniform(size=shape))
+        targets = 1.5 * np.sqrt(rng.uniform(size=shape)) * np.exp(2j * np.pi * rng.uniform(size=shape))
+        return nodes, targets
+
+    @pytest.mark.parametrize("shape", [(5, 2), (7, 3), (4, 8), (2, 3, 5), (1, 1)])
+    def test_equals_stack_of_slices(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        nodes, targets = self._stack(rng, shape)
+        stacked = sb.pick_matrix(PickProblem(nodes, targets))
+        flat_x = nodes.reshape(-1, shape[-1])
+        flat_w = targets.reshape(-1, shape[-1])
+        slices = np.stack([sb.pick_matrix(PickProblem(x, w)) for x, w in zip(flat_x, flat_w)])
+        assert stacked.shape == shape + (shape[-1],)
+        assert stacked.tobytes() == slices.reshape(stacked.shape).tobytes()
+
+    def test_roots_of_unity_stack_equals_slices(self):
+        # the data of the boundary search: scaled roots of unity at many radii
+        lam = np.array([0.6, -0.2 + 0.3j, 0.1j, 0.05 - 0.4j])
+        eps = np.exp(2j * np.pi * np.arange(4) / 4)
+        radii = np.linspace(0.61, 0.999, 23)
+        nodes = eps * radii[:, None]
+        stacked = sb.pick_matrix(PickProblem(nodes, lam / nodes))
+        for r, m in zip(radii, stacked):
+            one = sb.pick_matrix(PickProblem(eps * r, lam / (eps * r)))
+            assert m.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize(
+        "row, col, value",
+        [
+            (3, 1, 0.42 + 0.1j),  # coincides with node 0 of the same slice
+            (4, 2, 1.0),  # on the unit circle
+            (2, 0, np.nan),  # not a number
+        ],
+    )
+    def test_one_invalid_slice_rejects_stack(self, row, col, value):
+        rng = np.random.default_rng(48)
+        nodes, targets = self._stack(rng, (5, 3))
+        nodes[3, 0] = 0.42 + 0.1j
+        PickProblem(nodes, targets)
+        nodes[row, col] = value
+        with pytest.raises(sb.InvalidInputError):
+            PickProblem(nodes, targets)
+
+    def test_same_node_in_different_slices_allowed(self):
+        nodes = np.array([[0.3, -0.3], [0.3, 0.5]])
+        m = sb.pick_matrix(PickProblem(nodes, np.zeros((2, 2))))
+        assert m.shape == (2, 2, 2)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(sb.InvalidInputError, match="equal length"):
+            PickProblem(np.zeros((3, 2)), np.zeros((2, 2)))
+
+
+class TestPickValidation:
+    def test_empty_problem(self):
+        with pytest.raises(sb.InvalidInputError, match="empty"):
+            PickProblem([], [])
+
+    @pytest.mark.parametrize(
+        "nodes, targets", [([0.1, np.nan], [0.0, 0.0]), ([0.1, 0.2], [0.0, np.inf])]
+    )
+    def test_non_finite_data(self, nodes, targets):
+        with pytest.raises(sb.InvalidInputError, match="finite"):
+            PickProblem(nodes, targets)
+
+    def test_boundary_search_no_values(self):
+        with pytest.raises(sb.InvalidInputError, match="no values"):
+            sb.blaschke_through_roots_of_unity([])
+
+    def test_boundary_search_nan_value(self):
+        with pytest.raises(sb.InvalidInputError, match="finite"):
+            sb.blaschke_through_roots_of_unity([0.5, np.nan])
 
 
 class TestIsPsd:
@@ -149,6 +291,40 @@ class TestBoundaryInterpolation:
     def test_out_of_disk(self):
         with pytest.raises(sb.DomainError):
             sb.blaschke_through_roots_of_unity([1.2, 0.0])
+
+    @pytest.mark.parametrize("lam", seeded_spectra(), ids=lambda lam: f"n{len(lam)}")
+    def test_equals_sequential_search(self, lam):
+        beta, residual, bp = sequential_search(lam)
+        sol = sb.blaschke_through_roots_of_unity(lam)
+        assert sol.beta == beta
+        assert sol.interpolation_residual == residual
+        assert sol.blaschke.zeros.tobytes() == bp.zeros.tobytes()
+        assert sol.blaschke.unimodular == bp.unimodular
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 0.999, allow_subnormal=False),
+                st.floats(0.0, 2.0 * np.pi),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_crossing_certifies_infeasible_radius(self, polar):
+        lam = np.array([m * np.exp(1j * a) for m, a in polar])
+        sol = sb.blaschke_through_roots_of_unity(lam)
+        assume(not sol.degenerate)
+        _, _, crossing = sequential_scan(lam)
+        assume(crossing is not None)
+        n = len(lam)
+        eps = np.exp(2j * np.pi * np.arange(n) / n)
+        r = abs(sol.beta)
+        assert _sequential_smallest_eig(lam, eps, r) < 0.0
+        assert sol.smallest_eigenvalue < 0.0
+        cert = sb.gap_certificate(np.diag(lam))
+        assert cert.upper <= cert.radius
 
 
 class TestSymmetrizedDisc:
