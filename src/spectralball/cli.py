@@ -27,6 +27,7 @@ from .errors import (
     SpectralBallError,
     UnsupportedError,
 )
+from .geometry import sample_omega
 from .matcore import DEFAULT_TOL, as_matrix, companion, sigma, spectrum
 from .pick import discontinuity_report
 
@@ -332,25 +333,6 @@ def _cmd_discontinuity(args):
     else:
         doc["residuals"] = {}
     return doc
-
-
-def sample_omega(n: int, count: int, seed) -> list:
-    """Deterministic sample of spectral-ball matrices.
-
-    Complex Gaussian entries, rescaled by 0.9 / r whenever the spectral
-    radius reaches 0.9; every sample has spectral radius below 1.
-    """
-    if n < 1 or count < 1:
-        raise InvalidInputError("dimension and count must be positive")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-        r = spectrum(g).radius
-        if r >= 0.9:
-            g = g * (0.9 / r)
-        out.append(g)
-    return out
 
 
 def _cmd_sample(args):

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DomainError,
@@ -32,6 +31,7 @@ from .geometry import _phase_align, bottleneck_assignment
 from .matcore import (
     DEFAULT_TOL,
     as_matrix,
+    expm_pair,
     ordered_triangularize,
     sigma_pushforward,
     solve_conjugation,
@@ -65,7 +65,8 @@ class TriangularConjugationCurve:
         lam = np.asarray(lam, dtype=complex)[..., None, None]
         x = self.h0 + lam * self.h1
         mid = (1.0 - lam) * self.t0 + lam * self.t1
-        return scipy.linalg.expm(x) @ mid @ scipy.linalg.expm(-x)
+        w, w_inv = expm_pair(x)
+        return w @ mid @ w_inv
 
 
 @dataclass(eq=False)
@@ -82,7 +83,8 @@ class ExpConjugationCurve:
 
     def __call__(self, lam):
         x = np.asarray(lam, dtype=complex)[..., None, None] * self.generator
-        return scipy.linalg.expm(-x) @ self.base @ scipy.linalg.expm(x)
+        w, w_inv = expm_pair(x)
+        return w_inv @ self.base @ w
 
 
 @dataclass(eq=False)
@@ -350,12 +352,10 @@ def _sample_points(samples, radius):
     Returns 0, 1 and samples - 2 further points; *samples* is at least 2.
     """
     golden = (np.sqrt(5.0) - 1.0) / 2.0
-    pts = [0.0 + 0.0j, 1.0 + 0.0j]
-    for k in range(samples - 2):
-        r = radius * np.sqrt((k + 0.5) / (samples - 2))
-        theta = 2.0 * np.pi * ((k * golden) % 1.0)
-        pts.append(r * np.exp(1j * theta))
-    return np.array(pts)
+    k = np.arange(samples - 2)
+    r = radius * np.sqrt((k + 0.5) / (samples - 2))
+    theta = 2.0 * np.pi * ((k * golden) % 1.0)
+    return np.concatenate(([0.0 + 0.0j, 1.0 + 0.0j], r * np.exp(1j * theta)))
 
 
 def multiset_distance(values_a, values_b):

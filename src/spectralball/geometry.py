@@ -2,8 +2,9 @@
 
 Pseudohyperbolic (Moebius) distance on the disk, exact two-point and
 infinitesimal distance values at scalar base points, the permutation-minimax
-pairing bound with explicit analytic-disc witnesses, and the convex hull of
-the spectral ball with constructive membership certificates.
+pairing bound with explicit analytic-disc witnesses, the convex hull of
+the spectral ball with constructive membership certificates, and a
+deterministic random sample of the ball.
 """
 
 from __future__ import annotations
@@ -49,6 +50,25 @@ def disk_automorphism(t: complex, b) -> np.ndarray:
     n = B.shape[0]
     eye = np.eye(n)
     return (B - t * eye) @ np.linalg.inv(eye - np.conj(t) * B)
+
+
+def sample_omega(n: int, count: int, seed) -> list:
+    """Deterministic sample of spectral-ball matrices.
+
+    Complex Gaussian entries, rescaled by 0.9 / r whenever the spectral
+    radius reaches 0.9; every sample has spectral radius below 1.
+    """
+    if n < 1 or count < 1:
+        raise InvalidInputError("dimension and count must be positive")
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+        r = spectrum(g).radius
+        if r >= 0.9:
+            g = g * (0.9 / r)
+        out.append(g)
+    return out
 
 
 def lempert_scalar_base(t: complex, b) -> float:

@@ -264,3 +264,6 @@ class TestSampling:
     def test_invalid(self):
         with pytest.raises(sb.InvalidInputError):
             sample_omega(0, 5, 1)
+
+    def test_library_function(self):
+        assert sample_omega is sb.sample_omega

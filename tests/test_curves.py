@@ -251,7 +251,26 @@ def curves_of_each_class(rng, n):
     return a, (iso, exp, poly)
 
 
+def loop_sample_points(samples, radius):
+    """The sampling rule as a per-point loop, one scalar point at a time."""
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    pts = [0.0 + 0.0j, 1.0 + 0.0j]
+    for k in range(samples - 2):
+        r = radius * np.sqrt((k + 0.5) / (samples - 2))
+        theta = 2.0 * np.pi * ((k * golden) % 1.0)
+        pts.append(r * np.exp(1j * theta))
+    return np.array(pts)
+
+
 class TestVectorizedVerifier:
+    @pytest.mark.parametrize("radius", (10.0, 1.0, 0.37))
+    def test_sample_points_match_loop_bitwise(self, radius):
+        for samples in [*range(2, 130), 1000, 5000]:
+            got = curves_module._sample_points(samples, radius)
+            ref = loop_sample_points(samples, radius)
+            assert got.dtype == ref.dtype and got.shape == (samples,)
+            assert got.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_stacked_evaluation_matches_pointwise(self, n):
         rng = np.random.default_rng(600 + n)

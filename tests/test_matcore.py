@@ -1,8 +1,15 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import spectralball as sb
-from conftest import random_ball_matrix, random_gaussian, random_unitary
+import spectralball.curves as curves_module
+from conftest import jordan_block, random_ball_matrix, random_gaussian, random_unitary
 
 
 def sorted_vals(values):
@@ -151,6 +158,35 @@ class TestSigmaPushforward:
         with pytest.raises(sb.InvalidInputError):
             sb.sigma_pushforward(np.eye(2), np.eye(3))
 
+    def test_minors_oracle(self):
+        rng = np.random.default_rng(10)
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(4):
+                a = random_gaussian(rng, n)
+                b = random_gaussian(rng, n)
+                oracle = minors_pushforward(a, b)
+                np.testing.assert_allclose(
+                    sb.sigma_pushforward(a, b),
+                    oracle,
+                    rtol=0,
+                    atol=1e-12 * (1.0 + np.abs(oracle).max()),
+                )
+
+
+def minors_pushforward(a, b):
+    """Differential of sigma by its definition, O(2^n): coordinate j sums the
+    j x j principal minors of A with one column replaced by that of B."""
+    n = a.shape[0]
+    out = np.zeros(n, dtype=complex)
+    for j in range(1, n + 1):
+        for idx in combinations(range(n), j):
+            sel = np.ix_(idx, idx)
+            for col in range(j):
+                m = a[sel].astype(complex)
+                m[:, col] = b[sel][:, col]
+                out[j - 1] += np.linalg.det(m)
+    return out
+
 
 class TestCompanion:
     def test_example(self):
@@ -231,6 +267,116 @@ class TestExpLog:
     def test_log_rejects_non_unitary(self):
         with pytest.raises(sb.InvalidInputError):
             sb.unitary_log(2.0 * np.eye(2))
+
+
+def expm_oracle_stack(rng, n):
+    """Slices of size n: zero, diagonal, triangular, nilpotent, normal and
+    non-normal, with 1-norms from 0 to about 100."""
+    slices = [np.zeros((n, n), dtype=complex)]
+    for norm in (1e-8, 0.3, 3.0, 5.3, 5.4, 20.0, 100.0):
+        g = random_gaussian(rng, n)
+        h = (g + g.conj().T) / 2.0
+        k = (g - g.conj().T) / 2.0
+        shapes = [
+            np.diag(np.diag(g)),
+            np.triu(g),
+            np.triu(g, 1),
+            jordan_block(0.0, n),
+            h,
+            k,
+            g,
+            np.triu(g) + 1e-3 * np.tril(g, -1),
+        ]
+        for m in shapes:
+            size = np.abs(m).sum(axis=0).max()
+            if size > 0.0:
+                slices.append(m * (norm / size))
+    return np.array(slices)
+
+
+class TestExpmPair:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_scipy(self, n):
+        x = expm_oracle_stack(np.random.default_rng(300 + n), n)
+        e, e_inv = sb.expm_pair(x)
+        for got, ref in ((e, scipy.linalg.expm(x)), (e_inv, scipy.linalg.expm(-x))):
+            err = np.linalg.norm(got - ref, axis=(1, 2))
+            assert (err <= 1e-12 * np.linalg.norm(ref, axis=(1, 2))).all()
+
+    def test_exp_zero_is_identity_exactly(self):
+        for n in (1, 2, 5):
+            e, e_inv = sb.expm_pair(np.zeros((3, n, n)))
+            assert np.array_equal(e, np.broadcast_to(np.eye(n), (3, n, n)))
+            assert np.array_equal(e_inv, e)
+
+    def test_negation_swaps_the_pair_bitwise(self):
+        x = expm_oracle_stack(np.random.default_rng(320), 4)
+        e, e_inv = sb.expm_pair(x)
+        neg, neg_inv = sb.expm_pair(-x)
+        assert np.array_equal(neg, e_inv) and np.array_equal(neg_inv, e)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 8))
+    def test_stack_equals_its_slices_bitwise(self, n):
+        x = expm_oracle_stack(np.random.default_rng(330 + n), n)
+        # twelve slices spread over the norms, so their squaring counts differ
+        x = x[np.linspace(0, len(x) - 1, 12).astype(int)]
+        e, e_inv = sb.expm_pair(x.reshape(4, 3, n, n))
+        assert e.shape == (4, 3, n, n)
+        for k, m in enumerate(x):
+            one, one_inv = sb.expm_pair(m)
+            assert one.shape == (n, n)
+            assert np.array_equal(one, e.reshape(-1, n, n)[k])
+            assert np.array_equal(one_inv, e_inv.reshape(-1, n, n)[k])
+
+    def test_product_is_identity(self):
+        for n in (2, 5, 9):
+            x = expm_oracle_stack(np.random.default_rng(340 + n), n)
+            x = x[np.abs(x).sum(axis=1).max(axis=1) <= 20.0]
+            e, e_inv = sb.expm_pair(x)
+            cond = np.linalg.norm(e, axis=(1, 2)) * np.linalg.norm(e_inv, axis=(1, 2))
+            resid = np.linalg.norm(e @ e_inv - np.eye(n), axis=(1, 2))
+            assert (resid <= 1e-13 * cond).all()
+
+    @given(
+        hnp.arrays(
+            complex,
+            st.tuples(st.integers(1, 3), st.integers(1, 4)).map(lambda t: (t[0], t[1], t[1])),
+            elements=st.complex_numbers(max_magnitude=8.0, allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_property_agrees_with_scipy(self, x):
+        e, e_inv = sb.expm_pair(x)
+        for got, ref in ((e, scipy.linalg.expm(x)), (e_inv, scipy.linalg.expm(-x))):
+            err = np.linalg.norm(got - ref, axis=(1, 2))
+            assert (err <= 1e-12 * np.linalg.norm(ref, axis=(1, 2))).all()
+
+    @pytest.mark.parametrize(
+        "x", [np.zeros(3), np.zeros((2, 3)), np.zeros((2, 0, 0)), np.array([[np.nan]])]
+    )
+    def test_rejects_invalid_input(self, x):
+        with pytest.raises(sb.InvalidInputError):
+            sb.expm_pair(x)
+
+    def test_verifier_calls_the_kernel_once_per_curve(self, monkeypatch):
+        calls = []
+        original = curves_module.expm_pair
+
+        def counting(x):
+            calls.append(x.shape)
+            return original(x)
+
+        monkeypatch.setattr(curves_module, "expm_pair", counting)
+        rng = np.random.default_rng(350)
+        a = random_ball_matrix(rng, 3, radius=0.7)
+        q = random_unitary(rng, 3, scale=0.2)
+        curves = (
+            sb.iso_spectral_curve(a, q @ a @ q.conj().T),
+            sb.ExpConjugationCurve(base=a, generator=0.2 * random_gaussian(rng, 3)),
+        )
+        for curve in curves:
+            calls.clear()
+            assert sb.verify_constant_spectrum(curve, sb.spectrum(a), samples=50).passed
+            assert calls == [(50, 3, 3)]
 
 
 class TestCommutant:
