@@ -27,6 +27,7 @@ from .matcore import (
     Spectrum,
     SymPoint,
     as_matrix,
+    bottleneck_assignment,
     commutant_basis,
     commutation_operator,
     companion,
@@ -68,7 +69,6 @@ from .geometry import (
     DiscWitness,
     HullWitness,
     SpectralDisc,
-    bottleneck_assignment,
     bottleneck_minimax,
     disk_automorphism,
     hull_membership,

@@ -2,11 +2,12 @@
 
 Every subcommand reads matrices from JSON documents, runs one library
 operation and emits a single machine-readable JSON object on stdout holding
-inputs, outputs, tolerances and recomputable verification residuals.  All
-floating-point numbers are printed with 17 significant digits so the output
-round-trips bit-exactly.
+inputs, outputs, tolerances and recomputable verification residuals.  Every
+float is printed as its shortest round-trip repr, so the output parses back
+bit-exactly.
 
-Exit codes: 0 success, 2 domain or precondition error, 3 numeric failure.
+Exit codes: 0 success, 2 domain or precondition error, 3 numeric failure
+(including a document that would hold a non-finite number).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from . import curves, geometry, nonderog, pick
 from .errors import (
     DomainError,
-    InternalError,
     InvalidInputError,
     NumericError,
     PreconditionError,
@@ -32,7 +32,6 @@ from .matcore import DEFAULT_TOL, as_matrix, companion, sigma, spectrum
 from .pick import discontinuity_report
 
 USER_ERRORS = (InvalidInputError, DomainError, PreconditionError, UnsupportedError)
-SOLVER_ERRORS = (NumericError, InternalError)
 
 
 # ----------------------------------------------------------------------
@@ -90,35 +89,18 @@ def _pairs(values) -> list:
 
 
 # ----------------------------------------------------------------------
-# JSON writer with fixed float formatting
+# JSON writer
 
-def _dump(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key, value in obj.items():
-            items.append(f'{pad}  {json.dumps(str(key))}: {_dump(value, indent + 1)}')
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
-        if flat:
-            return "[" + ", ".join(_dump(v) for v in seq) + "]"
-        items = [f"{pad}  {_dump(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _to_json(doc) -> str:
+    """JSON text of a document.
+
+    Python prints every float as the shortest repr that round-trips.  JSON
+    has no non-finite numbers, so a NaN or infinity raises NumericError.
+    """
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"document holds a non-finite number: {exc}") from exc
 
 
 def _load_matrix(path) -> np.ndarray:
@@ -429,26 +411,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = args.handler(args)
+        text = _to_json(args.handler(args))
     except USER_ERRORS as exc:
-        print(
-            _dump({"error": str(exc), "kind": type(exc).__name__}),
-            file=sys.stderr,
-        )
+        print(_to_json({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
         return 2
-    except SOLVER_ERRORS as exc:
-        print(
-            _dump({"error": str(exc), "kind": type(exc).__name__}),
-            file=sys.stderr,
-        )
+    except SpectralBallError as exc:
+        print(_to_json({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
         return 3
-    except SpectralBallError as exc:  # pragma: no cover - safety net
-        print(
-            _dump({"error": str(exc), "kind": type(exc).__name__}),
-            file=sys.stderr,
-        )
-        return 3
-    print(_dump(doc))
+    print(text)
     return 0
 
 

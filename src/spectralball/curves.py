@@ -21,22 +21,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DomainError,
     InternalError,
     InvalidInputError,
     PreconditionError,
     UnsupportedError,
 )
-from .geometry import _phase_align, bottleneck_assignment
+from .geometry import _triangular_frames
 from .matcore import (
     DEFAULT_TOL,
+    _bottleneck_pairing,
     as_matrix,
     expm_pair,
-    ordered_triangularize,
     sigma_pushforward,
     solve_conjugation,
-    spectrum,
-    unitary_log,
 )
 from .nonderog import classify
 
@@ -112,56 +109,26 @@ class MatrixPolynomialCurve:
         return out
 
 
-def _pair_greedy(a_vals, b_vals, tol_abs):
-    """Greedy nearest-neighbour pairing of two multisets.
-
-    Returns the index array mapping positions of *a_vals* to positions of
-    *b_vals*, or raises when some pair exceeds the acceptance threshold.
-    """
-    b_vals = np.asarray(b_vals)
-    used = np.zeros(len(b_vals), dtype=bool)
-    pairing = np.empty(len(a_vals), dtype=int)
-    for i, x in enumerate(a_vals):
-        dist = np.abs(b_vals - x)
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        if dist[j] > tol_abs:
-            raise PreconditionError(
-                f"spectra differ as multisets (gap {dist[j]:.3e})"
-            )
-        pairing[i] = j
-        used[j] = True
-    return pairing
-
-
 def iso_spectral_curve(a, b) -> TriangularConjugationCurve:
     """Entire curve through A (at 0) and B (at 1) with constant spectrum.
 
-    Requires the two spectra to agree as multisets and both matrices to lie
-    in the spectral ball.  Both matrices are triangularized with the same
+    Requires the two spectra to agree as multisets, under the optimal
+    pairing, within PAIRING_TOL * (1 + r(A)), and both matrices to lie in
+    the spectral ball.  Both matrices are triangularized with the same
     diagonal order; the triangular parts are joined affinely (their shared
     diagonal keeps the spectrum fixed) and the unitaries through the
     difference of their logarithms.
     """
-    A = as_matrix(a)
-    B = as_matrix(b)
-    if B.shape != A.shape:
-        raise InvalidInputError("matrices must have the same dimension")
-    sp_a = spectrum(A)
-    sp_b = spectrum(B)
-    if not (sp_a.in_spectral_ball() and sp_b.in_spectral_ball()):
-        raise DomainError("both matrices must lie in the spectral ball")
-    tol_abs = PAIRING_TOL * (1.0 + sp_a.radius)
-    pairing = _pair_greedy(sp_a.values, sp_b.values, tol_abs)
 
-    u, t0 = ordered_triangularize(A, sp_a.values)
-    v, t1 = ordered_triangularize(B, sp_b.values[pairing])
-    v, t1 = _phase_align(v, t1, u)
+    def pairing(sp_a, sp_b):
+        gap, perm = _bottleneck_pairing(np.abs(sp_a.values[:, None] - sp_b.values))
+        if gap > PAIRING_TOL * (1.0 + sp_a.radius):
+            raise PreconditionError(f"spectra differ as multisets (gap {gap:.3e})")
+        return perm
+
+    t0, t1, h0, h1 = _triangular_frames(a, b, pairing)
     # shared diagonal: the affine interpolation then fixes the spectrum
     np.fill_diagonal(t1, np.diag(t0))
-
-    h0 = unitary_log(u)
-    h1 = unitary_log(v) - h0
     return TriangularConjugationCurve(h0=h0, h1=h1, t0=t0, t1=t1)
 
 
@@ -176,6 +143,34 @@ def _is_nilpotent(b, tol_abs) -> bool:
     return np.linalg.norm(power) <= tol_abs * max(1.0, np.linalg.norm(b)) ** n
 
 
+def _conjugation_generator(A, B, tol):
+    """Generator Y of the zero-metric witness through A in direction B.
+
+    Returns None for a scalar base with a nilpotent direction, where the
+    affine curve A + lam B already has constant spectrum.  Otherwise A must
+    be non-derogatory and the symmetrized differential of B must vanish;
+    then Y solves AY - YA = B.  Anything else raises UnsupportedError.
+    """
+    if _is_scalar(A, STRUCTURE_TOL * (1.0 + np.linalg.norm(A))):
+        if not _is_nilpotent(B, STRUCTURE_TOL):
+            raise UnsupportedError(
+                "scalar base point requires a nilpotent direction"
+            )
+        return None
+    if not classify(A, tol=tol).verdict:
+        raise UnsupportedError(
+            "base point is derogatory and not scalar; no witness is constructed"
+        )
+    push = sigma_pushforward(A, B)
+    if np.max(np.abs(push)) > STRUCTURE_TOL * (
+        1.0 + np.linalg.norm(A) * np.linalg.norm(B)
+    ):
+        raise UnsupportedError(
+            "symmetrized differential of the direction does not vanish"
+        )
+    return solve_conjugation(A, B, tol=tol)
+
+
 def zero_metric_curve(a, b, tol: float = DEFAULT_TOL):
     """Entire curve with value A and derivative B at 0, constant spectrum.
 
@@ -188,26 +183,10 @@ def zero_metric_curve(a, b, tol: float = DEFAULT_TOL):
     B = as_matrix(b)
     if B.shape != A.shape:
         raise InvalidInputError("matrices must have the same dimension")
-    scale = STRUCTURE_TOL * (1.0 + np.linalg.norm(A))
-    if _is_scalar(A, scale):
-        if not _is_nilpotent(B, STRUCTURE_TOL):
-            raise UnsupportedError(
-                "scalar base point requires a nilpotent direction"
-            )
+    y = _conjugation_generator(A, B, tol)
+    if y is None:
         return MatrixPolynomialCurve([A, B])
-    if classify(A, tol=tol).verdict:
-        push = sigma_pushforward(A, B)
-        if np.max(np.abs(push)) > STRUCTURE_TOL * (
-            1.0 + np.linalg.norm(A) * np.linalg.norm(B)
-        ):
-            raise UnsupportedError(
-                "symmetrized differential of the direction does not vanish"
-            )
-        y = solve_conjugation(A, B, tol=tol)
-        return ExpConjugationCurve(base=A, generator=y)
-    raise UnsupportedError(
-        "base point is derogatory and not scalar; no witness is constructed"
-    )
+    return ExpConjugationCurve(base=A, generator=y)
 
 
 def _poly_product(p, q):
@@ -296,20 +275,9 @@ def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
     B = as_matrix(b)
     if A.shape != (2, 2) or B.shape != (2, 2):
         raise InvalidInputError("operation is defined for 2x2 matrices")
-    scale = STRUCTURE_TOL * (1.0 + np.linalg.norm(A))
-    if _is_scalar(A, scale):
-        if not _is_nilpotent(B, STRUCTURE_TOL):
-            raise UnsupportedError("scalar base point requires a nilpotent direction")
+    y = _conjugation_generator(A, B, DEFAULT_TOL)
+    if y is None:
         return MatrixPolynomialCurve([A, B])
-    if not classify(A).verdict:
-        raise UnsupportedError("base point is derogatory and not scalar")
-    push = sigma_pushforward(A, B)
-    if np.max(np.abs(push)) > STRUCTURE_TOL * (
-        1.0 + np.linalg.norm(A) * np.linalg.norm(B)
-    ):
-        raise UnsupportedError("symmetrized differential of the direction does not vanish")
-
-    y = solve_conjugation(A, B)
     psi = (y @ y @ A - 2.0 * y @ A @ y + A @ y @ y) / 2.0
     curve = MatrixPolynomialCurve([A, B, psi])
     if _max_nonconstant_variation(curve) > 1e-10:
@@ -365,26 +333,18 @@ def multiset_distance(values_a, values_b):
     against the same *values_b*; the result then has shape (...), and a
     single multiset gives a float.
 
-    Every value of *values_a* is paired with some value of *values_b*, so
-    the largest distance to a nearest value is a lower bound.  When the
-    nearest values are distinct, that pairing attains the bound and it is
-    the exact value; any other multiset goes to ``bottleneck_assignment``.
-    Either way the result is an exact entry of the distance matrix.
+    Nearest values are paired when they are distinct (then that pairing is
+    optimal); any other multiset goes to ``bottleneck_assignment``.  Either
+    way the result is an exact entry of the distance matrix.
     """
     a = np.atleast_1d(np.asarray(values_a, dtype=complex))
     b = np.atleast_1d(np.asarray(values_b, dtype=complex))
-    n = len(b)
-    if a.shape[-1] != n:
+    if a.shape[-1] != len(b):
         raise InvalidInputError("multisets must have equal size")
-    cost = np.abs(a[..., :, None] - b).reshape(-1, n, n)
-    nearest = np.argmin(cost, axis=2)
-    value = np.min(cost, axis=2).max(axis=1)
-    distinct = (np.sort(nearest, axis=1) == np.arange(n)).all(axis=1)
-    for k in np.flatnonzero(~distinct):
-        value[k], _ = bottleneck_assignment(cost[k])
+    value, _ = _bottleneck_pairing(np.abs(a[..., :, None] - b))
     if a.ndim == 1:
-        return float(value[0])
-    return value.reshape(a.shape[:-1])
+        return float(value)
+    return value
 
 
 def verify_constant_spectrum(

@@ -22,7 +22,13 @@ from .errors import (
     PreconditionError,
     UnsupportedError,
 )
-from .matcore import as_matrix, ordered_triangularize, spectrum, unitary_log
+from .matcore import (
+    as_matrix,
+    bottleneck_assignment,
+    ordered_triangularize,
+    spectrum,
+    unitary_log,
+)
 
 #: Certificate grid resolution: angles x radii over the closed unit disk.
 CERTIFICATE_GRID = (64, 16)
@@ -95,60 +101,6 @@ def kobayashi_scalar_base(t: complex, b) -> float:
     if abs(t) >= 1.0:
         raise DomainError("|t| must be below 1")
     return spectrum(b).radius / (1.0 - abs(t) ** 2)
-
-
-def _perfect_matching(adj):
-    """Perfect matching in a boolean bipartite adjacency matrix, or None.
-
-    Kuhn's augmenting-path algorithm; fine at desk scale.
-    """
-    n = adj.shape[0]
-    match_col = [-1] * n
-
-    def try_row(r, seen):
-        for c in range(n):
-            if adj[r, c] and not seen[c]:
-                seen[c] = True
-                if match_col[c] < 0 or try_row(match_col[c], seen):
-                    match_col[c] = r
-                    return True
-        return False
-
-    for r in range(n):
-        if not try_row(r, [False] * n):
-            return None
-    perm = np.empty(n, dtype=int)
-    for c, r in enumerate(match_col):
-        perm[r] = c
-    return perm
-
-
-def bottleneck_assignment(cost):
-    """Assignment minimizing the maximum cost entry.
-
-    Threshold bisection over the sorted set of cost values combined with
-    bipartite perfect matching.  Returns (value, permutation) where
-    permutation[i] is the column matched to row i and the value is an exact
-    entry of the cost matrix.
-    """
-    cost = np.asarray(cost, dtype=float)
-    n = cost.shape[0]
-    if cost.shape != (n, n):
-        raise InvalidInputError("cost matrix must be square")
-    values = np.unique(cost)
-    lo, hi = 0, len(values) - 1
-    best = _perfect_matching(cost <= values[hi])
-    if best is None:
-        raise InternalError("complete cost matrix admits no perfect matching")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        perm = _perfect_matching(cost <= values[mid])
-        if perm is None:
-            lo = mid + 1
-        else:
-            hi = mid
-            best = perm
-    return float(values[lo]), best
 
 
 def bottleneck_minimax(spec_a, spec_b):
@@ -254,6 +206,32 @@ def _phase_align(v, t, u):
     return v @ dm, dm.conj().T @ t @ dm
 
 
+def _triangular_frames(a, b, pairing):
+    """Paired triangular forms of A and B and the logarithms joining them.
+
+    A and B must be square, of one size, and lie in the spectral ball.
+    ``pairing(spectrum(A), spectrum(B))`` returns the permutation that lists
+    B's eigenvalues in the diagonal order of A's, or raises.  Both matrices
+    are triangularized in that order, A = u t_a u*, B = v t_b v*, with the
+    column phases of v aligned to u.  Returns (t_a, t_b, h0, h1) with
+    exp(h0) = u and exp(h0 + h1) = v.
+    """
+    A = as_matrix(a)
+    B = as_matrix(b)
+    if B.shape != A.shape:
+        raise InvalidInputError("matrices must have the same dimension")
+    sp_a = spectrum(A)
+    sp_b = spectrum(B)
+    if not (sp_a.in_spectral_ball() and sp_b.in_spectral_ball()):
+        raise DomainError("both matrices must lie in the spectral ball")
+    perm = pairing(sp_a, sp_b)
+    u, t_a = ordered_triangularize(A, sp_a.values)
+    v, t_b = ordered_triangularize(B, sp_b.values[perm])
+    v, t_b = _phase_align(v, t_b, u)
+    h0 = unitary_log(u)
+    return t_a, t_b, h0, unitary_log(v) - h0
+
+
 def upper_bound_disc(a, b, s1: float) -> DiscWitness:
     """Analytic disc through A (at 0) and B (at s1) inside the spectral ball.
 
@@ -264,34 +242,24 @@ def upper_bound_disc(a, b, s1: float) -> DiscWitness:
     and the triangularizing unitaries are joined by an exponential path.
     The witness establishes that the two-point distance is at most s1.
     """
-    A = as_matrix(a)
-    B = as_matrix(b)
-    if B.shape != A.shape:
-        raise InvalidInputError("matrices must have the same dimension")
-    sp_a = spectrum(A)
-    sp_b = spectrum(B)
-    if not (sp_a.in_spectral_ball() and sp_b.in_spectral_ball()):
-        raise DomainError("both matrices must lie in the spectral ball")
     s1 = float(s1)
-    bound, perm = bottleneck_minimax(sp_a, sp_b)
-    if not (bound < s1 < 1.0):
-        raise PreconditionError(
-            f"radius s1={s1} must lie strictly between the pairing bound "
-            f"{bound:.6g} and 1"
-        )
-    u, t_a = ordered_triangularize(A, sp_a.values)
-    v, t_b = ordered_triangularize(B, sp_b.values[perm])
-    v, t_b = _phase_align(v, t_b, u)
 
+    def pairing(sp_a, sp_b):
+        bound, perm = bottleneck_minimax(sp_a, sp_b)
+        if not (bound < s1 < 1.0):
+            raise PreconditionError(
+                f"radius s1={s1} must lie strictly between the pairing bound "
+                f"{bound:.6g} and 1"
+            )
+        return perm
+
+    t_a, t_b, h0, h1 = _triangular_frames(a, b, pairing)
     da = np.diag(t_a).copy()
     db = np.diag(t_b).copy()
     kappa = _mobius_shift(da, db) / s1
 
     t_base = np.triu(t_a, 1)
     t_slope = np.triu(t_b - t_a, 1) / s1
-
-    h0 = unitary_log(u)
-    h1 = unitary_log(v) - h0
 
     curve = SpectralDisc(h0, h1, da, kappa, t_base, t_slope, s1)
 
@@ -308,8 +276,8 @@ def upper_bound_disc(a, b, s1: float) -> DiscWitness:
         base_point=0.0 + 0.0j,
         target_point=complex(s1),
         certificate_grid=cert,
-        matrix_at_base=A.copy(),
-        matrix_at_target=B.copy(),
+        matrix_at_base=np.array(a, dtype=complex),
+        matrix_at_target=np.array(b, dtype=complex),
     )
 
 

@@ -1,7 +1,8 @@
 """Dense complex matrix kernel.
 
 Spectra, symmetrized coordinates (signed characteristic-polynomial
-coefficients) and their differential, companion matrices, Schur forms with a
+coefficients) and their differential, companion matrices, the bottleneck
+assignment behind every pairing of eigenvalue multisets, Schur forms with a
 prescribed diagonal order, matrix exponentials/logarithms, and the linear
 algebra of the commutation operator H -> AH - HA.
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidInputError, NoSolutionError
+from .errors import InternalError, InvalidInputError, NoSolutionError
 
 #: Default relative tolerance for residuals and rank decisions.
 DEFAULT_TOL = 1e-9
@@ -193,6 +194,81 @@ def _swap_adjacent(t, u, i):
     t[i + 1, i] = 0.0
 
 
+def _perfect_matching(adj):
+    """Perfect matching in a boolean bipartite adjacency matrix, or None.
+
+    Kuhn's augmenting-path algorithm; fine at desk scale.
+    """
+    n = adj.shape[0]
+    match_col = [-1] * n
+
+    def try_row(r, seen):
+        for c in range(n):
+            if adj[r, c] and not seen[c]:
+                seen[c] = True
+                if match_col[c] < 0 or try_row(match_col[c], seen):
+                    match_col[c] = r
+                    return True
+        return False
+
+    for r in range(n):
+        if not try_row(r, [False] * n):
+            return None
+    perm = np.empty(n, dtype=int)
+    for c, r in enumerate(match_col):
+        perm[r] = c
+    return perm
+
+
+def bottleneck_assignment(cost):
+    """Assignment minimizing the maximum cost entry.
+
+    Threshold bisection over the sorted set of cost values combined with
+    bipartite perfect matching.  Returns (value, permutation) where
+    permutation[i] is the column matched to row i and the value is an exact
+    entry of the cost matrix.
+    """
+    cost = np.asarray(cost, dtype=float)
+    n = cost.shape[0]
+    if cost.shape != (n, n):
+        raise InvalidInputError("cost matrix must be square")
+    values = np.unique(cost)
+    lo, hi = 0, len(values) - 1
+    best = _perfect_matching(cost <= values[hi])
+    if best is None:
+        raise InternalError("complete cost matrix admits no perfect matching")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        perm = _perfect_matching(cost <= values[mid])
+        if perm is None:
+            lo = mid + 1
+        else:
+            hi = mid
+            best = perm
+    return float(values[lo]), best
+
+
+def _bottleneck_pairing(cost):
+    """Bottleneck-optimal pairing of every slice of a cost stack (..., n, n).
+
+    Returns (value, perm): value[...] is the least largest entry over all
+    permutations and perm[..., i] the column paired with row i.  Pairing
+    each row with its nearest column gives a lower bound; when those
+    columns are distinct they attain it, so that pairing is exact.  Any
+    other slice goes to ``bottleneck_assignment``.  Either way the value is
+    an exact entry of the slice.
+    """
+    cost = np.asarray(cost, dtype=float)
+    n = cost.shape[-1]
+    flat = cost.reshape(-1, n, n)
+    perm = flat.argmin(axis=2)
+    value = flat.min(axis=2).max(axis=1)
+    distinct = (np.sort(perm, axis=1) == np.arange(n)).all(axis=1)
+    for k in np.flatnonzero(~distinct):
+        value[k], perm[k] = bottleneck_assignment(flat[k])
+    return value.reshape(cost.shape[:-2]), perm.reshape(cost.shape[:-1])
+
+
 def ordered_triangularize(a, order, match_tol: float = 1e-6):
     """Unitary triangularization with a prescribed diagonal order.
 
@@ -212,8 +288,6 @@ def ordered_triangularize(a, order, match_tol: float = 1e-6):
     Raises InvalidInputError when *order* is not a permutation of the
     spectrum of *a*.
     """
-    from scipy.optimize import linear_sum_assignment
-
     A = as_matrix(a)
     n = A.shape[0]
     order = np.atleast_1d(np.asarray(order, dtype=complex)).ravel()
@@ -221,14 +295,13 @@ def ordered_triangularize(a, order, match_tol: float = 1e-6):
         raise InvalidInputError("order must list all eigenvalues")
     t, u = scipy.linalg.schur(A, output="complex")
     diag = np.diag(t)
-    cost = np.abs(order[:, None] - diag[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    gap, cols = _bottleneck_pairing(np.abs(order[:, None] - diag[None, :]))
     scale = 1.0 + float(np.max(np.abs(diag)))
-    if cost[rows, cols].max() > match_tol * scale:
+    if gap > match_tol * scale:
         raise InvalidInputError("order is not a permutation of the spectrum")
     # labels[p] = destination slot of the eigenvalue currently at position p
     labels = np.empty(n, dtype=int)
-    labels[cols] = rows
+    labels[cols] = np.arange(n)
     labels = list(labels)
     t = t.copy()
     u = u.copy()

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import spectralball as sb
-from spectralball.cli import _dump, emit_matrix, main, parse_matrix, sample_omega
+from spectralball.cli import _to_json, emit_matrix, main, parse_matrix, sample_omega
 from conftest import random_gaussian
 
 
 def write_matrix(path, a):
-    path.write_text(_dump(emit_matrix(a)), encoding="utf-8")
+    path.write_text(_to_json(emit_matrix(a)), encoding="utf-8")
     return str(path)
 
 
@@ -32,7 +32,7 @@ class TestMatrixDocuments:
     def test_text_roundtrip_bitwise(self):
         rng = np.random.default_rng(62)
         a = random_gaussian(rng, 4)
-        text = _dump(emit_matrix(a))
+        text = _to_json(emit_matrix(a))
         assert np.array_equal(parse_matrix(json.loads(text)), a)
 
     def test_ragged_rows(self):
@@ -50,7 +50,7 @@ class TestMatrixDocuments:
 
     def test_seventeen_digit_floats(self):
         x = 0.1 + 0.2  # 0.30000000000000004: needs all 17 digits
-        text = _dump({"v": x})
+        text = _to_json({"v": x})
         assert "0.30000000000000004" in text
         assert json.loads(text)["v"] == x
 
@@ -243,6 +243,15 @@ class TestCommands:
         code, _, err = run_cli(capsys, "classify", "--input", str(bad))
         assert code == 2
         assert "error" in json.loads(err)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_output_exit_3(self, tmp_path, capsys):
+        # the gauge |tr A| / n overflows to inf, which JSON cannot hold
+        path = write_matrix(tmp_path / "a.json", np.diag([1e308, 1e308]))
+        code, out, err = run_cli(capsys, "hull", "--input", path)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["kind"] == "NumericError"
 
     def test_outside_ball_exit_2(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "b.json", np.diag([1.5, 0.0]))

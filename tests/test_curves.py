@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import spectralball as sb
 import spectralball.curves as curves_module
+import spectralball.matcore as matcore_module
 from conftest import (
     brute_force_bottleneck,
     random_ball_matrix,
@@ -65,6 +66,17 @@ class TestIsoSpectralCurve:
     def test_spectrum_mismatch(self):
         with pytest.raises(sb.PreconditionError):
             sb.iso_spectral_curve(np.diag([0.1, 0.2]), np.diag([0.1, 0.3]))
+
+    def test_optimal_pairing_accepts_what_greedy_rejected(self):
+        # greedy nearest-first pairs 0.5+1e-6 with 0.5+1.8e-6 and is then
+        # left with a gap of 2e-6; the optimal pairing's gap is 1e-6, below
+        # PAIRING_TOL * (1 + r) = 1.5e-6
+        a = np.array([[0.5 + 1e-6, 0.3], [0.0, 0.5 + 2e-6]])
+        b = np.array([[0.5, 0.2], [0.0, 0.5 + 1.8e-6]])
+        c = sb.iso_spectral_curve(a, b)
+        assert np.linalg.norm(c(0.0) - a) <= 1e-10
+        assert np.linalg.norm(c(1.0) - b) <= 1.1e-6
+        assert sb.verify_constant_spectrum(c, sb.spectrum(a)).passed
 
     def test_outside_ball(self):
         with pytest.raises(sb.DomainError):
@@ -304,13 +316,13 @@ class TestVectorizedVerifier:
         # so the nearest-value pairing is no permutation: the optimal one
         # pairs 0.4 -> 0 and 0.45 -> 1, at distance 0.55, not 0.45
         calls = []
-        original = curves_module.bottleneck_assignment
+        original = matcore_module.bottleneck_assignment
 
         def counting(cost):
             calls.append(cost)
             return original(cost)
 
-        monkeypatch.setattr(curves_module, "bottleneck_assignment", counting)
+        monkeypatch.setattr(matcore_module, "bottleneck_assignment", counting)
         c = sb.MatrixPolynomialCurve([np.diag([0.4, 0.45])])
         check = sb.verify_constant_spectrum(c, np.array([0.0, 1.0]), samples=5)
         assert len(calls) == 5
@@ -355,6 +367,17 @@ class TestMultisetDistanceProperties:
             assert value == brute_force_bottleneck(cost)[0]
         np.testing.assert_array_equal(sb.multiset_distance(a[:, perm_a], b), got)
         np.testing.assert_array_equal(sb.multiset_distance(a, b[perm_b]), got)
+        # the pairing behind it: each permutation attains its value, and a
+        # stack gives its slices' values and permutations
+        cost = np.abs(a[:, :, None] - b)
+        value, perm = matcore_module._bottleneck_pairing(cost)
+        np.testing.assert_array_equal(value, got)
+        for k in range(len(a)):
+            assert sorted(perm[k]) == list(range(len(b)))
+            assert cost[k][np.arange(len(b)), perm[k]].max() == value[k]
+            one_value, one_perm = matcore_module._bottleneck_pairing(cost[k])
+            assert one_value == value[k]
+            np.testing.assert_array_equal(one_perm, perm[k])
 
 
 class TestTaylorDecay:
