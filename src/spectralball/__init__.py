@@ -18,30 +18,6 @@ radius below one.  This package provides:
 * a JSON command-line interface (``spectralball``).
 """
 
-# matcore first: it loads numpy and scipy.linalg at the shallowest import
-# depth.  Measured on CPython 3.11, a first import of scipy one module deeper
-# costs each process about 20 ms and some 2,000 more minor page faults.
-from .matcore import (
-    DEFAULT_TOL,
-    CommutantBasis,
-    Spectrum,
-    SymPoint,
-    as_matrix,
-    bottleneck_assignment,
-    commutant_basis,
-    commutation_operator,
-    companion,
-    elementary_symmetric,
-    expm_pair,
-    matrix_exp,
-    ordered_triangularize,
-    sigma,
-    sigma_differential_matrix,
-    sigma_pushforward,
-    solve_conjugation,
-    spectrum,
-    unitary_log,
-)
 from .curves import (
     ExpConjugationCurve,
     MatrixPolynomialCurve,
@@ -78,6 +54,27 @@ from .geometry import (
     mobius,
     sample_omega,
     upper_bound_disc,
+)
+from .matcore import (
+    DEFAULT_TOL,
+    CommutantBasis,
+    Spectrum,
+    SymPoint,
+    as_matrix,
+    bottleneck_assignment,
+    commutant_basis,
+    commutation_operator,
+    companion,
+    elementary_symmetric,
+    expm_pair,
+    matrix_exp,
+    ordered_triangularize,
+    sigma,
+    sigma_differential_matrix,
+    sigma_pushforward,
+    solve_conjugation,
+    spectrum,
+    unitary_log,
 )
 from .nonderog import (
     CRITERIA,

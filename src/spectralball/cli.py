@@ -232,23 +232,19 @@ def _cmd_curve(args):
         endpoint0 = float(np.linalg.norm(curve(0.0) - a))
         endpoint1 = float(np.linalg.norm(curve(1.0) - b))
         residuals = {"endpoint_base": endpoint0, "endpoint_target": endpoint1}
-    elif args.kind == "zero-metric":
-        curve = curves.zero_metric_curve(a, b, tol=args.tol)
-        h = 1e-5
-        deriv = (curve(h) - curve(-h)) / (2.0 * h)
-        residuals = {
-            "endpoint_base": float(np.linalg.norm(curve(0.0) - a)),
-            "derivative": float(np.linalg.norm(deriv - b)),
-        }
     else:
-        curve = curves.quadratic_witness_2x2(a, b)
-        h = 1e-5
-        deriv = (curve(h) - curve(-h)) / (2.0 * h)
+        if args.kind == "zero-metric":
+            curve = curves.zero_metric_curve(a, b, tol=args.tol)
+        else:
+            curve = curves.quadratic_witness_2x2(a, b)
         residuals = {
             "endpoint_base": float(np.linalg.norm(curve(0.0) - a)),
-            "derivative": float(np.linalg.norm(deriv - b)),
-            "max_nonconstant_coefficient": curves._max_nonconstant_variation(curve),
+            "derivative": float(np.linalg.norm(curve.derivative_at_zero() - b)),
         }
+        if args.kind == "quadratic":
+            residuals["max_nonconstant_coefficient"] = (
+                curves._max_nonconstant_variation(curve)
+            )
     check = curves.verify_constant_spectrum(
         curve, spectrum(a), samples=args.samples, radius=args.radius
     )

@@ -3,8 +3,8 @@
 Three entire closed forms witness degenerate invariant-distance behaviour:
 
 * triangular conjugation  -- joins two matrices with equal spectra through a
-  shared triangular frame, with the conjugating unitaries interpolated along
-  a logarithm path;
+  shared triangular frame, with the conjugating unitaries joined by a
+  one-parameter unitary group;
 * exponential conjugation -- lam -> exp(-lam Y) A exp(lam Y), the canonical
   zero-metric witness with prescribed first derivative;
 * matrix polynomial       -- explicit low-degree curves, including the
@@ -30,6 +30,7 @@ from .geometry import _triangular_frames
 from .matcore import (
     DEFAULT_TOL,
     _bottleneck_pairing,
+    _cmul,
     as_matrix,
     expm_pair,
     sigma_pushforward,
@@ -46,24 +47,25 @@ STRUCTURE_TOL = 1e-8
 
 @dataclass(eq=False)
 class TriangularConjugationCurve:
-    """exp(H0 + lam H1) ((1-lam) T0 + lam T1) exp(-(H0 + lam H1)).
+    """W(lam) ((1-lam) T0 + lam T1) W(lam)^-1 with W(lam) = U exp(lam L).
 
+    U is unitary and L skew-Hermitian, so W(lam) is unitary for real lam.
     A scalar parameter gives one (n, n) matrix; a 1-D array of m parameters
     gives the (m, n, n) stack of values.
     """
 
-    h0: np.ndarray
-    h1: np.ndarray
+    frame: np.ndarray
+    frame_log: np.ndarray
     t0: np.ndarray
     t1: np.ndarray
     kind: str = "triangular_conjugation"
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)[..., None, None]
-        x = self.h0 + lam * self.h1
         mid = (1.0 - lam) * self.t0 + lam * self.t1
-        w, w_inv = expm_pair(x)
-        return w @ mid @ w_inv
+        e, e_inv = expm_pair(lam * self.frame_log)
+        u = self.frame
+        return u @ (e @ mid @ e_inv) @ u.conj().T
 
 
 @dataclass(eq=False)
@@ -83,6 +85,10 @@ class ExpConjugationCurve:
         w, w_inv = expm_pair(x)
         return w_inv @ self.base @ w
 
+    def derivative_at_zero(self) -> np.ndarray:
+        """A Y - Y A, the derivative of the curve at lam = 0."""
+        return self.base @ self.generator - self.generator @ self.base
+
 
 @dataclass(eq=False)
 class MatrixPolynomialCurve:
@@ -101,12 +107,13 @@ class MatrixPolynomialCurve:
         power = np.ones_like(lam)
         for c in self.coefficients:
             out = out + power * c
-            # unfused complex product: numpy's vectorized one may use fused
-            # multiply-adds and then rounds unlike a scalar evaluation
-            power = (power.real * lam.real - power.imag * lam.imag) + 1j * (
-                power.real * lam.imag + power.imag * lam.real
-            )
+            power = _cmul(power, lam)
         return out
+
+    def derivative_at_zero(self) -> np.ndarray:
+        """C_1, the derivative of the curve at lam = 0."""
+        c = self.coefficients
+        return c[1] if len(c) > 1 else np.zeros_like(c[0])
 
 
 def iso_spectral_curve(a, b) -> TriangularConjugationCurve:
@@ -116,8 +123,8 @@ def iso_spectral_curve(a, b) -> TriangularConjugationCurve:
     pairing, within PAIRING_TOL * (1 + r(A)), and both matrices to lie in
     the spectral ball.  Both matrices are triangularized with the same
     diagonal order; the triangular parts are joined affinely (their shared
-    diagonal keeps the spectrum fixed) and the unitaries through the
-    difference of their logarithms.
+    diagonal keeps the spectrum fixed) and the unitaries u, v through
+    u exp(lam L), with L the principal logarithm of u* v.
     """
 
     def pairing(sp_a, sp_b):
@@ -126,10 +133,10 @@ def iso_spectral_curve(a, b) -> TriangularConjugationCurve:
             raise PreconditionError(f"spectra differ as multisets (gap {gap:.3e})")
         return perm
 
-    t0, t1, h0, h1 = _triangular_frames(a, b, pairing)
+    t0, t1, u, frame_log = _triangular_frames(a, b, pairing)
     # shared diagonal: the affine interpolation then fixes the spectrum
     np.fill_diagonal(t1, np.diag(t0))
-    return TriangularConjugationCurve(h0=h0, h1=h1, t0=t0, t1=t1)
+    return TriangularConjugationCurve(frame=u, frame_log=frame_log, t0=t0, t1=t1)
 
 
 def _is_scalar(a, tol_abs) -> bool:
@@ -189,10 +196,6 @@ def zero_metric_curve(a, b, tol: float = DEFAULT_TOL):
     return ExpConjugationCurve(base=A, generator=y)
 
 
-def _poly_product(p, q):
-    return np.convolve(p, q)
-
-
 def spectrum_polynomials_2x2(curve: MatrixPolynomialCurve):
     """Trace and determinant of a 2x2 matrix polynomial as polynomials.
 
@@ -205,7 +208,7 @@ def spectrum_polynomials_2x2(curve: MatrixPolynomialCurve):
         (i, j): np.array([c[i, j] for c in coeffs]) for i in range(2) for j in range(2)
     }
     trace = entry[(0, 0)] + entry[(1, 1)]
-    det = _poly_product(entry[(0, 0)], entry[(1, 1)]) - _poly_product(
+    det = np.convolve(entry[(0, 0)], entry[(1, 1)]) - np.convolve(
         entry[(0, 1)], entry[(1, 0)]
     )
     return trace, det

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DomainError,
@@ -23,8 +22,10 @@ from .errors import (
     UnsupportedError,
 )
 from .matcore import (
+    _cmul,
     as_matrix,
     bottleneck_assignment,
+    expm_pair,
     ordered_triangularize,
     spectrum,
     unitary_log,
@@ -34,17 +35,21 @@ from .matcore import (
 CERTIFICATE_GRID = (64, 16)
 
 
-def mobius(z: complex, w: complex) -> float:
+def mobius(z, w):
     """Pseudohyperbolic distance |(z - w) / (1 - z conj(w))| on the disk.
 
     Both arguments must lie in the open unit disk; the value is symmetric,
-    lies in [0, 1) and vanishes exactly for z == w.
+    lies in [0, 1) and vanishes exactly for z == w.  Scalars give a float;
+    arrays broadcast against each other and give an array, each entry
+    rounded exactly as the scalar call rounds it.
     """
-    z = complex(z)
-    w = complex(w)
-    if abs(z) >= 1.0 or abs(w) >= 1.0:
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    if (np.abs(z) >= 1.0).any() or (np.abs(w) >= 1.0).any():
         raise DomainError("arguments must lie in the open unit disk")
-    return abs((z - w) / (1.0 - z * np.conj(w)))
+    q = (z - w) / (1.0 - _cmul(z, np.conj(w)))
+    d = np.hypot(q.real, q.imag)
+    return float(d) if d.ndim == 0 else d
 
 
 def disk_automorphism(t: complex, b) -> np.ndarray:
@@ -89,7 +94,7 @@ def lempert_scalar_base(t: complex, b) -> float:
     sp = spectrum(b)
     if not sp.in_spectral_ball():
         raise DomainError("matrix lies outside the spectral ball")
-    return max(mobius(t, lam) for lam in sp.values)
+    return float(mobius(t, sp.values).max())
 
 
 def kobayashi_scalar_base(t: complex, b) -> float:
@@ -115,8 +120,7 @@ def bottleneck_minimax(spec_a, spec_b):
     b = np.atleast_1d(np.asarray(getattr(spec_b, "values", spec_b), dtype=complex))
     if len(a) != len(b):
         raise InvalidInputError("eigenvalue lists must have equal length")
-    cost = np.array([[mobius(x, y) for y in b] for x in a])
-    return bottleneck_assignment(cost)
+    return bottleneck_assignment(mobius(a[:, None], b))
 
 
 def _mobius_shift(a, z):
@@ -124,6 +128,7 @@ def _mobius_shift(a, z):
     return (z - a) / (1.0 - np.conj(a) * z)
 
 
+@dataclass(eq=False)
 class SpectralDisc:
     """Holomorphic matrix-valued disc built from paired triangular forms.
 
@@ -131,21 +136,21 @@ class SpectralDisc:
     disk automorphism h_j(zeta) = T_aj^{-1}(kappa_j zeta) (so it stays in
     the closed disk whenever |kappa_j| < 1) and the off-diagonal entries are
     affine in zeta.  The triangular path is conjugated by the interpolated
-    similarity W(zeta) = exp(H0 + (zeta/s) H1), which is unitary for real
-    zeta and hits the two triangularizing unitaries at 0 and s.
+    similarity W(zeta) = u exp((zeta/s) L), with L the principal logarithm
+    of u* v; it is unitary for real zeta and hits the two triangularizing
+    unitaries u and v at 0 and s.
 
     The spectrum of the value at zeta equals the diagonal h(zeta) exactly,
     for every zeta, since conjugation cannot move eigenvalues.
     """
 
-    def __init__(self, h0, h1, base_diag, kappa, t_base, t_slope, scale):
-        self.h0 = h0
-        self.h1 = h1
-        self.base_diag = base_diag
-        self.kappa = kappa
-        self.t_base = t_base
-        self.t_slope = t_slope
-        self.scale = scale
+    frame: np.ndarray
+    frame_log: np.ndarray
+    base_diag: np.ndarray
+    kappa: np.ndarray
+    t_base: np.ndarray
+    t_slope: np.ndarray
+    scale: float
 
     def diagonal_values(self, zeta):
         """Spectrum of the disc value at zeta (closed form).
@@ -162,10 +167,9 @@ class SpectralDisc:
         return t
 
     def __call__(self, zeta):
-        x = self.h0 + (complex(zeta) / self.scale) * self.h1
-        w = scipy.linalg.expm(x)
-        winv = scipy.linalg.expm(-x)
-        return w @ self.triangular_part(zeta) @ winv
+        e, e_inv = expm_pair((complex(zeta) / self.scale) * self.frame_log)
+        u = self.frame
+        return u @ (e @ self.triangular_part(zeta) @ e_inv) @ u.conj().T
 
 
 @dataclass(eq=False)
@@ -207,14 +211,15 @@ def _phase_align(v, t, u):
 
 
 def _triangular_frames(a, b, pairing):
-    """Paired triangular forms of A and B and the logarithms joining them.
+    """Paired triangular forms of A and B and the logarithm joining them.
 
     A and B must be square, of one size, and lie in the spectral ball.
     ``pairing(spectrum(A), spectrum(B))`` returns the permutation that lists
     B's eigenvalues in the diagonal order of A's, or raises.  Both matrices
-    are triangularized in that order, A = u t_a u*, B = v t_b v*, with the
-    column phases of v aligned to u.  Returns (t_a, t_b, h0, h1) with
-    exp(h0) = u and exp(h0 + h1) = v.
+    are triangularized in that order in one stacked call, A = u t_a u*,
+    B = v t_b v*, with the column phases of v aligned to u.  Returns
+    (t_a, t_b, u, L) with L the principal logarithm of u* v, so that
+    u exp(L) = v.
     """
     A = as_matrix(a)
     B = as_matrix(b)
@@ -225,11 +230,11 @@ def _triangular_frames(a, b, pairing):
     if not (sp_a.in_spectral_ball() and sp_b.in_spectral_ball()):
         raise DomainError("both matrices must lie in the spectral ball")
     perm = pairing(sp_a, sp_b)
-    u, t_a = ordered_triangularize(A, sp_a.values)
-    v, t_b = ordered_triangularize(B, sp_b.values[perm])
+    (u, v), (t_a, t_b) = ordered_triangularize(
+        np.stack([A, B]), np.stack([sp_a.values, sp_b.values[perm]])
+    )
     v, t_b = _phase_align(v, t_b, u)
-    h0 = unitary_log(u)
-    return t_a, t_b, h0, unitary_log(v) - h0
+    return t_a, t_b, u, unitary_log(u.conj().T @ v)
 
 
 def upper_bound_disc(a, b, s1: float) -> DiscWitness:
@@ -239,7 +244,8 @@ def upper_bound_disc(a, b, s1: float) -> DiscWitness:
     Both matrices are triangularized with the bottleneck-optimal diagonal
     pairing; the diagonal entries move along disk automorphisms scaled so the
     closed unit disk stays inside the ball, off-diagonal entries are affine,
-    and the triangularizing unitaries are joined by an exponential path.
+    and the triangularizing unitaries are joined by a one-parameter
+    unitary group.
     The witness establishes that the two-point distance is at most s1.
     """
     s1 = float(s1)
@@ -253,7 +259,7 @@ def upper_bound_disc(a, b, s1: float) -> DiscWitness:
             )
         return perm
 
-    t_a, t_b, h0, h1 = _triangular_frames(a, b, pairing)
+    t_a, t_b, u, frame_log = _triangular_frames(a, b, pairing)
     da = np.diag(t_a).copy()
     db = np.diag(t_b).copy()
     kappa = _mobius_shift(da, db) / s1
@@ -261,7 +267,7 @@ def upper_bound_disc(a, b, s1: float) -> DiscWitness:
     t_base = np.triu(t_a, 1)
     t_slope = np.triu(t_b - t_a, 1) / s1
 
-    curve = SpectralDisc(h0, h1, da, kappa, t_base, t_slope, s1)
+    curve = SpectralDisc(u, frame_log, da, kappa, t_base, t_slope, s1)
 
     n_angles, n_radii = CERTIFICATE_GRID
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InternalError, InvalidInputError, NoSolutionError
 
@@ -30,11 +29,25 @@ def as_matrix(a) -> np.ndarray:
     non-finite entries.
     """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if m.ndim != 2:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
+    return _as_stack(m)
+
+
+def _as_stack(x) -> np.ndarray:
+    """Validate *x* as a stack of square complex matrices, shape (..., n, n)."""
+    m = np.asarray(x, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise InvalidInputError(f"expected square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidInputError("matrix entries must be finite")
     return m
+
+
+def _cmul(a, b):
+    """Complex product a * b, spelled out: numpy's vectorized product may
+    fuse multiply-adds and then rounds unlike a scalar evaluation."""
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
 
 
 @dataclass(eq=False)
@@ -176,24 +189,6 @@ def companion(s) -> np.ndarray:
     return m
 
 
-def _swap_adjacent(t, u, i):
-    """Swap diagonal entries i, i+1 of the triangular factor in place."""
-    t11 = t[i, i]
-    t22 = t[i + 1, i + 1]
-    t12 = t[i, i + 1]
-    v = np.array([t12, t22 - t11])
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return
-    q1 = v / nv
-    q2 = np.array([-np.conj(q1[1]), np.conj(q1[0])])
-    g = np.column_stack([q1, q2])
-    t[:, i : i + 2] = t[:, i : i + 2] @ g
-    t[i : i + 2, :] = g.conj().T @ t[i : i + 2, :]
-    u[:, i : i + 2] = u[:, i : i + 2] @ g
-    t[i + 1, i] = 0.0
-
-
 def _perfect_matching(adj):
     """Perfect matching in a boolean bipartite adjacency matrix, or None.
 
@@ -272,50 +267,54 @@ def _bottleneck_pairing(cost):
 def ordered_triangularize(a, order, match_tol: float = 1e-6):
     """Unitary triangularization with a prescribed diagonal order.
 
-    Parameters
-    ----------
-    a : square matrix
-    order : sequence of the eigenvalues of *a*, in the order they should
-        appear on the diagonal of the triangular factor.
-    match_tol : relative tolerance used to match *order* against the
-        computed spectrum.
+    *a* is a square matrix or a stack of them, shape (..., n, n), and
+    *order* lists the eigenvalues of each, shape (..., n), in the order
+    they should take on the diagonal.  Returns (u, t) with u unitary, t
+    upper triangular and u* a u = t, stacked like *a*.
 
-    Returns
-    -------
-    (u, t) with u unitary, t upper triangular, u* a u = t and
-    diag(t) equal to *order* up to eigensolver accuracy.
+    Ordered Schur form by deflation: step k takes the smallest right
+    singular vector x of T[k:, k:] - order[k] I and applies to the trailing
+    rows and columns the Householder reflector whose first column is x.
+    That puts order[k] on slot k, up to the smallest singular value, which
+    also bounds the column below it, set to zero.  A step whose column is
+    already zero is skipped, so a triangular input in the requested order
+    comes back with u = I.
 
-    Raises InvalidInputError when *order* is not a permutation of the
-    spectrum of *a*.
+    Raises InvalidInputError when a diagonal entry misses *order* by more
+    than match_tol * (1 + max |diag(t)|): *order* is then not a
+    permutation of the spectrum.
     """
-    A = as_matrix(a)
-    n = A.shape[0]
-    order = np.atleast_1d(np.asarray(order, dtype=complex)).ravel()
-    if len(order) != n:
-        raise InvalidInputError("order must list all eigenvalues")
-    t, u = scipy.linalg.schur(A, output="complex")
-    diag = np.diag(t)
-    gap, cols = _bottleneck_pairing(np.abs(order[:, None] - diag[None, :]))
-    scale = 1.0 + float(np.max(np.abs(diag)))
-    if gap > match_tol * scale:
+    t = _as_stack(a).copy()
+    n = t.shape[-1]
+    order = np.asarray(order, dtype=complex)
+    if order.size != t.size // n or not np.isfinite(order).all():
+        raise InvalidInputError("order must list all eigenvalues, as finite numbers")
+    order = order.reshape(t.shape[:-1])
+    u = np.broadcast_to(np.eye(n, dtype=complex), t.shape).copy()
+    for k in range(n - 1):
+        m = t[..., k:, k:] - order[..., k, None, None] * np.eye(n - k)
+        x = np.linalg.svd(m)[2][..., -1, :].conj()
+        # with x phased so that x[0] = -|x[0]|, w = x - e_1 gives the
+        # reflector H = I - w w* / (1 + |x[0]|) and H e_1 = x; w = 0 skips
+        w = -x * np.exp(-1j * np.angle(x[..., :1]))
+        w[..., 0] -= 1.0
+        w[(m[..., :, 0] == 0.0).all(axis=-1)] = 0.0
+        w_row = w.conj() / (1.0 + np.abs(x[..., :1]))
+        h = np.eye(n - k) - w[..., :, None] * w_row[..., None, :]
+        t[..., :, k:] = t[..., :, k:] @ h
+        t[..., k:, k:] = h @ t[..., k:, k:]
+        u[..., :, k:] = u[..., :, k:] @ h
+        t[..., k + 1 :, k] = 0.0
+    diag = np.diagonal(t, axis1=-2, axis2=-1)
+    scale = 1.0 + np.abs(diag).max(axis=-1)
+    if (np.abs(diag - order).max(axis=-1) > match_tol * scale).any():
         raise InvalidInputError("order is not a permutation of the spectrum")
-    # labels[p] = destination slot of the eigenvalue currently at position p
-    labels = np.empty(n, dtype=int)
-    labels[cols] = np.arange(n)
-    labels = list(labels)
-    t = t.copy()
-    u = u.copy()
-    for k in range(n):
-        p = labels.index(k, k)
-        for i in range(p - 1, k - 1, -1):
-            _swap_adjacent(t, u, i)
-            labels[i], labels[i + 1] = labels[i + 1], labels[i]
     return u, t
 
 
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential of a square matrix."""
-    return scipy.linalg.expm(as_matrix(m))
+    """Matrix exponential of a square matrix (the first half of expm_pair)."""
+    return expm_pair(as_matrix(m))[0]
 
 
 #: Coefficients b_0, ..., b_13 of the degree-13 Pade approximant to exp,
@@ -350,13 +349,7 @@ def expm_pair(x):
 
     Raises InvalidInputError for non-square, empty or non-finite input.
     """
-    x = np.asarray(x, dtype=complex)
-    if x.ndim < 2 or x.shape[-1] != x.shape[-2] or x.shape[-1] < 1:
-        raise InvalidInputError(
-            f"expected a stack of square matrices, got shape {x.shape}"
-        )
-    if not np.isfinite(x).all():
-        raise InvalidInputError("matrix entries must be finite")
+    x = _as_stack(x)
     shape = x.shape
     n = shape[-1]
     x = x.reshape(-1, n, n)
@@ -398,26 +391,29 @@ def expm_pair(x):
     return e.reshape(shape), e_inv.reshape(shape)
 
 
-def _normal_eig(u):
-    """Spectral decomposition of a normal matrix via its Schur form."""
-    t, q = scipy.linalg.schur(u, output="complex")
-    return np.diag(t).copy(), q
-
-
 def unitary_log(u, tol: float = 1e-8) -> np.ndarray:
-    """Skew-Hermitian logarithm of a unitary matrix.
+    """Principal logarithm of a unitary matrix: skew-Hermitian, norm <= pi.
 
-    Uses the spectral decomposition (unitary matrices are normal), taking
-    the principal logarithm of each unit-modulus eigenvalue.  The result L
-    satisfies matrix_exp(L) == u to roundoff.
+    u is turned by a unimodular factor that puts -1 in the middle of the
+    widest gap between its eigenvalue angles.  The Cayley transform of the
+    turned matrix is then Hermitian with the eigenvectors of u, so one
+    ``eigh`` diagonalizes u.  The angles, in (-pi, pi], are those of the
+    Rayleigh quotients of u itself, so an eigenvalue -1 gives +i pi.
     """
     U = as_matrix(u)
     n = U.shape[0]
-    defect = np.linalg.norm(U.conj().T @ U - np.eye(n))
+    eye = np.eye(n)
+    defect = np.linalg.norm(U.conj().T @ U - eye)
     if defect > tol * np.sqrt(n):
         raise InvalidInputError(f"matrix is not unitary (defect {defect:.3e})")
-    w, q = _normal_eig(U)
-    return q @ np.diag(np.log(w)) @ q.conj().T
+    angles = np.sort(np.angle(np.linalg.eigvals(U)))
+    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+    k = int(np.argmax(gaps))
+    r = np.exp(1j * (np.pi - angles[k] - gaps[k] / 2.0)) * U
+    h = 1j * np.linalg.solve(eye + r, eye - r)
+    _, q = np.linalg.eigh((h + h.conj().T) / 2.0)
+    theta = np.angle(np.diag(q.conj().T @ U @ q))
+    return (q * (1j * theta)) @ q.conj().T
 
 
 def commutation_operator(a) -> np.ndarray:

@@ -160,6 +160,26 @@ class TestCommands:
         assert doc["outputs"]["constant_spectrum"]["passed"] is True
         assert doc["residuals"]["endpoint_target"] <= 1e-8
 
+    @pytest.mark.parametrize("kind", ["zero-metric", "quadratic"])
+    def test_curve_derivative_residual_is_exact(self, tmp_path, capsys, kind):
+        rng = np.random.default_rng(81)
+        a = 0.5 * random_gaussian(rng, 2)
+        y = 0.2 * random_gaussian(rng, 2)
+        b = a @ y - y @ a
+        p1 = write_matrix(tmp_path / "a.json", a)
+        p2 = write_matrix(tmp_path / "b.json", b)
+        code, out, _ = run_cli(capsys, "curve", "--input", p1, "--input2", p2, "--kind", kind)
+        assert code == 0
+        doc = json.loads(out)
+        if kind == "zero-metric":
+            # the derivative A Y - Y A of exp(-lam Y) A exp(lam Y) at 0
+            curve = sb.zero_metric_curve(a, b)
+            expected = np.linalg.norm(curve.derivative_at_zero() - b)
+            assert doc["residuals"]["derivative"] == expected <= 1e-12
+        else:
+            # the linear coefficient of the quadratic is B itself
+            assert doc["residuals"]["derivative"] == 0.0
+
     def test_curve_mismatched_spectra_exit_2(self, tmp_path, capsys):
         p1 = write_matrix(tmp_path / "a.json", np.diag([0.1, 0.2]))
         p2 = write_matrix(tmp_path / "b.json", np.diag([0.1, 0.3]))

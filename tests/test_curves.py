@@ -78,6 +78,26 @@ class TestIsoSpectralCurve:
         assert np.linalg.norm(c(1.0) - b) <= 1.1e-6
         assert sb.verify_constant_spectrum(c, sb.spectrum(a)).passed
 
+    @pytest.mark.parametrize("seed", (16, 114))
+    def test_frame_log_on_the_principal_branch(self, seed):
+        # pairs on which log v - log u, a difference of two principal
+        # logarithms, crosses the branch cut: its norm nears 2 pi and the
+        # curve leaves the spectrum at radius 10
+        rng = np.random.default_rng([71, seed])
+        n = int(rng.integers(2, 7))
+        a = random_gaussian(rng, n)
+        a *= rng.uniform(0.3, 0.9) / sb.spectrum(a).radius
+        k = random_gaussian(rng, n)
+        k = (k - k.conj().T) / 2.0
+        k *= rng.uniform(0.05, 0.3) / np.linalg.norm(k)
+        w, v = np.linalg.eigh(-1j * k)
+        q = (v * np.exp(1j * w)) @ v.conj().T
+        b = q @ a @ q.conj().T
+        c = sb.iso_spectral_curve(a, b)
+        assert np.linalg.norm(c.frame_log, 2) <= np.pi * (1.0 + 1e-14)
+        assert np.linalg.norm(c(1.0) - b) <= 1e-10
+        assert sb.verify_constant_spectrum(c, sb.spectrum(a)).passed
+
     def test_outside_ball(self):
         with pytest.raises(sb.DomainError):
             sb.iso_spectral_curve(np.diag([1.2, 0.0]), np.diag([1.2, 0.0]))
@@ -113,6 +133,26 @@ class TestZeroMetricCurve:
             deriv = (c(h) - c(-h)) / (2.0 * h)
             assert np.linalg.norm(deriv - b) <= 1e-6
             assert sb.verify_constant_spectrum(c, sb.spectrum(a)).passed
+
+    def test_closed_form_derivative(self):
+        rng = np.random.default_rng(55)
+        h = 1e-5
+        a = random_ball_matrix(rng, 3, radius=0.6)
+        y0 = 0.2 * random_gaussian(rng, 3)
+        b = a @ y0 - y0 @ a
+        c = sb.zero_metric_curve(a, b)
+        assert isinstance(c, sb.ExpConjugationCurve)
+        y = c.generator
+        assert np.array_equal(c.derivative_at_zero(), a @ y - y @ a)
+        assert np.linalg.norm(c.derivative_at_zero() - b) <= 1e-12
+        central = (c(h) - c(-h)) / (2.0 * h)
+        assert np.linalg.norm(central - c.derivative_at_zero()) <= 1e-8
+        nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+        affine = sb.zero_metric_curve(0.3 * np.eye(2), nil)
+        assert np.array_equal(affine.derivative_at_zero(), nil)
+        assert np.array_equal(
+            sb.MatrixPolynomialCurve([nil]).derivative_at_zero(), np.zeros((2, 2))
+        )
 
     def test_derogatory_nonscalar_unsupported(self):
         a = np.zeros((3, 3), dtype=complex)

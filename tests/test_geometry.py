@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import spectralball as sb
-from conftest import brute_force_bottleneck, random_ball_matrix, random_gaussian
+from conftest import (
+    brute_force_bottleneck,
+    jordan_block,
+    random_ball_matrix,
+    random_gaussian,
+)
 
 
 class TestMobius:
@@ -25,6 +30,19 @@ class TestMobius:
             sb.mobius(1.0, 0.0)
         with pytest.raises(sb.DomainError):
             sb.mobius(0.0, 1.2j)
+
+    def test_array_entries_round_as_scalar_calls(self):
+        rng = np.random.default_rng(36)
+        z, w = 0.99 * np.sqrt(rng.uniform(size=(2, 9))) * np.exp(
+            2j * np.pi * rng.uniform(size=(2, 9))
+        )
+        table = sb.mobius(z[:, None], w)
+        assert table.shape == (9, 9)
+        scalar = np.array([[sb.mobius(complex(x), complex(y)) for y in w] for x in z])
+        assert np.array_equal(table, scalar)
+        assert isinstance(sb.mobius(z[0], w[0]), float)
+        with pytest.raises(sb.DomainError):
+            sb.mobius(np.array([0.1, 0.99999999 + 0.1j]), 0.0)
 
 
 class TestScalarBaseFormulas:
@@ -78,6 +96,10 @@ class TestBottleneck:
     def test_length_mismatch(self):
         with pytest.raises(sb.InvalidInputError):
             sb.bottleneck_minimax([0.1], [0.1, 0.2])
+
+    def test_outside_disk(self):
+        with pytest.raises(sb.DomainError):
+            sb.bottleneck_minimax([0.1, 0.2], [0.3, -1.0])
 
     def test_brute_force_tie(self):
         rng = np.random.default_rng(32)
@@ -158,6 +180,28 @@ class TestUpperBoundDisc:
                 r0, r1 = w.endpoint_residuals()
                 assert max(r0, r1) <= 1e-8
                 assert w.certificate_grid.max_spectral_radius < 1.0
+
+    def test_jordan_base_point(self):
+        # eigvals splits the triple eigenvalue 0.25 into a cluster of radius
+        # about 1e-5; the disc is built on that order all the same
+        j = jordan_block(0.5, 3)
+        for seed in range(50):
+            rng = np.random.default_rng([60, seed])
+            s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            a = 0.5 * np.linalg.solve(s, j @ s)
+            w = sb.upper_bound_disc(a, np.diag([0.1, 0.2, 0.3]), 0.9)
+            assert max(w.endpoint_residuals()) <= 1e-8
+            assert w.certificate_grid.max_spectral_radius < 1.0
+
+    def test_frame_log_is_principal(self):
+        rng = np.random.default_rng(37)
+        a = random_ball_matrix(rng, 4, radius=0.7)
+        b = random_ball_matrix(rng, 4, radius=0.6)
+        bound, _ = sb.bottleneck_minimax(sb.spectrum(a), sb.spectrum(b))
+        curve = sb.upper_bound_disc(a, b, bound + 0.05).curve
+        log = curve.frame_log
+        assert np.linalg.norm(log + log.conj().T) <= 1e-13
+        assert np.linalg.norm(log, 2) <= np.pi * (1.0 + 1e-14)
 
     def test_curve_eigenvalues_match_closed_form(self):
         # the conjugation path cannot move eigenvalues: spot-check the full

@@ -1,5 +1,8 @@
-"""Import footprint: discs, curves and the CLI pair spectra without
-scipy.optimize, whose import costs each process about 0.3 s."""
+"""Import footprint: the library runs on numpy alone.
+
+Discs, iso curves, the constant-spectrum verifier and all eight CLI
+commands run in a fresh interpreter without loading any scipy module,
+whose import costs each process about 0.3 s and 28 MB."""
 
 import json
 import os
@@ -8,6 +11,8 @@ import sys
 from pathlib import Path
 
 import spectralball as sb
+
+COMMANDS = {"classify", "sigma", "bounds", "blaschke", "curve", "hull", "discontinuity", "sample"}
 
 SCRIPT = r"""
 import contextlib, io, json, os, sys, tempfile
@@ -21,19 +26,39 @@ q = sb.matrix_exp(0.2j * np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.3], [0.0, 0.3, 
 sb.upper_bound_disc(a, b, 0.99)
 curve = sb.iso_spectral_curve(a, q @ a @ q.conj().T)
 assert sb.verify_constant_spectrum(curve, sb.spectrum(a)).passed
-paths = []
+y = np.array([[0.1, 0.2, 0.0], [0.0, 0.1j, 0.3], [0.2, 0.0, -0.1]])
+runs = [
+    ["classify", "--input", "a"],
+    ["sigma", "--input", "a"],
+    ["bounds", "--input", "a", "--input2", "b"],
+    ["blaschke", "--input", "a"],
+    ["curve", "--input", "a", "--input2", "rotated", "--kind", "iso"],
+    ["curve", "--input", "a", "--input2", "direction", "--kind", "zero-metric"],
+    ["curve", "--input", "a2", "--input2", "direction2", "--kind", "quadratic"],
+    ["hull", "--input", "a"],
+    ["discontinuity", "--input", "a"],
+    ["sample", "--n", "3", "--samples", "2"],
+]
+documents = {
+    "a": a, "b": b, "rotated": q @ a @ q.conj().T, "direction": a @ y - y @ a,
+    "a2": a[:2, :2], "direction2": a[:2, :2] @ y[:2, :2] - y[:2, :2] @ a[:2, :2],
+}
+codes = []
 with tempfile.TemporaryDirectory() as tmp:
-    for name, m in (("a", a), ("b", b)):
-        paths.append(os.path.join(tmp, name + ".json"))
-        with open(paths[-1], "w") as fh:
+    paths = {}
+    for name, m in documents.items():
+        paths[name] = os.path.join(tmp, name + ".json")
+        with open(paths[name], "w") as fh:
             json.dump(cli.emit_matrix(m), fh)
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["bounds", "--input", paths[0], "--input2", paths[1]])
-print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.startswith("scipy.optimize"))}))
+    for argv in runs:
+        argv = [paths.get(arg, arg) for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append((argv[0], cli.main(argv)))
+print(json.dumps({"codes": codes, "loaded": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
 
 
-def test_pairing_does_not_import_scipy_optimize():
+def test_library_and_cli_do_not_import_scipy():
     src = str(Path(sb.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -41,4 +66,6 @@ def test_pairing_does_not_import_scipy_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result == {"code": 0, "loaded": []}
+    assert result["loaded"] == []
+    assert {command for command, _ in result["codes"]} == COMMANDS
+    assert all(code == 0 for _, code in result["codes"]), result["codes"]

@@ -244,6 +244,55 @@ class TestOrderedTriangularize:
         with pytest.raises(sb.InvalidInputError):
             sb.ordered_triangularize(a, [0.1, 0.7])
 
+    def test_order_length_checked(self):
+        for order in ([0.1], [0.1, np.nan]):
+            with pytest.raises(sb.InvalidInputError, match="all eigenvalues"):
+                sb.ordered_triangularize(np.diag([0.1, 0.5]), order)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 8))
+    def test_stack_equals_its_slices(self, n):
+        rng = np.random.default_rng(230 + n)
+        a = np.array([random_gaussian(rng, n) for _ in range(6)])
+        order = np.array([rng.permutation(np.linalg.eigvals(m)) for m in a])
+        a[0] = np.triu(a[0])
+        order[0] = np.diag(a[0])  # a slice whose steps are all skipped
+        u, t = sb.ordered_triangularize(a.reshape(2, 3, n, n), order.reshape(2, 3, n))
+        assert u.shape == t.shape == (2, 3, n, n)
+        for k in range(6):
+            one_u, one_t = sb.ordered_triangularize(a[k], order[k])
+            assert np.array_equal(one_u, u.reshape(-1, n, n)[k])
+            assert np.array_equal(one_t, t.reshape(-1, n, n)[k])
+        assert np.array_equal(u.reshape(-1, n, n)[0], np.eye(n))
+
+    def test_one_bad_slice_rejects_the_stack(self):
+        a = np.array([np.diag([0.1, 0.5]), np.diag([0.2, 0.3])])
+        with pytest.raises(sb.InvalidInputError, match="permutation"):
+            sb.ordered_triangularize(a, [[0.5, 0.1], [0.2, 0.4]])
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_defective_eigenvalue_in_eigvals_order(self, n):
+        # eigvals splits a Jordan block into a cluster of radius about
+        # eps^(1/n); each requested value is still reached to roundoff
+        rng = np.random.default_rng(240 + n)
+        for _ in range(20):
+            s = random_gaussian(rng, n)
+            a = 0.5 * np.linalg.solve(s, jordan_block(0.5, n) @ s)
+            order = np.linalg.eigvals(a)
+            u, t = sb.ordered_triangularize(a, order)
+            assert np.linalg.norm(u @ t @ u.conj().T - a) <= 1e-13 * np.linalg.norm(a)
+            assert np.abs(np.diag(t) - order).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", (2, 4, 8))
+    def test_agrees_with_scipy_schur(self, n):
+        # distinct eigenvalues in one order fix the triangular factor up to
+        # diagonal phases, so the moduli of the entries agree
+        rng = np.random.default_rng(250 + n)
+        for _ in range(10):
+            a = random_gaussian(rng, n)
+            ref_t, _ = scipy.linalg.schur(a, output="complex")
+            u, t = sb.ordered_triangularize(a, np.diag(ref_t))
+            np.testing.assert_allclose(np.abs(t), np.abs(ref_t), atol=1e-12)
+
 
 class TestExpLog:
     def test_exp_zero(self):
@@ -267,6 +316,32 @@ class TestExpLog:
     def test_log_rejects_non_unitary(self):
         with pytest.raises(sb.InvalidInputError):
             sb.unitary_log(2.0 * np.eye(2))
+
+    def test_log_principal_branch(self):
+        # the eigenvalue -1 takes the angle +pi, never -pi
+        l = sb.unitary_log(np.diag([1.0, -1.0, 1j]))
+        np.testing.assert_allclose(l, np.diag([0.0, 1j * np.pi, 0.5j * np.pi]), atol=1e-15)
+        assert l[1, 1].imag == np.pi
+
+    def test_log_of_a_cluster_around_minus_one(self):
+        q = random_unitary(np.random.default_rng(13), 3, scale=1.0)
+        angles = np.array([np.pi - 1e-3, -np.pi + 2e-3, 0.5])
+        u = (q * np.exp(1j * angles)) @ q.conj().T
+        l = sb.unitary_log(u)
+        np.testing.assert_allclose(
+            np.sort(np.linalg.eigvalsh(-1j * l)), np.sort(angles), atol=1e-12
+        )
+        assert np.linalg.norm(sb.matrix_exp(l) - u) <= 1e-12
+
+    def test_log_spectral_norm_at_most_pi(self):
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 4, 8):
+            for _ in range(10):
+                q, r = np.linalg.qr(random_gaussian(rng, n))
+                u = q * (np.diag(r) / np.abs(np.diag(r)))
+                l = sb.unitary_log(u)
+                assert np.linalg.norm(l, 2) <= np.pi * (1.0 + 1e-14)
+                assert np.linalg.norm(sb.matrix_exp(l) - u) <= 1e-12
 
 
 def expm_oracle_stack(rng, n):
