@@ -279,8 +279,12 @@ def _cmd_hull(args):
         "outputs": {"gauge": h, "inside": inside},
         "residuals": {},
     }
-    if inside and a.shape[0] <= 4:
-        witness = geometry.hull_witness(a)
+    if inside:
+        try:
+            witness = geometry.hull_witness(a)
+        except UnsupportedError as exc:
+            doc["outputs"]["witness_unavailable"] = str(exc)
+            return doc
         t1, t2 = witness.terms
         recon = float(np.linalg.norm(0.5 * t1 + 0.5 * t2 - a))
         doc["outputs"]["witness"] = {

@@ -22,6 +22,7 @@ from .errors import (
     UnsupportedError,
 )
 from .matcore import (
+    Spectrum,
     _cmul,
     as_matrix,
     bottleneck_assignment,
@@ -31,21 +32,18 @@ from .matcore import (
     unitary_log,
 )
 
-#: Certificate grid resolution: angles x radii over the closed unit disk.
-CERTIFICATE_GRID = (64, 16)
-
-
 def mobius(z, w):
     """Pseudohyperbolic distance |(z - w) / (1 - z conj(w))| on the disk.
 
-    Both arguments must lie in the open unit disk; the value is symmetric,
-    lies in [0, 1) and vanishes exactly for z == w.  Scalars give a float;
-    arrays broadcast against each other and give an array, each entry
-    rounded exactly as the scalar call rounds it.
+    Both arguments must lie in the open unit disk (NaN and infinite values
+    do not); the value is symmetric, lies in [0, 1) and vanishes exactly
+    for z == w.  Scalars give a float; arrays broadcast against each other
+    and give an array, each entry rounded exactly as the scalar call
+    rounds it.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    if (np.abs(z) >= 1.0).any() or (np.abs(w) >= 1.0).any():
+    if not ((np.abs(z) < 1.0).all() and (np.abs(w) < 1.0).all()):
         raise DomainError("arguments must lie in the open unit disk")
     q = (z - w) / (1.0 - _cmul(z, np.conj(w)))
     d = np.hypot(q.real, q.imag)
@@ -167,15 +165,20 @@ class SpectralDisc:
         return t
 
     def __call__(self, zeta):
-        e, e_inv = expm_pair((complex(zeta) / self.scale) * self.frame_log)
+        zeta = complex(zeta)
+        t = self.triangular_part(zeta)
+        if zeta != 0.0:
+            # at zeta = 0 the similarity would be exp(0) = I exactly
+            e, e_inv = expm_pair((zeta / self.scale) * self.frame_log)
+            t = e @ t @ e_inv
         u = self.frame
-        return u @ (e @ self.triangular_part(zeta) @ e_inv) @ u.conj().T
+        return u @ t @ u.conj().T
 
 
 @dataclass(eq=False)
 class CertificateGrid:
-    radii: np.ndarray
-    angles: np.ndarray
+    """Largest spectral radius of the disc over the closed unit disk."""
+
     max_spectral_radius: float
 
 
@@ -225,8 +228,8 @@ def _triangular_frames(a, b, pairing):
     B = as_matrix(b)
     if B.shape != A.shape:
         raise InvalidInputError("matrices must have the same dimension")
-    sp_a = spectrum(A)
-    sp_b = spectrum(B)
+    values = np.linalg.eigvals(np.stack([A, B]))
+    sp_a, sp_b = Spectrum(values[0]), Spectrum(values[1])
     if not (sp_a.in_spectral_ball() and sp_b.in_spectral_ball()):
         raise DomainError("both matrices must lie in the spectral ball")
     perm = pairing(sp_a, sp_b)
@@ -246,7 +249,10 @@ def upper_bound_disc(a, b, s1: float) -> DiscWitness:
     closed unit disk stays inside the ball, off-diagonal entries are affine,
     and the triangularizing unitaries are joined by a one-parameter
     unitary group.
-    The witness establishes that the two-point distance is at most s1.
+    The witness establishes that the two-point distance is at most s1.  Its
+    certificate radius is exact: entry j of the diagonal is a disk
+    automorphism of kappa_j zeta, so by the maximum principle its largest
+    modulus on the closed disk is (|a_j| + |kappa_j|) / (1 + |a_j| |kappa_j|).
     """
     s1 = float(s1)
 
@@ -269,14 +275,10 @@ def upper_bound_disc(a, b, s1: float) -> DiscWitness:
 
     curve = SpectralDisc(u, frame_log, da, kappa, t_base, t_slope, s1)
 
-    n_angles, n_radii = CERTIFICATE_GRID
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    radii = np.arange(1, n_radii + 1) / n_radii
-    zetas = radii[:, None] * np.exp(1j * angles)[None, :]
-    grid_r = np.abs(curve.diagonal_values(zetas.ravel())).max()
-    cert = CertificateGrid(radii=radii, angles=angles, max_spectral_radius=float(grid_r))
+    abs_a, abs_k = np.abs(da), np.abs(kappa)
+    cert = CertificateGrid(float(((abs_a + abs_k) / (1.0 + abs_a * abs_k)).max()))
     if cert.max_spectral_radius >= 1.0:
-        raise InternalError("disc leaves the spectral ball on the certificate grid")
+        raise InternalError("disc leaves the spectral ball")
     return DiscWitness(
         curve=curve,
         base_point=0.0 + 0.0j,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InternalError, InvalidInputError, NoSolutionError
+from .errors import InvalidInputError, NoSolutionError
 
 #: Default relative tolerance for residuals and rank decisions.
 DEFAULT_TOL = 1e-9
@@ -195,11 +195,12 @@ def _perfect_matching(adj):
     Kuhn's augmenting-path algorithm; fine at desk scale.
     """
     n = adj.shape[0]
+    rows = adj.tolist()
     match_col = [-1] * n
 
     def try_row(r, seen):
         for c in range(n):
-            if adj[r, c] and not seen[c]:
+            if rows[r][c] and not seen[c]:
                 seen[c] = True
                 if match_col[c] < 0 or try_row(match_col[c], seen):
                     match_col[c] = r
@@ -218,20 +219,27 @@ def _perfect_matching(adj):
 def bottleneck_assignment(cost):
     """Assignment minimizing the maximum cost entry.
 
-    Threshold bisection over the sorted set of cost values combined with
-    bipartite perfect matching.  Returns (value, permutation) where
-    permutation[i] is the column matched to row i and the value is an exact
-    entry of the cost matrix.
+    Every assignment uses an entry of each row and of each column, so the
+    larger of the largest row minimum and the largest column minimum is a
+    lower bound.  That threshold is tested first, and only when it admits
+    no perfect matching does a bisection over the larger cost values
+    follow.  Returns (value, permutation) where permutation[i] is the column
+    matched to row i and the value is an exact entry of the cost matrix;
+    the permutation is the matching found at that value's threshold.
+
+    Raises InvalidInputError for an empty, non-square or non-finite cost.
     """
     cost = np.asarray(cost, dtype=float)
-    n = cost.shape[0]
-    if cost.shape != (n, n):
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise InvalidInputError("cost matrix must be square")
-    values = np.unique(cost)
+    if cost.size == 0 or not np.isfinite(cost).all():
+        raise InvalidInputError("cost matrix must be non-empty and finite")
+    bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+    best = _perfect_matching(cost <= bound)
+    if best is not None:
+        return float(bound), best
+    values = np.unique(cost[cost > bound])
     lo, hi = 0, len(values) - 1
-    best = _perfect_matching(cost <= values[hi])
-    if best is None:
-        raise InternalError("complete cost matrix admits no perfect matching")
     while lo < hi:
         mid = (lo + hi) // 2
         perm = _perfect_matching(cost <= values[mid])
@@ -240,6 +248,9 @@ def bottleneck_assignment(cost):
         else:
             hi = mid
             best = perm
+    if best is None:
+        # the largest value admits every pairing
+        best = _perfect_matching(cost <= values[lo])
     return float(values[lo]), best
 
 

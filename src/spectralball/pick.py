@@ -12,6 +12,7 @@ discontinuity report built on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,25 +53,31 @@ class PickProblem:
     targets: np.ndarray
 
     def __post_init__(self):
-        self.nodes = np.atleast_1d(np.asarray(self.nodes, dtype=complex))
-        self.targets = np.atleast_1d(np.asarray(self.targets, dtype=complex))
-        x = self.nodes
-        if x.shape != self.targets.shape:
+        x = self.nodes = np.atleast_1d(np.asarray(self.nodes, dtype=complex))
+        w = self.targets = np.atleast_1d(np.asarray(self.targets, dtype=complex))
+        if x.shape != w.shape:
             raise InvalidInputError("nodes and targets must have equal length")
         if x.size == 0:
             raise InvalidInputError("interpolation problem is empty")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(self.targets))):
+        if not (np.isfinite(x).all() and np.isfinite(w).all()):
             raise InvalidInputError("nodes and targets must be finite")
-        if np.max(np.abs(x)) >= 1.0:
+        ax = np.abs(x)
+        if ax.max() >= 1.0:
             raise InvalidInputError("nodes must lie in the open unit disk")
         j, k = _pairs(x.shape[-1])
-        xj = x[..., j]
-        if np.any(np.abs(xj - x[..., k]) <= 1e-12 * (1.0 + np.abs(xj))):
+        if (np.abs(x[..., j] - x[..., k]) <= 1e-12 * (1.0 + ax[..., j])).any():
             raise InvalidInputError("interpolation nodes must be distinct")
 
     @property
     def size(self) -> int:
         return self.nodes.shape[-1]
+
+    @cached_property
+    def _factored(self):
+        """Pick matrix with its eigenvalues (ascending) and eigenvectors,
+        computed once per problem."""
+        m = pick_matrix(self)
+        return (m, *np.linalg.eigh(m))
 
 
 _PAIRS: dict = {}
@@ -175,27 +182,16 @@ def _rational_from_nullvector(problem, c):
     reproducing kernel k_x(z) = 1 / (1 - conj(x) z); clearing denominators
     gives two polynomials of degree below the node count.
     """
-    x = problem.nodes
-    w = problem.targets
     n = problem.size
-    num = np.zeros(n, dtype=complex)
-    den = np.zeros(n, dtype=complex)
-    for k in range(n):
-        # ascending coefficients of prod_{l != k} (1 - conj(x_l) z)
-        poly = np.array([1.0 + 0j])
-        for l in range(n):
-            if l != k:
-                poly = np.convolve(poly, np.array([1.0, -np.conj(x[l])]))
-        num[: len(poly)] += c[k] * poly
-        den[: len(poly)] += c[k] * np.conj(w[k]) * poly
-    return num, den
-
-
-def _polish_roots(coeffs_ascending):
-    c = np.trim_zeros(coeffs_ascending[::-1], "f")
-    if len(c) <= 1:
-        return np.zeros(0, dtype=complex)
-    return np.roots(c)
+    # row k: conj(x_l) for l != k, and the ascending coefficients of
+    # prod_{l != k} (1 - conj(x_l) z), one factor at a time for every k
+    others = np.broadcast_to(np.conj(problem.nodes), (n, n))[~np.eye(n, dtype=bool)]
+    others = others.reshape(n, n - 1)
+    polys = np.zeros((n, n), dtype=complex)
+    polys[:, 0] = 1.0
+    for j in range(n - 1):
+        polys[:, 1 : j + 2] -= others[:, j, None] * polys[:, : j + 1]
+    return c @ polys, (c * np.conj(problem.targets)) @ polys
 
 
 def degenerate_interpolant(problem: PickProblem, nullvec, tol: float = DEFAULT_TOL):
@@ -206,17 +202,17 @@ def degenerate_interpolant(problem: PickProblem, nullvec, tol: float = DEFAULT_T
     validates interpolation and circle unimodularity numerically.  All-zero
     target data yields the flagged constant-zero interpolant.
     """
-    m = pick_matrix(problem)
-    vals = np.linalg.eigvalsh(m)
+    m, vals, _ = problem._factored
     scale = 1.0 + max(vals[-1], 0.0)
     if vals[0] < -1e-6 * scale:
         raise PreconditionError("Pick matrix is not positive semidefinite")
     if vals[0] > 1e-6 * scale:
         raise PreconditionError("Pick matrix is not singular")
     c = np.atleast_1d(np.asarray(nullvec, dtype=complex))
-    if len(c) != problem.size or np.linalg.norm(c) == 0.0:
+    norm = np.linalg.norm(c)
+    if len(c) != problem.size or norm == 0.0:
         raise InvalidInputError("null vector has the wrong shape")
-    c = c / np.linalg.norm(c)
+    c = c / norm
     resid = np.linalg.norm(m @ c)
     if resid > 1e-5 * scale:
         raise PreconditionError(f"vector is not in the null space ({resid:.3e})")
@@ -226,16 +222,17 @@ def degenerate_interpolant(problem: PickProblem, nullvec, tol: float = DEFAULT_T
 
     num, den = _rational_from_nullvector(problem, c)
 
-    grid = np.exp(2j * np.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES)
+    grid = _roots_of_unity(_CIRCLE_SAMPLES)
     den_vals = np.polyval(den[::-1], grid)
     if np.min(np.abs(den_vals)) <= 1e-12 * max(1.0, np.max(np.abs(den_vals))):
         raise NumericError("interpolant denominator vanishes on the sample grid")
 
-    roots_num = _polish_roots(num)
-    roots_den = _polish_roots(den)
+    # np.roots drops leading zero coefficients itself
+    roots_num = np.roots(num[::-1]).tolist()
+    roots_den = np.roots(den[::-1]).tolist()
     # cancel root pairs shared by numerator and denominator
     keep = []
-    used = np.zeros(len(roots_den), dtype=bool)
+    used = [False] * len(roots_den)
     for r in roots_num:
         hit = None
         for i, rd in enumerate(roots_den):
@@ -261,7 +258,8 @@ def degenerate_interpolant(problem: PickProblem, nullvec, tol: float = DEFAULT_T
     interp = np.max(np.abs(bp(problem.nodes) - problem.targets))
     if interp > 1e-6:
         raise NumericError(f"interpolation residual {interp:.3e} is too large")
-    circle = np.max(np.abs(np.abs(bp(grid)) - 1.0))
+    # |bp| = |shape|, since bp is shape times a unimodular constant
+    circle = np.max(np.abs(np.abs(shape) - 1.0))
     if circle > 1e-8:
         raise NumericError("interpolant is not unimodular on the circle")
     return bp
@@ -380,8 +378,7 @@ def blaschke_through_roots_of_unity(lambdas, tol: float = DEFAULT_TOL) -> Bounda
         r0 = _bisect(lam, eps, grid[i], grid[i + 1])
 
     problem = _pick_problem_at(lam, eps, r0)
-    m = pick_matrix(problem)
-    evals, evecs = np.linalg.eigh(m)
+    _, evals, evecs = problem._factored
     inner = degenerate_interpolant(problem, evecs[:, 0], tol=tol)
     if isinstance(inner, ZeroInterpolant):
         bp = inner

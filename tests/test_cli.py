@@ -98,6 +98,18 @@ class TestCommands:
         assert abs(recon - doc["residuals"]["reconstruction"]) <= 1e-12
         assert max(witness["term_radii"]) < 1.0
 
+    def test_hull_says_why_the_witness_is_missing(self, tmp_path, capsys):
+        a = 0.3 * random_gaussian(np.random.default_rng(63), 5)
+        path = write_matrix(tmp_path / "a.json", a)
+        code, out, _ = run_cli(capsys, "hull", "--input", path)
+        assert code == 0
+        outputs = json.loads(out)["outputs"]
+        assert outputs["inside"] is True
+        assert "witness" not in outputs
+        with pytest.raises(sb.UnsupportedError) as err:
+            sb.hull_witness(a)
+        assert outputs["witness_unavailable"] == str(err.value)
+
     def test_bounds(self, tmp_path, capsys):
         p1 = write_matrix(tmp_path / "a.json", np.diag([0.1, 0.8]))
         p2 = write_matrix(tmp_path / "b.json", np.diag([0.15, 0.75]))

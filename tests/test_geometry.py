@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import spectralball as sb
+import spectralball.geometry as geometry_module
 from conftest import (
     brute_force_bottleneck,
     jordan_block,
@@ -30,6 +31,13 @@ class TestMobius:
             sb.mobius(1.0, 0.0)
         with pytest.raises(sb.DomainError):
             sb.mobius(0.0, 1.2j)
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.1), np.inf, -np.inf * 1j])
+    def test_non_finite_arguments(self, bad):
+        with pytest.raises(sb.DomainError):
+            sb.mobius(bad, 0.0)
+        with pytest.raises(sb.DomainError):
+            sb.mobius([0.1, 0.2], [0.3, bad])
 
     def test_array_entries_round_as_scalar_calls(self):
         rng = np.random.default_rng(36)
@@ -100,6 +108,10 @@ class TestBottleneck:
     def test_outside_disk(self):
         with pytest.raises(sb.DomainError):
             sb.bottleneck_minimax([0.1, 0.2], [0.3, -1.0])
+
+    def test_non_finite_eigenvalue(self):
+        with pytest.raises(sb.DomainError):
+            sb.bottleneck_minimax([0.1, np.nan], [0.2, 0.3])
 
     def test_brute_force_tie(self):
         rng = np.random.default_rng(32)
@@ -202,6 +214,46 @@ class TestUpperBoundDisc:
         log = curve.frame_log
         assert np.linalg.norm(log + log.conj().T) <= 1e-13
         assert np.linalg.norm(log, 2) <= np.pi * (1.0 + 1e-14)
+
+    def test_value_at_zero_skips_the_exponential_bitwise(self):
+        rng = np.random.default_rng(39)
+        for n in (1, 2, 4, 7):
+            a = random_ball_matrix(rng, n, radius=0.6)
+            b = random_ball_matrix(rng, n, radius=0.7)
+            bound, _ = sb.bottleneck_minimax(sb.spectrum(a), sb.spectrum(b))
+            curve = sb.upper_bound_disc(a, b, bound + 0.05).curve
+            u, t = curve.frame, curve.triangular_part(0.0)
+            e, e_inv = sb.expm_pair(0.0 * curve.frame_log)
+            assert np.array_equal(curve(0.0), u @ t @ u.conj().T)
+            assert np.array_equal(curve(0.0), u @ (e @ t @ e_inv) @ u.conj().T)
+
+    def test_endpoint_residuals_need_one_exponential(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        a = random_ball_matrix(rng, 3, radius=0.5)
+        b = random_ball_matrix(rng, 3, radius=0.6)
+        bound, _ = sb.bottleneck_minimax(sb.spectrum(a), sb.spectrum(b))
+        w = sb.upper_bound_disc(a, b, bound + 0.05)
+        calls = []
+        original = geometry_module.expm_pair
+        monkeypatch.setattr(
+            geometry_module, "expm_pair", lambda x: calls.append(x) or original(x)
+        )
+        assert max(w.endpoint_residuals()) <= 1e-8
+        assert len(calls) == 1
+
+    def test_certificate_radius_is_the_supremum_over_the_disk(self):
+        rng = np.random.default_rng(40)
+        zetas = (np.arange(1, 65) / 64)[:, None] * np.exp(2j * np.pi * np.arange(256) / 256)
+        for n in (1, 2, 3, 5, 8):
+            for radius in (0.3, 0.8, 0.99):
+                a = random_ball_matrix(rng, n, radius=radius)
+                b = random_ball_matrix(rng, n, radius=rng.uniform(0.3, 0.95))
+                bound, _ = sb.bottleneck_minimax(sb.spectrum(a), sb.spectrum(b))
+                w = sb.upper_bound_disc(a, b, (bound + 1.0) / 2.0)
+                grid = np.abs(w.curve.diagonal_values(zetas.ravel())).max()
+                exact = w.certificate_grid.max_spectral_radius
+                assert grid <= exact < 1.0
+                assert exact - grid <= 1e-3
 
     def test_curve_eigenvalues_match_closed_form(self):
         # the conjugation path cannot move eigenvalues: spot-check the full

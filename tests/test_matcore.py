@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import spectralball as sb
 import spectralball.curves as curves_module
+import spectralball.matcore as matcore_module
 from conftest import jordan_block, random_ball_matrix, random_gaussian, random_unitary
 
 
@@ -292,6 +293,66 @@ class TestOrderedTriangularize:
             ref_t, _ = scipy.linalg.schur(a, output="complex")
             u, t = sb.ordered_triangularize(a, np.diag(ref_t))
             np.testing.assert_allclose(np.abs(t), np.abs(ref_t), atol=1e-12)
+
+
+def bisection_bottleneck(cost):
+    """Reference assignment: threshold bisection over every cost value, with
+    a Kuhn matching at each tested threshold (the search before the
+    lower-bound start)."""
+    values = np.unique(cost)
+    lo, hi = 0, len(values) - 1
+    best = matcore_module._perfect_matching(cost <= values[hi])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        perm = matcore_module._perfect_matching(cost <= values[mid])
+        if perm is None:
+            lo = mid + 1
+        else:
+            hi = mid
+            best = perm
+    return float(values[lo]), best
+
+
+def square_costs(elements):
+    return st.integers(1, 8).flatmap(lambda n: hnp.arrays(float, (n, n), elements=elements))
+
+
+class TestBottleneckAssignment:
+    @given(square_costs(st.integers(0, 3).map(float)))
+    def test_tied_costs_equal_the_bisection(self, cost):
+        value, perm = sb.bottleneck_assignment(cost)
+        ref_value, ref_perm = bisection_bottleneck(cost)
+        assert value == ref_value
+        assert np.array_equal(perm, ref_perm)
+
+    @given(square_costs(st.floats(0.0, 1.0, allow_subnormal=False)))
+    def test_real_costs_equal_the_bisection(self, cost):
+        value, perm = sb.bottleneck_assignment(cost)
+        ref_value, ref_perm = bisection_bottleneck(cost)
+        assert value == ref_value
+        assert np.array_equal(perm, ref_perm)
+
+    def test_lower_bound_start_needs_one_matching(self, monkeypatch):
+        calls = []
+        original = matcore_module._perfect_matching
+
+        def counting(adj):
+            calls.append(adj)
+            return original(adj)
+
+        monkeypatch.setattr(matcore_module, "_perfect_matching", counting)
+        # the largest row minimum (0.3) is attained by the diagonal
+        value, perm = sb.bottleneck_assignment([[0.1, 0.2], [0.5, 0.3]])
+        assert (value, list(perm)) == (0.3, [0, 1])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "cost",
+        [np.zeros((0, 0)), [[0.1, np.nan], [0.2, 0.3]], [[np.inf]], [[0.1, 0.2]], np.ones(3)],
+    )
+    def test_rejects_invalid_costs(self, cost):
+        with pytest.raises(sb.InvalidInputError):
+            sb.bottleneck_assignment(cost)
 
 
 class TestExpLog:

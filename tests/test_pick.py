@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spectralball as sb
+import spectralball.pick as pick_module
 from spectralball.pick import BISECT_WIDTH, COARSE_STEP, PickProblem
 from conftest import random_ball_matrix, random_unitary
 
@@ -244,6 +245,88 @@ class TestDegenerateInterpolant:
         p = PickProblem([0.0, 0.5], [0.0, 0.1])
         with pytest.raises(sb.PreconditionError):
             sb.degenerate_interpolant(p, [1.0, 0.0])
+
+
+def convolved_rational(problem, c):
+    """Reference numerator and denominator: each product
+    prod_{l != k} (1 - conj(x_l) z) expanded by its own convolutions."""
+    x, w, n = problem.nodes, problem.targets, problem.size
+    num = np.zeros(n, dtype=complex)
+    den = np.zeros(n, dtype=complex)
+    for k in range(n):
+        poly = np.array([1.0 + 0j])
+        for l in range(n):
+            if l != k:
+                poly = np.convolve(poly, np.array([1.0, -np.conj(x[l])]))
+        num += c[k] * poly
+        den += c[k] * np.conj(w[k]) * poly
+    return num, den
+
+
+class TestInterpolantFromTheSearch:
+    @pytest.mark.parametrize("lam", seeded_spectra(), ids=lambda lam: f"n{len(lam)}")
+    def test_rational_matches_the_convolutions(self, lam):
+        n = len(lam)
+        eps = np.exp(2j * np.pi * np.arange(n) / n)
+        sol = sb.blaschke_through_roots_of_unity(lam)
+        problem = PickProblem(eps * sol.beta, lam / (eps * sol.beta))
+        c = np.linalg.eigh(sb.pick_matrix(problem))[1][:, 0]
+        got = pick_module._rational_from_nullvector(problem, c)
+        for new, ref in zip(got, convolved_rational(problem, c)):
+            assert np.max(np.abs(new - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("lam", seeded_spectra(), ids=lambda lam: f"n{len(lam)}")
+    def test_search_and_public_interpolant_agree(self, lam):
+        n = len(lam)
+        eps = np.exp(2j * np.pi * np.arange(n) / n)
+        sol = sb.blaschke_through_roots_of_unity(lam)
+        problem = PickProblem(eps * sol.beta, lam / (eps * sol.beta))
+        c = np.linalg.eigh(sb.pick_matrix(problem))[1][:, 0]
+        bp = sb.degenerate_interpolant(problem, c)
+        assert sol.blaschke.zeros[0] == 0.0
+        assert len(sol.blaschke.zeros) == bp.order + 1
+        if bp.order:
+            assert sb.multiset_distance(sol.blaschke.zeros[1:], bp.zeros) <= 1e-12
+        assert abs(sol.blaschke.unimodular - bp.unimodular) <= 1e-12
+
+    def test_search_factors_its_pick_matrix_once(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigh
+
+        def counting(m, *args, **kwargs):
+            calls.append(m.shape)
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(pick_module.np.linalg, "eigh", counting)
+        sb.blaschke_through_roots_of_unity([0.8, 0.1j, -0.3])
+        assert calls == [(3, 3)]
+
+
+class TestAglerYoungClosedForm:
+    """At n = 2 the generic limit is the Caratheodory distance of the
+    symmetrized bidisc from the origin (Agler & Young, "The hyperbolic
+    geometry of the symmetrized bidisc", J. Geom. Anal. 14, 2004):
+    (2|s - conj(s) p| + |s^2 - 4p|) / (4 - |s|^2) with s = l1 + l2, p = l1 l2."""
+
+    @staticmethod
+    def closed_form(lam):
+        s, p = lam[0] + lam[1], lam[0] * lam[1]
+        return (2.0 * abs(s - np.conj(s) * p) + abs(s * s - 4.0 * p)) / (4.0 - abs(s) ** 2)
+
+    def test_seeded_spectra(self):
+        rng = np.random.default_rng(71)
+        worst = 0.0
+        for _ in range(300):
+            lam = np.sqrt(rng.uniform(size=2)) * np.exp(2j * np.pi * rng.uniform(size=2))
+            lam *= rng.uniform(0.05, 0.97) / np.max(np.abs(lam))
+            upper = sb.gap_certificate(np.diag(lam)).upper
+            worst = max(worst, abs(upper - self.closed_form(lam)))
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("lam, value", [((0.8, 0.0), 2.0 / 3.0), ((0.5, 0.5), 0.5)])
+    def test_anchors(self, lam, value):
+        assert self.closed_form(lam) == pytest.approx(value, abs=1e-15)
+        assert sb.gap_certificate(np.diag(lam)).upper == pytest.approx(value, abs=1e-9)
 
 
 class TestBoundaryInterpolation:
