@@ -153,7 +153,7 @@ def _cmd_sigma(args):
     return {
         "command": "sigma",
         "inputs": {"matrix": emit_matrix(a)},
-        "tolerances": {"residual": args.tol},
+        "tolerances": {"residual": DEFAULT_TOL},
         "outputs": {
             "coords": _pairs(point.coords),
             "in_symmetrized_polydisc": point.in_symmetrized_polydisc(),
@@ -280,11 +280,7 @@ def _cmd_hull(args):
         "residuals": {},
     }
     if inside:
-        try:
-            witness = geometry.hull_witness(a)
-        except UnsupportedError as exc:
-            doc["outputs"]["witness_unavailable"] = str(exc)
-            return doc
+        witness = geometry.hull_witness(a)
         t1, t2 = witness.terms
         recon = float(np.linalg.norm(0.5 * t1 + 0.5 * t2 - a))
         doc["outputs"]["witness"] = {
@@ -346,17 +342,18 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, two_inputs=False):
+    def common(p, *flags, two_inputs=False):
+        """Matrix inputs plus only the listed flags, which the handler reads."""
         p.add_argument("--input", required=True, help="matrix document (JSON)")
         if two_inputs:
             p.add_argument("--input2", required=True, help="second matrix document")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--radius", type=float, default=10.0)
+        typed = {"--tol": (float, DEFAULT_TOL), "--seed": (int, 0),
+                 "--samples": (int, 100), "--radius": (float, 10.0)}
+        for flag in flags:
+            p.add_argument(flag, type=typed[flag][0], default=typed[flag][1])
 
     p = sub.add_parser("classify", help="non-derogatory classification")
-    common(p)
+    common(p, "--tol", "--seed")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("sigma", help="symmetrized coordinates")
@@ -369,11 +366,11 @@ def _build_parser():
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("blaschke", help="boundary interpolation through the spectrum")
-    common(p)
+    common(p, "--tol")
     p.set_defaults(handler=_cmd_blaschke)
 
     p = sub.add_parser("curve", help="constant-spectrum curve construction")
-    common(p, two_inputs=True)
+    common(p, "--tol", "--samples", "--radius", two_inputs=True)
     p.add_argument(
         "--kind",
         choices=("iso", "zero-metric", "quadratic"),
@@ -386,7 +383,7 @@ def _build_parser():
     p.set_defaults(handler=_cmd_hull)
 
     p = sub.add_parser("discontinuity", help="scalar-base discontinuity report")
-    common(p)
+    common(p, "--tol")
     p.add_argument(
         "--t",
         nargs=2,

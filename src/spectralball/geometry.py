@@ -19,7 +19,6 @@ from .errors import (
     InvalidInputError,
     NotInHullError,
     PreconditionError,
-    UnsupportedError,
 )
 from .matcore import (
     Spectrum,
@@ -50,11 +49,17 @@ def mobius(z, w):
     return float(d) if d.ndim == 0 else d
 
 
+def _disk_point(t) -> complex:
+    """t as a complex number; DomainError unless it is finite with |t| < 1."""
+    t = complex(t)
+    if not abs(t) < 1.0:
+        raise DomainError("|t| must be below 1")
+    return t
+
+
 def disk_automorphism(t: complex, b) -> np.ndarray:
     """Matrix Moebius shift B -> (B - tI)(I - conj(t) B)^-1 for |t| < 1."""
-    t = complex(t)
-    if abs(t) >= 1.0:
-        raise DomainError("|t| must be below 1")
+    t = _disk_point(t)
     B = as_matrix(b)
     n = B.shape[0]
     eye = np.eye(n)
@@ -86,9 +91,7 @@ def lempert_scalar_base(t: complex, b) -> float:
     Equals the largest pseudohyperbolic distance from t to an eigenvalue
     of B; B must belong to the spectral ball.
     """
-    t = complex(t)
-    if abs(t) >= 1.0:
-        raise DomainError("|t| must be below 1")
+    t = _disk_point(t)
     sp = spectrum(b)
     if not sp.in_spectral_ball():
         raise DomainError("matrix lies outside the spectral ball")
@@ -100,9 +103,7 @@ def kobayashi_scalar_base(t: complex, b) -> float:
 
     Equals r(B) / (1 - |t|^2); the direction may be any square matrix.
     """
-    t = complex(t)
-    if abs(t) >= 1.0:
-        raise DomainError("|t| must be below 1")
+    t = _disk_point(t)
     return spectrum(b).radius / (1.0 - abs(t) ** 2)
 
 
@@ -312,8 +313,10 @@ class HullWitness:
 def _plane_zero_vector(p, q, b, c):
     """Unit vector x = (cos th, e^{i ph} sin th) with x* [[p,b],[c,q]] x = 0.
 
-    Exists whenever (p+q)/(p-q) is real with modulus reachable by the
-    off-diagonal data; the call sites only produce such blocks.
+    Such x exists when 0 lies on the segment [p, q], which the numerical
+    range of the block contains.  An offset of 0 from the line through p
+    and q, left by rounding, is dropped: x then gives the nearest point of
+    that line, and the caller's final check bounds what is left.
     """
     m = (p + q) / 2.0
     ap = (p - q) / 2.0
@@ -329,10 +332,7 @@ def _plane_zero_vector(p, q, b, c):
         phi = float(np.arctan2(-c_coef, s_coef))
     bval = (b * np.exp(1j * phi) + c * np.exp(-1j * phi)) / 2.0
     kappa = (bval * np.conj(ap)).real / abs(ap) ** 2
-    mu = m / ap
-    if abs(mu.imag) > 1e-8 * (1.0 + abs(mu)):
-        raise InternalError("unsupported diagonal pattern in plane reduction")
-    mu = mu.real
+    mu = (m / ap).real
     r = float(np.hypot(1.0, kappa))
     if abs(mu) > r:
         raise InternalError("plane reduction target is out of reach")
@@ -342,59 +342,63 @@ def _plane_zero_vector(p, q, b, c):
     return theta, phi
 
 
-def _apply_plane(work, w, i, j, theta, phi):
-    x = np.array([np.cos(theta), np.exp(1j * phi) * np.sin(theta)])
-    y = np.array([-np.exp(-1j * phi) * np.sin(theta), np.cos(theta)])
-    g = np.column_stack([x, y])
+def _plane_target(frame, i, j, target, scale):
+    """Plane rotation G of slots (i, j) putting target on diagonal slot i.
+
+    The frame stacks W* M W on W: rows i, j of the top block take G* and
+    columns i, j of both take G.  The target must lie on the segment
+    [d_i, d_j], which the numerical range of the 2x2 block contains
+    (Toeplitz-Hausdorff); slot j then holds d_i + d_j - target.
+    """
+    p, q = frame[i, i], frame[j, j]
+    if abs(p - target) <= scale:
+        return
+    theta, phi = _plane_zero_vector(p - target, q - target, frame[i, j], frame[j, i])
+    c, s = np.cos(theta), np.sin(theta)
+    g = np.array([[c, -np.exp(-1j * phi) * s], [np.exp(1j * phi) * s, c]])
     idx = [i, j]
-    work[idx, :] = g.conj().T @ work[idx, :]
-    work[:, idx] = work[:, idx] @ g
-    w[:, idx] = w[:, idx] @ g
-
-
-def _zero_slot(work, w, i, j, scale):
-    """Plane rotation putting 0 on diagonal slot i using slot j."""
-    p, q = work[i, i], work[j, j]
-    if abs(p) <= scale and abs(q) <= scale:
-        return
-    theta, phi = _plane_zero_vector(p, q, work[i, j], work[j, i])
-    _apply_plane(work, w, i, j, theta, phi)
-
-
-def _equalize(work, w, i, j, scale):
-    """Plane rotation making diagonal slots i and j equal (to their mean)."""
-    p, q = work[i, i], work[j, j]
-    if abs(p - q) <= scale:
-        return
-    m = (p + q) / 2.0
-    theta, phi = _plane_zero_vector(p - m, q - m, work[i, j], work[j, i])
-    _apply_plane(work, w, i, j, theta, phi)
+    frame[idx, :] = g.conj().T @ frame[idx, :]
+    frame[:, idx] = frame[:, idx] @ g
 
 
 def _zero_diagonal_similarity(m):
-    """Unitary W with diag(W* M W) = 0 for a trace-zero M, n <= 4."""
+    """Unitary W with diag(W* M W) = 0 for a trace-zero M.
+
+    Slot a is cleared once the slots before it hold 0.  The entries
+    d_a, ..., d_{n-1} then sum to 0; turned so that d_a > 0, the others
+    have a negative mean, so their hull meets the axis at some x < 0, at an
+    entry on the axis or where a segment joins an entry above the axis to
+    one below it (Caratheodory).  One rotation puts x on a slot b, and a
+    second puts 0, which lies on [x, d_a], on slot a: at most 2n - 3
+    rotations in all.  An entry counts as on the axis within the rounding
+    scale, and the leftmost x is taken, which keeps both targets clear of
+    the ends of their segments.
+    """
     n = m.shape[0]
-    work = m.astype(complex).copy()
-    w = np.eye(n, dtype=complex)
+    frame = np.vstack([m.astype(complex), np.eye(n, dtype=complex)])
     scale = 1e-13 * max(1.0, np.linalg.norm(m))
-    if n == 1:
-        pass
-    elif n == 2:
-        _zero_slot(work, w, 0, 1, scale)
-    elif n == 3:
-        _equalize(work, w, 0, 1, scale)
-        _zero_slot(work, w, 2, 0, scale)
-        _zero_slot(work, w, 0, 1, scale)
-    elif n == 4:
-        _equalize(work, w, 0, 1, scale)
-        _equalize(work, w, 2, 3, scale)
-        _zero_slot(work, w, 0, 2, scale)
-        _zero_slot(work, w, 1, 3, scale)
-    else:
-        raise UnsupportedError("zero-diagonal reduction is implemented for n <= 4")
-    if np.max(np.abs(np.diag(work))) > 1e-9 * max(1.0, np.linalg.norm(m)):
+    for a in range(n - 1):
+        d = frame.diagonal().tolist()
+        if abs(d[a]) <= scale:
+            continue
+        turn = d[a].conjugate() / abs(d[a])
+        e = {b: d[b] * turn for b in range(a + 1, n)}
+        # (x, b, c, s): x = e_b + s (e_c - e_b) lies on the axis
+        options = [(z.real, b, b, 0.0) for b, z in e.items() if abs(z.imag) <= scale]
+        for b, zb in e.items():
+            for c, zc in e.items():
+                if zb.imag > scale and zc.imag < -scale:
+                    s = zb.imag / (zb.imag - zc.imag)
+                    options.append((zb.real + s * (zc.real - zb.real), b, c, s))
+        x, b, c, s = min(options, default=(np.inf, a, a, 0.0))
+        if not x < 0.0:
+            raise InternalError("no diagonal target on the negative axis")
+        if c != b:
+            _plane_target(frame, b, c, d[b] + s * (d[c] - d[b]), scale)
+        _plane_target(frame, a, b, 0.0, scale)
+    if np.max(np.abs(frame.diagonal())) > 1e-9 * max(1.0, np.linalg.norm(m)):
         raise InternalError("zero-diagonal reduction failed to converge")
-    return w
+    return frame[n:]
 
 
 def hull_witness(a) -> HullWitness:

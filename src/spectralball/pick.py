@@ -524,8 +524,6 @@ def discontinuity_report(b, t: complex = 0.0, tol: float = DEFAULT_TOL) -> dict:
     sp = spectrum(B)
     if not sp.in_spectral_ball():
         raise DomainError("matrix lies outside the spectral ball")
-    if abs(t) >= 1.0:
-        raise DomainError("|t| must be below 1")
 
     lempert_value = lempert_scalar_base(t, B)
     kobayashi_value = kobayashi_scalar_base(t, B)

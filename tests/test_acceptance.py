@@ -321,6 +321,16 @@ def test_criterion_8_hull():
         c = rng.uniform(0.0, 5.0)
         hc, _ = sb.hull_membership(c * a)
         ok = ok and abs(hc - c * h) <= 1e-12 * (1.0 + c * h)
+
+    for n in range(1, 13):
+        for _ in range(10):
+            a = random_gaussian(rng, n)
+            if abs(np.trace(a)) >= 0.9 * n:
+                a = a * (0.8 * n / abs(np.trace(a)))
+            t1, t2 = sb.hull_witness(a).terms
+            recon = np.linalg.norm(0.5 * t1 + 0.5 * t2 - a)
+            ok = ok and recon <= 1e-9 * (1.0 + np.linalg.norm(a))
+            ok = ok and max(sb.spectrum(t1).radius, sb.spectrum(t2).radius) < 1.0
     _report(8, "convex hull certificates", ok)
 
 

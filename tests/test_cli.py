@@ -98,17 +98,20 @@ class TestCommands:
         assert abs(recon - doc["residuals"]["reconstruction"]) <= 1e-12
         assert max(witness["term_radii"]) < 1.0
 
-    def test_hull_says_why_the_witness_is_missing(self, tmp_path, capsys):
+    def test_hull_witness_at_n5(self, tmp_path, capsys):
         a = 0.3 * random_gaussian(np.random.default_rng(63), 5)
         path = write_matrix(tmp_path / "a.json", a)
         code, out, _ = run_cli(capsys, "hull", "--input", path)
         assert code == 0
-        outputs = json.loads(out)["outputs"]
-        assert outputs["inside"] is True
-        assert "witness" not in outputs
-        with pytest.raises(sb.UnsupportedError) as err:
-            sb.hull_witness(a)
-        assert outputs["witness_unavailable"] == str(err.value)
+        doc = json.loads(out)
+        assert doc["outputs"]["inside"] is True
+        assert "witness_unavailable" not in doc["outputs"]
+        witness = doc["outputs"]["witness"]
+        t1, t2 = (parse_matrix(t) for t in witness["terms"])
+        assert np.array_equal(parse_matrix(witness["similarity"]), sb.hull_witness(a).similarity)
+        assert np.linalg.norm(0.5 * t1 + 0.5 * t2 - a) <= 1e-9 * (1.0 + np.linalg.norm(a))
+        assert doc["residuals"]["reconstruction"] <= 1e-9 * (1.0 + np.linalg.norm(a))
+        assert max(witness["term_radii"]) < 1.0
 
     def test_bounds(self, tmp_path, capsys):
         p1 = write_matrix(tmp_path / "a.json", np.diag([0.1, 0.8]))
@@ -268,6 +271,27 @@ class TestCommands:
         # determinism
         code2, out2, _ = run_cli(capsys, "sample", "--n", "3", "--samples", "20", "--seed", "5")
         assert out2 == out
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("classify", "--samples"), ("classify", "--radius"),
+            ("sigma", "--tol"), ("sigma", "--seed"), ("sigma", "--samples"), ("sigma", "--radius"),
+            ("bounds", "--tol"), ("bounds", "--seed"), ("bounds", "--samples"), ("bounds", "--radius"),
+            ("blaschke", "--seed"), ("blaschke", "--samples"), ("blaschke", "--radius"),
+            ("curve", "--seed"),
+            ("hull", "--tol"), ("hull", "--seed"), ("hull", "--samples"), ("hull", "--radius"),
+            ("discontinuity", "--seed"), ("discontinuity", "--samples"), ("discontinuity", "--radius"),
+        ],
+    )
+    def test_unread_flag_exit_2(self, tmp_path, capsys, command, flag):
+        # each command takes only the flags its handler reads
+        path = write_matrix(tmp_path / "a.json", np.diag([0.3, 0.1]))
+        inputs = ["--input", path] + (["--input2", path] if command in ("bounds", "curve") else [])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_input_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

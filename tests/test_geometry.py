@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectralball as sb
 import spectralball.geometry as geometry_module
@@ -8,6 +10,7 @@ from conftest import (
     jordan_block,
     random_ball_matrix,
     random_gaussian,
+    random_unitary,
 )
 
 
@@ -84,6 +87,21 @@ class TestScalarBaseFormulas:
     def test_kobayashi_domain(self):
         with pytest.raises(sb.DomainError):
             sb.kobayashi_scalar_base(1.1, np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)], ids=repr)
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            sb.disk_automorphism,
+            sb.lempert_scalar_base,
+            sb.kobayashi_scalar_base,
+            lambda t, b: sb.discontinuity_report(b, t),
+        ],
+        ids=["disk_automorphism", "lempert", "kobayashi", "discontinuity_report"],
+    )
+    def test_non_finite_base_point(self, entry, bad):
+        with pytest.raises(sb.DomainError, match="below 1"):
+            entry(bad, np.diag([0.5, 0.2]))
 
 
 class TestBottleneck:
@@ -299,6 +317,25 @@ class TestHullMembership:
             assert inside
 
 
+def assert_valid_witness(a, w, radii=True):
+    """Midpoint reconstruction, unitary S, and S*(t_k - tau I)S strictly
+    upper (first term) or lower (second term) to 1e-12 ||A||.  Term radii
+    come from eigvals only where that is well conditioned."""
+    n = a.shape[0]
+    t1, t2 = w.terms
+    s = w.similarity
+    tau = np.trace(a) / n
+    size = np.linalg.norm(a)
+    assert np.linalg.norm(0.5 * t1 + 0.5 * t2 - a) <= 1e-9 * (1.0 + size)
+    assert np.linalg.norm(s.conj().T @ s - np.eye(n)) <= 1e-12
+    z1 = s.conj().T @ (t1 - tau * np.eye(n)) @ s
+    z2 = s.conj().T @ (t2 - tau * np.eye(n)) @ s
+    assert np.linalg.norm(np.tril(z1)) <= 1e-12 * size
+    assert np.linalg.norm(np.triu(z2)) <= 1e-12 * size
+    if radii:
+        assert max(sb.spectrum(t1).radius, sb.spectrum(t2).radius) < 1.0
+
+
 class TestHullWitness:
     def test_zero_diagonal_input(self):
         a = np.array([[0.0, 5.0], [0.0, 0.0]])
@@ -321,11 +358,56 @@ class TestHullWitness:
         with pytest.raises(sb.NotInHullError):
             sb.hull_witness(np.eye(2))
 
-    def test_unsupported_dimension(self):
-        with pytest.raises(sb.UnsupportedError):
-            sb.hull_witness(np.zeros((5, 5)))
+    def test_dimension_five(self):
+        a = 0.3 * random_gaussian(np.random.default_rng(63), 5)
+        assert_valid_witness(a, sb.hull_witness(a))
+        w = sb.hull_witness(np.zeros((5, 5)))
+        np.testing.assert_array_equal(w.similarity, np.eye(5))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[0.4j]]),
+            np.diag([2.5, -2.5, 1.0, 1.0, -1.0]),
+            np.diag([0.7, 0.7, 0.7, -0.7, 0.3, -0.3]),
+            np.diag([3.0, -1.0, -1.0, -1.0]) + np.triu(np.ones((4, 4)), 1),
+            np.array([[0.0, 2.0, 1j], [3.0, 0.0, -1.0], [0.5, 4.0, 0.0]]),
+            jordan_block(0.3 + 0.1j, 7),
+            0.5 * np.eye(2) + 1e-9 * random_gaussian(np.random.default_rng(4), 2),
+            0.5 * np.eye(3) + 1e-9 * random_gaussian(np.random.default_rng(1), 3),
+        ],
+        ids=[
+            "n1",
+            "real-diagonal",
+            "real-diagonal-ties",
+            "real-diagonal-upper",
+            "zero-diagonal",
+            "jordan-block",
+            "near-scalar-n2",
+            "near-scalar-n3",
+        ],
+    )
+    def test_structured_members(self, a):
+        assert_valid_witness(a, sb.hull_witness(a))
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+        st.floats(-8.0, 8.0),
+        st.floats(0.0, 2.0 * np.pi),
+    )
+    def test_similarity_and_scaling(self, n, seed, log_c, angle):
+        rng = np.random.default_rng(seed)
+        g = random_gaussian(rng, n)
+        b = g - (np.trace(g) / n) * np.eye(n)
+        u = random_unitary(rng, n, scale=3.0)
+        a = u @ (b + 0.6 * np.exp(1j * angle) * np.eye(n)) @ u.conj().T
+        assert_valid_witness(a, sb.hull_witness(a))
+        c = 10.0**log_c * np.exp(1j * angle)
+        assert_valid_witness(c * b, sb.hull_witness(c * b), radii=False)
+
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_random_members(self, n):
         rng = np.random.default_rng(38 + n)
         for _ in range(10):
