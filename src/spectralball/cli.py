@@ -282,14 +282,21 @@ def _cmd_hull(args):
     if inside:
         witness = geometry.hull_witness(a)
         t1, t2 = witness.terms
+        n = a.shape[0]
+        tau, s = np.trace(a) / n, witness.similarity
         recon = float(np.linalg.norm(0.5 * t1 + 0.5 * t2 - a))
+        # S*(t1 - tau I)S is strictly upper and S*(t2 - tau I)S strictly lower
+        # triangular, so both terms have the one-point spectrum {tau}
+        z1, z2 = (s.conj().T @ (t - tau * np.eye(n)) @ s for t in (t1, t2))
+        slack = max(np.linalg.norm(np.tril(z1)), np.linalg.norm(np.triu(z2)))
         doc["outputs"]["witness"] = {
             "weights": [float(w) for w in witness.weights],
             "terms": [emit_matrix(t1), emit_matrix(t2)],
-            "similarity": emit_matrix(witness.similarity),
-            "term_radii": [spectrum(t1).radius, spectrum(t2).radius],
+            "similarity": emit_matrix(s),
+            "term_radii": [float(abs(tau))] * 2,
         }
         doc["residuals"]["reconstruction"] = recon
+        doc["residuals"]["triangularity"] = float(slack / (1.0 + np.linalg.norm(a)))
     return doc
 
 

@@ -158,8 +158,13 @@ def sigma_differential_matrix(a) -> np.ndarray:
     coefficients and agrees with the column-replacement minors formula.
     """
     A = as_matrix(a)
+    return _sigma_differential_rows(A, np.linalg.eigvals(A))
+
+
+def _sigma_differential_rows(A, values):
+    """sigma_differential_matrix of a validated A with eigenvalues *values*."""
     n = A.shape[0]
-    sig = sigma(A).coords
+    sig = elementary_symmetric(values)
     rows = np.empty((n, n * n), dtype=complex)
     d = np.eye(n, dtype=complex)
     rows[0] = d.ravel()
@@ -431,8 +436,12 @@ def commutation_operator(a) -> np.ndarray:
     """Matrix of H -> AH - HA acting on column-stacked H (n^2 x n^2)."""
     A = as_matrix(a)
     n = A.shape[0]
-    eye = np.eye(n)
-    return np.kron(eye, A) - np.kron(A.T, eye)
+    # entry (i n + p, j n + q) is delta_ij A[p, q] - A[j, i] delta_pq
+    op = np.zeros((n, n, n, n), dtype=complex)
+    i = np.arange(n)
+    op[i, :, i, :] += A
+    op[:, i, :, i] -= A.T
+    return op.reshape(n * n, n * n)
 
 
 @dataclass(eq=False)

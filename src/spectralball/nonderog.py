@@ -14,6 +14,10 @@ side by side and cross-checked:
 
 Disagreement between criteria without a borderline rank decision is reported
 as an internal error.
+
+``classify`` solves for the eigenvalues once; the minimal polynomial is
+searched on one QR of the stacked normalized powers (one SVD per leading
+block of R), and the eigenvalue clusters share one stacked SVD.
 """
 
 from __future__ import annotations
@@ -25,10 +29,11 @@ import numpy as np
 from .errors import InternalError
 from .matcore import (
     DEFAULT_TOL,
+    SymPoint,
+    _sigma_differential_rows,
     as_matrix,
     commutation_operator,
-    sigma,
-    sigma_differential_matrix,
+    elementary_symmetric,
 )
 
 CRITERIA = (
@@ -114,38 +119,40 @@ def _rank_by_svd(s, tol, floor=0.0):
     return rank, borderline
 
 
-def _minimal_polynomial_impl(A, tol):
-    """Return (ascending coeffs, borderline flag)."""
+def _minimal_polynomial_impl(A, tol, values=None):
+    """Return (ascending coeffs, borderline flag); *values* are eigvals(A)."""
     n = A.shape[0]
-    power = np.eye(n, dtype=complex)
-    cols = [power.ravel(order="F")]
+    powers = [np.eye(n, dtype=complex)]
+    for _ in range(1, n):
+        powers.append(powers[-1] @ A)
+    w = np.column_stack([p.ravel(order="F") for p in powers])
+    norms = np.linalg.norm(w, axis=0)
+    norms[norms == 0.0] = 1.0  # a vanished power is already dependent
+    # the leading (d+1) x (d+1) block of R is the R factor of the first d+1
+    # normalized powers, so it has their singular values
+    r = np.linalg.qr(w / norms, mode="r")
     borderline = False
     for d in range(1, n):
-        power = power @ A
-        vec = power.ravel(order="F")
-        cols.append(vec)
-        w = np.column_stack(cols)
-        norms = np.linalg.norm(w, axis=0)
-        norms[norms == 0.0] = 1.0  # a vanished power is already dependent
-        s = np.linalg.svd(w / norms, compute_uv=False)
+        s = np.linalg.svd(r[: d + 1, : d + 1], compute_uv=False)
         if np.any((s >= tol * s[0] / 10.0) & (s <= tol * s[0] * 10.0)):
             borderline = True
         if s[-1] <= tol * s[0]:
-            coef, *_ = np.linalg.lstsq(
-                np.column_stack(cols[:-1]), -vec, rcond=None
-            )
+            coef, *_ = np.linalg.lstsq(w[:, :d], -w[:, d], rcond=None)
             return np.append(coef, 1.0), borderline
     # Full degree: minimal polynomial equals the characteristic polynomial.
-    desc = sigma(A).char_coefficients()
+    values = np.linalg.eigvals(A) if values is None else values
+    desc = SymPoint(elementary_symmetric(values)).char_coefficients()
     return desc[::-1], borderline
 
 
 def minimal_polynomial(a, tol: float = DEFAULT_TOL) -> PolyCoeffs:
     """Monic polynomial of least degree annihilating the matrix.
 
-    Found at the first rank deficiency of the stacked column-vectorized
-    powers I, A, A^2, ...; its coefficients come from a least-squares solve
-    against the last power.
+    Found at the first rank deficiency of the column-normalized,
+    column-vectorized powers I, A, ..., A^(n-1): one QR factorization of
+    the whole stack, then one SVD of each leading block of R.  The
+    coefficients come from a least-squares solve of the unnormalized prefix
+    against the next power.
     """
     A = as_matrix(a)
     coeffs, _ = _minimal_polynomial_impl(A, tol)
@@ -195,21 +202,16 @@ def _criterion_cyclic(A, tol, rng):
     return CriterionResult(best_rank == n, float(best_rank), best_borderline)
 
 
-def _criterion_eigenspaces(A, tol):
+def _criterion_eigenspaces(A, tol, values):
     n = A.shape[0]
-    values = np.linalg.eigvals(A)
-    radius = float(np.max(np.abs(values)))
+    groups = _cluster_eigenvalues(values, float(np.max(np.abs(values))))
+    centers = np.array([values[g].mean() for g in groups])
+    stack = np.linalg.svd(A - centers[:, None, None] * np.eye(n), compute_uv=False)
     floor = np.linalg.norm(A)
-    max_mult = 0
-    borderline = False
-    for group in _cluster_eigenvalues(values, radius):
-        center = values[group].mean()
-        s = np.linalg.svd(A - center * np.eye(n), compute_uv=False)
-        rank, flag = _rank_by_svd(s, tol, floor=floor)
-        # every cluster has at least one eigenvalue, whatever the rank says
-        mult = max(n - rank, 1)
-        max_mult = max(max_mult, mult)
-        borderline = borderline or flag
+    decisions = [_rank_by_svd(s, tol, floor=floor) for s in stack]
+    # every cluster has at least one eigenvalue, whatever the rank says
+    max_mult = max(max(n - rank, 1) for rank, _ in decisions)
+    borderline = any(flag for _, flag in decisions)
     return CriterionResult(max_mult == 1, float(max_mult), borderline)
 
 
@@ -228,11 +230,12 @@ def classify(a, tol: float = DEFAULT_TOL, rng=None) -> NonderogReport:
     per = {}
     per["cyclic_vector"] = _criterion_cyclic(A, tol, rng)
 
-    min_coeffs, mp_borderline = _minimal_polynomial_impl(A, tol)
+    values = np.linalg.eigvals(A)
+    min_coeffs, mp_borderline = _minimal_polynomial_impl(A, tol, values)
     degree = len(min_coeffs) - 1
     per["minimal_degree"] = CriterionResult(degree == n, float(degree), mp_borderline)
 
-    per["eigenspace_dim"] = _criterion_eigenspaces(A, tol)
+    per["eigenspace_dim"] = _criterion_eigenspaces(A, tol, values)
 
     op = commutation_operator(A)
     s_op = np.linalg.svd(op, compute_uv=False)
@@ -242,7 +245,7 @@ def classify(a, tol: float = DEFAULT_TOL, rng=None) -> NonderogReport:
         commutant_dim == n, float(commutant_dim), op_borderline
     )
 
-    s_sig = np.linalg.svd(sigma_differential_matrix(A), compute_uv=False)
+    s_sig = np.linalg.svd(_sigma_differential_rows(A, values), compute_uv=False)
     sig_rank, sig_borderline = _rank_by_svd(s_sig, tol)
     per["symmetrization_rank"] = CriterionResult(
         sig_rank == n, float(sig_rank), sig_borderline

@@ -113,6 +113,33 @@ class TestCommands:
         assert doc["residuals"]["reconstruction"] <= 1e-9 * (1.0 + np.linalg.norm(a))
         assert max(witness["term_radii"]) < 1.0
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_hull_term_radii_at_large_norms(self, tmp_path, capsys, n):
+        # eigvals of tau I + S 2N S* smear the one-point spectrum {tau} by
+        # about eps^(1/n) ||N||; the document reports the exact radius |tau|
+        rng = np.random.default_rng(64 + n)
+        tau = 0.4 - 0.3j
+        for scale in 10.0 ** np.arange(0, 9, 2):
+            g = random_gaussian(rng, n)
+            a = scale * (g - np.trace(g) / n * np.eye(n)) + tau * np.eye(n)
+            path = write_matrix(tmp_path / "a.json", a)
+            code, out, _ = run_cli(capsys, "hull", "--input", path)
+            assert code == 0
+            doc = json.loads(out)
+            a = parse_matrix(doc["inputs"]["matrix"])
+            witness = doc["outputs"]["witness"]
+            t1, t2 = (parse_matrix(t) for t in witness["terms"])
+            s = parse_matrix(witness["similarity"])
+            shift = np.trace(a) / n * np.eye(n)
+            assert witness["term_radii"] == [abs(np.trace(a) / n)] * 2
+            assert max(witness["term_radii"]) < 1.0
+            slack = max(
+                np.linalg.norm(np.tril(s.conj().T @ (t1 - shift) @ s)),
+                np.linalg.norm(np.triu(s.conj().T @ (t2 - shift) @ s)),
+            ) / (1.0 + np.linalg.norm(a))
+            assert doc["residuals"]["triangularity"] == pytest.approx(slack, rel=1e-6, abs=1e-15)
+            assert doc["residuals"]["triangularity"] <= 1e-12
+
     def test_bounds(self, tmp_path, capsys):
         p1 = write_matrix(tmp_path / "a.json", np.diag([0.1, 0.8]))
         p2 = write_matrix(tmp_path / "b.json", np.diag([0.15, 0.75]))

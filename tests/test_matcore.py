@@ -10,7 +10,13 @@ from hypothesis.extra import numpy as hnp
 import spectralball as sb
 import spectralball.curves as curves_module
 import spectralball.matcore as matcore_module
-from conftest import jordan_block, random_ball_matrix, random_gaussian, random_unitary
+from conftest import (
+    crafted_suite,
+    jordan_block,
+    random_ball_matrix,
+    random_gaussian,
+    random_unitary,
+)
 
 
 def sorted_vals(values):
@@ -542,6 +548,33 @@ class TestCommutant:
         cases += [np.eye(3), np.diag([0.2, 0.2, 0.5]), np.zeros((2, 2))]
         for a in cases:
             assert sb.commutant_basis(a).dim >= a.shape[0]
+
+
+def kron_commutation_operator(a):
+    """H -> AH - HA on column-stacked H as a difference of Kronecker products."""
+    n = a.shape[0]
+    return np.kron(np.eye(n), a) - np.kron(a.T, np.eye(n))
+
+
+class TestCommutationOperator:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_equals_kronecker_form(self, n):
+        rng = np.random.default_rng(70 + n)
+        gauss = random_gaussian(rng, n)
+        sparse = np.where(rng.uniform(size=(n, n)) < 0.5, 0.0, -gauss)
+        for a in (gauss, sparse, 1e4 * jordan_block(-0.3, n), np.zeros((n, n), complex)):
+            # equal entry for entry (a zero may carry the other sign)
+            assert np.array_equal(sb.commutation_operator(a), kron_commutation_operator(a))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_commutant_dims_on_crafted_suite(self, n):
+        for a, nonderogatory in crafted_suite(n):
+            a = np.asarray(a, dtype=complex)
+            s = np.linalg.svd(kron_commutation_operator(a), compute_uv=False)
+            expected = int(np.count_nonzero(s <= 1e-9 * max(s[0], np.linalg.norm(a))))
+            dim = sb.commutant_basis(a).dim
+            assert dim == expected
+            assert (dim == n) == nonderogatory
 
 
 class TestSolveConjugation:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectralball as sb
+import spectralball.nonderog as nonderog_module
 from conftest import crafted_suite, jordan_block, random_gaussian
 
 
@@ -130,3 +133,159 @@ class TestJordanStructures:
         p = np.eye(4) + 0.2 * random_gaussian(rng, 4)
         conj = np.linalg.solve(p, m @ p)
         assert not sb.classify(conj).verdict
+
+
+# ----------------------------------------------------------------------
+# Reference classifier: the minimal-polynomial search with one SVD of the
+# whole normalized prefix per degree, one eigensolve per criterion, one SVD
+# per eigenvalue cluster and the commutation operator as a difference of
+# Kronecker products.  The batched classifier must reproduce it bit for bit.
+
+
+def reference_minimal_polynomial(A, tol):
+    n = A.shape[0]
+    power = np.eye(n, dtype=complex)
+    cols = [power.ravel(order="F")]
+    borderline = False
+    for d in range(1, n):
+        power = power @ A
+        vec = power.ravel(order="F")
+        cols.append(vec)
+        w = np.column_stack(cols)
+        norms = np.linalg.norm(w, axis=0)
+        norms[norms == 0.0] = 1.0
+        s = np.linalg.svd(w / norms, compute_uv=False)
+        if np.any((s >= tol * s[0] / 10.0) & (s <= tol * s[0] * 10.0)):
+            borderline = True
+        if s[-1] <= tol * s[0]:
+            coef, *_ = np.linalg.lstsq(np.column_stack(cols[:-1]), -vec, rcond=None)
+            return np.append(coef, 1.0), borderline
+    return sb.sigma(A).char_coefficients()[::-1], borderline
+
+
+def reference_eigenspaces(A, tol):
+    n = A.shape[0]
+    values = np.linalg.eigvals(A)
+    radius = float(np.max(np.abs(values)))
+    floor = np.linalg.norm(A)
+    max_mult, borderline = 0, False
+    for group in nonderog_module._cluster_eigenvalues(values, radius):
+        center = values[group].mean()
+        s = np.linalg.svd(A - center * np.eye(n), compute_uv=False)
+        rank, flag = nonderog_module._rank_by_svd(s, tol, floor=floor)
+        max_mult = max(max_mult, max(n - rank, 1))
+        borderline = borderline or flag
+    return sb.CriterionResult(max_mult == 1, float(max_mult), borderline)
+
+
+def reference_classify(a, tol=sb.DEFAULT_TOL):
+    """(verdict, per-criterion results) or the InternalError raised."""
+    rank_by_svd = nonderog_module._rank_by_svd
+    A = np.asarray(a, dtype=complex)
+    n = A.shape[0]
+    rng = np.random.default_rng(nonderog_module._DEFAULT_SEED)
+    per = {"cyclic_vector": nonderog_module._criterion_cyclic(A, tol, rng)}
+    coeffs, mp_borderline = reference_minimal_polynomial(A, tol)
+    degree = len(coeffs) - 1
+    per["minimal_degree"] = sb.CriterionResult(degree == n, float(degree), mp_borderline)
+    per["eigenspace_dim"] = reference_eigenspaces(A, tol)
+    op = np.kron(np.eye(n), A) - np.kron(A.T, np.eye(n))
+    s_op = np.linalg.svd(op, compute_uv=False)
+    op_rank, op_borderline = rank_by_svd(s_op, tol, floor=np.linalg.norm(A))
+    per["commutant_dim"] = sb.CriterionResult(
+        n * n - op_rank == n, float(n * n - op_rank), op_borderline
+    )
+    s_sig = np.linalg.svd(sb.sigma_differential_matrix(A), compute_uv=False)
+    sig_rank, sig_borderline = rank_by_svd(s_sig, tol)
+    per["symmetrization_rank"] = sb.CriterionResult(sig_rank == n, float(sig_rank), sig_borderline)
+    per["conjugation_orbit_rank"] = sb.CriterionResult(
+        op_rank == n * n - n, float(op_rank), op_borderline
+    )
+    votes = sum(1 for c in per.values() if c.passed)
+    if votes in (0, len(per)):
+        return votes > 0, per
+    if not any(c.borderline for c in per.values()):
+        detail = {k: (c.passed, c.diagnostic) for k, c in per.items()}
+        return sb.InternalError(f"criteria disagree without borderline flags: {detail}"), per
+    clean = [c.passed for c in per.values() if not c.borderline]
+    pool = clean if clean and sum(clean) * 2 != len(clean) else [c.passed for c in per.values()]
+    if sum(pool) * 2 == len(pool):
+        return sb.InternalError("criteria are tied; cannot form a verdict"), per
+    return sum(pool) * 2 > len(pool), per
+
+
+STRUCTURES = ("gaussian", "jordan", "jordan_split", "repeated", "scalar", "clustered")
+
+
+def structured_matrix(structure, n, seed):
+    """A matrix of the given structure under a random unitary similarity."""
+    rng = np.random.default_rng(seed)
+    lam = 0.9 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+    d = 0.9 * rng.uniform(size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    if structure == "gaussian":
+        return random_gaussian(rng, n)
+    if structure == "jordan":
+        a = jordan_block(lam, n)
+    elif structure == "jordan_split":
+        k = max(n // 2, 1)
+        a = np.zeros((n, n), dtype=complex)
+        a[:k, :k] = jordan_block(lam, k)
+        a[k:, k:] = jordan_block(lam, n - k)
+    elif structure == "repeated":
+        d[1 % n] = d[0]
+        a = np.diag(d)
+    elif structure == "scalar":
+        a = lam * np.eye(n, dtype=complex)
+    else:  # clustered: pairs of eigenvalues 1e-4 .. 1e-2 apart
+        d[1::2] = d[: n // 2 * 2 : 2] + 10.0 ** rng.uniform(-4, -2, size=n // 2)
+        a = np.diag(d)
+    u, _ = np.linalg.qr(random_gaussian(rng, n))
+    return u @ a @ u.conj().T
+
+
+class TestBatchedClassifierEqualsReference:
+    @settings(max_examples=150)
+    @given(
+        structure=st.sampled_from(STRUCTURES),
+        n=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-4, 4),
+        shift=st.booleans(),
+    )
+    def test_bit_for_bit(self, structure, n, seed, k, shift):
+        a = structured_matrix(structure, n, seed) * 10.0**k
+        if shift:
+            a = a + 10.0**k * (0.7 - 0.4j) * np.eye(n)
+        expected, expected_per = reference_classify(a)
+        if isinstance(expected, sb.InternalError):
+            with pytest.raises(sb.InternalError) as err:
+                sb.classify(a)
+            assert str(err.value) == str(expected)
+        else:
+            report = sb.classify(a)
+            assert report.verdict == expected
+            assert report.per_criterion == expected_per
+        coeffs, _ = reference_minimal_polynomial(np.asarray(a, dtype=complex), sb.DEFAULT_TOL)
+        assert sb.minimal_polynomial(a).coeffs.tobytes() == sb.PolyCoeffs(coeffs).coeffs.tobytes()
+
+    def test_one_eigensolve_and_one_stacked_cluster_svd(self, monkeypatch):
+        calls = {"eigvals": 0, "stacked_svd": 0}
+        eigvals, svd = np.linalg.eigvals, np.linalg.svd
+
+        def counting_eigvals(x):
+            calls["eigvals"] += 1
+            return eigvals(x)
+
+        def counting_svd(x, *args, **kwargs):
+            calls["stacked_svd"] += np.ndim(x) == 3
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        # three clusters and a full-degree minimal polynomial: every
+        # consumer of the spectrum runs
+        a = np.diag([0.1, 0.3, 0.5 + 0.2j]) + np.triu(np.ones((3, 3)), 1)
+        report = sb.classify(a)
+        assert report.verdict
+        assert report.per_criterion["eigenspace_dim"].diagnostic == 1.0
+        assert calls == {"eigvals": 1, "stacked_svd": 1}
