@@ -82,7 +82,6 @@ from .nonderog import (
     NonderogReport,
     PolyCoeffs,
     classify,
-    is_nonderogatory,
     minimal_polynomial,
 )
 from .pick import (
@@ -96,7 +95,6 @@ from .pick import (
     degenerate_interpolant,
     discontinuity_report,
     gap_certificate,
-    gn_disc_from_blaschke,
     is_psd,
     pick_matrix,
 )
@@ -148,10 +146,8 @@ __all__ = [
     "elementary_symmetric",
     "expm_pair",
     "gap_certificate",
-    "gn_disc_from_blaschke",
     "hull_membership",
     "hull_witness",
-    "is_nonderogatory",
     "is_psd",
     "iso_spectral_curve",
     "kobayashi_scalar_base",

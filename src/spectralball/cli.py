@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedError,
 )
 from .geometry import sample_omega
-from .matcore import DEFAULT_TOL, as_matrix, companion, sigma, spectrum
+from .matcore import DEFAULT_TOL, _scalar_center, as_matrix, companion, sigma, spectrum
 from .pick import discontinuity_report
 
 USER_ERRORS = (InvalidInputError, DomainError, PreconditionError, UnsupportedError)
@@ -49,7 +49,7 @@ def parse_matrix(document) -> np.ndarray:
         raise InvalidInputError("matrix document needs fields 'n' and 'rows'")
     n = document["n"]
     rows = document["rows"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidInputError("field 'n' must be a positive integer")
     if not isinstance(rows, list) or len(rows) != n:
         raise InvalidInputError(f"expected {n} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}")
@@ -61,7 +61,7 @@ def parse_matrix(document) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)
+                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
             ):
                 raise InvalidInputError(f"row {i}, column {j}: expected a [re, im] pair")
             re, im = float(entry[0]), float(entry[1])
@@ -103,6 +103,13 @@ def _to_json(doc) -> str:
         raise NumericError(f"document holds a non-finite number: {exc}") from exc
 
 
+def _rng(seed):
+    """numpy generator for a --seed value, which must be non-negative."""
+    if seed < 0:
+        raise InvalidInputError(f"--seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _load_matrix(path) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -119,7 +126,7 @@ def _load_matrix(path) -> np.ndarray:
 
 def _cmd_classify(args):
     a = _load_matrix(args.input)
-    report = nonderog.classify(a, tol=args.tol, rng=np.random.default_rng(args.seed))
+    report = nonderog.classify(a, tol=args.tol, rng=_rng(args.seed))
     per = {
         name: {
             "passed": crit.passed,
@@ -128,7 +135,7 @@ def _cmd_classify(args):
         }
         for name, crit in report.per_criterion.items()
     }
-    poly = nonderog.minimal_polynomial(a, tol=args.tol)
+    poly = report.minimal_polynomial
     return {
         "command": "classify",
         "inputs": {"matrix": emit_matrix(a)},
@@ -176,7 +183,7 @@ def _cmd_bounds(args):
     out = {
         "command": "bounds",
         "inputs": {"matrix": emit_matrix(a), "matrix2": emit_matrix(b), "s1": float(s1)},
-        "tolerances": {"endpoint": 1e-8},
+        "tolerances": {"endpoint": geometry.ENDPOINT_TOL},
         "outputs": {
             "pairing_bound": value,
             "permutation": [int(p) for p in perm],
@@ -185,40 +192,33 @@ def _cmd_bounds(args):
         },
         "residuals": {"endpoint_base": r0, "endpoint_target": r1},
     }
-    n = a.shape[0]
-    if np.linalg.norm(a - (np.trace(a) / n) * np.eye(n)) <= 1e-12 * (
-        1.0 + np.linalg.norm(a)
-    ):
-        t = np.trace(a) / n
+    t = _scalar_center(a, geometry.SCALAR_BASE_TOL)
+    if t is not None:
         out["outputs"]["scalar_base_exact"] = geometry.lempert_scalar_base(t, b)
     return out
 
 
 def _cmd_blaschke(args):
     b = _load_matrix(args.input)
-    sp = spectrum(b)
-    if not sp.in_spectral_ball():
-        raise DomainError("matrix lies outside the spectral ball")
-    sol = pick.blaschke_through_roots_of_unity(sp.values, tol=args.tol)
-    n = b.shape[0]
+    cert = pick.gap_certificate(b, tol=args.tol)
     doc = {
         "command": "blaschke",
         "inputs": {"matrix": emit_matrix(b)},
-        "tolerances": {"interpolation": 1e-6, "circle": 1e-8},
+        "tolerances": {"interpolation": pick.INTERPOLATION_TOL, "circle": pick.CIRCLE_TOL},
         "outputs": {
-            "beta": _pair(sol.beta),
-            "upper_bound": float(abs(sol.beta) ** n),
-            "degenerate": sol.degenerate,
+            "beta": _pair(cert.beta),
+            "upper_bound": cert.upper,
+            "degenerate": cert.degenerate,
         },
-        "residuals": {"interpolation_max": sol.interpolation_residual},
+        "residuals": {"interpolation_max": cert.interpolation_residual},
     }
-    if not sol.degenerate:
+    if not cert.degenerate:
         grid = np.exp(2j * np.pi * np.arange(256) / 256)
-        circle_dev = float(np.max(np.abs(np.abs(sol.blaschke(grid)) - 1.0)))
+        circle_dev = float(np.max(np.abs(np.abs(cert.blaschke(grid)) - 1.0)))
         doc["outputs"]["blaschke"] = {
-            "unimodular": _pair(sol.blaschke.unimodular),
-            "zeros": _pairs(sol.blaschke.zeros),
-            "order": sol.blaschke.order,
+            "unimodular": _pair(cert.blaschke.unimodular),
+            "zeros": _pairs(cert.blaschke.zeros),
+            "order": cert.blaschke.order,
         }
         doc["residuals"]["circle_unimodularity"] = circle_dev
     return doc
@@ -229,22 +229,17 @@ def _cmd_curve(args):
     b = _load_matrix(args.input2)
     if args.kind == "iso":
         curve = curves.iso_spectral_curve(a, b)
-        endpoint0 = float(np.linalg.norm(curve(0.0) - a))
-        endpoint1 = float(np.linalg.norm(curve(1.0) - b))
-        residuals = {"endpoint_base": endpoint0, "endpoint_target": endpoint1}
+    elif args.kind == "zero-metric":
+        curve = curves.zero_metric_curve(a, b, tol=args.tol)
     else:
-        if args.kind == "zero-metric":
-            curve = curves.zero_metric_curve(a, b, tol=args.tol)
-        else:
-            curve = curves.quadratic_witness_2x2(a, b)
-        residuals = {
-            "endpoint_base": float(np.linalg.norm(curve(0.0) - a)),
-            "derivative": float(np.linalg.norm(curve.derivative_at_zero() - b)),
-        }
-        if args.kind == "quadratic":
-            residuals["max_nonconstant_coefficient"] = (
-                curves._max_nonconstant_variation(curve)
-            )
+        curve = curves.quadratic_witness_2x2(a, b)
+    residuals = {"endpoint_base": float(np.linalg.norm(curve(0.0) - a))}
+    if args.kind == "iso":
+        residuals["endpoint_target"] = float(np.linalg.norm(curve(1.0) - b))
+    else:
+        residuals["derivative"] = float(np.linalg.norm(curve.derivative_at_zero() - b))
+    if args.kind == "quadratic":
+        residuals["max_nonconstant_coefficient"] = curves._max_nonconstant_variation(curve)
     check = curves.verify_constant_spectrum(
         curve, spectrum(a), samples=args.samples, radius=args.radius
     )
@@ -255,7 +250,7 @@ def _cmd_curve(args):
             "matrix2": emit_matrix(b),
             "kind": args.kind,
         },
-        "tolerances": {"spectrum": check.tol, "endpoint": 1e-8},
+        "tolerances": {"spectrum": check.tol, "endpoint": geometry.ENDPOINT_TOL},
         "outputs": {
             "curve_kind": curve.kind,
             "constant_spectrum": {
@@ -275,7 +270,7 @@ def _cmd_hull(args):
     doc = {
         "command": "hull",
         "inputs": {"matrix": emit_matrix(a)},
-        "tolerances": {"reconstruction": 1e-9},
+        "tolerances": {"reconstruction": geometry.HULL_TOL},
         "outputs": {"gauge": h, "inside": inside},
         "residuals": {},
     }
@@ -307,22 +302,19 @@ def _cmd_discontinuity(args):
     doc = {
         "command": "discontinuity",
         "inputs": {"matrix": emit_matrix(b), "t": _pair(t)},
-        "tolerances": {"eigenvalue_equality": 1e-9},
+        "tolerances": {"eigenvalue_equality": pick.EQUAL_EIGENVALUES_TOL},
         "outputs": report,
+        "residuals": {},
     }
     if report["kobayashi"]["generic_limit"] is not None:
         recompute = spectrum(b).radius - abs(np.trace(b)) / b.shape[0]
-        doc["residuals"] = {
-            "jump_kobayashi_recomputed": float(max(recompute, 0.0))
-        }
-    else:
-        doc["residuals"] = {}
+        doc["residuals"]["jump_kobayashi_recomputed"] = float(max(recompute, 0.0))
     return doc
 
 
 def _cmd_sample(args):
-    mats = sample_omega(args.n, args.samples, args.seed)
-    rng = np.random.default_rng(args.seed + 1)
+    mats = sample_omega(args.n, args.samples, _rng(args.seed))
+    rng = _rng(args.seed + 1)
     verdicts = [nonderog.classify(m, tol=args.tol, rng=rng).verdict for m in mats]
     radii = [spectrum(m).radius for m in mats]
     return {

@@ -29,8 +29,10 @@ from .errors import (
 from .geometry import _triangular_frames
 from .matcore import (
     DEFAULT_TOL,
+    PAIRING_TOL,
     _bottleneck_pairing,
     _cmul,
+    _scalar_center,
     as_matrix,
     expm_pair,
     sigma_pushforward,
@@ -38,11 +40,12 @@ from .matcore import (
 )
 from .nonderog import classify
 
-#: Acceptance threshold when pairing two eigenvalue multisets.
-PAIRING_TOL = 1e-6
-
 #: Threshold below which a direction counts as nilpotent / a matrix as scalar.
 STRUCTURE_TOL = 1e-8
+
+#: Largest eigenvalue deviation at which a sampled curve passes as having
+#: constant spectrum.
+SPECTRUM_TOL = 1e-6
 
 
 @dataclass(eq=False)
@@ -139,11 +142,6 @@ def iso_spectral_curve(a, b) -> TriangularConjugationCurve:
     return TriangularConjugationCurve(frame=u, frame_log=frame_log, t0=t0, t1=t1)
 
 
-def _is_scalar(a, tol_abs) -> bool:
-    n = a.shape[0]
-    return np.linalg.norm(a - (np.trace(a) / n) * np.eye(n)) <= tol_abs
-
-
 def _is_nilpotent(b, tol_abs) -> bool:
     n = b.shape[0]
     power = np.linalg.matrix_power(b, n)
@@ -158,7 +156,7 @@ def _conjugation_generator(A, B, tol):
     be non-derogatory and the symmetrized differential of B must vanish;
     then Y solves AY - YA = B.  Anything else raises UnsupportedError.
     """
-    if _is_scalar(A, STRUCTURE_TOL * (1.0 + np.linalg.norm(A))):
+    if _scalar_center(A, STRUCTURE_TOL) is not None:
         if not _is_nilpotent(B, STRUCTURE_TOL):
             raise UnsupportedError(
                 "scalar base point requires a nilpotent direction"
@@ -267,12 +265,10 @@ def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
     constant spectrum, for 2x2 matrices.
 
     A scalar base with nilpotent direction yields the affine curve.  For a
-    non-derogatory base the second-order coefficient is first taken from the
-    exponential conjugation through the solution of the commutation
-    equation; when the resulting trace/determinant variation is not exactly
-    flat, the coefficient is recomputed by solving the four scalar
-    constancy constraints directly.  The returned curve always has all
-    nonconstant trace and determinant coefficients at most 1e-10.
+    non-derogatory base (checked as for ``zero_metric_curve``) the
+    second-order coefficient solves the constancy constraints on trace and
+    determinant directly.  The returned curve always has all nonconstant
+    trace and determinant coefficients at most 1e-10.
     """
     A = as_matrix(a)
     B = as_matrix(b)
@@ -281,12 +277,8 @@ def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
     y = _conjugation_generator(A, B, DEFAULT_TOL)
     if y is None:
         return MatrixPolynomialCurve([A, B])
-    psi = (y @ y @ A - 2.0 * y @ A @ y + A @ y @ y) / 2.0
+    psi = _solve_quadratic_tail(A - (np.trace(A) / 2.0) * np.eye(2), B)
     curve = MatrixPolynomialCurve([A, B, psi])
-    if _max_nonconstant_variation(curve) > 1e-10:
-        a0 = A - (np.trace(A) / 2.0) * np.eye(2)
-        psi = _solve_quadratic_tail(a0, B)
-        curve = MatrixPolynomialCurve([A, B, psi])
     variation = _max_nonconstant_variation(curve)
     if variation > 1e-10:
         raise InternalError(
@@ -355,14 +347,13 @@ def verify_constant_spectrum(
     expected,
     samples: int = 100,
     radius: float = 10.0,
-    tol: float = 1e-6,
 ) -> SpectrumCheck:
     """Sample a curve and compare every spectrum against the expected one.
 
     Evaluates the curve at *samples* points with |lam| <= radius (always
     including 0 and 1, so at least two samples are required), measures the
     optimal-pairing eigenvalue deviation and passes iff the worst deviation
-    is at most *tol*.  The curve is called once, with the 1-D array of
+    is at most SPECTRUM_TOL.  The curve is called once, with the 1-D array of
     sample points, and must return the stack of its values, one (n, n)
     matrix per point, as the curve classes of this module do.
     """
@@ -389,10 +380,10 @@ def verify_constant_spectrum(
     k = int(np.argmax(deviations))
     worst = float(deviations[k])
     return SpectrumCheck(
-        passed=bool(worst <= tol),
+        passed=bool(worst <= SPECTRUM_TOL),
         max_deviation=worst,
         samples=samples,
         radius=radius,
-        tol=tol,
+        tol=SPECTRUM_TOL,
         worst_point=complex(points[k]),
     )

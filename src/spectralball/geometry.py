@@ -31,6 +31,12 @@ from .matcore import (
     unitary_log,
 )
 
+#: Tolerances of the witnesses.
+ENDPOINT_TOL = 1e-8  # endpoint residual of a disc or curve witness
+SCALAR_BASE_TOL = 1e-12  # ||A - (tr A / n) I|| / (1 + ||A||) read as scalar
+HULL_TOL = 1e-9  # max |diag(W* M W)| / max(1, ||M||) after zero-diagonal reduction
+
+
 def mobius(z, w):
     """Pseudohyperbolic distance |(z - w) / (1 - z conj(w))| on the disk.
 
@@ -396,7 +402,7 @@ def _zero_diagonal_similarity(m):
         if c != b:
             _plane_target(frame, b, c, d[b] + s * (d[c] - d[b]), scale)
         _plane_target(frame, a, b, 0.0, scale)
-    if np.max(np.abs(frame.diagonal())) > 1e-9 * max(1.0, np.linalg.norm(m)):
+    if np.max(np.abs(frame.diagonal())) > HULL_TOL * max(1.0, np.linalg.norm(m)):
         raise InternalError("zero-diagonal reduction failed to converge")
     return frame[n:]
 

@@ -20,6 +20,9 @@ from .errors import InvalidInputError, NoSolutionError
 
 #: Default relative tolerance for residuals and rank decisions.
 DEFAULT_TOL = 1e-9
+PAIRING_TOL = 1e-6  # relative gap within which matched eigenvalues are equal
+UNITARY_TOL = 1e-8  # largest ||U*U - I|| / sqrt(n) accepted as unitary
+BORDERLINE_DECADE = 10.0  # a rank decision this close to its threshold is borderline
 
 
 def as_matrix(a) -> np.ndarray:
@@ -44,6 +47,38 @@ def _as_stack(x) -> np.ndarray:
     return m
 
 
+def _rank_by_svd(s, tol, floor=0.0):
+    """(rank, borderline) from a descending singular-value list.
+
+    Rank counts values above tol * max(s_max, floor); the decision is
+    flagged borderline when a singular value sits within a factor
+    BORDERLINE_DECADE of that threshold.  The floor keeps operators that are
+    pure roundoff noise (e.g. the commutation operator of a nearly scalar
+    matrix) from being read as full rank: without it the noise itself sets
+    the scale.
+    """
+    s = np.asarray(s, dtype=float)
+    smax = s[0] if len(s) else 0.0
+    scale = max(smax, floor)
+    if scale == 0.0:
+        return 0, False
+    thresh = tol * scale
+    rank = int(np.count_nonzero(s > thresh))
+    borderline = bool(
+        ((s >= thresh / BORDERLINE_DECADE) & (s <= thresh * BORDERLINE_DECADE)).any()
+    )
+    return rank, borderline
+
+
+def _scalar_center(a, tol):
+    """tr(A) / n when ||A - (tr(A) / n) I|| <= tol * (1 + ||A||), else None."""
+    n = a.shape[0]
+    t = np.trace(a) / n
+    if np.linalg.norm(a - t * np.eye(n)) <= tol * (1.0 + np.linalg.norm(a)):
+        return t
+    return None
+
+
 def _cmul(a, b):
     """Complex product a * b, spelled out: numpy's vectorized product may
     fuse multiply-adds and then rounds unlike a scalar evaluation."""
@@ -60,10 +95,6 @@ class Spectrum:
     def __post_init__(self):
         self.values = np.atleast_1d(np.asarray(self.values, dtype=complex))
         self.radius = float(np.max(np.abs(self.values)))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
     def in_spectral_ball(self) -> bool:
         return self.radius < 1.0
@@ -280,7 +311,7 @@ def _bottleneck_pairing(cost):
     return value.reshape(cost.shape[:-2]), perm.reshape(cost.shape[:-1])
 
 
-def ordered_triangularize(a, order, match_tol: float = 1e-6):
+def ordered_triangularize(a, order):
     """Unitary triangularization with a prescribed diagonal order.
 
     *a* is a square matrix or a stack of them, shape (..., n, n), and
@@ -297,7 +328,7 @@ def ordered_triangularize(a, order, match_tol: float = 1e-6):
     comes back with u = I.
 
     Raises InvalidInputError when a diagonal entry misses *order* by more
-    than match_tol * (1 + max |diag(t)|): *order* is then not a
+    than PAIRING_TOL * (1 + max |diag(t)|): *order* is then not a
     permutation of the spectrum.
     """
     t = _as_stack(a).copy()
@@ -323,7 +354,7 @@ def ordered_triangularize(a, order, match_tol: float = 1e-6):
         t[..., k + 1 :, k] = 0.0
     diag = np.diagonal(t, axis1=-2, axis2=-1)
     scale = 1.0 + np.abs(diag).max(axis=-1)
-    if (np.abs(diag - order).max(axis=-1) > match_tol * scale).any():
+    if (np.abs(diag - order).max(axis=-1) > PAIRING_TOL * scale).any():
         raise InvalidInputError("order is not a permutation of the spectrum")
     return u, t
 
@@ -407,7 +438,7 @@ def expm_pair(x):
     return e.reshape(shape), e_inv.reshape(shape)
 
 
-def unitary_log(u, tol: float = 1e-8) -> np.ndarray:
+def unitary_log(u) -> np.ndarray:
     """Principal logarithm of a unitary matrix: skew-Hermitian, norm <= pi.
 
     u is turned by a unimodular factor that puts -1 in the middle of the
@@ -420,7 +451,7 @@ def unitary_log(u, tol: float = 1e-8) -> np.ndarray:
     n = U.shape[0]
     eye = np.eye(n)
     defect = np.linalg.norm(U.conj().T @ U - eye)
-    if defect > tol * np.sqrt(n):
+    if defect > UNITARY_TOL * np.sqrt(n):
         raise InvalidInputError(f"matrix is not unitary (defect {defect:.3e})")
     angles = np.sort(np.angle(np.linalg.eigvals(U)))
     gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
@@ -452,21 +483,19 @@ class CommutantBasis:
     basis: list
 
 
-def commutant_basis(a, tol: float = DEFAULT_TOL) -> CommutantBasis:
+def commutant_basis(a) -> CommutantBasis:
     """Null-space basis of the commutation operator of *a*.
 
     The dimension is always at least n, with equality exactly for
-    non-derogatory matrices.
+    non-derogatory matrices.  The rank is decided by ``_rank_by_svd`` at
+    DEFAULT_TOL with the floor ||A||, as the classifier decides it.
     """
     A = as_matrix(a)
     n = A.shape[0]
-    op = commutation_operator(A)
-    _, s, vh = np.linalg.svd(op)
-    # the floor keeps a noise-only operator (nearly scalar A) fully null
-    scale = max(s[0] if len(s) else 0.0, np.linalg.norm(A))
-    mask = s <= tol * scale
-    basis = [vh[i].conj().reshape((n, n), order="F") for i in np.nonzero(mask)[0]]
-    return CommutantBasis(dim=int(mask.sum()), basis=basis)
+    _, s, vh = np.linalg.svd(commutation_operator(A))
+    rank, _ = _rank_by_svd(s, DEFAULT_TOL, floor=np.linalg.norm(A))
+    basis = [v.conj().reshape((n, n), order="F") for v in vh[rank:]]
+    return CommutantBasis(dim=n * n - rank, basis=basis)
 
 
 def solve_conjugation(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -26,10 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InternalError
+from .errors import InternalError, NumericError
 from .matcore import (
+    BORDERLINE_DECADE,
     DEFAULT_TOL,
     SymPoint,
+    _rank_by_svd,
     _sigma_differential_rows,
     as_matrix,
     commutation_operator,
@@ -63,9 +65,12 @@ class CriterionResult:
 
 @dataclass(eq=False)
 class NonderogReport:
+    """Verdict, per-criterion results and the minimal polynomial found."""
+
     verdict: bool
     per_criterion: dict
     tolerances: dict
+    minimal_polynomial: PolyCoeffs
     borderline: bool = field(init=False)
 
     def __post_init__(self):
@@ -99,26 +104,26 @@ class PolyCoeffs:
         return out
 
 
-def _rank_by_svd(s, tol, floor=0.0):
-    """(rank, borderline) from a descending singular-value list.
+def _unit_columns(w):
+    """Columns of *w* scaled to unit 2-norm (zero columns stay zero).
 
-    Rank counts values above tol * max(s_max, floor); the decision is
-    flagged borderline when a singular value sits within a decade of that
-    threshold.  The floor keeps operators that are pure roundoff noise
-    (e.g. the commutation operator of a nearly scalar matrix) from being
-    read as full rank: without it the noise itself sets the scale.
+    A column whose norm overflows (entries above about 1e154) is divided by
+    its largest entry first.  A non-finite entry, from a power of the matrix
+    that overflowed, raises NumericError.  Callers ignore overflow warnings.
     """
-    s = np.asarray(s, dtype=float)
-    smax = s[0] if len(s) else 0.0
-    scale = max(smax, floor)
-    if scale == 0.0:
-        return 0, False
-    thresh = tol * scale
-    rank = int(np.count_nonzero(s > thresh))
-    borderline = bool(np.any((s >= thresh / 10.0) & (s <= thresh * 10.0)))
-    return rank, borderline
+    norms = np.linalg.norm(w, axis=0)
+    if not np.isfinite(norms).all():
+        if not np.isfinite(w).all():
+            raise NumericError("powers of the matrix overflow")
+        huge = ~np.isfinite(norms)
+        w = w.copy()
+        w[:, huge] /= np.abs(w[:, huge]).max(axis=0)
+        norms[huge] = np.linalg.norm(w[:, huge], axis=0)
+    norms[norms == 0.0] = 1.0  # a vanished power is already dependent
+    return w / norms
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises NumericError
 def _minimal_polynomial_impl(A, tol, values=None):
     """Return (ascending coeffs, borderline flag); *values* are eigvals(A)."""
     n = A.shape[0]
@@ -126,23 +131,22 @@ def _minimal_polynomial_impl(A, tol, values=None):
     for _ in range(1, n):
         powers.append(powers[-1] @ A)
     w = np.column_stack([p.ravel(order="F") for p in powers])
-    norms = np.linalg.norm(w, axis=0)
-    norms[norms == 0.0] = 1.0  # a vanished power is already dependent
     # the leading (d+1) x (d+1) block of R is the R factor of the first d+1
     # normalized powers, so it has their singular values
-    r = np.linalg.qr(w / norms, mode="r")
+    r = np.linalg.qr(_unit_columns(w), mode="r")
     borderline = False
     for d in range(1, n):
-        s = np.linalg.svd(r[: d + 1, : d + 1], compute_uv=False)
-        if np.any((s >= tol * s[0] / 10.0) & (s <= tol * s[0] * 10.0)):
-            borderline = True
-        if s[-1] <= tol * s[0]:
-            coef, *_ = np.linalg.lstsq(w[:, :d], -w[:, d], rcond=None)
-            return np.append(coef, 1.0), borderline
-    # Full degree: minimal polynomial equals the characteristic polynomial.
-    values = np.linalg.eigvals(A) if values is None else values
-    desc = SymPoint(elementary_symmetric(values)).char_coefficients()
-    return desc[::-1], borderline
+        rank, flag = _rank_by_svd(np.linalg.svd(r[: d + 1, : d + 1], compute_uv=False), tol)
+        borderline = borderline or flag
+        if rank <= d:
+            coeffs = np.append(np.linalg.lstsq(w[:, :d], -w[:, d], rcond=None)[0], 1.0)
+            break
+    else:  # full degree: the minimal polynomial is the characteristic one
+        values = np.linalg.eigvals(A) if values is None else values
+        coeffs = SymPoint(elementary_symmetric(values)).char_coefficients()[::-1]
+    if not np.isfinite(coeffs).all():
+        raise NumericError("minimal polynomial coefficients overflow")
+    return coeffs, borderline
 
 
 def minimal_polynomial(a, tol: float = DEFAULT_TOL) -> PolyCoeffs:
@@ -182,6 +186,7 @@ def _cluster_eigenvalues(values, radius):
     return [np.array(g) for g in groups.values()]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises NumericError
 def _criterion_cyclic(A, tol, rng):
     n = A.shape[0]
     best_rank, best_borderline = 0, True
@@ -190,10 +195,7 @@ def _criterion_cyclic(A, tol, rng):
         cols = [v]
         for _ in range(n - 1):
             cols.append(A @ cols[-1])
-        k = np.column_stack(cols)
-        norms = np.linalg.norm(k, axis=0)
-        norms[norms == 0.0] = 1.0
-        s = np.linalg.svd(k / norms, compute_uv=False)
+        s = np.linalg.svd(_unit_columns(np.column_stack(cols)), compute_uv=False)
         rank, borderline = _rank_by_svd(s, tol)
         if rank > best_rank or (rank == best_rank and not borderline):
             best_rank, best_borderline = rank, borderline
@@ -270,14 +272,5 @@ def classify(a, tol: float = DEFAULT_TOL, rng=None) -> NonderogReport:
             raise InternalError("criteria are tied; cannot form a verdict")
         verdict = sum(pool) * 2 > len(pool)
 
-    tolerances = {
-        "rank": tol,
-        "cluster_gap": CLUSTER_GAP,
-        "borderline_decade": 10.0,
-    }
-    return NonderogReport(verdict=verdict, per_criterion=per, tolerances=tolerances)
-
-
-def is_nonderogatory(a, tol: float = DEFAULT_TOL, rng=None) -> bool:
-    """Convenience wrapper returning only the classify verdict."""
-    return classify(a, tol=tol, rng=rng).verdict
+    tolerances = {"rank": tol, "cluster_gap": CLUSTER_GAP, "borderline_decade": BORDERLINE_DECADE}
+    return NonderogReport(verdict, per, tolerances, PolyCoeffs(min_coeffs))

@@ -40,6 +40,12 @@ _BISECT_LEVELS = 3
 
 _CIRCLE_SAMPLES = 256
 
+#: Tolerances of the certificates.
+INTERPOLATION_TOL = 1e-6  # largest max_j |B(x_j) - w_j| of a recovered product
+CIRCLE_TOL = 1e-8  # largest deviation of |B| from 1 on the unit circle
+BRANCH_TOL = 1e-9  # symmetrized disc: |zero at 0|, spread between root branches
+EQUAL_EIGENVALUES_TOL = 1e-9  # eigenvalue spread / (1 + r(B)) read as equal
+
 
 @dataclass(eq=False)
 class PickProblem:
@@ -161,10 +167,10 @@ def pick_matrix(problem: PickProblem) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
+def is_psd(m) -> bool:
     """Positive semidefiniteness of a Hermitian matrix.
 
-    True iff the smallest eigenvalue is at least -tol * (1 + largest).
+    True iff the smallest eigenvalue is at least -DEFAULT_TOL * (1 + largest).
     Rejects input that is not Hermitian within tolerance.
     """
     M = as_matrix(m)
@@ -172,7 +178,7 @@ def is_psd(m, tol: float = DEFAULT_TOL) -> bool:
     if defect > 1e-8 * (1.0 + np.linalg.norm(M)):
         raise InvalidInputError("matrix is not Hermitian")
     vals = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
-    return bool(vals[0] >= -tol * (1.0 + max(vals[-1], 0.0)))
+    return bool(vals[0] >= -DEFAULT_TOL * (1.0 + max(vals[-1], 0.0)))
 
 
 def _rational_from_nullvector(problem, c):
@@ -256,11 +262,11 @@ def degenerate_interpolant(problem: PickProblem, nullvec, tol: float = DEFAULT_T
     bp = BlaschkeProduct(u, zeros)
 
     interp = np.max(np.abs(bp(problem.nodes) - problem.targets))
-    if interp > 1e-6:
+    if interp > INTERPOLATION_TOL:
         raise NumericError(f"interpolation residual {interp:.3e} is too large")
     # |bp| = |shape|, since bp is shape times a unimodular constant
     circle = np.max(np.abs(np.abs(shape) - 1.0))
-    if circle > 1e-8:
+    if circle > CIRCLE_TOL:
         raise NumericError("interpolant is not unimodular on the circle")
     return bp
 
@@ -379,16 +385,13 @@ def blaschke_through_roots_of_unity(lambdas, tol: float = DEFAULT_TOL) -> Bounda
 
     problem = _pick_problem_at(lam, eps, r0)
     _, evals, evecs = problem._factored
-    inner = degenerate_interpolant(problem, evecs[:, 0], tol=tol)
-    if isinstance(inner, ZeroInterpolant):
-        bp = inner
-        residual = float(np.max(np.abs(lam)))
-    else:
-        bp = inner.prepend_zero_at_origin()
-        residual = float(np.max(np.abs(bp(eps * r0) - lam)))
+    # the targets have modulus at least max |lam| / r0 > tol, so this is a
+    # Blaschke product, not the zero interpolant
+    bp = degenerate_interpolant(problem, evecs[:, 0], tol=tol).prepend_zero_at_origin()
+    residual = float(np.max(np.abs(bp(eps * r0) - lam)))
     if bp.order > n:
         raise InternalError("recovered product exceeds the admissible order")
-    if residual > 1e-6:
+    if residual > INTERPOLATION_TOL:
         raise NumericError(f"boundary interpolation residual {residual:.3e}")
     return BoundarySolution(
         beta=complex(r0),
@@ -408,15 +411,15 @@ class SymmetrizedDisc:
     the chosen root because changing it permutes the arguments.
     """
 
-    def __init__(self, blaschke, n: int, tol: float = 1e-9):
+    def __init__(self, blaschke, n: int):
         if blaschke.order > n:
             raise PreconditionError("product order must not exceed n")
-        if not np.any(np.abs(blaschke.zeros) <= tol):
+        if not np.any(np.abs(blaschke.zeros) <= BRANCH_TOL):
             raise PreconditionError("product must vanish at the origin")
         self.blaschke = blaschke
         self.n = n
         self._eps = _roots_of_unity(n)
-        self._verify(tol)
+        self._verify()
 
     def _value(self, zeta, branch=0):
         zeta = complex(zeta)
@@ -436,22 +439,16 @@ class SymmetrizedDisc:
             spread = max(spread, float(np.max(np.abs(self._value(zeta, b) - base))))
         return spread
 
-    def _verify(self, tol):
+    def _verify(self):
         rng = np.random.default_rng(1234)
         pts = 0.95 * np.sqrt(rng.uniform(0.01, 1.0, 16)) * np.exp(
             2j * np.pi * rng.uniform(size=16)
         )
         worst = max(self.branch_spread(z) for z in pts)
-        if worst > tol:
+        if worst > BRANCH_TOL:
             raise InternalError(
                 f"symmetrized disc depends on the root branch ({worst:.3e})"
             )
-
-
-def gn_disc_from_blaschke(blaschke, n: int) -> SymmetrizedDisc:
-    """Analytic disc into the symmetrized polydisc from a Blaschke product
-    of order at most n vanishing at 0; the disc itself vanishes at 0."""
-    return SymmetrizedDisc(blaschke, n)
 
 
 @dataclass(eq=False)
@@ -477,23 +474,14 @@ def gap_certificate(b, tol: float = DEFAULT_TOL) -> GapCertificate:
     """Run the boundary interpolation search on the spectrum of B.
 
     Returns upper = |beta|^n, radius = r(B) and the gap verdict
-    upper < radius - 1e-9.  A spectral radius of zero short-circuits to the
-    degenerate all-zero certificate.
+    upper < radius - 1e-9.  A spectral radius of at most *tol* gives the
+    degenerate certificate: beta = 0 and the constant-zero interpolant.
     """
     B = as_matrix(b)
     sp = spectrum(B)
     if not sp.in_spectral_ball():
         raise DomainError("matrix lies outside the spectral ball")
     n = B.shape[0]
-    if sp.radius <= tol:
-        return GapCertificate(
-            beta=0.0 + 0.0j,
-            blaschke=None,
-            upper=0.0,
-            radius=sp.radius,
-            is_gap=False,
-            degenerate=True,
-        )
     sol = blaschke_through_roots_of_unity(sp.values, tol=tol)
     upper = float(abs(sol.beta) ** n)
     return GapCertificate(
@@ -522,10 +510,7 @@ def discontinuity_report(b, t: complex = 0.0, tol: float = DEFAULT_TOL) -> dict:
     t = complex(t)
     n = B.shape[0]
     sp = spectrum(B)
-    if not sp.in_spectral_ball():
-        raise DomainError("matrix lies outside the spectral ball")
-
-    lempert_value = lempert_scalar_base(t, B)
+    lempert_value = lempert_scalar_base(t, B)  # raises DomainError outside the ball
     kobayashi_value = kobayashi_scalar_base(t, B)
 
     shifted = disk_automorphism(t, B) if t != 0.0 else B
@@ -533,7 +518,7 @@ def discontinuity_report(b, t: complex = 0.0, tol: float = DEFAULT_TOL) -> dict:
 
     values = sp.values
     spread = np.max(np.abs(values[:, None] - values[None, :]))
-    eigenvalues_equal = bool(spread <= 1e-9 * (1.0 + sp.radius))
+    eigenvalues_equal = bool(spread <= EQUAL_EIGENVALUES_TOL * (1.0 + sp.radius))
 
     if t == 0.0:
         kobayashi_limit = float(abs(np.trace(B))) / n

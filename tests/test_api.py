@@ -1,0 +1,161 @@
+"""The public surface, pinned.
+
+Every callable exported by ``spectralball`` has its parameter names listed
+here and every CLI subcommand its flags, so adding or removing a knob shows
+up as a diff of this file.  Every ``tolerances`` value a CLI document
+reports is checked against the library constant it names.
+"""
+
+import argparse
+import inspect
+import json
+
+import numpy as np
+
+import spectralball as sb
+from spectralball import cli, curves, geometry, matcore, nonderog, pick
+
+PARAMETERS = {
+    "BlaschkeProduct": ("unimodular", "zeros"),
+    "BoundarySolution": (
+        "beta", "blaschke", "degenerate", "interpolation_residual", "smallest_eigenvalue"
+    ),
+    "CommutantBasis": ("dim", "basis"),
+    "CriterionResult": ("passed", "diagnostic", "borderline"),
+    "DiscWitness": (
+        "curve", "base_point", "target_point", "certificate_grid",
+        "matrix_at_base", "matrix_at_target",
+    ),
+    "ExpConjugationCurve": ("base", "generator", "kind"),
+    "GapCertificate": (
+        "beta", "blaschke", "upper", "radius", "is_gap", "degenerate", "interpolation_residual"
+    ),
+    "HullWitness": ("weights", "terms", "similarity"),
+    "MatrixPolynomialCurve": ("coefficients", "kind"),
+    "NonderogReport": ("verdict", "per_criterion", "tolerances", "minimal_polynomial"),
+    "PickProblem": ("nodes", "targets"),
+    "PolyCoeffs": ("coeffs",),
+    "SpectralDisc": ("frame", "frame_log", "base_diag", "kappa", "t_base", "t_slope", "scale"),
+    "Spectrum": ("values",),
+    "SpectrumCheck": ("passed", "max_deviation", "samples", "radius", "tol", "worst_point"),
+    "SymPoint": ("coords",),
+    "SymmetrizedDisc": ("blaschke", "n"),
+    "TriangularConjugationCurve": ("frame", "frame_log", "t0", "t1", "kind"),
+    "ZeroInterpolant": ("order", "degenerate"),
+    "as_matrix": ("a",),
+    "blaschke_through_roots_of_unity": ("lambdas", "tol"),
+    "bottleneck_assignment": ("cost",),
+    "bottleneck_minimax": ("spec_a", "spec_b"),
+    "classify": ("a", "tol", "rng"),
+    "commutant_basis": ("a",),
+    "commutation_operator": ("a",),
+    "companion": ("s",),
+    "degenerate_interpolant": ("problem", "nullvec", "tol"),
+    "discontinuity_report": ("b", "t", "tol"),
+    "disk_automorphism": ("t", "b"),
+    "elementary_symmetric": ("values",),
+    "expm_pair": ("x",),
+    "gap_certificate": ("b", "tol"),
+    "hull_membership": ("a",),
+    "hull_witness": ("a",),
+    "is_psd": ("m",),
+    "iso_spectral_curve": ("a", "b"),
+    "kobayashi_scalar_base": ("t", "b"),
+    "lempert_scalar_base": ("t", "b"),
+    "matrix_exp": ("m",),
+    "minimal_polynomial": ("a", "tol"),
+    "mobius": ("z", "w"),
+    "multiset_distance": ("values_a", "values_b"),
+    "ordered_triangularize": ("a", "order"),
+    "pick_matrix": ("problem",),
+    "quadratic_witness_2x2": ("a", "b"),
+    "sample_omega": ("n", "count", "seed"),
+    "sigma": ("a",),
+    "sigma_differential_matrix": ("a",),
+    "sigma_pushforward": ("a", "b"),
+    "solve_conjugation": ("a", "b", "tol"),
+    "spectrum": ("a",),
+    "spectrum_polynomials_2x2": ("curve",),
+    "unitary_log": ("u",),
+    "upper_bound_disc": ("a", "b", "s1"),
+    "verify_constant_spectrum": ("curve", "expected", "samples", "radius"),
+    "zero_metric_curve": ("a", "b", "tol"),
+}
+
+FLAGS = {
+    "classify": ["--input", "--seed", "--tol"],
+    "sigma": ["--input"],
+    "bounds": ["--input", "--input2", "--s1"],
+    "blaschke": ["--input", "--tol"],
+    "curve": ["--input", "--input2", "--kind", "--radius", "--samples", "--tol"],
+    "hull": ["--input"],
+    "discontinuity": ["--input", "--t", "--tol"],
+    "sample": ["--n", "--samples", "--seed", "--tol"],
+}
+
+TOLERANCES = {
+    "classify": {
+        "rank": matcore.DEFAULT_TOL,
+        "cluster_gap": nonderog.CLUSTER_GAP,
+        "borderline_decade": matcore.BORDERLINE_DECADE,
+    },
+    "sigma": {"residual": matcore.DEFAULT_TOL},
+    "bounds": {"endpoint": geometry.ENDPOINT_TOL},
+    "blaschke": {"interpolation": pick.INTERPOLATION_TOL, "circle": pick.CIRCLE_TOL},
+    "curve": {"spectrum": curves.SPECTRUM_TOL, "endpoint": geometry.ENDPOINT_TOL},
+    "hull": {"reconstruction": geometry.HULL_TOL},
+    "discontinuity": {"eigenvalue_equality": pick.EQUAL_EIGENVALUES_TOL},
+    "sample": {"classify": matcore.DEFAULT_TOL},
+}
+
+
+def test_parameters_of_every_exported_callable():
+    found = {}
+    for name in sb.__all__:
+        obj = getattr(sb, name)
+        if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, BaseException)):
+            found[name] = tuple(inspect.signature(obj).parameters)
+    assert found == PARAMETERS
+
+
+def _subcommands():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_flags_of_every_subcommand():
+    found = {
+        command: sorted(
+            flag
+            for action in p._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        )
+        for command, p in _subcommands().items()
+    }
+    assert found == FLAGS
+    assert sum(len(flags) for flags in found.values()) == 23
+
+
+def test_tolerance_blocks_name_library_constants(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(cli._to_json(cli.emit_matrix(np.diag([0.3, 0.1]))), encoding="utf-8")
+    b.write_text(cli._to_json(cli.emit_matrix(np.diag([0.8, 0.0]))), encoding="utf-8")
+    argv = {
+        "classify": ["--input", a],
+        "sigma": ["--input", a],
+        "bounds": ["--input", a, "--input2", b],
+        "blaschke": ["--input", b],
+        "curve": ["--input", a, "--input2", a],
+        "hull": ["--input", a],
+        "discontinuity": ["--input", b],
+        "sample": ["--n", "2"],
+    }
+    assert set(argv) == set(_subcommands()) == set(TOLERANCES)
+    for command, args in argv.items():
+        assert cli.main([command, *map(str, args)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["tolerances"] == TOLERANCES[command], command
+

@@ -327,6 +327,31 @@ class TestCommands:
         assert code == 2
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"n": True, "rows": [[[0.5, 0.0]]]},
+            {"n": 1, "rows": [[[True, False]]]},
+            {"n": 1, "rows": [[[0.5, False]]]},
+        ],
+        ids=["boolean-n", "boolean-entry", "boolean-imaginary-part"],
+    )
+    def test_boolean_document_exit_2(self, tmp_path, capsys, document):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code, out, err = run_cli(capsys, "classify", "--input", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "InvalidInputError"
+
+    @pytest.mark.parametrize("command", ["classify", "sample"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, command):
+        path = write_matrix(tmp_path / "a.json", np.diag([0.3, 0.1]))
+        inputs = ["--input", path] if command == "classify" else ["--n", "2"]
+        code, out, err = run_cli(capsys, command, *inputs, "--seed", "-1")
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["kind"] == "InvalidInputError" and "seed" in doc["error"]
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_output_exit_3(self, tmp_path, capsys):
         # the gauge |tr A| / n overflows to inf, which JSON cannot hold

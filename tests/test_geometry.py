@@ -104,6 +104,68 @@ class TestScalarBaseFormulas:
             entry(bad, np.diag([0.5, 0.2]))
 
 
+def _disk_points(rng, count, radius):
+    return radius * np.sqrt(rng.uniform(size=count)) * np.exp(
+        2j * np.pi * rng.uniform(size=count)
+    )
+
+
+class TestInvariances:
+    """The distances are invariant under disk automorphisms, and the hull
+    gauge is absolutely homogeneous."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        radius=st.floats(0.05, 0.9),
+        t_abs=st.floats(0.0, 0.9),
+        t_arg=st.floats(0.0, 2.0 * np.pi),
+    )
+    def test_lempert_scalar_base_moves_to_zero(self, seed, n, radius, t_abs, t_arg):
+        rng = np.random.default_rng(seed)
+        b = random_ball_matrix(rng, n, radius=radius)
+        t = t_abs * np.exp(1j * t_arg)
+        moved = sb.lempert_scalar_base(0.0, sb.disk_automorphism(t, b))
+        assert moved == pytest.approx(sb.lempert_scalar_base(t, b), abs=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 7),
+        t_abs=st.floats(0.0, 0.9),
+        t_arg=st.floats(0.0, 2.0 * np.pi),
+        turn=st.floats(0.0, 2.0 * np.pi),
+    )
+    def test_bottleneck_minimax_under_one_automorphism(self, seed, n, t_abs, t_arg, turn):
+        rng = np.random.default_rng(seed)
+        a, b = _disk_points(rng, n, 0.95), _disk_points(rng, n, 0.95)
+        t = t_abs * np.exp(1j * t_arg)
+
+        def phi(z):
+            return np.exp(1j * turn) * (z - t) / (1.0 - np.conj(t) * z)
+
+        value, _ = sb.bottleneck_minimax(a, b)
+        moved, _ = sb.bottleneck_minimax(phi(a), phi(b))
+        assert moved == pytest.approx(value, abs=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        k=st.floats(-8.0, 8.0),
+        arg=st.floats(0.0, 2.0 * np.pi),
+    )
+    def test_hull_gauge_scales_by_modulus(self, seed, n, k, arg):
+        a = random_gaussian(np.random.default_rng(seed), n)
+        c = 10.0**k * np.exp(1j * arg)
+        h, _ = sb.hull_membership(a)
+        hc, inside = sb.hull_membership(c * a)
+        scale = np.abs(np.diag(a)).max()
+        assert abs(hc - abs(c) * h) <= 1e-13 * abs(c) * (h + scale)
+        assert inside == (hc < 1.0)
+
+
 class TestBottleneck:
     def test_swap_example(self):
         value, perm = sb.bottleneck_minimax([0.1, 0.8], [0.75, 0.15])

@@ -40,7 +40,39 @@ class TestMinimalPolynomial:
             assert np.abs(rem).max() <= 1e-7
 
 
+class TestLargeNorms:
+    """Power and Krylov columns are normalized without overflowing."""
+
+    A3 = np.random.default_rng(0).standard_normal((3, 3))
+    A16 = np.random.default_rng(3).standard_normal((16, 16))
+
+    @pytest.mark.parametrize("a, scale", [(A3, 1e100), (A16, 1e10), (A16, 1e12)])
+    def test_full_degree_at_large_scales(self, a, scale):
+        # the squares of the largest power entries overflow above ~1e154
+        assert sb.minimal_polynomial(a * scale).degree == a.shape[0]
+
+    def test_coefficient_overflow_raises(self):
+        # the degree search reads 3, but det(A) ~ 1e450 is not a double
+        with pytest.raises(sb.NumericError, match="coefficients overflow"):
+            sb.minimal_polynomial(self.A3 * 1e150)
+
+    def test_power_overflow_raises(self):
+        with pytest.raises(sb.NumericError, match="powers of the matrix overflow"):
+            sb.minimal_polynomial(self.A3 * 1e160)
+        with pytest.raises(sb.NumericError, match="powers of the matrix overflow"):
+            sb.classify(self.A3 * 1e160)
+
+
 class TestClassify:
+    def test_report_carries_the_polynomial(self):
+        for a, _ in crafted_suite(4):
+            report = sb.classify(a)
+            expected = sb.minimal_polynomial(a)
+            assert report.minimal_polynomial.coeffs.tobytes() == expected.coeffs.tobytes()
+            assert (report.minimal_polynomial.degree == 4) == (
+                report.per_criterion["minimal_degree"].passed
+            )
+
     def test_identity_derogatory(self):
         report = sb.classify(np.eye(2))
         assert not report.verdict

@@ -413,7 +413,7 @@ class TestBoundaryInterpolation:
 class TestSymmetrizedDisc:
     def test_square_product(self):
         bp = sb.BlaschkeProduct(1.0, [0.0, 0.0])
-        disc = sb.gn_disc_from_blaschke(bp, 2)
+        disc = sb.SymmetrizedDisc(bp, 2)
         rng = np.random.default_rng(44)
         for _ in range(10):
             z = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
@@ -421,18 +421,18 @@ class TestSymmetrizedDisc:
 
     def test_origin(self):
         bp = sb.BlaschkeProduct(-1.0, [0.0])
-        disc = sb.gn_disc_from_blaschke(bp, 3)
+        disc = sb.SymmetrizedDisc(bp, 3)
         np.testing.assert_allclose(disc(0.0), 0.0)
 
     def test_gap_example_interpolation(self):
         cert = sb.gap_certificate(np.diag([0.8, 0.0]))
-        disc = sb.gn_disc_from_blaschke(cert.blaschke, 2)
+        disc = sb.SymmetrizedDisc(cert.blaschke, 2)
         beta_sq = cert.beta**2
         np.testing.assert_allclose(disc(beta_sq), [0.8, 0.0], atol=1e-6)
 
     def test_branch_independence(self):
         cert = sb.gap_certificate(np.diag([0.6, 0.1j, -0.3]))
-        disc = sb.gn_disc_from_blaschke(cert.blaschke, 3)
+        disc = sb.SymmetrizedDisc(cert.blaschke, 3)
         rng = np.random.default_rng(45)
         for _ in range(100):
             z = 0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
@@ -440,7 +440,7 @@ class TestSymmetrizedDisc:
 
     def test_requires_zero_at_origin(self):
         with pytest.raises(sb.PreconditionError):
-            sb.gn_disc_from_blaschke(sb.BlaschkeProduct(1.0, [0.5]), 2)
+            sb.SymmetrizedDisc(sb.BlaschkeProduct(1.0, [0.5]), 2)
 
 
 class TestGapCertificate:
@@ -462,6 +462,8 @@ class TestGapCertificate:
         assert cert.radius == 0.0
         assert not cert.is_gap
         assert cert.degenerate
+        assert cert.beta == 0.0 and cert.interpolation_residual == 0.0
+        assert isinstance(cert.blaschke, sb.ZeroInterpolant)
 
     def test_upper_never_exceeds_radius(self):
         rng = np.random.default_rng(46)
