@@ -6,7 +6,7 @@ radius below one.  This package provides:
 * a dense matrix kernel: spectra, symmetrized coordinates and their
   differential, companion matrices, ordered triangularization, matrix
   exponentials/logarithms and commutation-operator linear algebra;
-* a cross-checked non-derogatory classifier built from six equivalent
+* a cross-checked non-derogatory classifier built from five equivalent
   criteria;
 * invariant-distance geometry: pseudohyperbolic distance, exact values at
   scalar base points, the permutation-minimax pairing bound with analytic

@@ -28,7 +28,9 @@ from .errors import (
     UnsupportedError,
 )
 from .geometry import sample_omega
-from .matcore import DEFAULT_TOL, _scalar_center, as_matrix, companion, sigma, spectrum
+from .matcore import (
+    DEFAULT_TOL, SymPoint, _centered, as_matrix, companion, elementary_symmetric, sigma, spectrum
+)
 from .pick import discontinuity_report
 
 USER_ERRORS = (InvalidInputError, DomainError, PreconditionError, UnsupportedError)
@@ -154,8 +156,8 @@ def _cmd_classify(args):
 
 def _cmd_sigma(args):
     a = _load_matrix(args.input)
-    point = sigma(a)
     sp = spectrum(a)
+    point = SymPoint(elementary_symmetric(sp.values))
     roundtrip = float(np.max(np.abs(sigma(companion(point)).coords - point.coords)))
     return {
         "command": "sigma",
@@ -192,8 +194,8 @@ def _cmd_bounds(args):
         },
         "residuals": {"endpoint_base": r0, "endpoint_target": r1},
     }
-    t = _scalar_center(a, geometry.SCALAR_BASE_TOL)
-    if t is not None:
+    t, c, _ = _centered(a, geometry.SCALAR_BASE_TOL)
+    if c == 0.0:
         out["outputs"]["scalar_base_exact"] = geometry.lempert_scalar_base(t, b)
     return out
 

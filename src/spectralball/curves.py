@@ -31,8 +31,8 @@ from .matcore import (
     DEFAULT_TOL,
     PAIRING_TOL,
     _bottleneck_pairing,
+    _centered,
     _cmul,
-    _scalar_center,
     as_matrix,
     expm_pair,
     sigma_pushforward,
@@ -148,32 +148,23 @@ def _is_nilpotent(b, tol_abs) -> bool:
     return np.linalg.norm(power) <= tol_abs * max(1.0, np.linalg.norm(b)) ** n
 
 
-def _conjugation_generator(A, B, tol):
-    """Generator Y of the zero-metric witness through A in direction B.
+def _scalar_base(A, B) -> bool:
+    """Whether the base A is scalar; a scalar base needs a nilpotent B.
 
-    Returns None for a scalar base with a nilpotent direction, where the
-    affine curve A + lam B already has constant spectrum.  Otherwise A must
-    be non-derogatory and the symmetrized differential of B must vanish;
-    then Y solves AY - YA = B.  Anything else raises UnsupportedError.
+    Then the affine curve A + lam B already has constant spectrum.  A scalar
+    base with any other direction raises UnsupportedError.
     """
-    if _scalar_center(A, STRUCTURE_TOL) is not None:
-        if not _is_nilpotent(B, STRUCTURE_TOL):
-            raise UnsupportedError(
-                "scalar base point requires a nilpotent direction"
-            )
-        return None
-    if not classify(A, tol=tol).verdict:
-        raise UnsupportedError(
-            "base point is derogatory and not scalar; no witness is constructed"
-        )
+    if _centered(A, STRUCTURE_TOL)[1] != 0.0:
+        return False
+    if not _is_nilpotent(B, STRUCTURE_TOL):
+        raise UnsupportedError("scalar base point requires a nilpotent direction")
+    return True
+
+
+def _require_vanishing_differential(A, B):
     push = sigma_pushforward(A, B)
-    if np.max(np.abs(push)) > STRUCTURE_TOL * (
-        1.0 + np.linalg.norm(A) * np.linalg.norm(B)
-    ):
-        raise UnsupportedError(
-            "symmetrized differential of the direction does not vanish"
-        )
-    return solve_conjugation(A, B, tol=tol)
+    if np.max(np.abs(push)) > STRUCTURE_TOL * (1.0 + np.linalg.norm(A) * np.linalg.norm(B)):
+        raise UnsupportedError("symmetrized differential of the direction does not vanish")
 
 
 def zero_metric_curve(a, b, tol: float = DEFAULT_TOL):
@@ -188,10 +179,14 @@ def zero_metric_curve(a, b, tol: float = DEFAULT_TOL):
     B = as_matrix(b)
     if B.shape != A.shape:
         raise InvalidInputError("matrices must have the same dimension")
-    y = _conjugation_generator(A, B, tol)
-    if y is None:
+    if _scalar_base(A, B):
         return MatrixPolynomialCurve([A, B])
-    return ExpConjugationCurve(base=A, generator=y)
+    if not classify(A, tol=tol).verdict:
+        raise UnsupportedError(
+            "base point is derogatory and not scalar; no witness is constructed"
+        )
+    _require_vanishing_differential(A, B)
+    return ExpConjugationCurve(base=A, generator=solve_conjugation(A, B, tol=tol))
 
 
 def spectrum_polynomials_2x2(curve: MatrixPolynomialCurve):
@@ -264,19 +259,20 @@ def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
     """Degree-at-most-2 polynomial curve p with p(0)=A, p'(0)=B and
     constant spectrum, for 2x2 matrices.
 
-    A scalar base with nilpotent direction yields the affine curve.  For a
-    non-derogatory base (checked as for ``zero_metric_curve``) the
-    second-order coefficient solves the constancy constraints on trace and
-    determinant directly.  The returned curve always has all nonconstant
-    trace and determinant coefficients at most 1e-10.
+    A scalar base with nilpotent direction yields the affine curve.  Any
+    other 2x2 base is non-derogatory (a 2x2 matrix is derogatory only when
+    it is scalar); when the symmetrized differential of the direction
+    vanishes, the second-order coefficient solves the constancy constraints
+    on trace and determinant directly.  The returned curve always has all
+    nonconstant trace and determinant coefficients at most 1e-10.
     """
     A = as_matrix(a)
     B = as_matrix(b)
     if A.shape != (2, 2) or B.shape != (2, 2):
         raise InvalidInputError("operation is defined for 2x2 matrices")
-    y = _conjugation_generator(A, B, DEFAULT_TOL)
-    if y is None:
+    if _scalar_base(A, B):
         return MatrixPolynomialCurve([A, B])
+    _require_vanishing_differential(A, B)
     psi = _solve_quadratic_tail(A - (np.trace(A) / 2.0) * np.eye(2), B)
     curve = MatrixPolynomialCurve([A, B, psi])
     variation = _max_nonconstant_variation(curve)

@@ -33,7 +33,7 @@ from .matcore import (
 
 #: Tolerances of the witnesses.
 ENDPOINT_TOL = 1e-8  # endpoint residual of a disc or curve witness
-SCALAR_BASE_TOL = 1e-12  # ||A - (tr A / n) I|| / (1 + ||A||) read as scalar
+SCALAR_BASE_TOL = 1e-12  # max |A - (tr A / n) I| / max |A| read as scalar
 HULL_TOL = 1e-9  # max |diag(W* M W)| / max(1, ||M||) after zero-diagonal reduction
 
 

@@ -47,22 +47,17 @@ def _as_stack(x) -> np.ndarray:
     return m
 
 
-def _rank_by_svd(s, tol, floor=0.0):
+def _rank_by_svd(s, tol):
     """(rank, borderline) from a descending singular-value list.
 
-    Rank counts values above tol * max(s_max, floor); the decision is
-    flagged borderline when a singular value sits within a factor
-    BORDERLINE_DECADE of that threshold.  The floor keeps operators that are
-    pure roundoff noise (e.g. the commutation operator of a nearly scalar
-    matrix) from being read as full rank: without it the noise itself sets
-    the scale.
+    Rank counts values above tol * s_max; the decision is flagged borderline
+    when a singular value sits within a factor BORDERLINE_DECADE of that
+    threshold.
     """
     s = np.asarray(s, dtype=float)
-    smax = s[0] if len(s) else 0.0
-    scale = max(smax, floor)
-    if scale == 0.0:
+    if not len(s) or s[0] == 0.0:
         return 0, False
-    thresh = tol * scale
+    thresh = tol * s[0]
     rank = int(np.count_nonzero(s > thresh))
     borderline = bool(
         ((s >= thresh / BORDERLINE_DECADE) & (s <= thresh * BORDERLINE_DECADE)).any()
@@ -70,13 +65,18 @@ def _rank_by_svd(s, tol, floor=0.0):
     return rank, borderline
 
 
-def _scalar_center(a, tol):
-    """tr(A) / n when ||A - (tr(A) / n) I|| <= tol * (1 + ||A||), else None."""
+def _centered(a, tol):
+    """(tau, c, M) with A = tau I + c M, tau = tr(A) / n and c = max |A - tau I|,
+    so no entry of M exceeds 1.  A is scalar (c = 0, M = 0) when
+    c <= tol * max |A|."""
     n = a.shape[0]
-    t = np.trace(a) / n
-    if np.linalg.norm(a - t * np.eye(n)) <= tol * (1.0 + np.linalg.norm(a)):
-        return t
-    return None
+    tau = a.trace() / n
+    d = a.copy()
+    d.flat[:: n + 1] -= tau
+    c = float(np.abs(d).max())
+    if c <= tol * float(np.abs(a).max()):
+        return tau, 0.0, np.zeros_like(d)
+    return tau, c, d / c
 
 
 def _cmul(a, b):
@@ -487,13 +487,15 @@ def commutant_basis(a) -> CommutantBasis:
     """Null-space basis of the commutation operator of *a*.
 
     The dimension is always at least n, with equality exactly for
-    non-derogatory matrices.  The rank is decided by ``_rank_by_svd`` at
-    DEFAULT_TOL with the floor ||A||, as the classifier decides it.
+    non-derogatory matrices.  The rank is decided as the classifier decides
+    it: by ``_rank_by_svd`` at DEFAULT_TOL, on the operator of the centered,
+    normalized M of ``_centered`` (A = tau I + c M has the same commutant).
     """
     A = as_matrix(a)
     n = A.shape[0]
-    _, s, vh = np.linalg.svd(commutation_operator(A))
-    rank, _ = _rank_by_svd(s, DEFAULT_TOL, floor=np.linalg.norm(A))
+    _, _, M = _centered(A, DEFAULT_TOL)
+    _, s, vh = np.linalg.svd(commutation_operator(M))
+    rank, _ = _rank_by_svd(s, DEFAULT_TOL)
     basis = [v.conj().reshape((n, n), order="F") for v in vh[rank:]]
     return CommutantBasis(dim=n * n - rank, basis=basis)
 

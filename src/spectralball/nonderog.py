@@ -1,7 +1,7 @@
-"""Non-derogatory classification by six independent criteria.
+"""Non-derogatory classification by five independent criteria.
 
 A square matrix is non-derogatory when every eigenvalue has geometric
-multiplicity one.  Six equivalent numerical characterizations are evaluated
+multiplicity one.  Five equivalent numerical characterizations are evaluated
 side by side and cross-checked:
 
 * ``cyclic_vector``        -- a randomized vector generates a full Krylov basis
@@ -10,14 +10,13 @@ side by side and cross-checked:
 * ``commutant_dim``        -- the commutant has dimension exactly n
 * ``symmetrization_rank``  -- the differential of the symmetrized
                               coordinates has rank n
-* ``conjugation_orbit_rank`` -- the commutation operator has rank n^2 - n
 
 Disagreement between criteria without a borderline rank decision is reported
-as an internal error.
-
-``classify`` solves for the eigenvalues once; the minimal polynomial is
-searched on one QR of the stacked normalized powers (one SVD per leading
-block of R), and the eigenvalue clusters share one stacked SVD.
+as an internal error.  Every criterion is decided on the centered, normalized
+M of A = tau I + c M (``matcore._centered``), as the property is invariant
+under A -> cA + dI.  ``classify`` solves for the eigenvalues of M once; the
+minimal polynomial is searched on one QR of the stacked normalized powers of
+M (one SVD per leading block of R); the eigenvalue clusters share one SVD.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .matcore import (
     BORDERLINE_DECADE,
     DEFAULT_TOL,
     SymPoint,
+    _centered,
     _rank_by_svd,
     _sigma_differential_rows,
     as_matrix,
@@ -44,7 +44,6 @@ CRITERIA = (
     "eigenspace_dim",
     "commutant_dim",
     "symmetrization_rank",
-    "conjugation_orbit_rank",
 )
 
 #: Relative gap used to group nearly-equal computed eigenvalues.
@@ -104,46 +103,51 @@ class PolyCoeffs:
         return out
 
 
-def _unit_columns(w):
-    """Columns of *w* scaled to unit 2-norm (zero columns stay zero).
-
-    A column whose norm overflows (entries above about 1e154) is divided by
-    its largest entry first.  A non-finite entry, from a power of the matrix
-    that overflowed, raises NumericError.  Callers ignore overflow warnings.
+def _unit_columns(w, tol):
+    """Columns of *w*, successive powers, scaled to unit 2-norm.  A column of
+    norm at most tol times the previous one's, and every later column, is
+    set to zero: the roundoff powers of a nilpotent part are no direction.
     """
     norms = np.linalg.norm(w, axis=0)
-    if not np.isfinite(norms).all():
-        if not np.isfinite(w).all():
-            raise NumericError("powers of the matrix overflow")
-        huge = ~np.isfinite(norms)
-        w = w.copy()
-        w[:, huge] /= np.abs(w[:, huge]).max(axis=0)
-        norms[huge] = np.linalg.norm(w[:, huge], axis=0)
-    norms[norms == 0.0] = 1.0  # a vanished power is already dependent
+    drop = np.flatnonzero(norms[1:] <= tol * norms[:-1])
+    if len(drop):
+        norms[drop[0] + 1 :] = np.inf
     return w / norms
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow raises NumericError
-def _minimal_polynomial_impl(A, tol, values=None):
-    """Return (ascending coeffs, borderline flag); *values* are eigvals(A)."""
-    n = A.shape[0]
+def _minimal_polynomial_impl(tau, c, M, tol, mu=None):
+    """(ascending coefficients, borderline flag) for A = tau I + c M.
+
+    The degree is searched on M; *mu* are the eigenvalues of M.
+    """
+    n = M.shape[0]
     powers = [np.eye(n, dtype=complex)]
     for _ in range(1, n):
-        powers.append(powers[-1] @ A)
+        powers.append(powers[-1] @ M)
     w = np.column_stack([p.ravel(order="F") for p in powers])
     # the leading (d+1) x (d+1) block of R is the R factor of the first d+1
     # normalized powers, so it has their singular values
-    r = np.linalg.qr(_unit_columns(w), mode="r")
+    r = np.linalg.qr(_unit_columns(w, tol), mode="r")
     borderline = False
     for d in range(1, n):
         rank, flag = _rank_by_svd(np.linalg.svd(r[: d + 1, : d + 1], compute_uv=False), tol)
         borderline = borderline or flag
         if rank <= d:
-            coeffs = np.append(np.linalg.lstsq(w[:, :d], -w[:, d], rcond=None)[0], 1.0)
             break
-    else:  # full degree: the minimal polynomial is the characteristic one
-        values = np.linalg.eigvals(A) if values is None else values
-        coeffs = SymPoint(elementary_symmetric(values)).char_coefficients()[::-1]
+    else:
+        d = n
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if d < n:
+            q = np.linalg.lstsq(w[:, :d], -w[:, d], rcond=None)[0] * c ** np.arange(d, 0, -1)
+            # c^d q((z - tau) / c) = sum_k q_k c^(d - k) (z - tau)^k by Horner, descending
+            coeffs = np.ones(1, dtype=complex)
+            for qk in q[::-1]:
+                coeffs = np.append(coeffs, qk)
+                coeffs[1:] -= tau * coeffs[:-1]
+            coeffs = coeffs[::-1]
+        else:  # full degree: the minimal polynomial is the characteristic one
+            mu = np.linalg.eigvals(M) if mu is None else mu
+            coeffs = SymPoint(elementary_symmetric(tau + c * mu)).char_coefficients()[::-1]
     if not np.isfinite(coeffs).all():
         raise NumericError("minimal polynomial coefficients overflow")
     return coeffs, borderline
@@ -152,14 +156,14 @@ def _minimal_polynomial_impl(A, tol, values=None):
 def minimal_polynomial(a, tol: float = DEFAULT_TOL) -> PolyCoeffs:
     """Monic polynomial of least degree annihilating the matrix.
 
-    Found at the first rank deficiency of the column-normalized,
-    column-vectorized powers I, A, ..., A^(n-1): one QR factorization of
-    the whole stack, then one SVD of each leading block of R.  The
-    coefficients come from a least-squares solve of the unnormalized prefix
-    against the next power.
+    Found on the centered, normalized M of A = tau I + c M, at the first
+    rank deficiency of the column-normalized, column-vectorized powers
+    I, M, ..., M^(n-1): one QR factorization of the whole stack, then one
+    SVD of each leading block of R.  M's coefficients come from a
+    least-squares solve of the unnormalized prefix against the next power,
+    and A's are c^d q((z - tau) / c).
     """
-    A = as_matrix(a)
-    coeffs, _ = _minimal_polynomial_impl(A, tol)
+    coeffs, _ = _minimal_polynomial_impl(*_centered(as_matrix(a), tol), tol)
     return PolyCoeffs(coeffs)
 
 
@@ -186,16 +190,15 @@ def _cluster_eigenvalues(values, radius):
     return [np.array(g) for g in groups.values()]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow raises NumericError
-def _criterion_cyclic(A, tol, rng):
-    n = A.shape[0]
+def _criterion_cyclic(M, tol, rng):
+    n = M.shape[0]
     best_rank, best_borderline = 0, True
     for _ in range(CYCLIC_TRIALS):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         cols = [v]
         for _ in range(n - 1):
-            cols.append(A @ cols[-1])
-        s = np.linalg.svd(_unit_columns(np.column_stack(cols)), compute_uv=False)
+            cols.append(M @ cols[-1])
+        s = np.linalg.svd(_unit_columns(np.column_stack(cols), tol), compute_uv=False)
         rank, borderline = _rank_by_svd(s, tol)
         if rank > best_rank or (rank == best_rank and not borderline):
             best_rank, best_borderline = rank, borderline
@@ -204,13 +207,12 @@ def _criterion_cyclic(A, tol, rng):
     return CriterionResult(best_rank == n, float(best_rank), best_borderline)
 
 
-def _criterion_eigenspaces(A, tol, values):
-    n = A.shape[0]
+def _criterion_eigenspaces(M, tol, values):
+    n = M.shape[0]
     groups = _cluster_eigenvalues(values, float(np.max(np.abs(values))))
     centers = np.array([values[g].mean() for g in groups])
-    stack = np.linalg.svd(A - centers[:, None, None] * np.eye(n), compute_uv=False)
-    floor = np.linalg.norm(A)
-    decisions = [_rank_by_svd(s, tol, floor=floor) for s in stack]
+    stack = np.linalg.svd(M - centers[:, None, None] * np.eye(n), compute_uv=False)
+    decisions = [_rank_by_svd(s, tol) for s in stack]
     # every cluster has at least one eigenvalue, whatever the rank says
     max_mult = max(max(n - rank, 1) for rank, _ in decisions)
     borderline = any(flag for _, flag in decisions)
@@ -220,56 +222,51 @@ def _criterion_eigenspaces(A, tol, values):
 def classify(a, tol: float = DEFAULT_TOL, rng=None) -> NonderogReport:
     """Classify a matrix as non-derogatory or derogatory.
 
-    All six criteria are evaluated; the verdict is their majority.  A
-    disagreement with no borderline rank decision raises InternalError.
-    The randomized cyclic-vector probe draws from *rng* (seeded default).
+    All five criteria are evaluated on the centered, normalized M of
+    A = tau I + c M; the verdict is their majority.  A disagreement with no
+    borderline rank decision raises InternalError.  Otherwise the criteria
+    without a borderline flag decide, unless they are empty or tied; then
+    all five do, and five cannot tie.  The randomized cyclic-vector probe
+    draws from *rng* (seeded default).
     """
     A = as_matrix(a)
     n = A.shape[0]
     if rng is None:
         rng = np.random.default_rng(_DEFAULT_SEED)
+    tau, c, M = _centered(A, tol)
 
     per = {}
-    per["cyclic_vector"] = _criterion_cyclic(A, tol, rng)
+    per["cyclic_vector"] = _criterion_cyclic(M, tol, rng)
 
-    values = np.linalg.eigvals(A)
-    min_coeffs, mp_borderline = _minimal_polynomial_impl(A, tol, values)
+    mu = np.linalg.eigvals(M)
+    min_coeffs, mp_borderline = _minimal_polynomial_impl(tau, c, M, tol, mu)
     degree = len(min_coeffs) - 1
     per["minimal_degree"] = CriterionResult(degree == n, float(degree), mp_borderline)
 
-    per["eigenspace_dim"] = _criterion_eigenspaces(A, tol, values)
+    per["eigenspace_dim"] = _criterion_eigenspaces(M, tol, mu)
 
-    op = commutation_operator(A)
-    s_op = np.linalg.svd(op, compute_uv=False)
-    op_rank, op_borderline = _rank_by_svd(s_op, tol, floor=np.linalg.norm(A))
+    s_op = np.linalg.svd(commutation_operator(M), compute_uv=False)
+    op_rank, op_borderline = _rank_by_svd(s_op, tol)
     commutant_dim = n * n - op_rank
     per["commutant_dim"] = CriterionResult(
         commutant_dim == n, float(commutant_dim), op_borderline
     )
 
-    s_sig = np.linalg.svd(_sigma_differential_rows(A, values), compute_uv=False)
+    s_sig = np.linalg.svd(_sigma_differential_rows(M, mu), compute_uv=False)
     sig_rank, sig_borderline = _rank_by_svd(s_sig, tol)
     per["symmetrization_rank"] = CriterionResult(
         sig_rank == n, float(sig_rank), sig_borderline
     )
 
-    per["conjugation_orbit_rank"] = CriterionResult(
-        op_rank == n * n - n, float(op_rank), op_borderline
-    )
-
-    votes = sum(1 for c in per.values() if c.passed)
-    if votes in (0, len(per)):
-        verdict = votes > 0
+    passed = [crit.passed for crit in per.values()]
+    if sum(passed) in (0, len(passed)):
+        verdict = passed[0]
     else:
-        if not any(c.borderline for c in per.values()):
-            detail = {k: (c.passed, c.diagnostic) for k, c in per.items()}
+        if not any(crit.borderline for crit in per.values()):
+            detail = {k: (crit.passed, crit.diagnostic) for k, crit in per.items()}
             raise InternalError(f"criteria disagree without borderline flags: {detail}")
-        clean = [c.passed for c in per.values() if not c.borderline]
-        pool = clean if clean and sum(clean) * 2 != len(clean) else [
-            c.passed for c in per.values()
-        ]
-        if sum(pool) * 2 == len(pool):
-            raise InternalError("criteria are tied; cannot form a verdict")
+        clean = [crit.passed for crit in per.values() if not crit.borderline]
+        pool = clean if clean and sum(clean) * 2 != len(clean) else passed
         verdict = sum(pool) * 2 > len(pool)
 
     tolerances = {"rank": tol, "cluster_gap": CLUSTER_GAP, "borderline_decade": BORDERLINE_DECADE}

@@ -1,8 +1,8 @@
 """The public surface, pinned.
 
 Every callable exported by ``spectralball`` has its parameter names listed
-here and every CLI subcommand its flags, so adding or removing a knob shows
-up as a diff of this file.  Every ``tolerances`` value a CLI document
+here, every CLI subcommand its flags and the classifier its criteria, so
+adding or removing a knob or a criterion shows up as a diff of this file.  Every ``tolerances`` value a CLI document
 reports is checked against the library constant it names.
 """
 
@@ -82,6 +82,14 @@ PARAMETERS = {
     "zero_metric_curve": ("a", "b", "tol"),
 }
 
+CRITERIA = (
+    "cyclic_vector",
+    "minimal_degree",
+    "eigenspace_dim",
+    "commutant_dim",
+    "symmetrization_rank",
+)
+
 FLAGS = {
     "classify": ["--input", "--seed", "--tol"],
     "sigma": ["--input"],
@@ -116,6 +124,12 @@ def test_parameters_of_every_exported_callable():
         if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, BaseException)):
             found[name] = tuple(inspect.signature(obj).parameters)
     assert found == PARAMETERS
+
+
+def test_classifier_criteria():
+    assert sb.CRITERIA == CRITERIA
+    report = sb.classify(np.diag([0.3, 0.1]))
+    assert tuple(report.per_criterion) == CRITERIA
 
 
 def _subcommands():

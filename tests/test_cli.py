@@ -62,7 +62,7 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["outputs"]["nonderogatory"] is True
-        assert len(doc["outputs"]["criteria"]) == 6
+        assert len(doc["outputs"]["criteria"]) == 5
         # residual recomputation from the emitted input document
         a = parse_matrix(doc["inputs"]["matrix"])
         poly = sb.minimal_polynomial(a)
@@ -82,6 +82,22 @@ class TestCommands:
             np.max(np.abs(sb.sigma(sb.companion(sb.sigma(a))).coords - sb.sigma(a).coords))
         )
         assert abs(roundtrip - doc["residuals"]["companion_roundtrip"]) <= 1e-12
+
+    def test_sigma_solves_the_eigenproblem_once(self, tmp_path, capsys, monkeypatch):
+        # the input's spectrum gives both the coordinates and the spectrum;
+        # the second solve is the companion round trip
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(x):
+            calls.append(np.shape(x))
+            return eigvals(x)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        path = write_matrix(tmp_path / "a.json", random_gaussian(np.random.default_rng(63), 3))
+        code, _, _ = run_cli(capsys, "sigma", "--input", path)
+        assert code == 0
+        assert len(calls) == 2
 
     def test_hull(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "a.json", np.diag([2.5, -2.5, 1.0]))

@@ -219,6 +219,31 @@ class TestQuadraticWitness:
         with pytest.raises(sb.UnsupportedError):
             sb.quadratic_witness_2x2(0.1 * np.eye(2), np.eye(2))
 
+    def test_non_vanishing_differential(self):
+        with pytest.raises(sb.UnsupportedError, match="does not vanish"):
+            sb.quadratic_witness_2x2(np.diag([0.1, 0.2]), np.eye(2))
+
+    def test_no_classify_and_no_conjugation_solve(self, monkeypatch):
+        # a 2x2 matrix is derogatory only when it is scalar, and psi comes
+        # from the constraint solve: neither call is needed
+        calls = {"classify": 0, "solve_conjugation": 0}
+
+        def counting(name):
+            def fail(*args, **kwargs):
+                calls[name] += 1
+                raise AssertionError(f"{name} called")
+            return fail
+
+        monkeypatch.setattr(curves_module, "classify", counting("classify"))
+        monkeypatch.setattr(curves_module, "solve_conjugation", counting("solve_conjugation"))
+        rng = np.random.default_rng(56)
+        for _ in range(5):
+            a = random_ball_matrix(rng, 2, radius=0.7)
+            y0 = 0.3 * random_gaussian(rng, 2)
+            sb.quadratic_witness_2x2(a, a @ y0 - y0 @ a)
+        sb.quadratic_witness_2x2(0.3 * np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert calls == {"classify": 0, "solve_conjugation": 0}
+
 
 class TestVerifier:
     def test_constant_curve(self):
