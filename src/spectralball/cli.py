@@ -301,17 +301,14 @@ def _cmd_discontinuity(args):
     b = _load_matrix(args.input)
     t = complex(args.t[0], args.t[1])
     report = discontinuity_report(b, t, tol=args.tol)
-    doc = {
+    recompute = (spectrum(b).radius - abs(np.trace(b)) / b.shape[0]) / (1.0 - abs(t) ** 2)
+    return {
         "command": "discontinuity",
         "inputs": {"matrix": emit_matrix(b), "t": _pair(t)},
         "tolerances": {"eigenvalue_equality": pick.EQUAL_EIGENVALUES_TOL},
         "outputs": report,
-        "residuals": {},
+        "residuals": {"jump_kobayashi_recomputed": float(max(recompute, 0.0))},
     }
-    if report["kobayashi"]["generic_limit"] is not None:
-        recompute = spectrum(b).radius - abs(np.trace(b)) / b.shape[0]
-        doc["residuals"]["jump_kobayashi_recomputed"] = float(max(recompute, 0.0))
-    return doc
 
 
 def _cmd_sample(args):

@@ -142,29 +142,30 @@ def iso_spectral_curve(a, b) -> TriangularConjugationCurve:
     return TriangularConjugationCurve(frame=u, frame_log=frame_log, t0=t0, t1=t1)
 
 
-def _is_nilpotent(b, tol_abs) -> bool:
-    n = b.shape[0]
-    power = np.linalg.matrix_power(b, n)
-    return np.linalg.norm(power) <= tol_abs * max(1.0, np.linalg.norm(b)) ** n
-
-
 def _scalar_base(A, B) -> bool:
-    """Whether the base A is scalar; a scalar base needs a nilpotent B.
+    """Whether the base A is scalar.  Raises UnsupportedError when the
+    tests below rule out a witness with value A and derivative B.
 
-    Then the affine curve A + lam B already has constant spectrum.  A scalar
-    base with any other direction raises UnsupportedError.
+    Both tests are scale-free: they read the centered, normalized M of
+    A = tau I + c M and B / max |B|.  A scalar base needs a nilpotent
+    direction, ||B^n|| <= STRUCTURE_TOL ||B||^n; then the affine curve
+    A + lam B already has constant spectrum.  Any other base needs the
+    symmetrized differential of B to vanish, every coordinate at most
+    STRUCTURE_TOL.  The differential at A is the one at M composed with an
+    invertible triangular map, so the two vanish together.
     """
-    if _centered(A, STRUCTURE_TOL)[1] != 0.0:
-        return False
-    if not _is_nilpotent(B, STRUCTURE_TOL):
-        raise UnsupportedError("scalar base point requires a nilpotent direction")
-    return True
-
-
-def _require_vanishing_differential(A, B):
-    push = sigma_pushforward(A, B)
-    if np.max(np.abs(push)) > STRUCTURE_TOL * (1.0 + np.linalg.norm(A) * np.linalg.norm(B)):
+    _, c, M = _centered(A, STRUCTURE_TOL)
+    scale = float(np.abs(B).max())
+    b = B / scale if scale else B
+    if c == 0.0:
+        n = A.shape[0]
+        power = np.linalg.norm(np.linalg.matrix_power(b, n))
+        if power > STRUCTURE_TOL * np.linalg.norm(b) ** n:
+            raise UnsupportedError("scalar base point requires a nilpotent direction")
+        return True
+    if np.abs(sigma_pushforward(M, b)).max() > STRUCTURE_TOL:
         raise UnsupportedError("symmetrized differential of the direction does not vanish")
+    return False
 
 
 def zero_metric_curve(a, b, tol: float = DEFAULT_TOL):
@@ -185,7 +186,6 @@ def zero_metric_curve(a, b, tol: float = DEFAULT_TOL):
         raise UnsupportedError(
             "base point is derogatory and not scalar; no witness is constructed"
         )
-    _require_vanishing_differential(A, B)
     return ExpConjugationCurve(base=A, generator=solve_conjugation(A, B, tol=tol))
 
 
@@ -272,7 +272,6 @@ def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
         raise InvalidInputError("operation is defined for 2x2 matrices")
     if _scalar_base(A, B):
         return MatrixPolynomialCurve([A, B])
-    _require_vanishing_differential(A, B)
     psi = _solve_quadratic_tail(A - (np.trace(A) / 2.0) * np.eye(2), B)
     curve = MatrixPolynomialCurve([A, B, psi])
     variation = _max_nonconstant_variation(curve)

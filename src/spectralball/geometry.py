@@ -97,8 +97,11 @@ def lempert_scalar_base(t: complex, b) -> float:
     Equals the largest pseudohyperbolic distance from t to an eigenvalue
     of B; B must belong to the spectral ball.
     """
-    t = _disk_point(t)
-    sp = spectrum(b)
+    return _lempert_at(_disk_point(t), spectrum(b))
+
+
+def _lempert_at(t: complex, sp: Spectrum) -> float:
+    """lempert_scalar_base at a disk point t, from the spectrum of B."""
     if not sp.in_spectral_ball():
         raise DomainError("matrix lies outside the spectral ball")
     return float(mobius(t, sp.values).max())
@@ -109,8 +112,13 @@ def kobayashi_scalar_base(t: complex, b) -> float:
 
     Equals r(B) / (1 - |t|^2); the direction may be any square matrix.
     """
-    t = _disk_point(t)
-    return spectrum(b).radius / (1.0 - abs(t) ** 2)
+    return _kobayashi_at(_disk_point(t), spectrum(b).radius)
+
+
+def _kobayashi_at(t: complex, value: float) -> float:
+    """Metric at tI of a direction X whose metric at 0 is *value*: the
+    automorphism taking tI to 0 has differential X / (1 - |t|^2) there."""
+    return value / (1.0 - abs(t) ** 2)
 
 
 def bottleneck_minimax(spec_a, spec_b):

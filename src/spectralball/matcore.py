@@ -187,20 +187,18 @@ def sigma_differential_matrix(a) -> np.ndarray:
     tr(D_{j-1} B) where D_j = s_j I - A D_{j-1}, D_0 = I; this is the
     classical expansion of the derivative of the characteristic-polynomial
     coefficients and agrees with the column-replacement minors formula.
+    The coefficients come from the same recurrence (Faddeev-LeVerrier),
+    s_j = tr(A D_{j-1}) / j, so no eigenvalue is solved for.
     """
     A = as_matrix(a)
-    return _sigma_differential_rows(A, np.linalg.eigvals(A))
-
-
-def _sigma_differential_rows(A, values):
-    """sigma_differential_matrix of a validated A with eigenvalues *values*."""
     n = A.shape[0]
-    sig = elementary_symmetric(values)
     rows = np.empty((n, n * n), dtype=complex)
     d = np.eye(n, dtype=complex)
     rows[0] = d.ravel()
     for j in range(1, n):
-        d = sig[j - 1] * np.eye(n) - A @ d
+        ad = A @ d
+        d = -ad
+        d.flat[:: n + 1] += ad.trace() / j  # D_j = s_j I - A D_{j-1}
         # tr(D B) pairs D[r, k] with B[k, r]: C-order ravel of D matches
         # the F-order ravel of B.
         rows[j] = d.ravel()

@@ -32,10 +32,10 @@ from .matcore import (
     SymPoint,
     _centered,
     _rank_by_svd,
-    _sigma_differential_rows,
     as_matrix,
     commutation_operator,
     elementary_symmetric,
+    sigma_differential_matrix,
 )
 
 CRITERIA = (
@@ -252,7 +252,7 @@ def classify(a, tol: float = DEFAULT_TOL, rng=None) -> NonderogReport:
         commutant_dim == n, float(commutant_dim), op_borderline
     )
 
-    s_sig = np.linalg.svd(_sigma_differential_rows(M, mu), compute_uv=False)
+    s_sig = np.linalg.svd(sigma_differential_matrix(M), compute_uv=False)
     sig_rank, sig_borderline = _rank_by_svd(s_sig, tol)
     per["symmetrization_rank"] = CriterionResult(
         sig_rank == n, float(sig_rank), sig_borderline

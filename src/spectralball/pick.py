@@ -23,8 +23,8 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .geometry import disk_automorphism, kobayashi_scalar_base, lempert_scalar_base
-from .matcore import DEFAULT_TOL, as_matrix, elementary_symmetric, spectrum
+from .geometry import _disk_point, _kobayashi_at, _lempert_at, disk_automorphism
+from .matcore import DEFAULT_TOL, Spectrum, as_matrix, elementary_symmetric, spectrum
 
 #: Descending step of the coarse feasibility scan.
 COARSE_STEP = 1e-2
@@ -476,14 +476,20 @@ def gap_certificate(b, tol: float = DEFAULT_TOL) -> GapCertificate:
     Returns upper = |beta|^n, radius = r(B) and the gap verdict
     upper < radius - 1e-9.  A spectral radius of at most *tol* gives the
     degenerate certificate: beta = 0 and the constant-zero interpolant.
+
+    The search matches the eigenvalues to the roots of unity in the order
+    ``eigvals`` lists them.  For n >= 3 other orders give other valid
+    bounds, so ``upper`` may change under a unitary similarity of B.
     """
-    B = as_matrix(b)
-    sp = spectrum(B)
+    return _gap_certificate(spectrum(b), tol)
+
+
+def _gap_certificate(sp: Spectrum, tol) -> GapCertificate:
+    """gap_certificate from the spectrum of B."""
     if not sp.in_spectral_ball():
         raise DomainError("matrix lies outside the spectral ball")
-    n = B.shape[0]
     sol = blaschke_through_roots_of_unity(sp.values, tol=tol)
-    upper = float(abs(sol.beta) ** n)
+    upper = float(abs(sol.beta) ** len(sp.values))
     return GapCertificate(
         beta=sol.beta,
         blaschke=sol.blaschke,
@@ -500,41 +506,30 @@ def discontinuity_report(b, t: complex = 0.0, tol: float = DEFAULT_TOL) -> dict:
 
     The two-point distance at tI is compared with the certified upper bound
     of its limit along generic perturbations of the base; the infinitesimal
-    metric at tI is compared with its exact generic limit |tr B| / n, which
-    is reported at t = 0 only.  Jumps vanish exactly when the eigenvalues of
+    metric at tI is compared with its exact generic limit
+    |tr B| / (n (1 - |t|^2)).  Jumps vanish exactly when the eigenvalues of
     B are equal (within tolerance): equality forces both limits to agree
     with the base values, so the report pins the jumps to zero rather than
-    carrying search noise into them.
+    carrying search noise into them.  Every value comes from one eigensolve
+    of B, and at t != 0 the certificate's from one of the shifted matrix.
     """
     B = as_matrix(b)
-    t = complex(t)
     n = B.shape[0]
     sp = spectrum(B)
-    lempert_value = lempert_scalar_base(t, B)  # raises DomainError outside the ball
-    kobayashi_value = kobayashi_scalar_base(t, B)
+    t = _disk_point(t)
+    lempert_value = _lempert_at(t, sp)  # raises DomainError outside the ball
+    kobayashi_value = _kobayashi_at(t, sp.radius)
+    kobayashi_limit = _kobayashi_at(t, float(abs(np.trace(B))) / n)
+    shifted = spectrum(disk_automorphism(t, B)) if t != 0.0 else sp
+    cert = _gap_certificate(shifted, tol)
 
-    shifted = disk_automorphism(t, B) if t != 0.0 else B
-    cert = gap_certificate(shifted, tol=tol)
-
-    values = sp.values
-    spread = np.max(np.abs(values[:, None] - values[None, :]))
+    spread = np.max(np.abs(sp.values[:, None] - sp.values[None, :]))
     eigenvalues_equal = bool(spread <= EQUAL_EIGENVALUES_TOL * (1.0 + sp.radius))
-
-    if t == 0.0:
-        kobayashi_limit = float(abs(np.trace(B))) / n
-    else:
-        kobayashi_limit = None
-
     if eigenvalues_equal:
-        jump_lempert = 0.0
-        jump_kobayashi = 0.0 if kobayashi_limit is not None else None
+        jump_lempert = jump_kobayashi = 0.0
     else:
         jump_lempert = max(lempert_value - cert.upper, 0.0)
-        jump_kobayashi = (
-            max(kobayashi_value - kobayashi_limit, 0.0)
-            if kobayashi_limit is not None
-            else None
-        )
+        jump_kobayashi = max(kobayashi_value - kobayashi_limit, 0.0)
 
     return {
         "lempert": {

@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import permutations
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 import spectralball as sb
@@ -12,6 +13,20 @@ import spectralball as sb
 # Property tests draw the same examples on every run and host.
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def count_eigvals(monkeypatch):
+    """List that records the argument shape of every np.linalg.eigvals call."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return eigvals(x)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls
 
 
 def random_gaussian(rng, n):

@@ -83,21 +83,13 @@ class TestCommands:
         )
         assert abs(roundtrip - doc["residuals"]["companion_roundtrip"]) <= 1e-12
 
-    def test_sigma_solves_the_eigenproblem_once(self, tmp_path, capsys, monkeypatch):
+    def test_sigma_solves_the_eigenproblem_once(self, tmp_path, capsys, count_eigvals):
         # the input's spectrum gives both the coordinates and the spectrum;
         # the second solve is the companion round trip
-        calls = []
-        eigvals = np.linalg.eigvals
-
-        def counting(x):
-            calls.append(np.shape(x))
-            return eigvals(x)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
         path = write_matrix(tmp_path / "a.json", random_gaussian(np.random.default_rng(63), 3))
         code, _, _ = run_cli(capsys, "sigma", "--input", path)
         assert code == 0
-        assert len(calls) == 2
+        assert len(count_eigvals) == 2
 
     def test_hull(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "a.json", np.diag([2.5, -2.5, 1.0]))
@@ -238,6 +230,19 @@ class TestCommands:
             # the linear coefficient of the quadratic is B itself
             assert doc["residuals"]["derivative"] == 0.0
 
+    def test_curve_zero_metric_eigensolve_count(self, tmp_path, capsys, count_eigvals):
+        # classify, the reported spectrum of A and the stacked verifier
+        rng = np.random.default_rng(82)
+        a = 0.5 * random_gaussian(rng, 3)
+        y = 0.2 * random_gaussian(rng, 3)
+        p1 = write_matrix(tmp_path / "a.json", a)
+        p2 = write_matrix(tmp_path / "b.json", a @ y - y @ a)
+        code, _, _ = run_cli(
+            capsys, "curve", "--input", p1, "--input2", p2, "--kind", "zero-metric"
+        )
+        assert code == 0
+        assert len(count_eigvals) == 3
+
     def test_curve_mismatched_spectra_exit_2(self, tmp_path, capsys):
         p1 = write_matrix(tmp_path / "a.json", np.diag([0.1, 0.2]))
         p2 = write_matrix(tmp_path / "b.json", np.diag([0.1, 0.3]))
@@ -300,10 +305,25 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         rep = doc["outputs"]
-        assert rep["kobayashi"]["generic_limit"] is None
+        # |tr B| / (n (1 - |t|^2)): the automorphism has differential
+        # X / (1 - |t|^2) at tI
+        assert rep["kobayashi"]["generic_limit"] == pytest.approx(0.8 / (2 * 0.96))
+        assert rep["kobayashi"]["value_at_scalar_base"] == pytest.approx(0.8 / 0.96)
+        assert abs(
+            doc["residuals"]["jump_kobayashi_recomputed"] - rep["jump_kobayashi"]
+        ) <= 1e-12
         expected = sb.lempert_scalar_base(0.2, np.diag([0.8, 0.0]))
         assert rep["lempert"]["value_at_scalar_base"] == pytest.approx(expected)
         assert rep["lempert"]["generic_limit_upper"] < expected
+
+    @pytest.mark.parametrize("t, count", [("0.0", 2), ("0.2", 3)])
+    def test_discontinuity_eigensolve_counts(self, tmp_path, capsys, count_eigvals, t, count):
+        # the report's solves (one, and the shifted matrix at t != 0) and
+        # the recomputed Kobayashi jump
+        path = write_matrix(tmp_path / "b.json", np.diag([0.8, 0.0, 0.3j]))
+        code, _, _ = run_cli(capsys, "discontinuity", "--input", path, "--t", t, "0.0")
+        assert code == 0
+        assert len(count_eigvals) == count
 
     def test_sample(self, capsys):
         code, out, _ = run_cli(capsys, "sample", "--n", "3", "--samples", "20", "--seed", "5")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,55 @@ class TestQuadraticWitness:
             sb.quadratic_witness_2x2(a, a @ y0 - y0 @ a)
         sb.quadratic_witness_2x2(0.3 * np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert calls == {"classify": 0, "solve_conjugation": 0}
+
+
+class TestScaleFreeWitnessTests:
+    """The witness tests read the centered, normalized base and B / max |B|."""
+
+    @pytest.mark.parametrize("scale", [100.0, 1000.0])
+    def test_large_bases_with_commutator_directions(self, scale):
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            a = scale * rng.standard_normal((6, 6))
+            y = 0.2 * rng.standard_normal((6, 6))
+            b = a @ y - y @ a
+            curve = sb.zero_metric_curve(a, b)
+            assert curve.kind == "exp_conjugation"
+            assert np.linalg.norm(curve.derivative_at_zero() - b) <= 1e-8 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("a_scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("b_scale", [1e-6, 1e6])
+    def test_non_vanishing_differential_at_every_scale(self, a_scale, b_scale):
+        with pytest.raises(sb.UnsupportedError, match="does not vanish"):
+            sb.zero_metric_curve(a_scale * np.diag([0.1, 0.2, 0.3]), b_scale * np.eye(3))
+
+    def test_small_non_nilpotent_direction(self):
+        with pytest.raises(sb.UnsupportedError, match="nilpotent"):
+            sb.zero_metric_curve(0.1 * np.eye(3), 1e-3 * np.eye(3))
+        with pytest.raises(sb.UnsupportedError, match="nilpotent"):
+            sb.quadratic_witness_2x2(0.1 * np.eye(2), 1e-3 * np.eye(2))
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-8, 1.0, 1e8, 1e300])
+    def test_strictly_triangular_direction_at_any_scale(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, witness in ((3, sb.zero_metric_curve), (2, sb.quadratic_witness_2x2)):
+                b = scale * np.triu(np.ones((n, n)), 1)
+                curve = witness(0.3 * np.eye(n), b)
+                assert curve.kind == "matrix_polynomial"
+                assert len(curve.coefficients) == 2
+
+    def test_eigensolve_counts(self, count_eigvals):
+        # the classify call of a zero-metric curve solves once; the
+        # differential and the quadratic witness solve nothing
+        rng = np.random.default_rng(57)
+        a3, y3 = random_gaussian(rng, 3), 0.2 * random_gaussian(rng, 3)
+        a2, y2 = random_gaussian(rng, 2), 0.2 * random_gaussian(rng, 2)
+        sb.zero_metric_curve(a3, a3 @ y3 - y3 @ a3)
+        assert len(count_eigvals) == 1
+        count_eigvals.clear()
+        sb.quadratic_witness_2x2(a2, a2 @ y2 - y2 @ a2)
+        assert len(count_eigvals) == 0
 
 
 class TestVerifier:

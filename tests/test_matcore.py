@@ -165,6 +165,30 @@ class TestSigmaPushforward:
         with pytest.raises(sb.InvalidInputError):
             sb.sigma_pushforward(np.eye(2), np.eye(3))
 
+    def test_no_eigensolve(self, count_eigvals):
+        rng = np.random.default_rng(11)
+        a, b = random_gaussian(rng, 4), random_gaussian(rng, 4)
+        sb.sigma_pushforward(a, b)
+        assert len(count_eigvals) == 0
+        sb.sigma_differential_matrix(a)
+        assert len(count_eigvals) == 0
+
+    def test_recurrence_coefficients_match_the_spectrum(self):
+        # s_j = tr(A D_{j-1}) / j against D_j = e_j(eigenvalues) I - A D_{j-1},
+        # on centered, normalized matrices as the classifier reads them
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 5, 8, 12, 16):
+            _, _, m = matcore_module._centered(random_gaussian(rng, n), sb.DEFAULT_TOL)
+            sig = sb.elementary_symmetric(np.linalg.eigvals(m))
+            d = np.eye(n, dtype=complex)
+            rows = [d.ravel()]
+            for j in range(1, n):
+                d = sig[j - 1] * np.eye(n) - m @ d
+                rows.append(d.ravel())
+            ref = np.array(rows)
+            got = sb.sigma_differential_matrix(m)
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
     def test_minors_oracle(self):
         rng = np.random.default_rng(10)
         for n in (1, 2, 3, 4, 5):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -490,3 +492,44 @@ class TestGapCertificate:
     def test_outside_ball(self):
         with pytest.raises(sb.DomainError):
             sb.gap_certificate(np.diag([1.1, 0.0]))
+
+    def test_every_eigenvalue_order_gives_a_valid_bound(self):
+        # the search pairs the values with the roots of unity in the order
+        # it is given them; for n >= 3 orders outside one cyclic class give
+        # other bounds (0.47 to 0.59 here), and each of them must be valid
+        lam = np.array([0.8, 0.3j, -0.5, 0.1 - 0.4j])
+        eps = np.exp(2j * np.pi * np.arange(4) / 4)
+        for order in permutations(range(4)):
+            values = lam[list(order)]
+            sol = sb.blaschke_through_roots_of_unity(values)
+            assert abs(sol.beta) ** 4 <= 0.8
+            assert np.abs(sol.blaschke(eps * sol.beta) - values).max() <= 1e-6
+
+
+class TestDiscontinuityReport:
+    def test_eigensolve_counts(self, count_eigvals):
+        # one solve of B; at t != 0 the certificate solves the shifted matrix
+        b = np.diag([0.8, 0.0, 0.3j]) + np.triu(np.full((3, 3), 0.2), 1)
+        sb.discontinuity_report(b)
+        assert len(count_eigvals) == 1
+        count_eigvals.clear()
+        sb.discontinuity_report(b, 0.2)
+        assert len(count_eigvals) == 2
+
+    def test_kobayashi_values_through_the_automorphism(self):
+        # the automorphism taking t to 0 maps tI + hB to about
+        # h B / (1 - |t|^2); at 0 the metric of X is r(X) and its generic
+        # limit |tr X| / n
+        h = 1e-6
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n = 2 + seed % 4
+            b = random_ball_matrix(rng, n, radius=rng.uniform(0.2, 0.9))
+            t = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            ti = t * np.eye(n)
+            x = (sb.disk_automorphism(t, ti + h * b) - sb.disk_automorphism(t, ti - h * b)) / (
+                2.0 * h
+            )
+            rep = sb.discontinuity_report(b, t)["kobayashi"]
+            assert rep["generic_limit"] == pytest.approx(abs(np.trace(x)) / n, rel=1e-6)
+            assert rep["value_at_scalar_base"] == pytest.approx(sb.spectrum(x).radius, rel=1e-6)
