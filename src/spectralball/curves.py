@@ -23,10 +23,11 @@ import numpy as np
 from .errors import (
     InternalError,
     InvalidInputError,
+    NumericError,
     PreconditionError,
     UnsupportedError,
 )
-from .geometry import _triangular_frames
+from .geometry import _frame_similarity, _triangular_frames
 from .matcore import (
     DEFAULT_TOL,
     PAIRING_TOL,
@@ -52,9 +53,9 @@ SPECTRUM_TOL = 1e-6
 class TriangularConjugationCurve:
     """W(lam) ((1-lam) T0 + lam T1) W(lam)^-1 with W(lam) = U exp(lam L).
 
-    U is unitary and L skew-Hermitian, so W(lam) is unitary for real lam.
-    A scalar parameter gives one (n, n) matrix; a 1-D array of m parameters
-    gives the (m, n, n) stack of values.
+    U is unitary and L skew-Hermitian (a call raises InvalidInputError if it
+    is not), so W(lam) is unitary for real lam.  A scalar parameter gives one
+    (n, n) matrix; a 1-D array of m parameters gives the (m, n, n) stack.
     """
 
     frame: np.ndarray
@@ -65,10 +66,7 @@ class TriangularConjugationCurve:
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)[..., None, None]
-        mid = (1.0 - lam) * self.t0 + lam * self.t1
-        e, e_inv = expm_pair(lam * self.frame_log)
-        u = self.frame
-        return u @ (e @ mid @ e_inv) @ u.conj().T
+        return _frame_similarity(self, lam, ((1.0 - lam, self.t0), (lam, self.t1)))
 
 
 @dataclass(eq=False)
@@ -214,7 +212,10 @@ def _solve_quadratic_tail(a0, b):
     an affine subspace on which the isotropy condition u^2 + v w = 0 is
     rooted directly.
     """
-    det_b = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_b = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+    if not np.isfinite(det_b):
+        raise NumericError("det B overflows")
     # tr(M psi) = (m00 - m11) u + m10 v + m01 w
     rows = np.array(
         [
@@ -263,8 +264,9 @@ def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
     other 2x2 base is non-derogatory (a 2x2 matrix is derogatory only when
     it is scalar); when the symmetrized differential of the direction
     vanishes, the second-order coefficient solves the constancy constraints
-    on trace and determinant directly.  The returned curve always has all
-    nonconstant trace and determinant coefficients at most 1e-10.
+    on trace and determinant directly.  Divided by s, the largest entry of
+    its coefficients, the returned curve always has all nonconstant trace
+    and determinant coefficients at most 1e-10.
     """
     A = as_matrix(a)
     B = as_matrix(b)
@@ -273,23 +275,16 @@ def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
     if _scalar_base(A, B):
         return MatrixPolynomialCurve([A, B])
     psi = _solve_quadratic_tail(A - (np.trace(A) / 2.0) * np.eye(2), B)
-    curve = MatrixPolynomialCurve([A, B, psi])
-    variation = _max_nonconstant_variation(curve)
+    s = max(np.abs(A).max(), np.abs(B).max(), np.abs(psi).max())
+    variation = _max_nonconstant_variation(MatrixPolynomialCurve([A / s, B / s, psi / s]))
     if variation > 1e-10:
-        raise InternalError(
-            f"quadratic witness varies its spectrum (coefficient {variation:.3e})"
-        )
-    return curve
+        raise InternalError(f"quadratic witness varies its spectrum ({variation:.3e} relative)")
+    return MatrixPolynomialCurve([A, B, psi])
 
 
 def _max_nonconstant_variation(curve: MatrixPolynomialCurve) -> float:
     trace, det = spectrum_polynomials_2x2(curve)
-    worst = 0.0
-    if len(trace) > 1:
-        worst = max(worst, float(np.max(np.abs(trace[1:]))))
-    if len(det) > 1:
-        worst = max(worst, float(np.max(np.abs(det[1:]))))
-    return worst
+    return float(max(np.abs(trace[1:]).max(initial=0.0), np.abs(det[1:]).max(initial=0.0)))
 
 
 @dataclass(eq=False)

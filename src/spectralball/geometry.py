@@ -21,11 +21,11 @@ from .errors import (
     PreconditionError,
 )
 from .matcore import (
+    UNITARY_TOL,
     Spectrum,
     _cmul,
     as_matrix,
     bottleneck_assignment,
-    expm_pair,
     ordered_triangularize,
     spectrum,
     unitary_log,
@@ -182,12 +182,10 @@ class SpectralDisc:
     def __call__(self, zeta):
         zeta = complex(zeta)
         t = self.triangular_part(zeta)
-        if zeta != 0.0:
-            # at zeta = 0 the similarity would be exp(0) = I exactly
-            e, e_inv = expm_pair((zeta / self.scale) * self.frame_log)
-            t = e @ t @ e_inv
-        u = self.frame
-        return u @ t @ u.conj().T
+        if zeta == 0.0:
+            # the similarity is the identity: keep the value u t u* exact
+            return self.frame @ t @ self.frame.conj().T
+        return _frame_similarity(self, zeta / self.scale, ((1.0, t),))
 
 
 @dataclass(eq=False)
@@ -253,6 +251,23 @@ def _triangular_frames(a, b, pairing):
     )
     v, t_b = _phase_align(v, t_b, u)
     return t_a, t_b, u, unitary_log(u.conj().T @ v)
+
+
+def _frame_similarity(curve, lam, terms):
+    """u exp(lam L) T exp(-lam L) u* for the frame u and frame log L of *curve*,
+    with T = sum c_k T_k over the pairs (c_k, T_k) of *terms*; lam and the c_k
+    broadcast, so lam of shape (m, 1, 1) gives m values.  For L skew-Hermitian
+    (else InvalidInputError), -iL = q diag(theta) q*; with p = u q this is
+    p ((sum c_k q* T_k q) o E) p*, E_jk = exp(i lam (theta_j - theta_k)).
+    """
+    h = -1j * np.asarray(curve.frame_log)
+    defect = np.linalg.norm(h - h.conj().T)
+    if not defect <= UNITARY_TOL * np.linalg.norm(h):
+        raise InvalidInputError(f"frame log is not skew-Hermitian (defect {defect:.3e})")
+    theta, q = np.linalg.eigh(h)
+    mid = sum(c * (q.conj().T @ t @ q) for c, t in terms)
+    p = curve.frame @ q
+    return p @ (mid * np.exp(1j * lam * (theta[:, None] - theta))) @ p.conj().T
 
 
 def upper_bound_disc(a, b, s1: float) -> DiscWitness:

@@ -16,17 +16,43 @@ settings.load_profile("deterministic")
 
 
 @pytest.fixture
-def count_eigvals(monkeypatch):
+def count_calls(monkeypatch):
+    """count_calls(module, name) wraps module.name for the test and returns
+    the list that records the shape of the first argument of every call."""
+
+    def install(module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counting(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    return install
+
+
+@pytest.fixture
+def count_eigvals(count_calls):
     """List that records the argument shape of every np.linalg.eigvals call."""
-    calls = []
-    eigvals = np.linalg.eigvals
+    return count_calls(np.linalg, "eigvals")
 
-    def counting(x):
-        calls.append(np.shape(x))
-        return eigvals(x)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
-    return calls
+def disk_points(rng, count, radius=10.0):
+    """Random points of the closed disk |z| <= radius, uniform in area."""
+    return radius * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
+
+
+def exp_frame_reference(frame, frame_log, lam, t):
+    """u e T e^-1 u* with (e, e^-1) = expm_pair(lam L), and the scale
+    ||e|| ||e^-1|| ||T|| of its rounding, for stacks of lam and T."""
+    lam = np.asarray(lam, dtype=complex)[..., None, None]
+    e, e_inv = sb.expm_pair(lam * frame_log)
+    value = frame @ (e @ t @ e_inv) @ frame.conj().T
+    norms = [np.linalg.norm(m, axis=(-2, -1)) for m in (e, e_inv, t)]
+    return value, norms[0] * norms[1] * norms[2]
 
 
 def random_gaussian(rng, n):

@@ -10,6 +10,8 @@ import spectralball.curves as curves_module
 import spectralball.matcore as matcore_module
 from conftest import (
     brute_force_bottleneck,
+    disk_points,
+    exp_frame_reference,
     random_ball_matrix,
     random_gaussian,
     random_unitary,
@@ -20,6 +22,17 @@ def nearby_conjugate(rng, a, scale=0.15):
     n = a.shape[0]
     q = random_unitary(rng, n, scale=scale)
     return q @ a @ q.conj().T
+
+
+def assert_matches_exponential_reference(curve, lam):
+    """The closed-form values against u e T e^-1 u* from expm_pair."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    w = lam[:, None, None]
+    ref, scale = exp_frame_reference(
+        curve.frame, curve.frame_log, lam, (1.0 - w) * curve.t0 + w * curve.t1
+    )
+    err = np.linalg.norm(curve(lam) - ref, axis=(1, 2))
+    assert (err <= 1e-12 * scale).all(), (err / scale).max()
 
 
 class TestIsoSpectralCurve:
@@ -99,10 +112,62 @@ class TestIsoSpectralCurve:
         assert np.linalg.norm(c.frame_log, 2) <= np.pi * (1.0 + 1e-14)
         assert np.linalg.norm(c(1.0) - b) <= 1e-10
         assert sb.verify_constant_spectrum(c, sb.spectrum(a)).passed
+        assert_matches_exponential_reference(c, disk_points(rng, 40))
 
     def test_outside_ball(self):
         with pytest.raises(sb.DomainError):
             sb.iso_spectral_curve(np.diag([1.2, 0.0]), np.diag([1.2, 0.0]))
+
+
+class TestClosedFormFrame:
+    """exp(lam L) from the eigenbasis of L against the Pade kernel."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_exponential_reference(self, n):
+        rng = np.random.default_rng([72, n])
+        a = random_ball_matrix(rng, n, radius=0.8)
+        same = sb.iso_spectral_curve(a, a)
+        assert_matches_exponential_reference(same, disk_points(rng, 40))
+        for scale in (0.2, 3.0):
+            c = sb.iso_spectral_curve(a, nearby_conjugate(rng, a, scale))
+            assert_matches_exponential_reference(c, disk_points(rng, 40))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_repeated_angles(self, n):
+        rng = np.random.default_rng([73, n])
+        angles = np.resize([0.7, 0.7, -1.2, -1.2, 3.0], n)
+        v = random_unitary(rng, n)
+        t0 = np.triu(random_gaussian(rng, n))
+        t1 = np.triu(random_gaussian(rng, n), 1) + np.diag(np.diag(t0))
+        c = sb.TriangularConjugationCurve(
+            frame=random_unitary(rng, n),
+            frame_log=(v * (1j * angles)) @ v.conj().T,
+            t0=t0,
+            t1=t1,
+        )
+        assert_matches_exponential_reference(c, disk_points(rng, 40))
+
+    @given(
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 3.0),
+        st.complex_numbers(max_magnitude=10.0),
+    )
+    @settings(max_examples=60)
+    def test_property_matches_the_exponential_reference(self, n, seed, scale, lam):
+        rng = np.random.default_rng(seed)
+        a = random_ball_matrix(rng, n, radius=0.8)
+        c = sb.iso_spectral_curve(a, nearby_conjugate(rng, a, scale))
+        assert_matches_exponential_reference(c, lam)
+
+    @pytest.mark.parametrize(
+        "log", [np.diag([0.1, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), np.full((2, 2), np.nan)]
+    )
+    def test_frame_log_must_be_skew_hermitian(self, log):
+        t = np.array([[0.1, 1.0], [0.0, 0.2]])
+        c = sb.TriangularConjugationCurve(frame=np.eye(2), frame_log=log, t0=t, t1=t)
+        with pytest.raises(sb.InvalidInputError, match="skew-Hermitian"):
+            c(np.array([0.5, 1.0]))
 
 
 class TestZeroMetricCurve:
@@ -282,6 +347,27 @@ class TestScaleFreeWitnessTests:
                 curve = witness(0.3 * np.eye(n), b)
                 assert curve.kind == "matrix_polynomial"
                 assert len(curve.coefficients) == 2
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e4, 1e8])
+    def test_quadratic_witness_at_every_scale(self, scale):
+        # the constancy check reads the trace coefficients over s and the
+        # determinant coefficients over s^2, s the largest coefficient entry
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            a = scale * rng.standard_normal((2, 2))
+            y = 0.2 * rng.standard_normal((2, 2))
+            curve = sb.quadratic_witness_2x2(a, a @ y - y @ a)
+            trace, det = sb.spectrum_polynomials_2x2(curve)
+            s = max(np.abs(c).max() for c in curve.coefficients)
+            assert np.abs(trace[1:]).max() <= 1e-14 * s
+            assert np.abs(det[1:]).max() <= 1e-14 * s**2
+
+    def test_quadratic_witness_overflow(self):
+        rng = np.random.default_rng(3)
+        a = 1e160 * rng.standard_normal((2, 2))
+        y = 0.2 * rng.standard_normal((2, 2))
+        with pytest.raises(sb.NumericError, match="det B overflows"):
+            sb.quadratic_witness_2x2(a, a @ y - y @ a)
 
     def test_eigensolve_counts(self, count_eigvals):
         # the classify call of a zero-metric curve solves once; the

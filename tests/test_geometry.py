@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,11 @@ from hypothesis import strategies as st
 
 import spectralball as sb
 import spectralball.geometry as geometry_module
+import spectralball.matcore as matcore_module
 from conftest import (
     brute_force_bottleneck,
+    disk_points,
+    exp_frame_reference,
     jordan_block,
     random_ball_matrix,
     random_gaussian,
@@ -307,19 +312,48 @@ class TestUpperBoundDisc:
             assert np.array_equal(curve(0.0), u @ t @ u.conj().T)
             assert np.array_equal(curve(0.0), u @ (e @ t @ e_inv) @ u.conj().T)
 
-    def test_endpoint_residuals_need_one_exponential(self, monkeypatch):
+    def test_endpoint_residuals_need_one_eigh_and_no_exponential(self, count_calls):
+        # the value at 0 skips the similarity; the value at s1 takes
+        # exp(L) from one eigh of -iL, with no Pade step and no solve
         rng = np.random.default_rng(41)
         a = random_ball_matrix(rng, 3, radius=0.5)
         b = random_ball_matrix(rng, 3, radius=0.6)
         bound, _ = sb.bottleneck_minimax(sb.spectrum(a), sb.spectrum(b))
         w = sb.upper_bound_disc(a, b, bound + 0.05)
-        calls = []
-        original = geometry_module.expm_pair
-        monkeypatch.setattr(
-            geometry_module, "expm_pair", lambda x: calls.append(x) or original(x)
-        )
+        expm = count_calls(matcore_module, "expm_pair")
+        eigh = count_calls(np.linalg, "eigh")
+        solve = count_calls(np.linalg, "solve")
         assert max(w.endpoint_residuals()) <= 1e-8
-        assert len(calls) == 1
+        assert not hasattr(geometry_module, "expm_pair")
+        assert (expm, eigh, solve) == ([], [(3, 3)], [])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_exponential_reference(self, n):
+        # exp(lam L) from the eigenbasis of L against the Pade kernel at
+        # |zeta / s1| <= 10: the disc itself, L = 0 (A = B) and a frame log
+        # with repeated angles
+        rng = np.random.default_rng([74, n])
+        a = random_ball_matrix(rng, n, radius=0.6)
+        b = random_ball_matrix(rng, n, radius=0.7)
+        bound, _ = sb.bottleneck_minimax(sb.spectrum(a), sb.spectrum(b))
+        disc = sb.upper_bound_disc(a, b, bound + 0.05).curve
+        v = random_unitary(rng, n)
+        angles = np.resize([0.7, 0.7, -1.2, -1.2, 3.0], n)
+        repeated = dataclasses.replace(disc, frame_log=(v * (1j * angles)) @ v.conj().T)
+        same = sb.upper_bound_disc(a, a, 0.5).curve
+        for curve in (disc, repeated, same):
+            for zeta in curve.scale * disk_points(rng, 10):
+                ref, scale = exp_frame_reference(
+                    curve.frame, curve.frame_log, zeta / curve.scale, curve.triangular_part(zeta)
+                )
+                assert np.linalg.norm(curve(zeta) - ref) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("log", [np.diag([0.1, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    def test_frame_log_must_be_skew_hermitian(self, log):
+        w = sb.upper_bound_disc(np.diag([0.1, 0.8]), np.diag([0.15, 0.75]), 0.13)
+        curve = dataclasses.replace(w.curve, frame_log=log)
+        with pytest.raises(sb.InvalidInputError, match="skew-Hermitian"):
+            curve(0.13)
 
     def test_certificate_radius_is_the_supremum_over_the_disk(self):
         rng = np.random.default_rng(40)
