@@ -312,19 +312,21 @@ class TestUpperBoundDisc:
             assert np.array_equal(curve(0.0), u @ t @ u.conj().T)
             assert np.array_equal(curve(0.0), u @ (e @ t @ e_inv) @ u.conj().T)
 
-    def test_endpoint_residuals_need_one_eigh_and_no_exponential(self, count_calls):
-        # the value at 0 skips the similarity; the value at s1 takes
-        # exp(L) from one eigh of -iL, with no Pade step and no solve
+    def test_endpoint_residuals_need_one_exponential(self, count_calls):
+        # the value at 0 skips the similarity; the value at s1 is the one
+        # exponential, exp(L) from one eigh of -iL, with no Pade step and no solve
         rng = np.random.default_rng(41)
         a = random_ball_matrix(rng, 3, radius=0.5)
         b = random_ball_matrix(rng, 3, radius=0.6)
         bound, _ = sb.bottleneck_minimax(sb.spectrum(a), sb.spectrum(b))
         w = sb.upper_bound_disc(a, b, bound + 0.05)
+        frame = count_calls(geometry_module, "_frame_similarity")
         expm = count_calls(matcore_module, "expm_pair")
         eigh = count_calls(np.linalg, "eigh")
         solve = count_calls(np.linalg, "solve")
         assert max(w.endpoint_residuals()) <= 1e-8
         assert not hasattr(geometry_module, "expm_pair")
+        assert len(frame) == 1
         assert (expm, eigh, solve) == ([], [(3, 3)], [])
 
     @pytest.mark.parametrize("n", range(1, 9))

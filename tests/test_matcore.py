@@ -523,22 +523,25 @@ class TestExpmPair:
         with pytest.raises(sb.InvalidInputError):
             sb.expm_pair(x)
 
-    def test_verifier_exponential_calls(self, count_calls):
-        # the iso curve takes exp(lam L) from the eigenbasis of L; only the
-        # exponential conjugation, whose generator is not normal, needs the
-        # kernel, once for the whole stack
-        calls = count_calls(curves_module, "expm_pair")
+    def test_verifier_calls_the_kernel_once_per_curve(self, count_calls):
+        # the iso curve takes exp(lam L) from the eigenbasis of L in one frame
+        # kernel call; only the exponential conjugation, whose generator is
+        # not normal, needs the Pade kernel, once for the whole stack
+        expm = count_calls(curves_module, "expm_pair")
+        frame = count_calls(curves_module, "_frame_similarity")
         rng = np.random.default_rng(350)
         a = random_ball_matrix(rng, 3, radius=0.7)
         q = random_unitary(rng, 3, scale=0.2)
         curves = (
-            (sb.iso_spectral_curve(a, q @ a @ q.conj().T), []),
-            (sb.ExpConjugationCurve(base=a, generator=0.2 * random_gaussian(rng, 3)), [(50, 3, 3)]),
+            (sb.iso_spectral_curve(a, q @ a @ q.conj().T), 0, 1),
+            (sb.ExpConjugationCurve(base=a, generator=0.2 * random_gaussian(rng, 3)), 1, 0),
         )
-        for curve, expected in curves:
-            calls.clear()
+        for curve, expm_count, frame_count in curves:
+            expm.clear()
+            frame.clear()
             assert sb.verify_constant_spectrum(curve, sb.spectrum(a), samples=50).passed
-            assert calls == expected
+            assert expm == [(50, 3, 3)] * expm_count
+            assert len(frame) == frame_count
 
 
 class TestCommutant:
