@@ -128,7 +128,7 @@ def _load_matrix(path) -> np.ndarray:
 
 def _cmd_classify(args):
     a = _load_matrix(args.input)
-    report = nonderog.classify(a, tol=args.tol, rng=_rng(args.seed))
+    report = nonderog.classify(a, rng=_rng(args.seed))
     per = {
         name: {
             "passed": crit.passed,
@@ -202,7 +202,7 @@ def _cmd_bounds(args):
 
 def _cmd_blaschke(args):
     b = _load_matrix(args.input)
-    cert = pick.gap_certificate(b, tol=args.tol)
+    cert = pick.gap_certificate(b)
     doc = {
         "command": "blaschke",
         "inputs": {"matrix": emit_matrix(b)},
@@ -232,7 +232,7 @@ def _cmd_curve(args):
     if args.kind == "iso":
         curve = curves.iso_spectral_curve(a, b)
     elif args.kind == "zero-metric":
-        curve = curves.zero_metric_curve(a, b, tol=args.tol)
+        curve = curves.zero_metric_curve(a, b)
     else:
         curve = curves.quadratic_witness_2x2(a, b)
     residuals = {"endpoint_base": float(np.linalg.norm(curve(0.0) - a))}
@@ -300,7 +300,7 @@ def _cmd_hull(args):
 def _cmd_discontinuity(args):
     b = _load_matrix(args.input)
     t = complex(args.t[0], args.t[1])
-    report = discontinuity_report(b, t, tol=args.tol)
+    report = discontinuity_report(b, t)
     recompute = (spectrum(b).radius - abs(np.trace(b)) / b.shape[0]) / (1.0 - abs(t) ** 2)
     return {
         "command": "discontinuity",
@@ -314,12 +314,12 @@ def _cmd_discontinuity(args):
 def _cmd_sample(args):
     mats = sample_omega(args.n, args.samples, _rng(args.seed))
     rng = _rng(args.seed + 1)
-    verdicts = [nonderog.classify(m, tol=args.tol, rng=rng).verdict for m in mats]
+    verdicts = [nonderog.classify(m, rng=rng).verdict for m in mats]
     radii = [spectrum(m).radius for m in mats]
     return {
         "command": "sample",
         "inputs": {"n": args.n, "count": args.samples, "seed": args.seed},
-        "tolerances": {"classify": args.tol},
+        "tolerances": {"classify": DEFAULT_TOL},
         "outputs": {
             "matrices": [emit_matrix(m) for m in mats],
             "radii": radii,
@@ -345,13 +345,12 @@ def _build_parser():
         p.add_argument("--input", required=True, help="matrix document (JSON)")
         if two_inputs:
             p.add_argument("--input2", required=True, help="second matrix document")
-        typed = {"--tol": (float, DEFAULT_TOL), "--seed": (int, 0),
-                 "--samples": (int, 100), "--radius": (float, 10.0)}
+        typed = {"--seed": (int, 0), "--samples": (int, 100), "--radius": (float, 10.0)}
         for flag in flags:
             p.add_argument(flag, type=typed[flag][0], default=typed[flag][1])
 
     p = sub.add_parser("classify", help="non-derogatory classification")
-    common(p, "--tol", "--seed")
+    common(p, "--seed")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("sigma", help="symmetrized coordinates")
@@ -364,11 +363,11 @@ def _build_parser():
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("blaschke", help="boundary interpolation through the spectrum")
-    common(p, "--tol")
+    common(p)
     p.set_defaults(handler=_cmd_blaschke)
 
     p = sub.add_parser("curve", help="constant-spectrum curve construction")
-    common(p, "--tol", "--samples", "--radius", two_inputs=True)
+    common(p, "--samples", "--radius", two_inputs=True)
     p.add_argument(
         "--kind",
         choices=("iso", "zero-metric", "quadratic"),
@@ -381,7 +380,7 @@ def _build_parser():
     p.set_defaults(handler=_cmd_hull)
 
     p = sub.add_parser("discontinuity", help="scalar-base discontinuity report")
-    common(p, "--tol")
+    common(p)
     p.add_argument(
         "--t",
         nargs=2,
@@ -394,7 +393,6 @@ def _build_parser():
 
     p = sub.add_parser("sample", help="random spectral-ball matrices")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=10)
     p.set_defaults(handler=_cmd_sample)

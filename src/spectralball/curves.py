@@ -29,7 +29,6 @@ from .errors import (
 )
 from .geometry import _frame_similarity, _triangular_frames
 from .matcore import (
-    DEFAULT_TOL,
     PAIRING_TOL,
     _bottleneck_pairing,
     _centered,
@@ -62,7 +61,7 @@ class TriangularConjugationCurve:
     frame_log: np.ndarray
     t0: np.ndarray
     t1: np.ndarray
-    kind: str = "triangular_conjugation"
+    kind = "triangular_conjugation"
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)[..., None, None]
@@ -79,7 +78,7 @@ class ExpConjugationCurve:
 
     base: np.ndarray
     generator: np.ndarray
-    kind: str = "exp_conjugation"
+    kind = "exp_conjugation"
 
     def __call__(self, lam):
         x = np.asarray(lam, dtype=complex)[..., None, None] * self.generator
@@ -100,7 +99,7 @@ class MatrixPolynomialCurve:
     """
 
     coefficients: list
-    kind: str = "matrix_polynomial"
+    kind = "matrix_polynomial"
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)[..., None, None]
@@ -166,7 +165,7 @@ def _scalar_base(A, B) -> bool:
     return False
 
 
-def zero_metric_curve(a, b, tol: float = DEFAULT_TOL):
+def zero_metric_curve(a, b):
     """Entire curve with value A and derivative B at 0, constant spectrum.
 
     Two supported regimes: a scalar base with a nilpotent direction gives
@@ -180,11 +179,11 @@ def zero_metric_curve(a, b, tol: float = DEFAULT_TOL):
         raise InvalidInputError("matrices must have the same dimension")
     if _scalar_base(A, B):
         return MatrixPolynomialCurve([A, B])
-    if not classify(A, tol=tol).verdict:
+    if not classify(A).verdict:
         raise UnsupportedError(
             "base point is derogatory and not scalar; no witness is constructed"
         )
-    return ExpConjugationCurve(base=A, generator=solve_conjugation(A, B, tol=tol))
+    return ExpConjugationCurve(base=A, generator=solve_conjugation(A, B))
 
 
 def spectrum_polynomials_2x2(curve: MatrixPolynomialCurve):
@@ -210,12 +209,15 @@ def _solve_quadratic_tail(a0, b):
 
     psi is parametrized as [[u, v], [w, -u]]; the two linear constraints cut
     an affine subspace on which the isotropy condition u^2 + v w = 0 is
-    rooted directly.
+    rooted directly, on A0 / s and B / s for s the power of two at the
+    largest entry (an exact rescaling: every threshold below is scale-free).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        det_b = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    if not np.isfinite(det_b):
-        raise NumericError("det B overflows")
+        if not np.isfinite(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]):
+            raise NumericError("det B overflows")
+    scale = np.ldexp(1.0, np.frexp(max(np.abs(a0).max(), np.abs(b).max()))[1])
+    a0, b = a0 / scale, b / scale
+    det_b = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
     # tr(M psi) = (m00 - m11) u + m10 v + m01 w
     rows = np.array(
         [
@@ -253,7 +255,7 @@ def _solve_quadratic_tail(a0, b):
         raise InternalError("no isotropic point on the constraint set")
     best = min(candidates, key=lambda x: abs(quad(x)) + 0.0)
     u, v, w = best
-    return np.array([[u, v], [w, -u]])
+    return scale * np.array([[u, v], [w, -u]])
 
 
 def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:

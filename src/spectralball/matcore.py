@@ -47,17 +47,17 @@ def _as_stack(x) -> np.ndarray:
     return m
 
 
-def _rank_by_svd(s, tol):
+def _rank_by_svd(s):
     """(rank, borderline) from a descending singular-value list.
 
-    Rank counts values above tol * s_max; the decision is flagged borderline
+    Rank counts values above DEFAULT_TOL * s_max; the decision is flagged borderline
     when a singular value sits within a factor BORDERLINE_DECADE of that
     threshold.
     """
     s = np.asarray(s, dtype=float)
     if not len(s) or s[0] == 0.0:
         return 0, False
-    thresh = tol * s[0]
+    thresh = DEFAULT_TOL * s[0]
     rank = int(np.count_nonzero(s > thresh))
     borderline = bool(
         ((s >= thresh / BORDERLINE_DECADE) & (s <= thresh * BORDERLINE_DECADE)).any()
@@ -486,24 +486,24 @@ def commutant_basis(a) -> CommutantBasis:
 
     The dimension is always at least n, with equality exactly for
     non-derogatory matrices.  The rank is decided as the classifier decides
-    it: by ``_rank_by_svd`` at DEFAULT_TOL, on the operator of the centered,
+    it: by ``_rank_by_svd``, on the operator of the centered,
     normalized M of ``_centered`` (A = tau I + c M has the same commutant).
     """
     A = as_matrix(a)
     n = A.shape[0]
     _, _, M = _centered(A, DEFAULT_TOL)
     _, s, vh = np.linalg.svd(commutation_operator(M))
-    rank, _ = _rank_by_svd(s, DEFAULT_TOL)
+    rank, _ = _rank_by_svd(s)
     basis = [v.conj().reshape((n, n), order="F") for v in vh[rank:]]
     return CommutantBasis(dim=n * n - rank, basis=basis)
 
 
-def solve_conjugation(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
+def solve_conjugation(a, b) -> np.ndarray:
     """Minimal-norm solution Y of AY - YA = B.
 
     Solves the column-stacked linear system in the least-squares sense and
     rejects the result when B is not in the range of the commutation
-    operator (residual above tol * (1 + ||B||)).
+    operator (residual above DEFAULT_TOL * (1 + ||B||)).
     """
     A = as_matrix(a)
     B = as_matrix(b)
@@ -514,7 +514,7 @@ def solve_conjugation(a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
     y, *_ = np.linalg.lstsq(op, B.ravel(order="F"), rcond=None)
     Y = y.reshape((n, n), order="F")
     resid = np.linalg.norm(A @ Y - Y @ A - B)
-    if resid > tol * (1.0 + np.linalg.norm(B)):
+    if resid > DEFAULT_TOL * (1.0 + np.linalg.norm(B)):
         raise NoSolutionError(
             f"direction is not in the range of the commutation operator "
             f"(residual {resid:.3e})"

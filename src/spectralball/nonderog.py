@@ -103,19 +103,19 @@ class PolyCoeffs:
         return out
 
 
-def _unit_columns(w, tol):
+def _unit_columns(w):
     """Columns of *w*, successive powers, scaled to unit 2-norm.  A column of
-    norm at most tol times the previous one's, and every later column, is
+    norm at most DEFAULT_TOL times the previous one's, and every later column, is
     set to zero: the roundoff powers of a nilpotent part are no direction.
     """
     norms = np.linalg.norm(w, axis=0)
-    drop = np.flatnonzero(norms[1:] <= tol * norms[:-1])
+    drop = np.flatnonzero(norms[1:] <= DEFAULT_TOL * norms[:-1])
     if len(drop):
         norms[drop[0] + 1 :] = np.inf
     return w / norms
 
 
-def _minimal_polynomial_impl(tau, c, M, tol, mu=None):
+def _minimal_polynomial_impl(tau, c, M, mu=None):
     """(ascending coefficients, borderline flag) for A = tau I + c M.
 
     The degree is searched on M; *mu* are the eigenvalues of M.
@@ -127,10 +127,10 @@ def _minimal_polynomial_impl(tau, c, M, tol, mu=None):
     w = np.column_stack([p.ravel(order="F") for p in powers])
     # the leading (d+1) x (d+1) block of R is the R factor of the first d+1
     # normalized powers, so it has their singular values
-    r = np.linalg.qr(_unit_columns(w, tol), mode="r")
+    r = np.linalg.qr(_unit_columns(w), mode="r")
     borderline = False
     for d in range(1, n):
-        rank, flag = _rank_by_svd(np.linalg.svd(r[: d + 1, : d + 1], compute_uv=False), tol)
+        rank, flag = _rank_by_svd(np.linalg.svd(r[: d + 1, : d + 1], compute_uv=False))
         borderline = borderline or flag
         if rank <= d:
             break
@@ -153,7 +153,7 @@ def _minimal_polynomial_impl(tau, c, M, tol, mu=None):
     return coeffs, borderline
 
 
-def minimal_polynomial(a, tol: float = DEFAULT_TOL) -> PolyCoeffs:
+def minimal_polynomial(a) -> PolyCoeffs:
     """Monic polynomial of least degree annihilating the matrix.
 
     Found on the centered, normalized M of A = tau I + c M, at the first
@@ -163,7 +163,7 @@ def minimal_polynomial(a, tol: float = DEFAULT_TOL) -> PolyCoeffs:
     least-squares solve of the unnormalized prefix against the next power,
     and A's are c^d q((z - tau) / c).
     """
-    coeffs, _ = _minimal_polynomial_impl(*_centered(as_matrix(a), tol), tol)
+    coeffs, _ = _minimal_polynomial_impl(*_centered(as_matrix(a), DEFAULT_TOL))
     return PolyCoeffs(coeffs)
 
 
@@ -190,7 +190,7 @@ def _cluster_eigenvalues(values, radius):
     return [np.array(g) for g in groups.values()]
 
 
-def _criterion_cyclic(M, tol, rng):
+def _criterion_cyclic(M, rng):
     n = M.shape[0]
     best_rank, best_borderline = 0, True
     for _ in range(CYCLIC_TRIALS):
@@ -198,8 +198,8 @@ def _criterion_cyclic(M, tol, rng):
         cols = [v]
         for _ in range(n - 1):
             cols.append(M @ cols[-1])
-        s = np.linalg.svd(_unit_columns(np.column_stack(cols), tol), compute_uv=False)
-        rank, borderline = _rank_by_svd(s, tol)
+        s = np.linalg.svd(_unit_columns(np.column_stack(cols)), compute_uv=False)
+        rank, borderline = _rank_by_svd(s)
         if rank > best_rank or (rank == best_rank and not borderline):
             best_rank, best_borderline = rank, borderline
         if best_rank == n and not best_borderline:
@@ -207,19 +207,19 @@ def _criterion_cyclic(M, tol, rng):
     return CriterionResult(best_rank == n, float(best_rank), best_borderline)
 
 
-def _criterion_eigenspaces(M, tol, values):
+def _criterion_eigenspaces(M, values):
     n = M.shape[0]
     groups = _cluster_eigenvalues(values, float(np.max(np.abs(values))))
     centers = np.array([values[g].mean() for g in groups])
     stack = np.linalg.svd(M - centers[:, None, None] * np.eye(n), compute_uv=False)
-    decisions = [_rank_by_svd(s, tol) for s in stack]
+    decisions = [_rank_by_svd(s) for s in stack]
     # every cluster has at least one eigenvalue, whatever the rank says
     max_mult = max(max(n - rank, 1) for rank, _ in decisions)
     borderline = any(flag for _, flag in decisions)
     return CriterionResult(max_mult == 1, float(max_mult), borderline)
 
 
-def classify(a, tol: float = DEFAULT_TOL, rng=None) -> NonderogReport:
+def classify(a, rng=None) -> NonderogReport:
     """Classify a matrix as non-derogatory or derogatory.
 
     All five criteria are evaluated on the centered, normalized M of
@@ -233,27 +233,27 @@ def classify(a, tol: float = DEFAULT_TOL, rng=None) -> NonderogReport:
     n = A.shape[0]
     if rng is None:
         rng = np.random.default_rng(_DEFAULT_SEED)
-    tau, c, M = _centered(A, tol)
+    tau, c, M = _centered(A, DEFAULT_TOL)
 
     per = {}
-    per["cyclic_vector"] = _criterion_cyclic(M, tol, rng)
+    per["cyclic_vector"] = _criterion_cyclic(M, rng)
 
     mu = np.linalg.eigvals(M)
-    min_coeffs, mp_borderline = _minimal_polynomial_impl(tau, c, M, tol, mu)
+    min_coeffs, mp_borderline = _minimal_polynomial_impl(tau, c, M, mu)
     degree = len(min_coeffs) - 1
     per["minimal_degree"] = CriterionResult(degree == n, float(degree), mp_borderline)
 
-    per["eigenspace_dim"] = _criterion_eigenspaces(M, tol, mu)
+    per["eigenspace_dim"] = _criterion_eigenspaces(M, mu)
 
     s_op = np.linalg.svd(commutation_operator(M), compute_uv=False)
-    op_rank, op_borderline = _rank_by_svd(s_op, tol)
+    op_rank, op_borderline = _rank_by_svd(s_op)
     commutant_dim = n * n - op_rank
     per["commutant_dim"] = CriterionResult(
         commutant_dim == n, float(commutant_dim), op_borderline
     )
 
     s_sig = np.linalg.svd(sigma_differential_matrix(M), compute_uv=False)
-    sig_rank, sig_borderline = _rank_by_svd(s_sig, tol)
+    sig_rank, sig_borderline = _rank_by_svd(s_sig)
     per["symmetrization_rank"] = CriterionResult(
         sig_rank == n, float(sig_rank), sig_borderline
     )
@@ -269,5 +269,5 @@ def classify(a, tol: float = DEFAULT_TOL, rng=None) -> NonderogReport:
         pool = clean if clean and sum(clean) * 2 != len(clean) else passed
         verdict = sum(pool) * 2 > len(pool)
 
-    tolerances = {"rank": tol, "cluster_gap": CLUSTER_GAP, "borderline_decade": BORDERLINE_DECADE}
+    tolerances = {"rank": DEFAULT_TOL, "cluster_gap": CLUSTER_GAP, "borderline_decade": BORDERLINE_DECADE}
     return NonderogReport(verdict, per, tolerances, PolyCoeffs(min_coeffs))

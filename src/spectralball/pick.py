@@ -137,12 +137,11 @@ class BlaschkeProduct:
         return f"BlaschkeProduct(unimodular={self.unimodular!r}, zeros={self.zeros!r})"
 
 
-@dataclass(eq=False)
 class ZeroInterpolant:
     """Degenerate constant-zero interpolant (not a Blaschke product)."""
 
-    order: int = 0
-    degenerate: bool = True
+    order = 0
+    degenerate = True
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -200,7 +199,7 @@ def _rational_from_nullvector(problem, c):
     return c @ polys, (c * np.conj(problem.targets)) @ polys
 
 
-def degenerate_interpolant(problem: PickProblem, nullvec, tol: float = DEFAULT_TOL):
+def degenerate_interpolant(problem: PickProblem, nullvec):
     """Unique interpolant of a singular positive-semidefinite Pick problem.
 
     Given a null vector of the (PSD, singular) Pick matrix, reconstructs the
@@ -223,7 +222,7 @@ def degenerate_interpolant(problem: PickProblem, nullvec, tol: float = DEFAULT_T
     if resid > 1e-5 * scale:
         raise PreconditionError(f"vector is not in the null space ({resid:.3e})")
 
-    if np.max(np.abs(problem.targets)) <= tol:
+    if np.max(np.abs(problem.targets)) <= DEFAULT_TOL:
         return ZeroInterpolant()
 
     num, den = _rational_from_nullvector(problem, c)
@@ -329,7 +328,7 @@ def _bisect(lambdas, eps, r_hi, r_lo):
     return r_lo
 
 
-def blaschke_through_roots_of_unity(lambdas, tol: float = DEFAULT_TOL) -> BoundarySolution:
+def blaschke_through_roots_of_unity(lambdas) -> BoundarySolution:
     """Blaschke product through scaled roots of unity hitting given values.
 
     For eigenvalues lambda_1..lambda_n in the open disk, finds beta in the
@@ -352,7 +351,7 @@ def blaschke_through_roots_of_unity(lambdas, tol: float = DEFAULT_TOL) -> Bounda
         raise InvalidInputError("values must be finite")
     if np.max(np.abs(lam)) >= 1.0:
         raise DomainError("values must lie in the open unit disk")
-    if np.max(np.abs(lam)) <= tol:
+    if np.max(np.abs(lam)) <= DEFAULT_TOL:
         return BoundarySolution(
             beta=0.0 + 0.0j,
             blaschke=ZeroInterpolant(),
@@ -385,9 +384,9 @@ def blaschke_through_roots_of_unity(lambdas, tol: float = DEFAULT_TOL) -> Bounda
 
     problem = _pick_problem_at(lam, eps, r0)
     _, evals, evecs = problem._factored
-    # the targets have modulus at least max |lam| / r0 > tol, so this is a
+    # the targets have modulus at least max |lam| / r0 > DEFAULT_TOL, so this is a
     # Blaschke product, not the zero interpolant
-    bp = degenerate_interpolant(problem, evecs[:, 0], tol=tol).prepend_zero_at_origin()
+    bp = degenerate_interpolant(problem, evecs[:, 0]).prepend_zero_at_origin()
     residual = float(np.max(np.abs(bp(eps * r0) - lam)))
     if bp.order > n:
         raise InternalError("recovered product exceeds the admissible order")
@@ -470,25 +469,25 @@ class GapCertificate:
     interpolation_residual: float = 0.0
 
 
-def gap_certificate(b, tol: float = DEFAULT_TOL) -> GapCertificate:
+def gap_certificate(b) -> GapCertificate:
     """Run the boundary interpolation search on the spectrum of B.
 
     Returns upper = |beta|^n, radius = r(B) and the gap verdict
-    upper < radius - 1e-9.  A spectral radius of at most *tol* gives the
+    upper < radius - 1e-9.  A spectral radius of at most DEFAULT_TOL gives the
     degenerate certificate: beta = 0 and the constant-zero interpolant.
 
     The search matches the eigenvalues to the roots of unity in the order
     ``eigvals`` lists them.  For n >= 3 other orders give other valid
     bounds, so ``upper`` may change under a unitary similarity of B.
     """
-    return _gap_certificate(spectrum(b), tol)
+    return _gap_certificate(spectrum(b))
 
 
-def _gap_certificate(sp: Spectrum, tol) -> GapCertificate:
+def _gap_certificate(sp: Spectrum) -> GapCertificate:
     """gap_certificate from the spectrum of B."""
     if not sp.in_spectral_ball():
         raise DomainError("matrix lies outside the spectral ball")
-    sol = blaschke_through_roots_of_unity(sp.values, tol=tol)
+    sol = blaschke_through_roots_of_unity(sp.values)
     upper = float(abs(sol.beta) ** len(sp.values))
     return GapCertificate(
         beta=sol.beta,
@@ -501,7 +500,7 @@ def _gap_certificate(sp: Spectrum, tol) -> GapCertificate:
     )
 
 
-def discontinuity_report(b, t: complex = 0.0, tol: float = DEFAULT_TOL) -> dict:
+def discontinuity_report(b, t: complex = 0.0) -> dict:
     """Two-sided discontinuity report at the scalar base point tI.
 
     The two-point distance at tI is compared with the certified upper bound
@@ -521,7 +520,7 @@ def discontinuity_report(b, t: complex = 0.0, tol: float = DEFAULT_TOL) -> dict:
     kobayashi_value = _kobayashi_at(t, sp.radius)
     kobayashi_limit = _kobayashi_at(t, float(abs(np.trace(B))) / n)
     shifted = spectrum(disk_automorphism(t, B)) if t != 0.0 else sp
-    cert = _gap_certificate(shifted, tol)
+    cert = _gap_certificate(shifted)
 
     spread = np.max(np.abs(sp.values[:, None] - sp.values[None, :]))
     eigenvalues_equal = bool(spread <= EQUAL_EIGENVALUES_TOL * (1.0 + sp.radius))

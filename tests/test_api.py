@@ -26,12 +26,12 @@ PARAMETERS = {
         "curve", "base_point", "target_point", "certificate_grid",
         "matrix_at_base", "matrix_at_target",
     ),
-    "ExpConjugationCurve": ("base", "generator", "kind"),
+    "ExpConjugationCurve": ("base", "generator"),
     "GapCertificate": (
         "beta", "blaschke", "upper", "radius", "is_gap", "degenerate", "interpolation_residual"
     ),
     "HullWitness": ("weights", "terms", "similarity"),
-    "MatrixPolynomialCurve": ("coefficients", "kind"),
+    "MatrixPolynomialCurve": ("coefficients",),
     "NonderogReport": ("verdict", "per_criterion", "tolerances", "minimal_polynomial"),
     "PickProblem": ("nodes", "targets"),
     "PolyCoeffs": ("coeffs",),
@@ -40,22 +40,22 @@ PARAMETERS = {
     "SpectrumCheck": ("passed", "max_deviation", "samples", "radius", "tol", "worst_point"),
     "SymPoint": ("coords",),
     "SymmetrizedDisc": ("blaschke", "n"),
-    "TriangularConjugationCurve": ("frame", "frame_log", "t0", "t1", "kind"),
-    "ZeroInterpolant": ("order", "degenerate"),
+    "TriangularConjugationCurve": ("frame", "frame_log", "t0", "t1"),
+    "ZeroInterpolant": (),
     "as_matrix": ("a",),
-    "blaschke_through_roots_of_unity": ("lambdas", "tol"),
+    "blaschke_through_roots_of_unity": ("lambdas",),
     "bottleneck_assignment": ("cost",),
     "bottleneck_minimax": ("spec_a", "spec_b"),
-    "classify": ("a", "tol", "rng"),
+    "classify": ("a", "rng"),
     "commutant_basis": ("a",),
     "commutation_operator": ("a",),
     "companion": ("s",),
-    "degenerate_interpolant": ("problem", "nullvec", "tol"),
-    "discontinuity_report": ("b", "t", "tol"),
+    "degenerate_interpolant": ("problem", "nullvec"),
+    "discontinuity_report": ("b", "t"),
     "disk_automorphism": ("t", "b"),
     "elementary_symmetric": ("values",),
     "expm_pair": ("x",),
-    "gap_certificate": ("b", "tol"),
+    "gap_certificate": ("b",),
     "hull_membership": ("a",),
     "hull_witness": ("a",),
     "is_psd": ("m",),
@@ -63,7 +63,7 @@ PARAMETERS = {
     "kobayashi_scalar_base": ("t", "b"),
     "lempert_scalar_base": ("t", "b"),
     "matrix_exp": ("m",),
-    "minimal_polynomial": ("a", "tol"),
+    "minimal_polynomial": ("a",),
     "mobius": ("z", "w"),
     "multiset_distance": ("values_a", "values_b"),
     "ordered_triangularize": ("a", "order"),
@@ -73,13 +73,13 @@ PARAMETERS = {
     "sigma": ("a",),
     "sigma_differential_matrix": ("a",),
     "sigma_pushforward": ("a", "b"),
-    "solve_conjugation": ("a", "b", "tol"),
+    "solve_conjugation": ("a", "b"),
     "spectrum": ("a",),
     "spectrum_polynomials_2x2": ("curve",),
     "unitary_log": ("u",),
     "upper_bound_disc": ("a", "b", "s1"),
     "verify_constant_spectrum": ("curve", "expected", "samples", "radius"),
-    "zero_metric_curve": ("a", "b", "tol"),
+    "zero_metric_curve": ("a", "b"),
 }
 
 CRITERIA = (
@@ -91,14 +91,14 @@ CRITERIA = (
 )
 
 FLAGS = {
-    "classify": ["--input", "--seed", "--tol"],
+    "classify": ["--input", "--seed"],
     "sigma": ["--input"],
     "bounds": ["--input", "--input2", "--s1"],
-    "blaschke": ["--input", "--tol"],
-    "curve": ["--input", "--input2", "--kind", "--radius", "--samples", "--tol"],
+    "blaschke": ["--input"],
+    "curve": ["--input", "--input2", "--kind", "--radius", "--samples"],
     "hull": ["--input"],
-    "discontinuity": ["--input", "--t", "--tol"],
-    "sample": ["--n", "--samples", "--seed", "--tol"],
+    "discontinuity": ["--input", "--t"],
+    "sample": ["--n", "--samples", "--seed"],
 }
 
 TOLERANCES = {
@@ -118,12 +118,16 @@ TOLERANCES = {
 
 
 def test_parameters_of_every_exported_callable():
-    found = {}
+    found, defaults = {}, 0
     for name in sb.__all__:
         obj = getattr(sb, name)
         if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, BaseException)):
-            found[name] = tuple(inspect.signature(obj).parameters)
+            params = inspect.signature(obj).parameters.values()
+            found[name] = tuple(p.name for p in params)
+            defaults += sum(p.default is not inspect.Parameter.empty for p in params)
     assert found == PARAMETERS
+    assert sum(len(names) for names in found.values()) == 119
+    assert defaults == 8
 
 
 def test_classifier_criteria():
@@ -149,7 +153,7 @@ def test_flags_of_every_subcommand():
         for command, p in _subcommands().items()
     }
     assert found == FLAGS
-    assert sum(len(flags) for flags in found.values()) == 23
+    assert sum(len(flags) for flags in found.values()) == 18
 
 
 def test_tolerance_blocks_name_library_constants(tmp_path, capsys):

@@ -338,19 +338,24 @@ class TestCommands:
     @pytest.mark.parametrize(
         "command, flag",
         [
-            ("classify", "--samples"), ("classify", "--radius"),
+            ("classify", "--tol"), ("classify", "--samples"), ("classify", "--radius"),
             ("sigma", "--tol"), ("sigma", "--seed"), ("sigma", "--samples"), ("sigma", "--radius"),
             ("bounds", "--tol"), ("bounds", "--seed"), ("bounds", "--samples"), ("bounds", "--radius"),
-            ("blaschke", "--seed"), ("blaschke", "--samples"), ("blaschke", "--radius"),
-            ("curve", "--seed"),
+            ("blaschke", "--tol"), ("blaschke", "--seed"), ("blaschke", "--samples"),
+            ("blaschke", "--radius"),
+            ("curve", "--tol"), ("curve", "--seed"),
             ("hull", "--tol"), ("hull", "--seed"), ("hull", "--samples"), ("hull", "--radius"),
-            ("discontinuity", "--seed"), ("discontinuity", "--samples"), ("discontinuity", "--radius"),
+            ("discontinuity", "--tol"), ("discontinuity", "--seed"), ("discontinuity", "--samples"),
+            ("discontinuity", "--radius"),
+            ("sample", "--tol"),
         ],
     )
     def test_unread_flag_exit_2(self, tmp_path, capsys, command, flag):
         # each command takes only the flags its handler reads
         path = write_matrix(tmp_path / "a.json", np.diag([0.3, 0.1]))
         inputs = ["--input", path] + (["--input2", path] if command in ("bounds", "curve") else [])
+        if command == "sample":
+            inputs = ["--n", "2"]
         with pytest.raises(SystemExit) as exc:
             main([command, *inputs, flag, "1"])
         assert exc.value.code == 2

@@ -348,19 +348,25 @@ class TestScaleFreeWitnessTests:
                 assert curve.kind == "matrix_polynomial"
                 assert len(curve.coefficients) == 2
 
-    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e4, 1e8])
+    @pytest.mark.parametrize(
+        "scale", [1e-300, 1e-160, 1e-6, 1.0, 1e3, 1e4, 1e8, 1e78, 1e100, 1e150]
+    )
     def test_quadratic_witness_at_every_scale(self, scale):
         # the constancy check reads the trace coefficients over s and the
-        # determinant coefficients over s^2, s the largest coefficient entry
+        # determinant coefficients over s^2, s the largest coefficient entry;
+        # both are formed on the curve over s, since products of entries
+        # near 1e-160 underflow
         rng = np.random.default_rng(3)
         for _ in range(50):
             a = scale * rng.standard_normal((2, 2))
             y = 0.2 * rng.standard_normal((2, 2))
             curve = sb.quadratic_witness_2x2(a, a @ y - y @ a)
-            trace, det = sb.spectrum_polynomials_2x2(curve)
             s = max(np.abs(c).max() for c in curve.coefficients)
-            assert np.abs(trace[1:]).max() <= 1e-14 * s
-            assert np.abs(det[1:]).max() <= 1e-14 * s**2
+            unit = sb.MatrixPolynomialCurve([c / s for c in curve.coefficients])
+            trace, det = sb.spectrum_polynomials_2x2(unit)
+            assert len(curve.coefficients) == 3
+            assert np.abs(trace[1:]).max() <= 1e-14
+            assert np.abs(det[1:]).max() <= 1e-14
 
     def test_quadratic_witness_overflow(self):
         rng = np.random.default_rng(3)

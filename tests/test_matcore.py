@@ -598,6 +598,8 @@ class TestCommutationOperator:
             dim = sb.commutant_basis(a).dim
             assert dim == expected
             assert (dim == n) == nonderogatory
+            # one rank rule: the classifier's commutant criterion reads the same rank
+            assert dim == sb.classify(a).per_criterion["commutant_dim"].diagnostic
 
 
 class TestSolveConjugation:

@@ -221,7 +221,7 @@ def reference_minimal_polynomial(A, tol):
     return sb.SymPoint(sb.elementary_symmetric(values)).char_coefficients()[::-1], borderline
 
 
-def reference_eigenspaces(M, tol):
+def reference_eigenspaces(M):
     n = M.shape[0]
     values = np.linalg.eigvals(M)
     radius = float(np.max(np.abs(values)))
@@ -229,32 +229,32 @@ def reference_eigenspaces(M, tol):
     for group in nonderog_module._cluster_eigenvalues(values, radius):
         center = values[group].mean()
         s = np.linalg.svd(M - center * np.eye(n), compute_uv=False)
-        rank, flag = nonderog_module._rank_by_svd(s, tol)
+        rank, flag = nonderog_module._rank_by_svd(s)
         max_mult = max(max_mult, max(n - rank, 1))
         borderline = borderline or flag
     return sb.CriterionResult(max_mult == 1, float(max_mult), borderline)
 
 
-def reference_classify(a, tol=sb.DEFAULT_TOL):
+def reference_classify(a):
     """(verdict, per-criterion results) or the InternalError raised."""
     rank_by_svd = nonderog_module._rank_by_svd
     A = np.asarray(a, dtype=complex)
     n = A.shape[0]
-    _, _, M = reference_centered(A, tol)
+    _, _, M = reference_centered(A, sb.DEFAULT_TOL)
     rng = np.random.default_rng(nonderog_module._DEFAULT_SEED)
-    per = {"cyclic_vector": nonderog_module._criterion_cyclic(M, tol, rng)}
-    coeffs, mp_borderline = reference_minimal_polynomial(A, tol)
+    per = {"cyclic_vector": nonderog_module._criterion_cyclic(M, rng)}
+    coeffs, mp_borderline = reference_minimal_polynomial(A, sb.DEFAULT_TOL)
     degree = len(coeffs) - 1
     per["minimal_degree"] = sb.CriterionResult(degree == n, float(degree), mp_borderline)
-    per["eigenspace_dim"] = reference_eigenspaces(M, tol)
+    per["eigenspace_dim"] = reference_eigenspaces(M)
     op = np.kron(np.eye(n), M) - np.kron(M.T, np.eye(n))
     s_op = np.linalg.svd(op, compute_uv=False)
-    op_rank, op_borderline = rank_by_svd(s_op, tol)
+    op_rank, op_borderline = rank_by_svd(s_op)
     per["commutant_dim"] = sb.CriterionResult(
         n * n - op_rank == n, float(n * n - op_rank), op_borderline
     )
     s_sig = np.linalg.svd(sb.sigma_differential_matrix(M), compute_uv=False)
-    sig_rank, sig_borderline = rank_by_svd(s_sig, tol)
+    sig_rank, sig_borderline = rank_by_svd(s_sig)
     per["symmetrization_rank"] = sb.CriterionResult(sig_rank == n, float(sig_rank), sig_borderline)
     votes = sum(1 for c in per.values() if c.passed)
     if votes in (0, len(per)):
