@@ -200,13 +200,23 @@ def _cmd_bounds(args):
     return out
 
 
+#: Tolerances of every gap certificate: DEFAULT_TOL decides all-zero data.
+_GAP_TOLERANCES = {
+    "interpolation": pick.INTERPOLATION_TOL,
+    "circle": pick.CIRCLE_TOL,
+    "zero_data": DEFAULT_TOL,
+    "bracket_width": pick.BISECT_WIDTH,
+    "pick_margin": pick.PICK_MARGIN,
+}
+
+
 def _cmd_blaschke(args):
     b = _load_matrix(args.input)
     cert = pick.gap_certificate(b)
     doc = {
         "command": "blaschke",
         "inputs": {"matrix": emit_matrix(b)},
-        "tolerances": {"interpolation": pick.INTERPOLATION_TOL, "circle": pick.CIRCLE_TOL},
+        "tolerances": dict(_GAP_TOLERANCES),
         "outputs": {
             "beta": _pair(cert.beta),
             "upper_bound": cert.upper,
@@ -245,6 +255,11 @@ def _cmd_curve(args):
     check = curves.verify_constant_spectrum(
         curve, spectrum(a), samples=args.samples, radius=args.radius
     )
+    tolerances = {"spectrum": check.tol, "endpoint": geometry.ENDPOINT_TOL}
+    if args.kind != "iso":
+        tolerances["structure"] = curves.STRUCTURE_TOL
+    if args.kind == "zero-metric":
+        tolerances["classify"] = DEFAULT_TOL
     return {
         "command": "curve",
         "inputs": {
@@ -252,7 +267,7 @@ def _cmd_curve(args):
             "matrix2": emit_matrix(b),
             "kind": args.kind,
         },
-        "tolerances": {"spectrum": check.tol, "endpoint": geometry.ENDPOINT_TOL},
+        "tolerances": tolerances,
         "outputs": {
             "curve_kind": curve.kind,
             "constant_spectrum": {
@@ -305,7 +320,7 @@ def _cmd_discontinuity(args):
     return {
         "command": "discontinuity",
         "inputs": {"matrix": emit_matrix(b), "t": _pair(t)},
-        "tolerances": {"eigenvalue_equality": pick.EQUAL_EIGENVALUES_TOL},
+        "tolerances": {"eigenvalue_equality": pick.EQUAL_EIGENVALUES_TOL, **_GAP_TOLERANCES},
         "outputs": report,
         "residuals": {"jump_kobayashi_recomputed": float(max(recompute, 0.0))},
     }

@@ -297,8 +297,8 @@ class SpectrumCheck:
     max_deviation: float
     samples: int
     radius: float
-    tol: float
     worst_point: complex
+    tol = SPECTRUM_TOL
 
 
 def _sample_points(samples, radius):
@@ -376,6 +376,5 @@ def verify_constant_spectrum(
         max_deviation=worst,
         samples=samples,
         radius=radius,
-        tol=SPECTRUM_TOL,
         worst_point=complex(points[k]),
     )

@@ -7,6 +7,12 @@ roots of unity, the induced analytic disc into the symmetrized polydisc, and
 the resulting certified gap between the spectral radius and the generic
 two-point distance limit at scalar base points, and the two-sided
 discontinuity report built on it.
+
+The boundary search builds the Pick matrices of its reduced problems in
+closed form, for a whole array of radii at once, so its coarse scan and each
+round of its bracketed secant search are one broadcast and one stacked
+``eigvalsh``; only the certified radius goes through a validated
+``PickProblem``.
 """
 
 from __future__ import annotations
@@ -29,14 +35,17 @@ from .matcore import DEFAULT_TOL, Spectrum, as_matrix, elementary_symmetric, spe
 #: Descending step of the coarse feasibility scan.
 COARSE_STEP = 1e-2
 
-#: Width of the final bisection bracket.
+#: Width of the final search bracket.
 BISECT_WIDTH = 1e-10
 
-#: Most midpoints the bisection tests.
-_BISECT_STEPS = 200
+#: Rounding margin of the smallest Pick eigenvalue, relative to the largest
+#: eigenvalue modulus: a radius is infeasible only below minus this margin.
+PICK_MARGIN = 1024 * np.finfo(float).eps
 
-#: Levels of the bisection tree solved together in one stacked call.
-_BISECT_LEVELS = 3
+#: Search probes around the secant root: offsets of 10^-k bracket widths to
+#: either side of it, and steps below it in margins over the slope.
+_PROBE_OFFSETS = 10.0 ** -np.array([2.0, 4.0, 6.0])
+_MARGIN_STEPS = np.array([2.0, 4.0, 8.0])
 
 _CIRCLE_SAMPLES = 256
 
@@ -285,46 +294,74 @@ def _roots_of_unity(n):
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def _pick_problem_at(lambdas, eps, radii):
-    """Reduced Pick problem at one radius, or the stack of them for an array."""
-    nodes = eps * np.asarray(radii)[..., None]
-    targets = lambdas / nodes
-    return PickProblem(nodes, targets)
+def _reduced_pick(lambdas, eps):
+    """Pick matrices of the reduced problems of one certificate, in closed form.
 
-
-def _smallest_eigs(lambdas, eps, radii):
-    """Smallest Pick eigenvalue at each radius of an array: one stacked solve."""
-    return np.linalg.eigvalsh(pick_matrix(_pick_problem_at(lambdas, eps, radii)))[:, 0]
-
-
-def _bisect(lambdas, eps, r_hi, r_lo):
-    """Lower end of the bisection bracket of the feasibility boundary.
-
-    The test at each midpoint is the sign of the smallest Pick eigenvalue
-    (``>= 0`` is feasible).  Each round solves every midpoint of the next
-    ``_BISECT_LEVELS`` levels of the bisection tree in one stacked call and
-    then walks down the tree: the walk tests the same floating-point
-    midpoints, in the same order, as one midpoint at a time would, so the
-    bracket is the same to the last bit.
+    The problem at radius r has nodes eps_j r and targets lambda_j / (eps_j r).
+    With a_jk = eps_j conj(eps_k) and b_jk = lambda_j conj(lambda_k) its Pick
+    matrix is (1 - b / (r^2 a)) / (1 - r^2 a), Hermitian-averaged as in
+    ``pick_matrix``.  Returns the map from an array of radii to the stack of
+    these matrices.  The caller checks once what ``PickProblem`` checks per
+    problem: lambda finite and in the open disk, and every radius in (0, 1),
+    which makes the nodes distinct points of the open disk.
     """
-    steps = 0
-    while steps < _BISECT_STEPS and r_hi - r_lo > BISECT_WIDTH:
-        mids = []
-        brackets = [(r_hi, r_lo)]
-        for i in range(2**_BISECT_LEVELS - 1):
-            hi, lo = brackets[i]
-            mid = (hi + lo) / 2.0
-            mids.append(mid)
-            # heap order: child 2i + 1 if mid is feasible, 2i + 2 if not
-            brackets += [(mid, lo), (hi, mid)]
-        feasible = _smallest_eigs(lambdas, eps, np.array(mids)) >= 0.0
-        node = 0
-        while node < len(mids) and steps < _BISECT_STEPS and r_hi - r_lo > BISECT_WIDTH:
-            if feasible[node]:
-                r_hi, node = mids[node], 2 * node + 1
-            else:
-                r_lo, node = mids[node], 2 * node + 2
-            steps += 1
+    a = eps[:, None] * np.conj(eps)[None, :]
+    b_over_a = lambdas[:, None] * np.conj(lambdas)[None, :] / a
+
+    def matrices(radii):
+        s = np.square(radii)[:, None, None]
+        m = (1.0 - b_over_a / s) / (1.0 - s * a)
+        return (m + np.conj(m).swapaxes(-1, -2)) / 2.0
+
+    return matrices
+
+
+def _smallest_eigs(matrices, radii):
+    """Smallest Pick eigenvalue at each radius, with its rounding margin
+    PICK_MARGIN * max |eigenvalue|: one stacked solve."""
+    vals = np.linalg.eigvalsh(matrices(radii))
+    return vals[:, 0], PICK_MARGIN * np.maximum(-vals[:, 0], vals[:, -1])
+
+
+def _boundary_search(matrices, r_hi, v_hi, margin, r_lo, v_lo):
+    """Lower end of a bracket of width at most BISECT_WIDTH around the
+    feasibility boundary, from a feasible r_hi above an infeasible r_lo.
+
+    Feasibility is monotone in the radius (if f solves the problem at r, then
+    z -> (r / r') f(z r / r') solves it at every r' > r), so any probe splits
+    the bracket.  Each round solves, in one stacked call, the secant root of
+    the smallest eigenvalue, probes at geometric offsets around it and a few
+    margins over the slope below it, and the midpoint, and keeps the tightest
+    feasible (``>= 0``) over infeasible pair.  Infeasible means below minus
+    the margin, so the lower end is infeasible beyond rounding.  A round
+    whose midpoint is decided shrinks the bracket at least as much as
+    bisection; a round whose midpoint is within rounding of the boundary is
+    the last.  Otherwise the search ends once the bracket is at most
+    BISECT_WIDTH wide and its lower end within ``_MARGIN_STEPS[-1]`` margins
+    of the secant root.
+    """
+    while True:
+        width = r_hi - r_lo
+        slope = (v_hi - v_lo) / width
+        root = r_lo - v_lo / slope
+        below = root - _MARGIN_STEPS * (margin / slope)
+        mid = r_lo + width / 2.0
+        if width <= BISECT_WIDTH and (r_lo >= below[-1] or not r_lo < mid < r_hi):
+            break
+        offsets = width * _PROBE_OFFSETS
+        probes = np.concatenate((root - offsets, [root], root + offsets, below, [mid]))
+        probes = np.sort(probes[(probes > r_lo) & (probes < r_hi)])
+        vals, margins = _smallest_eigs(matrices, probes)
+        infeasible = np.flatnonzero(vals < -margins)
+        if infeasible.size:
+            k = infeasible[-1]
+            r_lo, v_lo = probes[k], vals[k]
+        feasible = np.flatnonzero((vals >= 0.0) & (probes > r_lo))
+        if feasible.size:
+            k = feasible[0]
+            r_hi, v_hi, margin = probes[k], vals[k], margins[k]
+        if r_lo < mid < r_hi:
+            break  # the midpoint is within rounding of the boundary
     return r_lo
 
 
@@ -336,12 +373,14 @@ def blaschke_through_roots_of_unity(lambdas) -> BoundarySolution:
     B(eps_j beta) = lambda_j at the n-th roots of unity eps_j.  The radius
     |beta| is located where the Pick matrix of the reduced data (which
     depends on |beta| only) first turns singular positive semidefinite.
-    A coarse descending scan from just below 1 solves the whole grid in one
-    stacked eigenvalue call; bisection on the sign of the smallest
-    eigenvalue then follows the sequential path, solving the midpoints of
-    several levels per stacked call, and certifies the lower (infeasible)
-    end of its final bracket.  All-zero data is returned as the degenerate
-    flagged case with beta = 0.
+    A coarse descending scan, from just below 1 or from halfway between
+    max |lambda_j| and 1 if that is higher, solves the whole grid in one stacked
+    eigenvalue call; a bracketed secant search (``_boundary_search``) then
+    narrows the lowest feasibility transition to BISECT_WIDTH, one stacked
+    call per round, and certifies the lower end of its final bracket, which
+    is infeasible beyond the rounding margin PICK_MARGIN and within a few
+    margins of the boundary.  All-zero data (max |lambda_j| <= DEFAULT_TOL)
+    is returned as the degenerate flagged case with beta = 0.
     """
     lam = np.atleast_1d(np.asarray(lambdas, dtype=complex))
     n = len(lam)
@@ -361,13 +400,13 @@ def blaschke_through_roots_of_unity(lambdas) -> BoundarySolution:
         )
     eps = _roots_of_unity(n)
     lo = float(np.max(np.abs(lam))) * (1.0 + 1e-12) + 1e-14
-    hi = 1.0 - 1e-6
-    if lo >= hi:
+    hi = max(1.0 - 1e-6, (1.0 + lo) / 2.0)
+    if not lo < hi < 1.0:
         raise NumericError("no search bracket: spectrum reaches the boundary")
 
-    grid = np.arange(hi, lo, -COARSE_STEP)
-    grid = np.append(grid, lo)
-    vals = _smallest_eigs(lam, eps, grid)
+    matrices = _reduced_pick(lam, eps)
+    grid = np.append(np.arange(hi, lo, -COARSE_STEP), lo)
+    vals, margins = _smallest_eigs(matrices, grid)
 
     # lowest feasibility transition: last sign change scanning downward
     crossings = np.flatnonzero((vals[:-1] >= 0.0) & (vals[1:] < 0.0))
@@ -380,13 +419,22 @@ def blaschke_through_roots_of_unity(lambdas) -> BoundarySolution:
     else:
         i = crossings[-1]
         # lower endpoint: the certified radius never exceeds the true boundary
-        r0 = _bisect(lam, eps, grid[i], grid[i + 1])
+        r0 = _boundary_search(
+            matrices, grid[i], vals[i], margins[i], grid[i + 1], vals[i + 1]
+        )
 
-    problem = _pick_problem_at(lam, eps, r0)
+    nodes = eps * r0
+    problem = PickProblem(nodes, lam / nodes)
     _, evals, evecs = problem._factored
-    # the targets have modulus at least max |lam| / r0 > DEFAULT_TOL, so this is a
-    # Blaschke product, not the zero interpolant
-    bp = degenerate_interpolant(problem, evecs[:, 0]).prepend_zero_at_origin()
+    try:
+        # the targets have modulus at least max |lam| / r0 > DEFAULT_TOL, so this
+        # is a Blaschke product, not the zero interpolant
+        interpolant = degenerate_interpolant(problem, evecs[:, 0])
+    except PreconditionError as err:
+        # the search's radius failed the check, not the caller's data (close to
+        # the circle the Pick matrix at the scan's bottom can read nonsingular)
+        raise NumericError(f"no boundary point at the certified radius: {err}") from err
+    bp = interpolant.prepend_zero_at_origin()
     residual = float(np.max(np.abs(bp(eps * r0) - lam)))
     if bp.order > n:
         raise InternalError("recovered product exceeds the admissible order")

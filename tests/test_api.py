@@ -37,7 +37,7 @@ PARAMETERS = {
     "PolyCoeffs": ("coeffs",),
     "SpectralDisc": ("frame", "frame_log", "base_diag", "kappa", "t_base", "t_slope", "scale"),
     "Spectrum": ("values",),
-    "SpectrumCheck": ("passed", "max_deviation", "samples", "radius", "tol", "worst_point"),
+    "SpectrumCheck": ("passed", "max_deviation", "samples", "radius", "worst_point"),
     "SymPoint": ("coords",),
     "SymmetrizedDisc": ("blaschke", "n"),
     "TriangularConjugationCurve": ("frame", "frame_log", "t0", "t1"),
@@ -101,6 +101,16 @@ FLAGS = {
     "sample": ["--n", "--samples", "--seed"],
 }
 
+GAP_TOLERANCES = {
+    "interpolation": pick.INTERPOLATION_TOL,
+    "circle": pick.CIRCLE_TOL,
+    "zero_data": matcore.DEFAULT_TOL,
+    "bracket_width": pick.BISECT_WIDTH,
+    "pick_margin": pick.PICK_MARGIN,
+}
+
+CURVE_TOLERANCES = {"spectrum": curves.SPECTRUM_TOL, "endpoint": geometry.ENDPOINT_TOL}
+
 TOLERANCES = {
     "classify": {
         "rank": matcore.DEFAULT_TOL,
@@ -109,11 +119,19 @@ TOLERANCES = {
     },
     "sigma": {"residual": matcore.DEFAULT_TOL},
     "bounds": {"endpoint": geometry.ENDPOINT_TOL},
-    "blaschke": {"interpolation": pick.INTERPOLATION_TOL, "circle": pick.CIRCLE_TOL},
-    "curve": {"spectrum": curves.SPECTRUM_TOL, "endpoint": geometry.ENDPOINT_TOL},
+    "blaschke": GAP_TOLERANCES,
+    "curve": CURVE_TOLERANCES,
     "hull": {"reconstruction": geometry.HULL_TOL},
-    "discontinuity": {"eigenvalue_equality": pick.EQUAL_EIGENVALUES_TOL},
+    "discontinuity": {"eigenvalue_equality": pick.EQUAL_EIGENVALUES_TOL, **GAP_TOLERANCES},
     "sample": {"classify": matcore.DEFAULT_TOL},
+}
+
+#: The curve kinds other than iso also decide on the structure of A and B.
+KIND_TOLERANCES = {
+    "zero-metric": {
+        **CURVE_TOLERANCES, "structure": curves.STRUCTURE_TOL, "classify": matcore.DEFAULT_TOL
+    },
+    "quadratic": {**CURVE_TOLERANCES, "structure": curves.STRUCTURE_TOL},
 }
 
 
@@ -126,7 +144,7 @@ def test_parameters_of_every_exported_callable():
             found[name] = tuple(p.name for p in params)
             defaults += sum(p.default is not inspect.Parameter.empty for p in params)
     assert found == PARAMETERS
-    assert sum(len(names) for names in found.values()) == 119
+    assert sum(len(names) for names in found.values()) == 118
     assert defaults == 8
 
 
@@ -159,8 +177,10 @@ def test_flags_of_every_subcommand():
 def test_tolerance_blocks_name_library_constants(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
+    c = tmp_path / "c.json"
     a.write_text(cli._to_json(cli.emit_matrix(np.diag([0.3, 0.1]))), encoding="utf-8")
     b.write_text(cli._to_json(cli.emit_matrix(np.diag([0.8, 0.0]))), encoding="utf-8")
+    c.write_text(cli._to_json(cli.emit_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))), "utf-8")
     argv = {
         "classify": ["--input", a],
         "sigma": ["--input", a],
@@ -176,4 +196,8 @@ def test_tolerance_blocks_name_library_constants(tmp_path, capsys):
         assert cli.main([command, *map(str, args)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["tolerances"] == TOLERANCES[command], command
+    for kind, tolerances in KIND_TOLERANCES.items():
+        assert cli.main(["curve", "--input", str(a), "--input2", str(c), "--kind", kind]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["tolerances"] == tolerances, kind
 

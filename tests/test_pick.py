@@ -379,12 +379,65 @@ class TestBoundaryInterpolation:
 
     @pytest.mark.parametrize("lam", seeded_spectra(), ids=lambda lam: f"n{len(lam)}")
     def test_equals_sequential_search(self, lam):
-        beta, residual, bp = sequential_search(lam)
+        """The bracketed search and the sequential bisection bracket the same
+        boundary: |beta| agrees within BISECT_WIDTH, is infeasible, and is
+        within BISECT_WIDTH of a feasible radius."""
+        beta, _, _ = sequential_search(lam)
         sol = sb.blaschke_through_roots_of_unity(lam)
-        assert sol.beta == beta
-        assert sol.interpolation_residual == residual
-        assert sol.blaschke.zeros.tobytes() == bp.zeros.tobytes()
-        assert sol.blaschke.unimodular == bp.unimodular
+        r = abs(sol.beta)
+        assert abs(r - abs(beta)) <= BISECT_WIDTH
+        assert sol.interpolation_residual <= 1e-6
+        n = len(lam)
+        eps = np.exp(2j * np.pi * np.arange(n) / n)
+        _, _, crossing = sequential_scan(lam)
+        if crossing is not None:
+            assert _sequential_smallest_eig(lam, eps, r) < 0.0
+            assert _sequential_smallest_eig(lam, eps, r + BISECT_WIDTH) >= 0.0
+
+    def test_stacked_solves_per_certificate(self, count_calls):
+        """One stacked eigvalsh for the scan and one per search round: 209
+        on these 45 spectra, and at most 7 for any one of them."""
+        calls = count_calls(np.linalg, "eigvalsh")
+        counts = []
+        for lam in seeded_spectra():
+            before = len(calls)
+            sb.blaschke_through_roots_of_unity(lam)
+            counts.append(len(calls) - before)
+        assert sum(counts) == 209
+        assert max(counts) <= 7
+
+    def test_search_narrows_a_convex_boundary(self):
+        """1 x 1 "Pick matrices" expm1(40 (r - r*)): the secant root falls
+        short of r*, so many rounds move the lower end to the midpoint, and
+        the search must still end just below r*."""
+        rng = np.random.default_rng(0)
+        for root in rng.uniform(0.3, 0.9, 200):
+
+            def matrices(radii, root=root):
+                return np.expm1(40.0 * (radii - root))[:, None, None]
+
+            r_hi = root + 0.01 * rng.uniform(0.01, 1.0)
+            r_lo = root - 0.01 * rng.uniform(0.01, 1.0)
+            v_hi, v_lo = matrices(np.array([r_hi, r_lo]))[:, 0, 0]
+            r = pick_module._boundary_search(matrices, r_hi, v_hi, 0.0, r_lo, v_lo)
+            assert root - 1e-12 <= r < root
+
+    @pytest.mark.parametrize("lam", seeded_spectra(), ids=lambda lam: f"n{len(lam)}")
+    def test_closed_form_stack_equals_pick_matrix(self, lam):
+        """The closed-form reduced stack equals pick_matrix of the validated
+        problem at every scan radius and at |beta|, within 8 eps max(1, |P|)
+        / (1 - r^2): the rounding of the node factor 1 - r^2 a, which both
+        forms share."""
+        n = len(lam)
+        eps = np.exp(2j * np.pi * np.arange(n) / n)
+        grid, _, _ = sequential_scan(lam)
+        radii = np.append(grid, abs(sb.blaschke_through_roots_of_unity(lam).beta))
+        stack = pick_module._reduced_pick(np.asarray(lam, dtype=complex), eps)(radii)
+        nodes = eps * radii[:, None]
+        ref = sb.pick_matrix(PickProblem(nodes, lam / nodes))
+        err = np.max(np.abs(stack - ref), axis=(1, 2))
+        scale = np.maximum(1.0, np.max(np.abs(ref), axis=(1, 2))) / (1.0 - radii**2)
+        assert np.all(err <= 8.0 * np.finfo(float).eps * scale)
 
     @settings(max_examples=60)
     @given(
@@ -407,6 +460,7 @@ class TestBoundaryInterpolation:
         eps = np.exp(2j * np.pi * np.arange(n) / n)
         r = abs(sol.beta)
         assert _sequential_smallest_eig(lam, eps, r) < 0.0
+        assert _sequential_smallest_eig(lam, eps, r + BISECT_WIDTH) >= 0.0
         assert sol.smallest_eigenvalue < 0.0
         cert = sb.gap_certificate(np.diag(lam))
         assert cert.upper <= cert.radius
@@ -505,6 +559,76 @@ class TestGapCertificate:
             assert abs(sol.beta) ** 4 <= 0.8
             assert np.abs(sol.blaschke(eps * sol.beta) - values).max() <= 1e-6
 
+
+#: Spectra of two benchmark reports (certify seed 4 report 1085 and seed 7
+#: report 913, n = 8, r(B) 0.517 and 0.504), in np.linalg.eigvals order: the
+#: certificate depends on the order.  A bracket end up to 1e-10 below the
+#: boundary (smallest Pick eigenvalue -2.2e-10 on the first) and a product
+#: zero at |z| = 0.996 made their recovery fail.
+RECOVERY_REGRESSIONS = [
+    [
+        0.23957823634574305 + 0.45846051970862234j,
+        -0.43675515529518205 - 0.004174671701855998j,
+        -0.18390453208356344 - 0.30428010762980334j,
+        0.021397971928612664 - 0.36530747964459315j,
+        -0.11719384940262227 + 0.18844451799417394j,
+        0.27620904475364394 + 0.055030699857871485j,
+        0.13381240136926928 + 0.12186738167736215j,
+        0.07881279082703593 - 0.07501111473772852j,
+    ],
+    [
+        -0.31757378882284043 + 0.24799122304741944j,
+        -0.09142352265649682 - 0.35729650601977114j,
+        0.19045823360356157 - 0.4666137062394692j,
+        0.14933332590852097 - 0.323064249394763j,
+        0.05898332134325312 + 0.343302889388289j,
+        0.25656564915082636 + 0.26072155670816416j,
+        0.23154122940695507 + 0.07939446536987564j,
+        0.056222513379940955 + 0.08488026992720446j,
+    ],
+]
+
+
+class TestSearchRegressions:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("x", [1.0 - 1e-6, 1.0 - 2e-7, 1.0 - 1e-7])
+    def test_near_the_circle(self, x, n):
+        # above 1 - 1e-6 the scan starts halfway between its bottom and 1
+        cert = sb.gap_certificate(np.diag([x] + [0.0] * (n - 1)))
+        assert cert.interpolation_residual <= 1e-6
+        assert cert.upper <= cert.radius
+        if n == 2:
+            # Agler-Young value of diag(x, 0)
+            assert abs(cert.upper - x / (2.0 - x)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_closer_to_the_circle_is_a_numeric_error(self, n):
+        with pytest.raises(sb.NumericError):
+            sb.gap_certificate(np.diag([1.0 - 1e-8] + [0.0] * (n - 1)))
+
+    def test_no_scan_radius_on_the_circle(self):
+        # about 1e-14 below 1 the scan's bottom can be the float below 1, and
+        # the midpoint towards 1 rounds to 1 itself
+        x = (np.nextafter(1.0, 0.0) - 1e-14) / (1.0 + 1e-12)
+        for value in x + np.linspace(-5e-16, 5e-16, 11):
+            with pytest.raises(sb.NumericError):
+                sb.gap_certificate(np.diag([value, 0.0]))
+
+    @pytest.mark.parametrize("lam", [[1.0 - 1e-7], [1.0 - 1e-7, -1.0 + 1e-7]], ids=["n1", "n2"])
+    def test_scan_bottom_near_the_circle_is_a_numeric_error(self, lam):
+        # feasible down to the scan's bottom, whose Pick matrix this close to
+        # the circle reads nonsingular: the search failed, not the caller's data
+        with pytest.raises(sb.NumericError, match="no boundary point"):
+            sb.gap_certificate(np.diag(lam))
+
+    @pytest.mark.parametrize("lam", RECOVERY_REGRESSIONS, ids=["seed4-1085", "seed7-913"])
+    def test_benchmark_spectra_certify(self, lam):
+        cert = sb.gap_certificate(np.diag(lam))
+        assert np.array_equal(sb.spectrum(np.diag(lam)).values, lam)
+        assert cert.interpolation_residual <= 1e-6
+        assert cert.upper <= cert.radius
+        eps = np.exp(2j * np.pi * np.arange(8) / 8)
+        assert np.max(np.abs(cert.blaschke(eps * cert.beta) - lam)) <= 1e-6
 
 class TestDiscontinuityReport:
     def test_eigensolve_counts(self, count_eigvals):
