@@ -621,6 +621,15 @@ class TestSearchRegressions:
         with pytest.raises(sb.NumericError, match="no boundary point"):
             sb.gap_certificate(np.diag(lam))
 
+    @pytest.mark.parametrize(
+        "lam", [[0.9999, 0.9999 - 1e-9], [0.9999 * np.exp(0.5j), 0.9999]], ids=["close", "apart"]
+    )
+    def test_bracket_end_close_to_the_circle(self, lam):
+        # a lower end up to 1e-10 below the boundary read as a Pick matrix that
+        # is not positive semidefinite (PreconditionError) at r(B) = 0.9999
+        cert = sb.gap_certificate(np.diag(lam))
+        assert abs(cert.upper - TestAglerYoungClosedForm.closed_form(lam)) <= 1e-9
+
     @pytest.mark.parametrize("lam", RECOVERY_REGRESSIONS, ids=["seed4-1085", "seed7-913"])
     def test_benchmark_spectra_certify(self, lam):
         cert = sb.gap_certificate(np.diag(lam))
