@@ -29,7 +29,8 @@ from .errors import (
 )
 from .geometry import sample_omega
 from .matcore import (
-    DEFAULT_TOL, SymPoint, _centered, as_matrix, companion, elementary_symmetric, sigma, spectrum
+    DEFAULT_TOL, PAIRING_TOL, SymPoint, _centered, as_matrix, companion, elementary_symmetric,
+    sigma, spectrum,
 )
 from .pick import discontinuity_report
 
@@ -200,10 +201,13 @@ def _cmd_bounds(args):
     return out
 
 
-#: Tolerances of every gap certificate: DEFAULT_TOL decides all-zero data.
+#: Tolerances of every gap certificate: DEFAULT_TOL decides all-zero data and
+#: the rank of the Pick factorization, which is the order of the product;
+#: EQUAL_EIGENVALUES_TOL decides the closed form (all lambda_j / eps_j equal).
 _GAP_TOLERANCES = {
     "interpolation": pick.INTERPOLATION_TOL,
-    "circle": pick.CIRCLE_TOL,
+    "rank": DEFAULT_TOL,
+    "ratio_equality": pick.EQUAL_EIGENVALUES_TOL,
     "zero_data": DEFAULT_TOL,
     "bracket_width": pick.BISECT_WIDTH,
     "pick_margin": pick.PICK_MARGIN,
@@ -256,7 +260,9 @@ def _cmd_curve(args):
         curve, spectrum(a), samples=args.samples, radius=args.radius
     )
     tolerances = {"spectrum": check.tol, "endpoint": geometry.ENDPOINT_TOL}
-    if args.kind != "iso":
+    if args.kind == "iso":
+        tolerances["pairing"] = PAIRING_TOL
+    else:
         tolerances["structure"] = curves.STRUCTURE_TOL
     if args.kind == "zero-metric":
         tolerances["classify"] = DEFAULT_TOL

@@ -12,7 +12,12 @@ The boundary search builds the Pick matrices of its reduced problems in
 closed form, for a whole array of radii at once, so its coarse scan and each
 round of its bracketed secant search are one broadcast and one stacked
 ``eigvalsh``; only the certified radius goes through a validated
-``PickProblem``.
+``PickProblem``.  Its Blaschke product comes from a unitary colligation built
+on that problem's ``eigh``: one least-squares solve and one ``eigvals`` of
+the state matrix, whose conjugated eigenvalues are the zeros.  The product
+is unimodular on the circle by construction, so no circle samples are
+checked.  When every lambda_j / eps_j is one value c the search is skipped:
+|beta| = |c| and B(z) = (c / |c|) z.
 """
 
 from __future__ import annotations
@@ -47,13 +52,10 @@ PICK_MARGIN = 1024 * np.finfo(float).eps
 _PROBE_OFFSETS = 10.0 ** -np.array([2.0, 4.0, 6.0])
 _MARGIN_STEPS = np.array([2.0, 4.0, 8.0])
 
-_CIRCLE_SAMPLES = 256
-
 #: Tolerances of the certificates.
 INTERPOLATION_TOL = 1e-6  # largest max_j |B(x_j) - w_j| of a recovered product
-CIRCLE_TOL = 1e-8  # largest deviation of |B| from 1 on the unit circle
 BRANCH_TOL = 1e-9  # symmetrized disc: |zero at 0|, spread between root branches
-EQUAL_EIGENVALUES_TOL = 1e-9  # eigenvalue spread / (1 + r(B)) read as equal
+EQUAL_EIGENVALUES_TOL = 1e-9  # spread / (1 + modulus) of values read as equal
 
 
 @dataclass(eq=False)
@@ -130,11 +132,10 @@ class BlaschkeProduct:
         return len(self.zeros)
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.full(z.shape, self.unimodular, dtype=complex)
-        for w in self.zeros:
-            out = out * (z - w) / (1.0 - np.conj(w) * z)
-        if z.shape == ():
+        z = np.asarray(z, dtype=complex)[..., None]
+        w = self.zeros
+        out = self.unimodular * np.prod((z - w) / (1.0 - np.conj(w) * z), axis=-1)
+        if out.shape == ():
             return complex(out)
         return out
 
@@ -189,94 +190,56 @@ def is_psd(m) -> bool:
     return bool(vals[0] >= -DEFAULT_TOL * (1.0 + max(vals[-1], 0.0)))
 
 
-def _rational_from_nullvector(problem, c):
-    """Numerator/denominator coefficients (ascending) of the interpolant.
-
-    f(z) = sum_k c_k k_x(z) / sum_k c_k conj(w_k) k_x(z) with the
-    reproducing kernel k_x(z) = 1 / (1 - conj(x) z); clearing denominators
-    gives two polynomials of degree below the node count.
-    """
-    n = problem.size
-    # row k: conj(x_l) for l != k, and the ascending coefficients of
-    # prod_{l != k} (1 - conj(x_l) z), one factor at a time for every k
-    others = np.broadcast_to(np.conj(problem.nodes), (n, n))[~np.eye(n, dtype=bool)]
-    others = others.reshape(n, n - 1)
-    polys = np.zeros((n, n), dtype=complex)
-    polys[:, 0] = 1.0
-    for j in range(n - 1):
-        polys[:, 1 : j + 2] -= others[:, j, None] * polys[:, : j + 1]
-    return c @ polys, (c * np.conj(problem.targets)) @ polys
-
-
-def degenerate_interpolant(problem: PickProblem, nullvec):
+def degenerate_interpolant(problem: PickProblem):
     """Unique interpolant of a singular positive-semidefinite Pick problem.
 
-    Given a null vector of the (PSD, singular) Pick matrix, reconstructs the
-    Blaschke product of order rank(Pick matrix) solving the problem and
-    validates interpolation and circle unimodularity numerically.  All-zero
-    target data yields the flagged constant-zero interpolant.
+    Builds the Blaschke product of order m = rank(Pick matrix) that solves
+    the problem from a unitary colligation, the lurking isometry of Agler &
+    McCarthy (*Pick Interpolation and Hilbert Function Spaces*, AMS 2002).
+    The smallest Pick eigenvalue is the null direction; the eigenpairs above
+    DEFAULT_TOL * (1 + largest) factor P = G G*, with rows g_j.  The rows
+    a_j = [1, x_j g_j] and b_j = [w_j, g_j] then have equal Gram matrices,
+    so the solution V = [[D, C], [B, A]] of a_j V = b_j is unitary and the
+    interpolant is f(z) = D + z C (I - z A)^-1 B.  The a_j span all m + 1
+    dimensions, since otherwise w_j = h(x_j) for some h in the model space
+    of f, and the numerator of f - h, of degree m, would vanish at n > m
+    nodes; so V is one least-squares solve.  The zeros of f are
+    conj(eig(A)) and must lie in the open disk; the unimodular constant
+    comes from the node of largest target, and the product must interpolate
+    within INTERPOLATION_TOL.  V itself is not tested for unitarity: the
+    search certifies a radius infeasible by a rounding margin, and V carries
+    that inconsistency amplified by 1 / sigma_min(a)^2, while the product is
+    unimodular on the circle by construction.  All-zero target data yields
+    the flagged constant-zero interpolant.
     """
-    m, vals, _ = problem._factored
+    _, vals, vecs = problem._factored
     scale = 1.0 + max(vals[-1], 0.0)
     if vals[0] < -1e-6 * scale:
         raise PreconditionError("Pick matrix is not positive semidefinite")
     if vals[0] > 1e-6 * scale:
         raise PreconditionError("Pick matrix is not singular")
-    c = np.atleast_1d(np.asarray(nullvec, dtype=complex))
-    norm = np.linalg.norm(c)
-    if len(c) != problem.size or norm == 0.0:
-        raise InvalidInputError("null vector has the wrong shape")
-    c = c / norm
-    resid = np.linalg.norm(m @ c)
-    if resid > 1e-5 * scale:
-        raise PreconditionError(f"vector is not in the null space ({resid:.3e})")
-
-    if np.max(np.abs(problem.targets)) <= DEFAULT_TOL:
+    x, w = problem.nodes, problem.targets
+    if np.max(np.abs(w)) <= DEFAULT_TOL:
         return ZeroInterpolant()
 
-    num, den = _rational_from_nullvector(problem, c)
+    keep = vals > DEFAULT_TOL * scale
+    keep[0] = False
+    g = vecs[:, keep] * np.sqrt(vals[keep])
+    a = np.column_stack((np.ones_like(x), x[:, None] * g))
+    b = np.column_stack((w, g))
+    v = np.linalg.lstsq(a, b, rcond=None)[0]
+    zeros = np.conj(np.linalg.eigvals(v[1:, 1:]))
+    if not np.all(np.abs(zeros) < 1.0):
+        raise NumericError("recovered zeros leave the open unit disk")
 
-    grid = _roots_of_unity(_CIRCLE_SAMPLES)
-    den_vals = np.polyval(den[::-1], grid)
-    if np.min(np.abs(den_vals)) <= 1e-12 * max(1.0, np.max(np.abs(den_vals))):
-        raise NumericError("interpolant denominator vanishes on the sample grid")
-
-    # np.roots drops leading zero coefficients itself
-    roots_num = np.roots(num[::-1]).tolist()
-    roots_den = np.roots(den[::-1]).tolist()
-    # cancel root pairs shared by numerator and denominator
-    keep = []
-    used = [False] * len(roots_den)
-    for r in roots_num:
-        hit = None
-        for i, rd in enumerate(roots_den):
-            if not used[i] and abs(r - rd) <= 1e-8 * (1.0 + abs(r)):
-                hit = i
-                break
-        if hit is None:
-            keep.append(r)
-        else:
-            used[hit] = True
-    zeros = np.array([r for r in keep if abs(r) < 1.0], dtype=complex)
-
-    f_grid = np.polyval(num[::-1], grid) / den_vals
-    shape = np.ones_like(grid)
-    for z in zeros:
-        shape *= (grid - z) / (1.0 - np.conj(z) * grid)
-    ratios = f_grid / shape
-    u = ratios.mean()
-    if abs(abs(u) - 1.0) > 1e-6 or np.max(np.abs(ratios - u)) > 1e-6:
-        raise NumericError("recovered interpolant is not a Blaschke product")
-    bp = BlaschkeProduct(u, zeros)
-
-    interp = np.max(np.abs(bp(problem.nodes) - problem.targets))
+    shape = BlaschkeProduct(1.0, zeros)(x)
+    j = np.argmax(np.abs(w))
+    u = w[j] / shape[j]
+    u /= abs(u)
+    interp = np.max(np.abs(u * shape - w))
     if interp > INTERPOLATION_TOL:
         raise NumericError(f"interpolation residual {interp:.3e} is too large")
-    # |bp| = |shape|, since bp is shape times a unimodular constant
-    circle = np.max(np.abs(np.abs(shape) - 1.0))
-    if circle > CIRCLE_TOL:
-        raise NumericError("interpolant is not unimodular on the circle")
-    return bp
+    return BlaschkeProduct(u, zeros)
 
 
 @dataclass(eq=False)
@@ -365,46 +328,13 @@ def _boundary_search(matrices, r_hi, v_hi, margin, r_lo, v_lo):
     return r_lo
 
 
-def blaschke_through_roots_of_unity(lambdas) -> BoundarySolution:
-    """Blaschke product through scaled roots of unity hitting given values.
-
-    For eigenvalues lambda_1..lambda_n in the open disk, finds beta in the
-    disk and a Blaschke product B of order at most n with B(0) = 0 and
-    B(eps_j beta) = lambda_j at the n-th roots of unity eps_j.  The radius
-    |beta| is located where the Pick matrix of the reduced data (which
-    depends on |beta| only) first turns singular positive semidefinite.
-    A coarse descending scan, from just below 1 or from halfway between
-    max |lambda_j| and 1 if that is higher, solves the whole grid in one stacked
-    eigenvalue call; a bracketed secant search (``_boundary_search``) then
-    narrows the lowest feasibility transition to BISECT_WIDTH, one stacked
-    call per round, and certifies the lower end of its final bracket, which
-    is infeasible beyond the rounding margin PICK_MARGIN and within a few
-    margins of the boundary.  All-zero data (max |lambda_j| <= DEFAULT_TOL)
-    is returned as the degenerate flagged case with beta = 0.
-    """
-    lam = np.atleast_1d(np.asarray(lambdas, dtype=complex))
-    n = len(lam)
-    if n == 0:
-        raise InvalidInputError("no values to interpolate")
-    if not np.all(np.isfinite(lam)):
-        raise InvalidInputError("values must be finite")
-    if np.max(np.abs(lam)) >= 1.0:
-        raise DomainError("values must lie in the open unit disk")
-    if np.max(np.abs(lam)) <= DEFAULT_TOL:
-        return BoundarySolution(
-            beta=0.0 + 0.0j,
-            blaschke=ZeroInterpolant(),
-            degenerate=True,
-            interpolation_residual=0.0,
-            smallest_eigenvalue=0.0,
-        )
-    eps = _roots_of_unity(n)
+def _searched_product(lam, eps, matrices):
+    """Certified radius, Blaschke product and smallest Pick eigenvalue there,
+    from the coarse scan, the bracketed search and the realization."""
     lo = float(np.max(np.abs(lam))) * (1.0 + 1e-12) + 1e-14
     hi = max(1.0 - 1e-6, (1.0 + lo) / 2.0)
     if not lo < hi < 1.0:
         raise NumericError("no search bracket: spectrum reaches the boundary")
-
-    matrices = _reduced_pick(lam, eps)
     grid = np.append(np.arange(hi, lo, -COARSE_STEP), lo)
     vals, margins = _smallest_eigs(matrices, grid)
 
@@ -425,16 +355,65 @@ def blaschke_through_roots_of_unity(lambdas) -> BoundarySolution:
 
     nodes = eps * r0
     problem = PickProblem(nodes, lam / nodes)
-    _, evals, evecs = problem._factored
     try:
         # the targets have modulus at least max |lam| / r0 > DEFAULT_TOL, so this
         # is a Blaschke product, not the zero interpolant
-        interpolant = degenerate_interpolant(problem, evecs[:, 0])
+        interpolant = degenerate_interpolant(problem)
     except PreconditionError as err:
         # the search's radius failed the check, not the caller's data (close to
         # the circle the Pick matrix at the scan's bottom can read nonsingular)
         raise NumericError(f"no boundary point at the certified radius: {err}") from err
-    bp = interpolant.prepend_zero_at_origin()
+    return r0, interpolant.prepend_zero_at_origin(), problem._factored[1][0]
+
+
+def blaschke_through_roots_of_unity(lambdas) -> BoundarySolution:
+    """Blaschke product through scaled roots of unity hitting given values.
+
+    For eigenvalues lambda_1..lambda_n in the open disk, finds beta in the
+    disk and a Blaschke product B of order at most n with B(0) = 0 and
+    B(eps_j beta) = lambda_j at the n-th roots of unity eps_j.  The radius
+    |beta| is located where the Pick matrix of the reduced data (which
+    depends on |beta| only) first turns singular positive semidefinite.
+    When every lambda_j / eps_j is one value c (within EQUAL_EIGENVALUES_TOL
+    * (1 + |c|)), that radius is |c| = max |lambda_j| and B(z) = (c / |c|) z,
+    in closed form.  Otherwise a coarse descending scan, from just below 1 or
+    from halfway between max |lambda_j| and 1 if that is higher, solves the
+    whole grid in one stacked eigenvalue call; a bracketed secant search
+    (``_boundary_search``) then narrows the lowest feasibility transition to
+    BISECT_WIDTH, one stacked call per round, and certifies the lower end of
+    its final bracket, which is infeasible beyond the rounding margin
+    PICK_MARGIN and within a few margins of the boundary.  All-zero data
+    (max |lambda_j| <= DEFAULT_TOL) is returned as the degenerate flagged
+    case with beta = 0.
+    """
+    lam = np.atleast_1d(np.asarray(lambdas, dtype=complex))
+    n = len(lam)
+    if n == 0:
+        raise InvalidInputError("no values to interpolate")
+    if not np.all(np.isfinite(lam)):
+        raise InvalidInputError("values must be finite")
+    if np.max(np.abs(lam)) >= 1.0:
+        raise DomainError("values must lie in the open unit disk")
+    if np.max(np.abs(lam)) <= DEFAULT_TOL:
+        return BoundarySolution(
+            beta=0.0 + 0.0j,
+            blaschke=ZeroInterpolant(),
+            degenerate=True,
+            interpolation_residual=0.0,
+            smallest_eigenvalue=0.0,
+        )
+    eps = _roots_of_unity(n)
+    matrices = _reduced_pick(lam, eps)
+    ratios = lam / eps
+    c = ratios[np.argmax(np.abs(lam))]
+    if np.max(np.abs(ratios - c)) <= EQUAL_EIGENVALUES_TOL * (1.0 + abs(c)):
+        # the unimodular constant c / |c| solves the reduced problem at |c|, and
+        # below max |lam| = |c| some target leaves the closed disk
+        r0 = abs(c)
+        bp = BlaschkeProduct(c / r0, [0.0])
+        smallest = _smallest_eigs(matrices, np.array([r0]))[0][0]
+    else:
+        r0, bp, smallest = _searched_product(lam, eps, matrices)
     residual = float(np.max(np.abs(bp(eps * r0) - lam)))
     if bp.order > n:
         raise InternalError("recovered product exceeds the admissible order")
@@ -445,7 +424,7 @@ def blaschke_through_roots_of_unity(lambdas) -> BoundarySolution:
         blaschke=bp,
         degenerate=False,
         interpolation_residual=residual,
-        smallest_eigenvalue=float(evals[0]),
+        smallest_eigenvalue=float(smallest),
     )
 
 

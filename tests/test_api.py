@@ -50,7 +50,7 @@ PARAMETERS = {
     "commutant_basis": ("a",),
     "commutation_operator": ("a",),
     "companion": ("s",),
-    "degenerate_interpolant": ("problem", "nullvec"),
+    "degenerate_interpolant": ("problem",),
     "discontinuity_report": ("b", "t"),
     "disk_automorphism": ("t", "b"),
     "elementary_symmetric": ("values",),
@@ -103,7 +103,8 @@ FLAGS = {
 
 GAP_TOLERANCES = {
     "interpolation": pick.INTERPOLATION_TOL,
-    "circle": pick.CIRCLE_TOL,
+    "rank": matcore.DEFAULT_TOL,
+    "ratio_equality": pick.EQUAL_EIGENVALUES_TOL,
     "zero_data": matcore.DEFAULT_TOL,
     "bracket_width": pick.BISECT_WIDTH,
     "pick_margin": pick.PICK_MARGIN,
@@ -120,7 +121,7 @@ TOLERANCES = {
     "sigma": {"residual": matcore.DEFAULT_TOL},
     "bounds": {"endpoint": geometry.ENDPOINT_TOL},
     "blaschke": GAP_TOLERANCES,
-    "curve": CURVE_TOLERANCES,
+    "curve": {**CURVE_TOLERANCES, "pairing": matcore.PAIRING_TOL},
     "hull": {"reconstruction": geometry.HULL_TOL},
     "discontinuity": {"eigenvalue_equality": pick.EQUAL_EIGENVALUES_TOL, **GAP_TOLERANCES},
     "sample": {"classify": matcore.DEFAULT_TOL},
@@ -144,7 +145,7 @@ def test_parameters_of_every_exported_callable():
             found[name] = tuple(p.name for p in params)
             defaults += sum(p.default is not inspect.Parameter.empty for p in params)
     assert found == PARAMETERS
-    assert sum(len(names) for names in found.values()) == 118
+    assert sum(len(names) for names in found.values()) == 117
     assert defaults == 8
 
 

@@ -319,11 +319,12 @@ class TestCommands:
     @pytest.mark.parametrize("t, count", [("0.0", 2), ("0.2", 3)])
     def test_discontinuity_eigensolve_counts(self, tmp_path, capsys, count_eigvals, t, count):
         # the report's solves (one, and the shifted matrix at t != 0) and
-        # the recomputed Kobayashi jump
+        # the recomputed Kobayashi jump, plus one of the certificate's
+        # colligation state matrix
         path = write_matrix(tmp_path / "b.json", np.diag([0.8, 0.0, 0.3j]))
         code, _, _ = run_cli(capsys, "discontinuity", "--input", path, "--t", t, "0.0")
         assert code == 0
-        assert len(count_eigvals) == count
+        assert len(count_eigvals) == count + 1
 
     def test_sample(self, capsys):
         code, out, _ = run_cli(capsys, "sample", "--n", "3", "--samples", "20", "--seed", "5")

@@ -17,6 +17,16 @@ def circle_grid(k=256):
     return np.exp(2j * np.pi * np.arange(k) / k)
 
 
+@pytest.fixture
+def no_companion_roots(monkeypatch):
+    """np.roots raises: it binds its own eigvals, which count_eigvals misses."""
+
+    def roots(*args, **kwargs):
+        raise AssertionError("np.roots called")
+
+    monkeypatch.setattr(np, "roots", roots)
+
+
 def _sequential_smallest_eig(lam, eps, r):
     return float(np.linalg.eigvalsh(sb.pick_matrix(PickProblem(eps * r, lam / (eps * r))))[0])
 
@@ -63,8 +73,7 @@ def sequential_search(lam):
                 r_lo = mid
         r0 = r_lo
     problem = PickProblem(eps * r0, lam / (eps * r0))
-    _, vecs = np.linalg.eigh(sb.pick_matrix(problem))
-    bp = sb.degenerate_interpolant(problem, vecs[:, 0]).prepend_zero_at_origin()
+    bp = sb.degenerate_interpolant(problem).prepend_zero_at_origin()
     residual = float(np.max(np.abs(bp(eps * r0) - lam)))
     return complex(r0), residual, bp
 
@@ -79,6 +88,25 @@ def seeded_spectra():
             lam = np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
             cases.append(lam * (radius / np.max(np.abs(lam))))
     return cases
+
+
+class TestBlaschkeProduct:
+    @pytest.mark.parametrize("order", [0, 1, 3, 8])
+    def test_equals_the_factor_loop(self, order):
+        """One broadcast product equals multiplying in one factor at a time,
+        within the rounding of order + 1 products of terms of modulus <= 1."""
+        rng = np.random.default_rng(order)
+        moduli = 0.95 * np.sqrt(rng.uniform(size=order))
+        zeros = moduli * np.exp(2j * np.pi * rng.uniform(size=order))
+        bp = sb.BlaschkeProduct(np.exp(0.3j), zeros)
+        for z in (0.4 - 0.2j, circle_grid(16), 0.9 * circle_grid(12).reshape(3, 4)):
+            ref = np.full(np.shape(z), bp.unimodular)
+            for w in zeros:
+                ref = ref * (z - w) / (1.0 - np.conj(w) * z)
+            got = bp(z)
+            assert np.shape(got) == np.shape(z)
+            assert np.max(np.abs(got - ref)) <= 8.0 * (order + 1) * np.finfo(float).eps
+        assert isinstance(bp(0.5), complex)
 
 
 class TestPickMatrix:
@@ -216,29 +244,22 @@ class TestDegenerateInterpolant:
     def test_equal_target_identity_map(self):
         beta = np.sqrt(0.5)
         p = PickProblem([beta, -beta], [0.5 / beta, -0.5 / beta])
-        m = sb.pick_matrix(p)
-        _, vecs = np.linalg.eigh(m)
-        f = sb.degenerate_interpolant(p, vecs[:, 0])
+        f = sb.degenerate_interpolant(p)
         zs = 0.7 * np.exp(1j * np.linspace(0.0, 6.0, 17))
         assert np.max(np.abs(f(zs) - zs)) <= 1e-10
         assert f.order == 1
 
     def test_all_zero_targets(self):
-        # force a singular PSD matrix with zero targets via duplicated data
+        # zero targets at distinct nodes give a positive definite Pick
+        # matrix: the precondition check rejects it before the zero data
         p = PickProblem([0.3, -0.3], [0.0, 0.0])
-        m = sb.pick_matrix(p)
-        # matrix is positive definite; use the relaxed path by passing the
-        # smallest eigenvector: the precondition check must reject it
-        _, vecs = np.linalg.eigh(m)
         with pytest.raises(sb.PreconditionError):
-            sb.degenerate_interpolant(p, vecs[:, 0])
+            sb.degenerate_interpolant(p)
 
     def test_gap_example_order_one(self):
         r = np.sqrt(GAP_RADIUS_SQ)
         p = PickProblem([r, -r], [0.8 / r, 0.0])
-        m = sb.pick_matrix(p)
-        _, vecs = np.linalg.eigh(m)
-        f = sb.degenerate_interpolant(p, vecs[:, 0])
+        f = sb.degenerate_interpolant(p)
         assert f.order == 1
         assert np.max(np.abs(f(p.nodes) - p.targets)) <= 1e-8
         assert np.max(np.abs(np.abs(f(circle_grid())) - 1.0)) <= 1e-8
@@ -246,7 +267,31 @@ class TestDegenerateInterpolant:
     def test_nonsingular_rejected(self):
         p = PickProblem([0.0, 0.5], [0.0, 0.1])
         with pytest.raises(sb.PreconditionError):
-            sb.degenerate_interpolant(p, [1.0, 0.0])
+            sb.degenerate_interpolant(p)
+
+    @settings(max_examples=80)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 2.0 * np.pi)), min_size=0, max_size=5
+        ),
+        st.floats(0.0, 2.0 * np.pi),
+        st.integers(1, 3),
+        st.floats(0.2, 0.9),
+        st.floats(0.0, 2.0 * np.pi),
+    )
+    def test_recovers_a_blaschke_product(self, polar, angle, extra, radius, turn):
+        """Targets of a Blaschke product of order m at n > m rotated, scaled
+        roots of unity: the recovered product interpolates, has its zeros in
+        the open disk and is unimodular on the circle."""
+        true = sb.BlaschkeProduct(np.exp(1j * angle), [m * np.exp(1j * a) for m, a in polar])
+        n = true.order + extra
+        nodes = radius * np.exp(1j * turn) * np.exp(2j * np.pi * np.arange(n) / n)
+        targets = true(nodes)
+        assume(np.max(np.abs(targets)) > sb.DEFAULT_TOL)
+        f = sb.degenerate_interpolant(PickProblem(nodes, targets))
+        assert np.max(np.abs(f(nodes) - targets)) <= pick_module.INTERPOLATION_TOL
+        assert np.all(np.abs(f.zeros) < 1.0)
+        assert np.max(np.abs(np.abs(f(circle_grid())) - 1.0)) <= 1e-12
 
 
 def convolved_rational(problem, c):
@@ -265,17 +310,40 @@ def convolved_rational(problem, c):
     return num, den
 
 
+def cancelled_roots(problem):
+    """Reference zeros of the interpolant: the roots of the convolved
+    numerator in the disk, less those shared with the denominator."""
+    c = np.linalg.eigh(sb.pick_matrix(problem))[1][:, 0]
+    num, den = convolved_rational(problem, c)
+    poles = list(np.roots(den[::-1]))
+    zeros = []
+    for root in np.roots(num[::-1]):
+        gaps = np.abs(np.array(poles) - root)
+        if poles and gaps.min() <= 1e-8 * (1.0 + abs(root)):
+            poles.pop(int(np.argmin(gaps)))
+        elif abs(root) < 1.0:
+            zeros.append(root)
+    return np.array(zeros, dtype=complex)
+
+
 class TestInterpolantFromTheSearch:
     @pytest.mark.parametrize("lam", seeded_spectra(), ids=lambda lam: f"n{len(lam)}")
     def test_rational_matches_the_convolutions(self, lam):
+        """The realization's zeros are the reference zeros of the null-vector
+        rational: the same monic polynomial within 1e-12, and the same roots
+        within 1e-12 when the eigenvalues are distinct.  Equal eigenvalues put
+        an (n - 1)-fold zero at the origin, which rounding splits by about
+        eps^(1 / (n - 1)) in both computations."""
         n = len(lam)
         eps = np.exp(2j * np.pi * np.arange(n) / n)
         sol = sb.blaschke_through_roots_of_unity(lam)
         problem = PickProblem(eps * sol.beta, lam / (eps * sol.beta))
-        c = np.linalg.eigh(sb.pick_matrix(problem))[1][:, 0]
-        got = pick_module._rational_from_nullvector(problem, c)
-        for new, ref in zip(got, convolved_rational(problem, c)):
-            assert np.max(np.abs(new - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+        zeros = sb.degenerate_interpolant(problem).zeros
+        ref = cancelled_roots(problem)
+        assert len(zeros) == len(ref)
+        assert np.max(np.abs(np.poly(zeros) - np.poly(ref))) <= 1e-12
+        if zeros.size and np.min(np.abs(np.subtract.outer(lam, lam)) + np.eye(n)) > 0.0:
+            assert sb.multiset_distance(zeros, ref) <= 1e-12
 
     @pytest.mark.parametrize("lam", seeded_spectra(), ids=lambda lam: f"n{len(lam)}")
     def test_search_and_public_interpolant_agree(self, lam):
@@ -283,8 +351,7 @@ class TestInterpolantFromTheSearch:
         eps = np.exp(2j * np.pi * np.arange(n) / n)
         sol = sb.blaschke_through_roots_of_unity(lam)
         problem = PickProblem(eps * sol.beta, lam / (eps * sol.beta))
-        c = np.linalg.eigh(sb.pick_matrix(problem))[1][:, 0]
-        bp = sb.degenerate_interpolant(problem, c)
+        bp = sb.degenerate_interpolant(problem)
         assert sol.blaschke.zeros[0] == 0.0
         assert len(sol.blaschke.zeros) == bp.order + 1
         if bp.order:
@@ -405,6 +472,24 @@ class TestBoundaryInterpolation:
             counts.append(len(calls) - before)
         assert sum(counts) == 209
         assert max(counts) <= 7
+
+    def test_eigensolves_per_certificate(self, count_calls, no_companion_roots):
+        """Besides the stacked eigvalsh: one eigh of the certified Pick matrix,
+        one eigvals of the colligation's state matrix, of order one below the
+        product, and no companion root-finds.  The closed form (n = 1 here)
+        needs neither solve."""
+        eigh = count_calls(np.linalg, "eigh")
+        eigvals = count_calls(np.linalg, "eigvals")
+        for lam in seeded_spectra():
+            eigh.clear()
+            eigvals.clear()
+            sol = sb.blaschke_through_roots_of_unity(lam)
+            n, order = len(lam), sol.blaschke.order
+            if n == 1:
+                assert (eigh, eigvals) == ([], [])
+            else:
+                assert eigh == [(n, n)]
+                assert eigvals == [(order - 1, order - 1)]
 
     def test_search_narrows_a_convex_boundary(self):
         """1 x 1 "Pick matrices" expm1(40 (r - r*)): the secant root falls
@@ -602,24 +687,43 @@ class TestSearchRegressions:
             assert abs(cert.upper - x / (2.0 - x)) <= 1e-9
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_closer_to_the_circle_is_a_numeric_error(self, n):
-        with pytest.raises(sb.NumericError):
-            sb.gap_certificate(np.diag([1.0 - 1e-8] + [0.0] * (n - 1)))
+    def test_closer_to_the_circle_certifies(self, n):
+        # regression: the null-vector recovery raised NumericError here
+        x = 1.0 - 1e-8
+        cert = sb.gap_certificate(np.diag([x] + [0.0] * (n - 1)))
+        if n == 2:
+            assert abs(cert.upper - x / (2.0 - x)) <= 1e-9
+        else:
+            assert cert.upper <= cert.radius
+            assert cert.interpolation_residual <= 1e-6
 
     def test_no_scan_radius_on_the_circle(self):
         # about 1e-14 below 1 the scan's bottom can be the float below 1, and
-        # the midpoint towards 1 rounds to 1 itself
+        # the midpoint towards 1 rounds to 1 itself; the fourth and fifth
+        # values certify the scan's bottom within 1e-9 of the Agler-Young value
         x = (np.nextafter(1.0, 0.0) - 1e-14) / (1.0 + 1e-12)
-        for value in x + np.linspace(-5e-16, 5e-16, 11):
-            with pytest.raises(sb.NumericError):
-                sb.gap_certificate(np.diag([value, 0.0]))
+        for k, value in enumerate(x + np.linspace(-5e-16, 5e-16, 11)):
+            if k in (3, 4):
+                cert = sb.gap_certificate(np.diag([value, 0.0]))
+                assert abs(cert.upper - value / (2.0 - value)) <= 1e-9
+            else:
+                with pytest.raises(sb.NumericError):
+                    sb.gap_certificate(np.diag([value, 0.0]))
 
-    @pytest.mark.parametrize("lam", [[1.0 - 1e-7], [1.0 - 1e-7, -1.0 + 1e-7]], ids=["n1", "n2"])
-    def test_scan_bottom_near_the_circle_is_a_numeric_error(self, lam):
-        # feasible down to the scan's bottom, whose Pick matrix this close to
-        # the circle reads nonsingular: the search failed, not the caller's data
-        with pytest.raises(sb.NumericError, match="no boundary point"):
-            sb.gap_certificate(np.diag(lam))
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("x", [1.0 - 9e-7, 1.0 - 5e-7, 1.0 - 1e-7])
+    def test_roots_of_unity_times_x_near_the_circle(self, x, n):
+        # every lam_j / eps_j is x: the closed form |beta| = x, B(z) = z, where
+        # the scan's bottom read nonsingular and raised NumericError
+        lam = {1: [x], 2: [x, -x]}.get(n, x * np.exp(2j * np.pi * np.arange(n) / n))
+        cert = sb.gap_certificate(np.diag(lam))
+        assert cert.beta == x
+        assert abs(cert.upper - x**n) <= 1e-15
+        assert cert.interpolation_residual <= 1e-15
+        eps = np.exp(2j * np.pi * np.arange(n) / n)
+        assert np.max(np.abs(cert.blaschke(eps * cert.beta) - lam)) <= 1e-15
+        if n == 2:
+            assert abs(cert.upper - TestAglerYoungClosedForm.closed_form(lam)) <= 1e-9
 
     @pytest.mark.parametrize(
         "lam", [[0.9999, 0.9999 - 1e-9], [0.9999 * np.exp(0.5j), 0.9999]], ids=["close", "apart"]
@@ -640,14 +744,15 @@ class TestSearchRegressions:
         assert np.max(np.abs(cert.blaschke(eps * cert.beta) - lam)) <= 1e-6
 
 class TestDiscontinuityReport:
-    def test_eigensolve_counts(self, count_eigvals):
-        # one solve of B; at t != 0 the certificate solves the shifted matrix
+    def test_eigensolve_counts(self, count_eigvals, no_companion_roots):
+        # one solve of B; at t != 0 the certificate solves the shifted matrix;
+        # each certificate adds one of its colligation's state matrix
         b = np.diag([0.8, 0.0, 0.3j]) + np.triu(np.full((3, 3), 0.2), 1)
         sb.discontinuity_report(b)
-        assert len(count_eigvals) == 1
+        assert len(count_eigvals) == 2
         count_eigvals.clear()
         sb.discontinuity_report(b, 0.2)
-        assert len(count_eigvals) == 2
+        assert len(count_eigvals) == 3
 
     def test_kobayashi_values_through_the_automorphism(self):
         # the automorphism taking t to 0 maps tI + hB to about
