@@ -203,11 +203,11 @@ def _cmd_bounds(args):
 
 #: Tolerances of every gap certificate: DEFAULT_TOL decides all-zero data and
 #: the rank of the Pick factorization, which is the order of the product;
-#: EQUAL_EIGENVALUES_TOL decides the closed form (all lambda_j / eps_j equal).
+#: PICK_MARGIN decides the search and the closed form (all lambda_j / eps_j
+#: equal up to rounding).
 _GAP_TOLERANCES = {
     "interpolation": pick.INTERPOLATION_TOL,
     "rank": DEFAULT_TOL,
-    "ratio_equality": pick.EQUAL_EIGENVALUES_TOL,
     "zero_data": DEFAULT_TOL,
     "bracket_width": pick.BISECT_WIDTH,
     "pick_margin": pick.PICK_MARGIN,

@@ -16,8 +16,9 @@ round of its bracketed secant search are one broadcast and one stacked
 on that problem's ``eigh``: one least-squares solve and one ``eigvals`` of
 the state matrix, whose conjugated eigenvalues are the zeros.  The product
 is unimodular on the circle by construction, so no circle samples are
-checked.  When every lambda_j / eps_j is one value c the search is skipped:
-|beta| = |c| and B(z) = (c / |c|) z.
+checked.  When every lambda_j / eps_j is one value c, up to the rounding
+margin PICK_MARGIN * |c|, the search is skipped: |beta| = |c| and
+B(z) = (c / |c|) z.
 """
 
 from __future__ import annotations
@@ -374,9 +375,12 @@ def blaschke_through_roots_of_unity(lambdas) -> BoundarySolution:
     B(eps_j beta) = lambda_j at the n-th roots of unity eps_j.  The radius
     |beta| is located where the Pick matrix of the reduced data (which
     depends on |beta| only) first turns singular positive semidefinite.
-    When every lambda_j / eps_j is one value c (within EQUAL_EIGENVALUES_TOL
-    * (1 + |c|)), that radius is |c| = max |lambda_j| and B(z) = (c / |c|) z,
-    in closed form.  Otherwise a coarse descending scan, from just below 1 or
+    When every lambda_j / eps_j is one value c, up to PICK_MARGIN * |c|,
+    that radius is |c| = max |lambda_j| and B(z) = (c / |c|) z, in closed
+    form: at |c| one target is unimodular, so the Pick matrix is positive
+    semidefinite only where its row vanishes, which is where the ratios
+    agree.  Ratios that differ beyond rounding put the boundary above |c|,
+    so they go to the search.  There a coarse descending scan, from just below 1 or
     from halfway between max |lambda_j| and 1 if that is higher, solves the
     whole grid in one stacked eigenvalue call; a bracketed secant search
     (``_boundary_search``) then narrows the lowest feasibility transition to
@@ -406,9 +410,10 @@ def blaschke_through_roots_of_unity(lambdas) -> BoundarySolution:
     matrices = _reduced_pick(lam, eps)
     ratios = lam / eps
     c = ratios[np.argmax(np.abs(lam))]
-    if np.max(np.abs(ratios - c)) <= EQUAL_EIGENVALUES_TOL * (1.0 + abs(c)):
-        # the unimodular constant c / |c| solves the reduced problem at |c|, and
-        # below max |lam| = |c| some target leaves the closed disk
+    if np.max(np.abs(ratios - c)) <= PICK_MARGIN * abs(c):
+        # at |c| the target c / |c| is unimodular, so the Pick matrix is
+        # positive semidefinite only if its row vanishes: every target is
+        # c / |c|, up to the rounding margin; below |c| it leaves the disk
         r0 = abs(c)
         bp = BlaschkeProduct(c / r0, [0.0])
         smallest = _smallest_eigs(matrices, np.array([r0]))[0][0]

@@ -104,7 +104,6 @@ FLAGS = {
 GAP_TOLERANCES = {
     "interpolation": pick.INTERPOLATION_TOL,
     "rank": matcore.DEFAULT_TOL,
-    "ratio_equality": pick.EQUAL_EIGENVALUES_TOL,
     "zero_data": matcore.DEFAULT_TOL,
     "bracket_width": pick.BISECT_WIDTH,
     "pick_margin": pick.PICK_MARGIN,

@@ -725,6 +725,27 @@ class TestSearchRegressions:
         if n == 2:
             assert abs(cert.upper - TestAglerYoungClosedForm.closed_form(lam)) <= 1e-9
 
+    def test_nearly_equal_ratios_are_searched(self):
+        # regression: ratios lambda_j / eps_j 1e-7 apart took the closed form
+        # |beta| = 1e-3, 2e-7 (relative) below the boundary; upper = |beta|^2
+        # moved by only 4e-13, so a bound on upper alone does not see it
+        lam = np.array([1e-3, -(1e-3 - 1e-10)])
+        sol = sb.blaschke_through_roots_of_unity(lam)
+        exact = np.sqrt(TestAglerYoungClosedForm.closed_form(lam))
+        assert abs(abs(sol.beta) - exact) <= 1e-9 * exact
+        eps = np.exp(2j * np.pi * np.arange(2) / 2)
+        r = abs(sol.beta)
+        vals = np.linalg.eigvalsh(sb.pick_matrix(PickProblem(eps * r, lam / (eps * r))))
+        assert sol.smallest_eigenvalue >= -pick_module.PICK_MARGIN * vals[-1]
+
+    def test_nearly_equal_small_ratios_are_a_numeric_error(self):
+        # ratios 9e-4 (relative) apart took the closed form |beta| = 1e-6 with
+        # a Pick eigenvalue of -3.7e-4 there; the boundary is |beta| = 2.1e-5,
+        # where the two targets agree to 5e-5 and the recovered product misses
+        # them by 2.3e-5 (the null-vector recovery failed here too)
+        with pytest.raises(sb.NumericError):
+            sb.gap_certificate(np.diag([1e-6, -(1e-6 - 9e-10)]))
+
     @pytest.mark.parametrize(
         "lam", [[0.9999, 0.9999 - 1e-9], [0.9999 * np.exp(0.5j), 0.9999]], ids=["close", "apart"]
     )
