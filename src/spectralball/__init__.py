@@ -86,7 +86,6 @@ from .nonderog import (
 )
 from .pick import (
     BlaschkeProduct,
-    BoundarySolution,
     GapCertificate,
     PickProblem,
     SymmetrizedDisc,
@@ -104,7 +103,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TOL",
     "BlaschkeProduct",
-    "BoundarySolution",
     "CommutantBasis",
     "CRITERIA",
     "CriterionResult",

@@ -203,7 +203,7 @@ def _cmd_bounds(args):
 
 #: Tolerances of every gap certificate: DEFAULT_TOL decides all-zero data and
 #: the rank of the Pick factorization, which is the order of the product;
-#: PICK_MARGIN decides the search and the closed form (all lambda_j / eps_j
+#: PICK_MARGIN decides the search and the closed form (all lambda_j / eps_j^k
 #: equal up to rounding).
 _GAP_TOLERANCES = {
     "interpolation": pick.INTERPOLATION_TOL,

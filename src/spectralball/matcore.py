@@ -296,10 +296,12 @@ def _bottleneck_pairing(cost):
     each row with its nearest column gives a lower bound; when those
     columns are distinct they attain it, so that pairing is exact.  Any
     other slice goes to ``bottleneck_assignment``.  Either way the value is
-    an exact entry of the slice.
+    an exact entry of the slice; empty slices (n = 0) have value 0.
     """
     cost = np.asarray(cost, dtype=float)
     n = cost.shape[-1]
+    if n == 0:
+        return np.zeros(cost.shape[:-2]), np.zeros(cost.shape[:-1], dtype=int)
     flat = cost.reshape(-1, n, n)
     perm = flat.argmin(axis=2)
     value = flat.min(axis=2).max(axis=1)

@@ -11,20 +11,21 @@ discontinuity report built on it.
 The boundary search builds the Pick matrices of its reduced problems in
 closed form, for a whole array of radii at once, so its coarse scan and each
 round of its bracketed secant search are one broadcast and one stacked
-``eigvalsh``; only the certified radius goes through a validated
-``PickProblem``.  Its Blaschke product comes from a unitary colligation built
-on that problem's ``eigh``: one least-squares solve and one ``eigvals`` of
-the state matrix, whose conjugated eigenvalues are the zeros.  The product
-is unimodular on the circle by construction, so no circle samples are
-checked.  When every lambda_j / eps_j is one value c, up to the rounding
-margin PICK_MARGIN * |c|, the search is skipped: |beta| = |c| and
-B(z) = (c / |c|) z.
+``eigvalsh``.  At the certified radius it factors the ``pick_matrix``
+formula once (``eigh``) and recovers its Blaschke product from the unitary
+colligation that ``degenerate_interpolant`` builds: one least-squares solve
+and one ``eigvals`` of the state matrix, whose conjugated eigenvalues are
+the zeros.  The product is unimodular on the circle by construction, so no
+circle samples are checked.  When lambda_j = c eps_j^k for one c and one k
+in 1..n, up to the rounding margin PICK_MARGIN * |c|, the search is
+skipped: |beta| = |c|^(1/k) and B(z) = (c / |c|) z^k.  The search returns
+the ``GapCertificate`` itself, which ``gap_certificate`` and
+``discontinuity_report`` take on the spectrum of B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import _disk_point, _kobayashi_at, _lempert_at, disk_automorphism
-from .matcore import DEFAULT_TOL, Spectrum, as_matrix, elementary_symmetric, spectrum
+from .matcore import DEFAULT_TOL, as_matrix, elementary_symmetric, spectrum
 
 #: Descending step of the coarse feasibility scan.
 COARSE_STEP = 1e-2
@@ -82,34 +83,13 @@ class PickProblem:
         ax = np.abs(x)
         if ax.max() >= 1.0:
             raise InvalidInputError("nodes must lie in the open unit disk")
-        j, k = _pairs(x.shape[-1])
+        j, k = np.triu_indices(x.shape[-1], 1)
         if (np.abs(x[..., j] - x[..., k]) <= 1e-12 * (1.0 + ax[..., j])).any():
             raise InvalidInputError("interpolation nodes must be distinct")
 
     @property
     def size(self) -> int:
         return self.nodes.shape[-1]
-
-    @cached_property
-    def _factored(self):
-        """Pick matrix with its eigenvalues (ascending) and eigenvectors,
-        computed once per problem."""
-        m = pick_matrix(self)
-        return (m, *np.linalg.eigh(m))
-
-
-_PAIRS: dict = {}
-
-
-def _pairs(n):
-    """Index pairs (j, k) with j < k among n nodes, built once per n."""
-    pairs = _PAIRS.get(n)
-    if pairs is None:
-        pairs = np.triu_indices(n, 1)
-        for index in pairs:
-            index.flags.writeable = False
-        _PAIRS[n] = pairs
-    return pairs
 
 
 class BlaschkeProduct:
@@ -169,8 +149,11 @@ def pick_matrix(problem: PickProblem) -> np.ndarray:
     gives the stack ``(..., n, n)`` of its Pick matrices, each equal to the
     matrix of its own slice.
     """
-    x = problem.nodes
-    w = problem.targets
+    return _pick(problem.nodes, problem.targets)
+
+
+def _pick(x, w):
+    """``pick_matrix`` of nodes x and targets w, unvalidated."""
     num = 1.0 - w[..., :, None] * np.conj(w)[..., None, :]
     den = 1.0 - x[..., :, None] * np.conj(x)[..., None, :]
     m = num / den
@@ -191,39 +174,24 @@ def is_psd(m) -> bool:
     return bool(vals[0] >= -DEFAULT_TOL * (1.0 + max(vals[-1], 0.0)))
 
 
-def degenerate_interpolant(problem: PickProblem):
-    """Unique interpolant of a singular positive-semidefinite Pick problem.
-
-    Builds the Blaschke product of order m = rank(Pick matrix) that solves
-    the problem from a unitary colligation, the lurking isometry of Agler &
-    McCarthy (*Pick Interpolation and Hilbert Function Spaces*, AMS 2002).
-    The smallest Pick eigenvalue is the null direction; the eigenpairs above
-    DEFAULT_TOL * (1 + largest) factor P = G G*, with rows g_j.  The rows
-    a_j = [1, x_j g_j] and b_j = [w_j, g_j] then have equal Gram matrices,
-    so the solution V = [[D, C], [B, A]] of a_j V = b_j is unitary and the
-    interpolant is f(z) = D + z C (I - z A)^-1 B.  The a_j span all m + 1
-    dimensions, since otherwise w_j = h(x_j) for some h in the model space
-    of f, and the numerator of f - h, of degree m, would vanish at n > m
-    nodes; so V is one least-squares solve.  The zeros of f are
-    conj(eig(A)) and must lie in the open disk; the unimodular constant
-    comes from the node of largest target, and the product must interpolate
-    within INTERPOLATION_TOL.  V itself is not tested for unitarity: the
-    search certifies a radius infeasible by a rounding margin, and V carries
-    that inconsistency amplified by 1 / sigma_min(a)^2, while the product is
-    unimodular on the circle by construction.  All-zero target data yields
-    the flagged constant-zero interpolant.
+def _factor(x, w):
+    """Eigenvalues (ascending) and eigenvectors of the Pick matrix of nodes x
+    and targets w, and why it is not singular positive semidefinite (None if
+    it is): its smallest eigenvalue must be within 1e-6 * (1 + largest) of 0.
     """
-    _, vals, vecs = problem._factored
-    scale = 1.0 + max(vals[-1], 0.0)
-    if vals[0] < -1e-6 * scale:
-        raise PreconditionError("Pick matrix is not positive semidefinite")
-    if vals[0] > 1e-6 * scale:
-        raise PreconditionError("Pick matrix is not singular")
-    x, w = problem.nodes, problem.targets
-    if np.max(np.abs(w)) <= DEFAULT_TOL:
-        return ZeroInterpolant()
+    vals, vecs = np.linalg.eigh(_pick(x, w))
+    bound = 1e-6 * (1.0 + max(vals[-1], 0.0))
+    if vals[0] < -bound:
+        return vals, vecs, "Pick matrix is not positive semidefinite"
+    if vals[0] > bound:
+        return vals, vecs, "Pick matrix is not singular"
+    return vals, vecs, None
 
-    keep = vals > DEFAULT_TOL * scale
+
+def _realize(x, w, vals, vecs):
+    """Blaschke product through the singular problem (x, w) from the
+    factored Pick matrix: see ``degenerate_interpolant``."""
+    keep = vals > DEFAULT_TOL * (1.0 + max(vals[-1], 0.0))
     keep[0] = False
     g = vecs[:, keep] * np.sqrt(vals[keep])
     a = np.column_stack((np.ones_like(x), x[:, None] * g))
@@ -243,12 +211,56 @@ def degenerate_interpolant(problem: PickProblem):
     return BlaschkeProduct(u, zeros)
 
 
+def degenerate_interpolant(problem: PickProblem):
+    """Unique interpolant of a singular positive-semidefinite Pick problem.
+
+    Builds the Blaschke product of order m = rank(Pick matrix) that solves
+    the problem from a unitary colligation, the lurking isometry of Agler &
+    McCarthy (*Pick Interpolation and Hilbert Function Spaces*, AMS 2002).
+    The smallest Pick eigenvalue, which must lie within 1e-6 * (1 + largest)
+    of zero, is the null direction; the eigenpairs above
+    DEFAULT_TOL * (1 + largest) factor P = G G*, with rows g_j.  The rows
+    a_j = [1, x_j g_j] and b_j = [w_j, g_j] then have equal Gram matrices,
+    so the solution V = [[D, C], [B, A]] of a_j V = b_j is unitary and the
+    interpolant is f(z) = D + z C (I - z A)^-1 B.  The a_j span all m + 1
+    dimensions, since otherwise w_j = h(x_j) for some h in the model space
+    of f, and the numerator of f - h, of degree m, would vanish at n > m
+    nodes; so V is one least-squares solve.  The zeros of f are
+    conj(eig(A)) and must lie in the open disk; the unimodular constant
+    comes from the node of largest target, and the product must interpolate
+    within INTERPOLATION_TOL.  V itself is not tested for unitarity: the
+    search certifies a radius infeasible by a rounding margin, and V carries
+    that inconsistency amplified by 1 / sigma_min(a)^2, while the product is
+    unimodular on the circle by construction.  All-zero target data yields
+    the flagged constant-zero interpolant.
+    """
+    x, w = problem.nodes, problem.targets
+    vals, vecs, defect = _factor(x, w)
+    if defect:
+        raise PreconditionError(defect)
+    if np.max(np.abs(w)) <= DEFAULT_TOL:
+        return ZeroInterpolant()
+    return _realize(x, w, vals, vecs)
+
+
 @dataclass(eq=False)
-class BoundarySolution:
-    """Result of the roots-of-unity boundary interpolation search."""
+class GapCertificate:
+    """Certified comparison of r(B) with the generic distance limit at 0.
+
+    ``beta`` and ``blaschke`` solve the boundary interpolation problem of the
+    eigenvalues; ``upper`` = |beta|^n bounds the two-point distance limit
+    from above; ``radius`` = r(B) is the value at the scalar base point
+    itself.  A strictly positive gap occurs exactly when the eigenvalues of B
+    are not all equal.  ``smallest_eigenvalue`` is the smallest Pick
+    eigenvalue of the reduced problem at |beta|: the margin of the certified
+    radius, just below zero after the search.
+    """
 
     beta: complex
     blaschke: object
+    upper: float
+    radius: float
+    is_gap: bool
     degenerate: bool
     interpolation_residual: float
     smallest_eigenvalue: float
@@ -354,35 +366,56 @@ def _searched_product(lam, eps, matrices):
             matrices, grid[i], vals[i], margins[i], grid[i + 1], vals[i + 1]
         )
 
-    nodes = eps * r0
-    problem = PickProblem(nodes, lam / nodes)
-    try:
-        # the targets have modulus at least max |lam| / r0 > DEFAULT_TOL, so this
-        # is a Blaschke product, not the zero interpolant
-        interpolant = degenerate_interpolant(problem)
-    except PreconditionError as err:
+    x = eps * r0
+    w = lam / x
+    vals, vecs, defect = _factor(x, w)
+    if defect:
         # the search's radius failed the check, not the caller's data (close to
         # the circle the Pick matrix at the scan's bottom can read nonsingular)
-        raise NumericError(f"no boundary point at the certified radius: {err}") from err
-    return r0, interpolant.prepend_zero_at_origin(), problem._factored[1][0]
+        raise NumericError(f"no boundary point at the certified radius: {defect}")
+    # the targets have modulus at least max |lam| / r0 > DEFAULT_TOL, so this is
+    # a Blaschke product, not the zero interpolant
+    return r0, _realize(x, w, vals, vecs).prepend_zero_at_origin(), vals[0]
 
 
-def blaschke_through_roots_of_unity(lambdas) -> BoundarySolution:
-    """Blaschke product through scaled roots of unity hitting given values.
+def _closed_form(lam, eps, moduli):
+    """Least k in 1..n with lambda_j = c eps_j^k for every j, up to
+    PICK_MARGIN * |c| in each ratio lambda_j / eps_j^k, and that c; (0, None)
+    if there is none.  Only values of one modulus qualify, so the table of
+    eps_j^k = eps_(jk mod n) is built only when the moduli agree within twice
+    the margin, which leaves room for their rounding."""
+    top = np.argmax(moduli)
+    if np.ptp(moduli) > 2.0 * PICK_MARGIN * moduli[top]:
+        return 0, None
+    n = len(lam)
+    ratios = lam / eps[np.outer(np.arange(1, n + 1), np.arange(n)) % n]
+    c = ratios[:, top]
+    spread = np.max(np.abs(ratios - c[:, None]), axis=1)
+    hits = np.flatnonzero(spread <= PICK_MARGIN * np.abs(c))
+    if hits.size == 0:
+        return 0, None
+    return int(hits[0]) + 1, c[hits[0]]
 
-    For eigenvalues lambda_1..lambda_n in the open disk, finds beta in the
-    disk and a Blaschke product B of order at most n with B(0) = 0 and
-    B(eps_j beta) = lambda_j at the n-th roots of unity eps_j.  The radius
-    |beta| is located where the Pick matrix of the reduced data (which
-    depends on |beta| only) first turns singular positive semidefinite.
-    When every lambda_j / eps_j is one value c, up to PICK_MARGIN * |c|,
-    that radius is |c| = max |lambda_j| and B(z) = (c / |c|) z, in closed
-    form: at |c| one target is unimodular, so the Pick matrix is positive
-    semidefinite only where its row vanishes, which is where the ratios
-    agree.  Ratios that differ beyond rounding put the boundary above |c|,
-    so they go to the search.  There a coarse descending scan, from just below 1 or
-    from halfway between max |lambda_j| and 1 if that is higher, solves the
-    whole grid in one stacked eigenvalue call; a bracketed secant search
+
+def blaschke_through_roots_of_unity(lambdas) -> GapCertificate:
+    """Gap certificate of values lambda_1..lambda_n in the open disk.
+
+    Finds beta in the disk and a Blaschke product B of order at most n with
+    B(0) = 0 and B(eps_j beta) = lambda_j at the n-th roots of unity eps_j,
+    and returns them with upper = |beta|^n, radius = max |lambda_j| and the
+    gap verdict upper < radius - 1e-9.  The radius |beta| is located where
+    the Pick matrix of the reduced data (which depends on |beta| only) first
+    turns singular positive semidefinite.
+
+    When lambda_j = c eps_j^k for one c and one k in 1..n, up to
+    PICK_MARGIN * |c| in every ratio lambda_j / eps_j^k, that radius is
+    |c|^(1/k) and B(z) = (c / |c|) z^k, in closed form (k = n is c I): there
+    B(z) / z, of order k - 1 < n, solves the reduced problem, so its Pick
+    matrix is singular and the solution unique; a feasible smaller radius
+    would give a second solution of modulus below one.  Other values go to
+    the search.  There a coarse descending scan, from just below 1 or from
+    halfway between max |lambda_j| and 1 if that is higher, solves the whole
+    grid in one stacked eigenvalue call; a bracketed secant search
     (``_boundary_search``) then narrows the lowest feasibility transition to
     BISECT_WIDTH, one stacked call per round, and certifies the lower end of
     its final bracket, which is infeasible beyond the rounding margin
@@ -396,38 +429,37 @@ def blaschke_through_roots_of_unity(lambdas) -> BoundarySolution:
         raise InvalidInputError("no values to interpolate")
     if not np.all(np.isfinite(lam)):
         raise InvalidInputError("values must be finite")
-    if np.max(np.abs(lam)) >= 1.0:
+    moduli = np.abs(lam)
+    radius = float(np.max(moduli))
+    if radius >= 1.0:
         raise DomainError("values must lie in the open unit disk")
-    if np.max(np.abs(lam)) <= DEFAULT_TOL:
-        return BoundarySolution(
-            beta=0.0 + 0.0j,
-            blaschke=ZeroInterpolant(),
-            degenerate=True,
-            interpolation_residual=0.0,
-            smallest_eigenvalue=0.0,
-        )
-    eps = _roots_of_unity(n)
-    matrices = _reduced_pick(lam, eps)
-    ratios = lam / eps
-    c = ratios[np.argmax(np.abs(lam))]
-    if np.max(np.abs(ratios - c)) <= PICK_MARGIN * abs(c):
-        # at |c| the target c / |c| is unimodular, so the Pick matrix is
-        # positive semidefinite only if its row vanishes: every target is
-        # c / |c|, up to the rounding margin; below |c| it leaves the disk
-        r0 = abs(c)
-        bp = BlaschkeProduct(c / r0, [0.0])
-        smallest = _smallest_eigs(matrices, np.array([r0]))[0][0]
+    degenerate = radius <= DEFAULT_TOL
+    if degenerate:
+        r0, bp, smallest, residual = 0.0, ZeroInterpolant(), 0.0, 0.0
     else:
-        r0, bp, smallest = _searched_product(lam, eps, matrices)
-    residual = float(np.max(np.abs(bp(eps * r0) - lam)))
-    if bp.order > n:
-        raise InternalError("recovered product exceeds the admissible order")
-    if residual > INTERPOLATION_TOL:
-        raise NumericError(f"boundary interpolation residual {residual:.3e}")
-    return BoundarySolution(
-        beta=complex(r0),
+        eps = _roots_of_unity(n)
+        matrices = _reduced_pick(lam, eps)
+        k, c = _closed_form(lam, eps, moduli)
+        if k:
+            r0 = abs(c) ** (1.0 / k)
+            bp = BlaschkeProduct(c / abs(c), np.zeros(k))
+            smallest = _smallest_eigs(matrices, np.array([r0]))[0][0]
+        else:
+            r0, bp, smallest = _searched_product(lam, eps, matrices)
+        residual = float(np.max(np.abs(bp(eps * r0) - lam)))
+        if bp.order > n:
+            raise InternalError("recovered product exceeds the admissible order")
+        if residual > INTERPOLATION_TOL:
+            raise NumericError(f"boundary interpolation residual {residual:.3e}")
+    beta = complex(r0)
+    upper = float(abs(beta) ** n)
+    return GapCertificate(
+        beta=beta,
         blaschke=bp,
-        degenerate=False,
+        upper=upper,
+        radius=radius,
+        is_gap=bool(upper < radius - 1e-9),
+        degenerate=degenerate,
         interpolation_residual=residual,
         smallest_eigenvalue=float(smallest),
     )
@@ -482,54 +514,21 @@ class SymmetrizedDisc:
             )
 
 
-@dataclass(eq=False)
-class GapCertificate:
-    """Certified comparison of r(B) with the generic distance limit at 0.
-
-    ``upper`` = |beta|^n bounds the two-point distance limit from above;
-    ``radius`` = r(B) is the value at the scalar base point itself.  A
-    strictly positive gap occurs exactly when the eigenvalues of B are not
-    all equal.
-    """
-
-    beta: complex
-    blaschke: object
-    upper: float
-    radius: float
-    is_gap: bool
-    degenerate: bool = False
-    interpolation_residual: float = 0.0
-
-
 def gap_certificate(b) -> GapCertificate:
-    """Run the boundary interpolation search on the spectrum of B.
+    """Gap certificate of B: ``blaschke_through_roots_of_unity`` of its
+    eigenvalues.
 
-    Returns upper = |beta|^n, radius = r(B) and the gap verdict
-    upper < radius - 1e-9.  A spectral radius of at most DEFAULT_TOL gives the
-    degenerate certificate: beta = 0 and the constant-zero interpolant.
+    Returns upper = |beta|^n, radius = r(B), the gap verdict
+    upper < radius - 1e-9 and the smallest Pick eigenvalue at |beta|.  A
+    spectral radius of at most DEFAULT_TOL gives the degenerate certificate:
+    beta = 0 and the constant-zero interpolant.  A matrix outside the
+    spectral ball raises DomainError.
 
     The search matches the eigenvalues to the roots of unity in the order
     ``eigvals`` lists them.  For n >= 3 other orders give other valid
     bounds, so ``upper`` may change under a unitary similarity of B.
     """
-    return _gap_certificate(spectrum(b))
-
-
-def _gap_certificate(sp: Spectrum) -> GapCertificate:
-    """gap_certificate from the spectrum of B."""
-    if not sp.in_spectral_ball():
-        raise DomainError("matrix lies outside the spectral ball")
-    sol = blaschke_through_roots_of_unity(sp.values)
-    upper = float(abs(sol.beta) ** len(sp.values))
-    return GapCertificate(
-        beta=sol.beta,
-        blaschke=sol.blaschke,
-        upper=upper,
-        radius=sp.radius,
-        is_gap=bool(upper < sp.radius - 1e-9),
-        degenerate=sol.degenerate,
-        interpolation_residual=sol.interpolation_residual,
-    )
+    return blaschke_through_roots_of_unity(spectrum(b).values)
 
 
 def discontinuity_report(b, t: complex = 0.0) -> dict:
@@ -552,7 +551,7 @@ def discontinuity_report(b, t: complex = 0.0) -> dict:
     kobayashi_value = _kobayashi_at(t, sp.radius)
     kobayashi_limit = _kobayashi_at(t, float(abs(np.trace(B))) / n)
     shifted = spectrum(disk_automorphism(t, B)) if t != 0.0 else sp
-    cert = _gap_certificate(shifted)
+    cert = blaschke_through_roots_of_unity(shifted.values)
 
     spread = np.max(np.abs(sp.values[:, None] - sp.values[None, :]))
     eigenvalues_equal = bool(spread <= EQUAL_EIGENVALUES_TOL * (1.0 + sp.radius))

@@ -2,13 +2,17 @@
 
 Every callable exported by ``spectralball`` has its parameter names listed
 here, every CLI subcommand its flags and the classifier its criteria, so
-adding or removing a knob or a criterion shows up as a diff of this file.  Every ``tolerances`` value a CLI document
-reports is checked against the library constant it names.
+adding or removing a knob or a criterion shows up as a diff of this file.
+Every ``tolerances`` value a CLI document reports is checked against the
+library constant it names, and the tolerance literals of the package are
+counted.
 """
 
 import argparse
 import inspect
 import json
+import pathlib
+import tokenize
 
 import numpy as np
 
@@ -17,9 +21,6 @@ from spectralball import cli, curves, geometry, matcore, nonderog, pick
 
 PARAMETERS = {
     "BlaschkeProduct": ("unimodular", "zeros"),
-    "BoundarySolution": (
-        "beta", "blaschke", "degenerate", "interpolation_residual", "smallest_eigenvalue"
-    ),
     "CommutantBasis": ("dim", "basis"),
     "CriterionResult": ("passed", "diagnostic", "borderline"),
     "DiscWitness": (
@@ -28,7 +29,8 @@ PARAMETERS = {
     ),
     "ExpConjugationCurve": ("base", "generator"),
     "GapCertificate": (
-        "beta", "blaschke", "upper", "radius", "is_gap", "degenerate", "interpolation_residual"
+        "beta", "blaschke", "upper", "radius", "is_gap", "degenerate", "interpolation_residual",
+        "smallest_eigenvalue",
     ),
     "HullWitness": ("weights", "terms", "similarity"),
     "MatrixPolynomialCurve": ("coefficients",),
@@ -144,8 +146,23 @@ def test_parameters_of_every_exported_callable():
             found[name] = tuple(p.name for p in params)
             defaults += sum(p.default is not inspect.Parameter.empty for p in params)
     assert found == PARAMETERS
-    assert sum(len(names) for names in found.values()) == 117
-    assert defaults == 8
+    assert sum(len(names) for names in found.values()) == 113
+    assert defaults == 6
+
+
+def test_tolerance_literals():
+    """Number literals with a negative exponent (``1e-9``) in the package's
+    code, counted by ``tokenize``: a tolerance quoted in a docstring or a
+    comment is a string, not a number, and does not count."""
+    found = []
+    for path in sorted(pathlib.Path(sb.__file__).parent.glob("*.py")):
+        with tokenize.open(path) as source:
+            found += [
+                token.string
+                for token in tokenize.generate_tokens(source.readline)
+                if token.type == tokenize.NUMBER and "e-" in token.string.lower()
+            ]
+    assert len(found) == 30
 
 
 def test_classifier_criteria():

@@ -547,6 +547,14 @@ class TestVectorizedVerifier:
         with pytest.raises(sb.InvalidInputError):
             sb.multiset_distance(stack, np.zeros(3))
 
+    def test_empty_multisets_are_at_distance_zero(self):
+        # regression: the zeros of two order-0 products raised ValueError
+        assert sb.multiset_distance([], []) == 0.0
+        assert isinstance(sb.multiset_distance([], []), float)
+        np.testing.assert_array_equal(sb.multiset_distance(np.zeros((3, 0)), []), np.zeros(3))
+        value, perm = matcore_module._bottleneck_pairing(np.zeros((2, 0, 0)))
+        assert value.shape == (2,) and perm.shape == (2, 0)
+
 
 _grid_value = st.builds(
     complex, st.integers(-3, 3).map(lambda k: k / 2), st.integers(-3, 3).map(lambda k: k / 2)

@@ -2,7 +2,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spectralball as sb
@@ -88,6 +88,45 @@ def seeded_spectra():
             lam = np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
             cases.append(lam * (radius / np.max(np.abs(lam))))
     return cases
+
+
+def power_of_roots(lam):
+    """The k in 2..n with lam_j = c eps_j^k for every j (c = lam_0), up to
+    PICK_MARGIN * |c|, or None: the closed form beyond k = 1.  c I is k = n."""
+    lam = np.asarray(lam, dtype=complex)
+    n = len(lam)
+    eps = np.exp(2j * np.pi * np.arange(n) / n)
+    for k in range(2, n + 1):
+        if lam[0] != 0.0 and np.max(np.abs(lam - lam[0] * eps**k)) <= (
+            pick_module.PICK_MARGIN * abs(lam[0])
+        ):
+            return k
+    return None
+
+
+def assert_power_closed_form(sol, lam, k):
+    """sol is B(z) = (c / |c|) z^k at |beta| = |c|^(1/k), with upper = |c|^(n/k),
+    within the rounding of lam_j = c eps_j^k, and its radius is the
+    feasibility boundary: the smallest Pick eigenvalue there is within
+    PICK_MARGIN times the largest of zero, and BISECT_WIDTH below (above) it
+    is not feasible (infeasible) beyond that margin."""
+    lam = np.asarray(lam, dtype=complex)
+    n, c = len(lam), lam[0]
+    rounding = 4.0 * (k + 1) * np.finfo(float).eps
+    r = abs(c) ** (1.0 / k)
+    assert abs(sol.beta - r) <= 4.0 * np.finfo(float).eps * r
+    assert sol.blaschke.order == k and not np.any(sol.blaschke.zeros)
+    assert abs(sol.blaschke.unimodular - c / abs(c)) <= rounding
+    assert abs(sol.upper - abs(c) ** (n / k)) <= 2.0 * (n + 1) * np.finfo(float).eps * sol.upper
+    assert sol.interpolation_residual <= rounding * abs(c)
+    assert not sol.degenerate
+    eps = np.exp(2j * np.pi * np.arange(n) / n)
+    r = abs(sol.beta)
+    largest = np.linalg.eigvalsh(sb.pick_matrix(PickProblem(eps * r, lam / (eps * r))))[-1]
+    margin = pick_module.PICK_MARGIN * largest
+    assert abs(sol.smallest_eigenvalue) <= margin
+    assert _sequential_smallest_eig(lam, eps, r - BISECT_WIDTH) < margin
+    assert _sequential_smallest_eig(lam, eps, r + BISECT_WIDTH) > -margin
 
 
 class TestBlaschkeProduct:
@@ -350,6 +389,10 @@ class TestInterpolantFromTheSearch:
         n = len(lam)
         eps = np.exp(2j * np.pi * np.arange(n) / n)
         sol = sb.blaschke_through_roots_of_unity(lam)
+        k = power_of_roots(lam)
+        if k:
+            assert_power_closed_form(sol, lam, k)
+            return
         problem = PickProblem(eps * sol.beta, lam / (eps * sol.beta))
         bp = sb.degenerate_interpolant(problem)
         assert sol.blaschke.zeros[0] == 0.0
@@ -454,6 +497,11 @@ class TestBoundaryInterpolation:
         r = abs(sol.beta)
         assert abs(r - abs(beta)) <= BISECT_WIDTH
         assert sol.interpolation_residual <= 1e-6
+        k = power_of_roots(lam)
+        if k:
+            # c I: the closed form sits on the boundary, not below it
+            assert_power_closed_form(sol, lam, k)
+            return
         n = len(lam)
         eps = np.exp(2j * np.pi * np.arange(n) / n)
         _, _, crossing = sequential_scan(lam)
@@ -462,22 +510,26 @@ class TestBoundaryInterpolation:
             assert _sequential_smallest_eig(lam, eps, r + BISECT_WIDTH) >= 0.0
 
     def test_stacked_solves_per_certificate(self, count_calls):
-        """One stacked eigvalsh for the scan and one per search round: 209
-        on these 45 spectra, and at most 7 for any one of them."""
+        """One stacked eigvalsh for the scan and one per search round: 179
+        on these 45 spectra, and at most 7 for any one of them.  The closed
+        form (n = 1 and the eight c I spectra) takes one, at its radius."""
         calls = count_calls(np.linalg, "eigvalsh")
         counts = []
         for lam in seeded_spectra():
             before = len(calls)
-            sb.blaschke_through_roots_of_unity(lam)
+            sol = sb.blaschke_through_roots_of_unity(lam)
             counts.append(len(calls) - before)
-        assert sum(counts) == 209
+            if len(lam) == 1 or power_of_roots(lam):
+                assert counts[-1] == 1
+                assert not np.any(sol.blaschke.zeros)
+        assert sum(counts) == 179
         assert max(counts) <= 7
 
     def test_eigensolves_per_certificate(self, count_calls, no_companion_roots):
         """Besides the stacked eigvalsh: one eigh of the certified Pick matrix,
         one eigvals of the colligation's state matrix, of order one below the
-        product, and no companion root-finds.  The closed form (n = 1 here)
-        needs neither solve."""
+        product, and no companion root-finds.  The closed form (n = 1 and the
+        c I spectra here) needs neither solve."""
         eigh = count_calls(np.linalg, "eigh")
         eigvals = count_calls(np.linalg, "eigvals")
         for lam in seeded_spectra():
@@ -485,8 +537,11 @@ class TestBoundaryInterpolation:
             eigvals.clear()
             sol = sb.blaschke_through_roots_of_unity(lam)
             n, order = len(lam), sol.blaschke.order
-            if n == 1:
+            k = power_of_roots(lam)
+            if n == 1 or k:
                 assert (eigh, eigvals) == ([], [])
+                if k:
+                    assert_power_closed_form(sol, lam, k)
             else:
                 assert eigh == [(n, n)]
                 assert eigvals == [(order - 1, order - 1)]
@@ -535,17 +590,30 @@ class TestBoundaryInterpolation:
             max_size=6,
         )
     )
+    @example([(0.0, 0.0), (1.192092896e-07, 0.0)])
     def test_crossing_certifies_infeasible_radius(self, polar):
+        """|beta| is infeasible beyond the rounding margin, and either feasible
+        BISECT_WIDTH above or within _MARGIN_STEPS[-1] margins of feasibility:
+        for tiny values (the example) the smallest eigenvalue moves by less
+        than a margin over BISECT_WIDTH, and the search stops on the margins."""
         lam = np.array([m * np.exp(1j * a) for m, a in polar])
         sol = sb.blaschke_through_roots_of_unity(lam)
         assume(not sol.degenerate)
+        k = power_of_roots(lam)
+        if k:
+            # equal values (c I): the closed form sits on the boundary
+            assert_power_closed_form(sol, lam, k)
+            return
         _, _, crossing = sequential_scan(lam)
         assume(crossing is not None)
         n = len(lam)
         eps = np.exp(2j * np.pi * np.arange(n) / n)
         r = abs(sol.beta)
-        assert _sequential_smallest_eig(lam, eps, r) < 0.0
-        assert _sequential_smallest_eig(lam, eps, r + BISECT_WIDTH) >= 0.0
+        vals = np.linalg.eigvalsh(sb.pick_matrix(PickProblem(eps * r, lam / (eps * r))))
+        margin = pick_module.PICK_MARGIN * max(-vals[0], vals[-1])
+        assert vals[0] < -margin
+        if _sequential_smallest_eig(lam, eps, r + BISECT_WIDTH) < 0.0:
+            assert vals[0] >= -pick_module._MARGIN_STEPS[-1] * margin
         assert sol.smallest_eigenvalue < 0.0
         cert = sb.gap_certificate(np.diag(lam))
         assert cert.upper <= cert.radius
@@ -754,6 +822,27 @@ class TestSearchRegressions:
         # is not positive semidefinite (PreconditionError) at r(B) = 0.9999
         cert = sb.gap_certificate(np.diag(lam))
         assert abs(cert.upper - TestAglerYoungClosedForm.closed_form(lam)) <= 1e-9
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_scalar_spectra_certify_in_closed_form(self, n):
+        # regression: c I raised NumericError for small c (up to 7.6e-7 at
+        # n = 8): the search's product split its (n - 1)-fold zero at the origin
+        for c in 10.0 ** -np.linspace(0.05, 8.5, 40) * np.exp(0.7j):
+            cert = sb.blaschke_through_roots_of_unity(np.full(n, c))
+            assert_power_closed_form(cert, np.full(n, c), n)
+            assert abs(cert.radius - abs(c)) <= np.finfo(float).eps * abs(c) and not cert.is_gap
+            cert = sb.gap_certificate(c * np.eye(n))
+            assert abs(cert.upper - abs(c)) <= 2e-15 * abs(c)
+            assert cert.blaschke.order == n and not cert.is_gap
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (4, 3), (6, 4), (8, 5)])
+    def test_powers_of_roots_of_unity_certify_in_closed_form(self, n, k):
+        eps = np.exp(2j * np.pi * np.arange(n) / n)
+        for c in (0.9 * np.exp(0.3j), 1e-3, -2e-8j):
+            lam = c * eps**k
+            cert = sb.blaschke_through_roots_of_unity(lam)
+            assert_power_closed_form(cert, lam, k)
+            assert cert.is_gap == (abs(c) ** (n / k) < abs(c) - 1e-9)
 
     @pytest.mark.parametrize("lam", RECOVERY_REGRESSIONS, ids=["seed4-1085", "seed7-913"])
     def test_benchmark_spectra_certify(self, lam):
