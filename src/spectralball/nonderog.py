@@ -168,20 +168,26 @@ def minimal_polynomial(a) -> PolyCoeffs:
 
 
 def _cluster_eigenvalues(values, radius):
-    """Group computed eigenvalues chained by gaps of at most the cluster
-    threshold; returns a list of index arrays, ordered by their least index.
+    """Group computed eigenvalues whose mutual gap is below the cluster
+    threshold; returns a list of index arrays."""
+    n = len(values)
+    thresh = CLUSTER_GAP * (1.0 + radius)
+    parent = list(range(n))
 
-    Each eigenvalue takes the least label among its neighbours until no
-    label changes, so every group is labelled by its least index.
-    """
-    near = np.abs(values[:, None] - values[None, :]) <= CLUSTER_GAP * (1.0 + radius)
-    index = np.arange(len(values))
-    labels = index
-    while True:
-        least = np.where(near, labels, labels[:, None]).min(axis=1)
-        if (least == labels).all():
-            return [np.flatnonzero(labels == k) for k in index[labels == index]]
-        labels = least
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) <= thresh:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [np.array(g) for g in groups.values()]
 
 
 def _criterion_cyclic(M, rng):

@@ -11,21 +11,23 @@ discontinuity report built on it.
 The boundary search builds the Pick matrices of its reduced problems in
 closed form, for a whole array of radii at once, so its coarse scan and each
 round of its bracketed secant search are one broadcast and one stacked
-``eigvalsh``.  At the certified radius it factors the ``pick_matrix``
-formula once (``eigh``) and recovers its Blaschke product from the unitary
-colligation that ``degenerate_interpolant`` builds: one least-squares solve
-and one ``eigvals`` of the state matrix, whose conjugated eigenvalues are
-the zeros.  The product is unimodular on the circle by construction, so no
-circle samples are checked.  When lambda_j = c eps_j^k for one c and one k
-in 1..n, up to the rounding margin PICK_MARGIN * |c|, the search is
-skipped: |beta| = |c|^(1/k) and B(z) = (c / |c|) z^k.  The search returns
-the ``GapCertificate`` itself, which ``gap_certificate`` and
-``discontinuity_report`` take on the spectrum of B.
+``eigvalsh``; only the certified radius goes through a validated
+``PickProblem``.  Its Blaschke product comes from the unitary colligation
+that ``degenerate_interpolant`` builds on that problem's ``eigh``: one
+least-squares solve and one ``eigvals`` of the state matrix, whose
+conjugated eigenvalues are the zeros.  The product is unimodular on the
+circle by construction, so no circle samples are checked.  When
+lambda_j = c eps_j^k for one c and one k in 1..n, up to the rounding margin
+PICK_MARGIN * |c|, the search is skipped: |beta| = |c|^(1/k) and
+B(z) = (c / |c|) z^k.  The search returns the ``GapCertificate`` itself,
+which ``gap_certificate`` and ``discontinuity_report`` take on the spectrum
+of B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -83,13 +85,26 @@ class PickProblem:
         ax = np.abs(x)
         if ax.max() >= 1.0:
             raise InvalidInputError("nodes must lie in the open unit disk")
-        j, k = np.triu_indices(x.shape[-1], 1)
+        j, k = _pairs(x.shape[-1])
         if (np.abs(x[..., j] - x[..., k]) <= 1e-12 * (1.0 + ax[..., j])).any():
             raise InvalidInputError("interpolation nodes must be distinct")
 
     @property
     def size(self) -> int:
         return self.nodes.shape[-1]
+
+    @cached_property
+    def _factored(self):
+        """Pick matrix with its eigenvalues (ascending) and eigenvectors,
+        computed once per problem."""
+        m = pick_matrix(self)
+        return (m, *np.linalg.eigh(m))
+
+
+@lru_cache(maxsize=None)
+def _pairs(n):
+    """Index pairs (j, k) with j < k among n nodes, built once per n."""
+    return np.triu_indices(n, 1)
 
 
 class BlaschkeProduct:
@@ -149,11 +164,8 @@ def pick_matrix(problem: PickProblem) -> np.ndarray:
     gives the stack ``(..., n, n)`` of its Pick matrices, each equal to the
     matrix of its own slice.
     """
-    return _pick(problem.nodes, problem.targets)
-
-
-def _pick(x, w):
-    """``pick_matrix`` of nodes x and targets w, unvalidated."""
+    x = problem.nodes
+    w = problem.targets
     num = 1.0 - w[..., :, None] * np.conj(w)[..., None, :]
     den = 1.0 - x[..., :, None] * np.conj(x)[..., None, :]
     m = num / den
@@ -172,43 +184,6 @@ def is_psd(m) -> bool:
         raise InvalidInputError("matrix is not Hermitian")
     vals = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
     return bool(vals[0] >= -DEFAULT_TOL * (1.0 + max(vals[-1], 0.0)))
-
-
-def _factor(x, w):
-    """Eigenvalues (ascending) and eigenvectors of the Pick matrix of nodes x
-    and targets w, and why it is not singular positive semidefinite (None if
-    it is): its smallest eigenvalue must be within 1e-6 * (1 + largest) of 0.
-    """
-    vals, vecs = np.linalg.eigh(_pick(x, w))
-    bound = 1e-6 * (1.0 + max(vals[-1], 0.0))
-    if vals[0] < -bound:
-        return vals, vecs, "Pick matrix is not positive semidefinite"
-    if vals[0] > bound:
-        return vals, vecs, "Pick matrix is not singular"
-    return vals, vecs, None
-
-
-def _realize(x, w, vals, vecs):
-    """Blaschke product through the singular problem (x, w) from the
-    factored Pick matrix: see ``degenerate_interpolant``."""
-    keep = vals > DEFAULT_TOL * (1.0 + max(vals[-1], 0.0))
-    keep[0] = False
-    g = vecs[:, keep] * np.sqrt(vals[keep])
-    a = np.column_stack((np.ones_like(x), x[:, None] * g))
-    b = np.column_stack((w, g))
-    v = np.linalg.lstsq(a, b, rcond=None)[0]
-    zeros = np.conj(np.linalg.eigvals(v[1:, 1:]))
-    if not np.all(np.abs(zeros) < 1.0):
-        raise NumericError("recovered zeros leave the open unit disk")
-
-    shape = BlaschkeProduct(1.0, zeros)(x)
-    j = np.argmax(np.abs(w))
-    u = w[j] / shape[j]
-    u /= abs(u)
-    interp = np.max(np.abs(u * shape - w))
-    if interp > INTERPOLATION_TOL:
-        raise NumericError(f"interpolation residual {interp:.3e} is too large")
-    return BlaschkeProduct(u, zeros)
 
 
 def degenerate_interpolant(problem: PickProblem):
@@ -234,13 +209,34 @@ def degenerate_interpolant(problem: PickProblem):
     unimodular on the circle by construction.  All-zero target data yields
     the flagged constant-zero interpolant.
     """
+    _, vals, vecs = problem._factored
+    scale = 1.0 + max(vals[-1], 0.0)
+    if vals[0] < -1e-6 * scale:
+        raise PreconditionError("Pick matrix is not positive semidefinite")
+    if vals[0] > 1e-6 * scale:
+        raise PreconditionError("Pick matrix is not singular")
     x, w = problem.nodes, problem.targets
-    vals, vecs, defect = _factor(x, w)
-    if defect:
-        raise PreconditionError(defect)
     if np.max(np.abs(w)) <= DEFAULT_TOL:
         return ZeroInterpolant()
-    return _realize(x, w, vals, vecs)
+
+    keep = vals > DEFAULT_TOL * scale
+    keep[0] = False
+    g = vecs[:, keep] * np.sqrt(vals[keep])
+    a = np.column_stack((np.ones_like(x), x[:, None] * g))
+    b = np.column_stack((w, g))
+    v = np.linalg.lstsq(a, b, rcond=None)[0]
+    zeros = np.conj(np.linalg.eigvals(v[1:, 1:]))
+    if not np.all(np.abs(zeros) < 1.0):
+        raise NumericError("recovered zeros leave the open unit disk")
+
+    shape = BlaschkeProduct(1.0, zeros)(x)
+    j = np.argmax(np.abs(w))
+    u = w[j] / shape[j]
+    u /= abs(u)
+    interp = np.max(np.abs(u * shape - w))
+    if interp > INTERPOLATION_TOL:
+        raise NumericError(f"interpolation residual {interp:.3e} is too large")
+    return BlaschkeProduct(u, zeros)
 
 
 @dataclass(eq=False)
@@ -366,16 +362,17 @@ def _searched_product(lam, eps, matrices):
             matrices, grid[i], vals[i], margins[i], grid[i + 1], vals[i + 1]
         )
 
-    x = eps * r0
-    w = lam / x
-    vals, vecs, defect = _factor(x, w)
-    if defect:
+    nodes = eps * r0
+    problem = PickProblem(nodes, lam / nodes)
+    try:
+        # the targets have modulus at least max |lam| / r0 > DEFAULT_TOL, so this
+        # is a Blaschke product, not the zero interpolant
+        interpolant = degenerate_interpolant(problem)
+    except PreconditionError as err:
         # the search's radius failed the check, not the caller's data (close to
         # the circle the Pick matrix at the scan's bottom can read nonsingular)
-        raise NumericError(f"no boundary point at the certified radius: {defect}")
-    # the targets have modulus at least max |lam| / r0 > DEFAULT_TOL, so this is
-    # a Blaschke product, not the zero interpolant
-    return r0, _realize(x, w, vals, vecs).prepend_zero_at_origin(), vals[0]
+        raise NumericError(f"no boundary point at the certified radius: {err}") from err
+    return r0, interpolant.prepend_zero_at_origin(), problem._factored[1][0]
 
 
 def _closed_form(lam, eps, moduli):
@@ -528,7 +525,10 @@ def gap_certificate(b) -> GapCertificate:
     ``eigvals`` lists them.  For n >= 3 other orders give other valid
     bounds, so ``upper`` may change under a unitary similarity of B.
     """
-    return blaschke_through_roots_of_unity(spectrum(b).values)
+    sp = spectrum(b)
+    if not sp.in_spectral_ball():
+        raise DomainError("matrix lies outside the spectral ball")
+    return blaschke_through_roots_of_unity(sp.values)
 
 
 def discontinuity_report(b, t: complex = 0.0) -> dict:

@@ -162,7 +162,7 @@ def test_tolerance_literals():
                 for token in tokenize.generate_tokens(source.readline)
                 if token.type == tokenize.NUMBER and "e-" in token.string.lower()
             ]
-    assert len(found) == 30
+    assert len(found) == 31
 
 
 def test_classifier_criteria():

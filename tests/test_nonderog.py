@@ -267,62 +267,6 @@ def reference_classify(a):
     return sum(pool) * 2 > len(pool), per
 
 
-def union_find_clusters(values, radius):
-    """Reference clustering: union-find over every pair within the threshold,
-    groups in the order of their least index."""
-    n = len(values)
-    thresh = nonderog_module.CLUSTER_GAP * (1.0 + radius)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= thresh:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(g) for g in groups.values()]
-
-
-@st.composite
-def chained_values(draw):
-    """Shuffled walks from one base point with steps of 0 to 1000 cluster
-    thresholds, near the threshold most often: repeats, chains and gaps."""
-    n = draw(st.integers(1, 12))
-    base = draw(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False))
-    step = st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 1.5, 1e3])
-    steps = np.array(draw(st.lists(step, min_size=n, max_size=n)))
-    turns = np.array(draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=n, max_size=n)))
-    gap = nonderog_module.CLUSTER_GAP * (1.0 + abs(base))
-    values = base + gap * np.cumsum(steps * np.exp(1j * turns))
-    return values[np.array(draw(st.permutations(range(n))))]
-
-
-class TestClusterEigenvalues:
-    @settings(max_examples=300)
-    @given(chained_values())
-    def test_matches_union_find(self, values):
-        radius = float(np.max(np.abs(values)))
-        got = nonderog_module._cluster_eigenvalues(values, radius)
-        ref = union_find_clusters(values, radius)
-        assert len(got) == len(ref)
-        for group, expected in zip(got, ref):
-            assert group.tolist() == expected.tolist()
-
-    def test_chain_is_one_group(self):
-        # 0 - 1 - 2 are each within the threshold, 0 and 2 are not
-        gap = nonderog_module.CLUSTER_GAP * 2.0
-        values = np.array([1.0, 1.0 + 1.5 * gap, 1.0 + 0.75 * gap, 0.5])
-        groups = nonderog_module._cluster_eigenvalues(values, 1.0)
-        assert [g.tolist() for g in groups] == [[0, 1, 2], [3]]
-
-
 STRUCTURES = ("gaussian", "jordan", "jordan_split", "repeated", "scalar", "clustered")
 
 

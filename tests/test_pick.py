@@ -2,7 +2,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spectralball as sb
@@ -590,18 +590,15 @@ class TestBoundaryInterpolation:
             max_size=6,
         )
     )
-    @example([(0.0, 0.0), (1.192092896e-07, 0.0)])
     def test_crossing_certifies_infeasible_radius(self, polar):
-        """|beta| is infeasible beyond the rounding margin, and either feasible
-        BISECT_WIDTH above or within _MARGIN_STEPS[-1] margins of feasibility:
-        for tiny values (the example) the smallest eigenvalue moves by less
-        than a margin over BISECT_WIDTH, and the search stops on the margins."""
+        """|beta| is infeasible beyond the rounding margin and feasible
+        BISECT_WIDTH above; values of the form c eps_j^k sit on the boundary."""
         lam = np.array([m * np.exp(1j * a) for m, a in polar])
         sol = sb.blaschke_through_roots_of_unity(lam)
         assume(not sol.degenerate)
         k = power_of_roots(lam)
         if k:
-            # equal values (c I): the closed form sits on the boundary
+            # values c eps_j^k (c I included): the closed form sits on the boundary
             assert_power_closed_form(sol, lam, k)
             return
         _, _, crossing = sequential_scan(lam)
@@ -612,8 +609,7 @@ class TestBoundaryInterpolation:
         vals = np.linalg.eigvalsh(sb.pick_matrix(PickProblem(eps * r, lam / (eps * r))))
         margin = pick_module.PICK_MARGIN * max(-vals[0], vals[-1])
         assert vals[0] < -margin
-        if _sequential_smallest_eig(lam, eps, r + BISECT_WIDTH) < 0.0:
-            assert vals[0] >= -pick_module._MARGIN_STEPS[-1] * margin
+        assert _sequential_smallest_eig(lam, eps, r + BISECT_WIDTH) >= 0.0
         assert sol.smallest_eigenvalue < 0.0
         cert = sb.gap_certificate(np.diag(lam))
         assert cert.upper <= cert.radius
@@ -699,6 +695,8 @@ class TestGapCertificate:
     def test_outside_ball(self):
         with pytest.raises(sb.DomainError):
             sb.gap_certificate(np.diag([1.1, 0.0]))
+        with pytest.raises(sb.DomainError, match="outside the spectral ball"):
+            sb.gap_certificate(np.diag([0.5, -1.0]))
 
     def test_every_eigenvalue_order_gives_a_valid_bound(self):
         # the search pairs the values with the roots of unity in the order
@@ -843,6 +841,20 @@ class TestSearchRegressions:
             cert = sb.blaschke_through_roots_of_unity(lam)
             assert_power_closed_form(cert, lam, k)
             assert cert.is_gap == (abs(c) ** (n / k) < abs(c) - 1e-9)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="for values below about 1e-6 the search can stop below the "
+        "boundary by more than BISECT_WIDTH (CHANGES.md, FOUND: small spectra)",
+    )
+    def test_tiny_spectrum_is_feasible_bisect_width_above(self):
+        # the smallest Pick eigenvalue moves by less than its rounding margin
+        # over BISECT_WIDTH here, and the search stops within a few margins
+        # of zero: -5.2e-13 at |beta|, -3.2e-13 at |beta| + BISECT_WIDTH
+        lam = np.array([0.0, 1.192092896e-07])
+        sol = sb.blaschke_through_roots_of_unity(lam)
+        eps = np.exp(2j * np.pi * np.arange(2) / 2)
+        assert _sequential_smallest_eig(lam, eps, abs(sol.beta) + BISECT_WIDTH) >= 0.0
 
     @pytest.mark.parametrize("lam", RECOVERY_REGRESSIONS, ids=["seed4-1085", "seed7-913"])
     def test_benchmark_spectra_certify(self, lam):
