@@ -14,9 +14,13 @@ side by side and cross-checked:
 Disagreement between criteria without a borderline rank decision is reported
 as an internal error.  Every criterion is decided on the centered, normalized
 M of A = tau I + c M (``matcore._centered``), as the property is invariant
-under A -> cA + dI.  ``classify`` solves for the eigenvalues of M once; the
+under A -> cA + dI.  ``classify`` solves for the eigenpairs of M once; the
 minimal polynomial is searched on one QR of the stacked normalized powers of
-M (one SVD per leading block of R); the eigenvalue clusters share one SVD.
+M (one SVD of the largest leading block of R when the degree is full, a
+bisection over the leading blocks otherwise); the eigenvalue clusters share
+one SVD.  When the eigenpairs prove the rank decision on the commutation
+operator (distinct, separated eigenvalues, well-conditioned eigenvectors),
+its n^2 x n^2 SVD is skipped; otherwise that SVD decides.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InternalError, NumericError
+from .errors import InternalError, InvalidInputError, NumericError
 from .matcore import (
     BORDERLINE_DECADE,
     DEFAULT_TOL,
@@ -78,13 +82,23 @@ class NonderogReport:
 
 @dataclass(eq=False)
 class PolyCoeffs:
-    """Monic polynomial, coefficients ascending (last entry exactly 1)."""
+    """Monic polynomial, coefficients ascending (last entry exactly 1).
+
+    The coefficients are copied and divided by the leading one, which must be
+    finite and nonzero.
+    """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        self.coeffs[-1] = 1.0
+        coeffs = np.array(self.coeffs, dtype=complex, ndmin=1)
+        lead = coeffs[-1] if coeffs.size else 0.0
+        if lead == 0 or not np.isfinite(lead):
+            raise InvalidInputError(f"leading coefficient must be finite and nonzero, got {lead}")
+        if lead != 1:
+            coeffs /= lead
+        coeffs[-1] = 1.0
+        self.coeffs = coeffs
 
     @property
     def degree(self) -> int:
@@ -128,14 +142,28 @@ def _minimal_polynomial_impl(tau, c, M, mu=None):
     # the leading (d+1) x (d+1) block of R is the R factor of the first d+1
     # normalized powers, so it has their singular values
     r = np.linalg.qr(_unit_columns(w), mode="r")
-    borderline = False
-    for d in range(1, n):
-        rank, flag = _rank_by_svd(np.linalg.svd(r[: d + 1, : d + 1], compute_uv=False))
-        borderline = borderline or flag
-        if rank <= d:
-            break
+    flags = {0: False}  # block 0 is one unit column
+
+    def deficient(d):
+        rank, flags[d] = _rank_by_svd(np.linalg.svd(r[: d + 1, : d + 1], compute_uv=False))
+        return rank <= d
+
+    # Adding a column never lowers sigma_max nor raises sigma_min (interlacing,
+    # Thompson 1972), so sigma_min / sigma_max never grows with d: every block
+    # from the first deficient one on is deficient, and a full-rank block is
+    # flagged only if the last full-rank block is.  So the first deficient
+    # block and the flags up to it are those of a search over d = 1, 2, ...
+    if n == 1 or not deficient(n - 1):
+        d, borderline = n, flags[n - 1]
     else:
-        d = n
+        lo, d = 0, n - 1
+        while d - lo > 1:
+            mid = (lo + d) // 2
+            if deficient(mid):
+                d = mid
+            else:
+                lo = mid
+        borderline = flags[d] or flags[d - 1]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         if d < n:
             q = np.linalg.lstsq(w[:, :d], -w[:, d], rcond=None)[0] * c ** np.arange(d, 0, -1)
@@ -159,7 +187,10 @@ def minimal_polynomial(a) -> PolyCoeffs:
     Found on the centered, normalized M of A = tau I + c M, at the first
     rank deficiency of the column-normalized, column-vectorized powers
     I, M, ..., M^(n-1): one QR factorization of the whole stack, then one
-    SVD of each leading block of R.  M's coefficients come from a
+    SVD of its largest leading block of R, which settles a full degree.  As
+    sigma_min / sigma_max of the leading blocks never grows with their size,
+    a deficient one is followed by a bisection for the first deficient
+    block.  M's coefficients come from a
     least-squares solve of the unnormalized prefix against the next power,
     and A's are c^d q((z - tau) / c).
     """
@@ -219,6 +250,46 @@ def _criterion_eigenspaces(M, values):
     return CriterionResult(max_mult == 1, float(max_mult), borderline)
 
 
+def _commutant_rank_bound(M, mu, V):
+    """``(n^2 - n, False)`` when the eigenpairs (mu, V) of M prove that this
+    is what ``_rank_by_svd`` returns on the SVD of ``commutation_operator(M)``;
+    None otherwise.
+
+    With M = V diag(mu) V^-1 + F, ||F||_2 <= ||MV - V diag(mu)||_F / sigma_min(V).
+    The operator K of the first term is S L S^-1, with S = V^-T (x) V and L the
+    diagonal of the differences mu_p - mu_j: n singular values are 0 and the
+    other n^2 - n at least delta / kappa(V)^2, delta the least gap.  Weyl's
+    inequality moves each by at most 2 ||F||_2, and the assembly and the SVD
+    round them by at most (n^2 + 1) eps ||K||_F.  sigma_max(K) lies between
+    max(||K||_F / n, largest gap - 2 ||F||_2) and ||K||_F, where
+    ||K||_F^2 = 2n ||M||_F^2 - 2 |tr M|^2.
+    """
+    n = len(mu)
+    if n < 2:
+        return None
+    eps = np.finfo(float).eps
+    gaps = np.abs(mu[:, None] - mu)
+    spread = gaps.max()
+    np.fill_diagonal(gaps, np.inf)
+    s_v = np.linalg.svd(V, compute_uv=False)
+    v_max, v_min = s_v[0] * (1 + n * eps), s_v[-1] - n * eps * s_v[0]
+    if not v_min > 0.0:
+        return None
+    m_fro = np.linalg.norm(M)
+    # the residual with the rounding of its evaluation (|mu| <= ||M||_F,
+    # ||V||_F = sqrt(n)); Weyl's shift is at most twice ||F||_2
+    residual = np.linalg.norm(M @ V - V * mu) + 2 * (n + 2) * eps * m_fro * np.sqrt(n)
+    shift = 2.0 * residual / v_min
+    k_fro = np.sqrt(max(2.0 * n * m_fro**2 - 2.0 * abs(M.trace()) ** 2, 0.0))
+    rounding = (n * n + 1) * eps * k_fro
+    small = shift + rounding
+    large = gaps.min() * (v_min / v_max) ** 2 - small
+    max_low = max(k_fro / n, spread - shift) - rounding
+    below = small < DEFAULT_TOL / BORDERLINE_DECADE * max_low
+    above = large > DEFAULT_TOL * BORDERLINE_DECADE * (k_fro + rounding)
+    return (n * n - n, False) if below and above else None
+
+
 def classify(a, rng=None) -> NonderogReport:
     """Classify a matrix as non-derogatory or derogatory.
 
@@ -238,15 +309,17 @@ def classify(a, rng=None) -> NonderogReport:
     per = {}
     per["cyclic_vector"] = _criterion_cyclic(M, rng)
 
-    mu = np.linalg.eigvals(M)
+    mu, vectors = np.linalg.eig(M)
     min_coeffs, mp_borderline = _minimal_polynomial_impl(tau, c, M, mu)
     degree = len(min_coeffs) - 1
     per["minimal_degree"] = CriterionResult(degree == n, float(degree), mp_borderline)
 
     per["eigenspace_dim"] = _criterion_eigenspaces(M, mu)
 
-    s_op = np.linalg.svd(commutation_operator(M), compute_uv=False)
-    op_rank, op_borderline = _rank_by_svd(s_op)
+    decision = _commutant_rank_bound(M, mu, vectors)
+    if decision is None:
+        decision = _rank_by_svd(np.linalg.svd(commutation_operator(M), compute_uv=False))
+    op_rank, op_borderline = decision
     commutant_dim = n * n - op_rank
     per["commutant_dim"] = CriterionResult(
         commutant_dim == n, float(commutant_dim), op_borderline

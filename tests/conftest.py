@@ -17,18 +17,20 @@ settings.load_profile("deterministic")
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """count_calls(module, name) wraps module.name for the test and returns
-    the list that records the shape of the first argument of every call."""
+    """count_calls(module, *names) wraps each module.name for the test and
+    returns one list that records the shape of the first argument of every
+    call to any of them."""
 
-    def install(module, name):
+    def install(module, *names):
         calls = []
-        original = getattr(module, name)
+        for name in names:
+            original = getattr(module, name)
 
-        def counting(x, *args, **kwargs):
-            calls.append(np.shape(x))
-            return original(x, *args, **kwargs)
+            def counting(x, *args, _original=original, **kwargs):
+                calls.append(np.shape(x))
+                return _original(x, *args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(module, name, counting)
         return calls
 
     return install
@@ -36,8 +38,9 @@ def count_calls(monkeypatch):
 
 @pytest.fixture
 def count_eigvals(count_calls):
-    """List that records the argument shape of every np.linalg.eigvals call."""
-    return count_calls(np.linalg, "eigvals")
+    """List that records the argument shape of every eigensolve, a call of
+    np.linalg.eigvals or np.linalg.eig."""
+    return count_calls(np.linalg, "eigvals", "eig")
 
 
 def disk_points(rng, count, radius=10.0):

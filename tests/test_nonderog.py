@@ -10,6 +10,25 @@ import spectralball.nonderog as nonderog_module
 from conftest import crafted_suite, jordan_block, random_gaussian
 
 
+class TestPolyCoeffs:
+    def test_copies_and_normalizes(self):
+        c = np.array([2, 3, 5], complex)
+        p = sb.PolyCoeffs(c)
+        assert p.coeffs is not c
+        np.testing.assert_array_equal(c, [2, 3, 5])
+        np.testing.assert_allclose(p.coeffs, [0.4, 0.6, 1.0], rtol=1e-15)
+        assert p.coeffs[-1] == 1.0
+
+    def test_monic_input_keeps_its_bytes(self):
+        c = np.array([0.1 - 0.2j, -0.0, 1.0])
+        assert sb.PolyCoeffs(c).coeffs.tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("coeffs", [[1.0, 0.0], [1.0, np.nan], [1.0, np.inf], []])
+    def test_rejects_a_zero_or_nonfinite_leading_coefficient(self, coeffs):
+        with pytest.raises(sb.InvalidInputError, match="leading coefficient"):
+            sb.PolyCoeffs(coeffs)
+
+
 class TestMinimalPolynomial:
     def test_identity(self):
         p = sb.minimal_polynomial(np.eye(2))
@@ -211,10 +230,12 @@ def reference_minimal_polynomial(A, tol):
             borderline = True
         if s[-1] <= tol * s[0]:
             q, *_ = np.linalg.lstsq(np.column_stack(cols[:-1]), -vec, rcond=None)
-            # c^d q((z - tau) / c) by Horner in z - tau
+            # c^d q((z - tau) / c) by Horner in z - tau; c^(d - k) is taken
+            # as one array power, which can round unlike a scalar power
+            scale = np.float64(c) ** np.arange(d, 0, -1)
             coeffs = np.ones(1, dtype=complex)
             for k in range(d - 1, -1, -1):
-                coeffs = np.append(coeffs, q[k] * np.float64(c) ** (d - k))
+                coeffs = np.append(coeffs, q[k] * scale[k])
                 coeffs[1:] -= tau * coeffs[:-1]
             return coeffs[::-1], borderline
     values = tau + c * np.linalg.eigvals(M)
@@ -268,6 +289,8 @@ def reference_classify(a):
 
 
 STRUCTURES = ("gaussian", "jordan", "jordan_split", "repeated", "scalar", "clustered")
+# inputs whose rank decisions sit near their thresholds, with no fixed truth
+NEAR_THRESHOLD = ("near_pairs", "perturbed_jordan")
 
 
 def structured_matrix(structure, n, seed):
@@ -289,17 +312,23 @@ def structured_matrix(structure, n, seed):
         a = np.diag(d)
     elif structure == "scalar":
         a = lam * np.eye(n, dtype=complex)
-    else:  # clustered: pairs of eigenvalues 1e-4 .. 1e-2 apart
+    elif structure == "clustered":  # pairs of eigenvalues 1e-4 .. 1e-2 apart
         d[1::2] = d[: n // 2 * 2 : 2] + 10.0 ** rng.uniform(-4, -2, size=n // 2)
         a = np.diag(d)
+    elif structure == "near_pairs":  # pairs 1e-9 .. 1e-5 apart, relative
+        phase = np.exp(2j * np.pi * rng.uniform(size=n // 2))
+        d[1::2] = d[: n // 2 * 2 : 2] * (1.0 + 10.0 ** rng.uniform(-9, -5, size=n // 2) * phase)
+        a = np.diag(d)
+    else:  # perturbed_jordan: a Jordan block plus 10^-k E
+        a = jordan_block(lam, n) + 10.0 ** -rng.integers(5, 15) * random_gaussian(rng, n)
     u, _ = np.linalg.qr(random_gaussian(rng, n))
     return u @ a @ u.conj().T
 
 
 class TestBatchedClassifierEqualsReference:
-    @settings(max_examples=150)
+    @settings(max_examples=200)
     @given(
-        structure=st.sampled_from(STRUCTURES),
+        structure=st.sampled_from(STRUCTURES + NEAR_THRESHOLD),
         n=st.integers(1, 16),
         seed=st.integers(0, 2**32 - 1),
         k=st.integers(-4, 4),
@@ -338,6 +367,50 @@ class TestBatchedClassifierEqualsReference:
         assert report.per_criterion["eigenspace_dim"].diagnostic == 1.0
         assert len(count_eigvals) == 1
         assert sum(stacked) == 1
+
+
+class TestSvdBudget:
+    """The eigenpairs settle the commutant of a generic matrix without the
+    n^2 x n^2 SVD, and interlacing settles a full degree with one SVD of a
+    leading block of R and bisects for a deficient one."""
+
+    @staticmethod
+    def svd_shapes_and_block_count(monkeypatch, a):
+        qr, svd = np.linalg.qr, np.linalg.svd
+        factors, shapes, blocks = [], [], []
+
+        def recording_qr(x, *args, **kwargs):
+            r = qr(x, *args, **kwargs)
+            factors.append(r)
+            return r
+
+        def counting_svd(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            blocks.append(any(np.shares_memory(x, r) for r in factors))
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        report = sb.classify(a)
+        return report, shapes, sum(blocks)
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_gaussian(self, monkeypatch, n):
+        a = random_gaussian(np.random.default_rng(n), n)
+        report, shapes, blocks = self.svd_shapes_and_block_count(monkeypatch, a)
+        assert report.verdict
+        assert (n * n, n * n) not in shapes
+        assert blocks == 1
+
+    def test_split_jordan(self, monkeypatch):
+        n = 16
+        report, shapes, blocks = self.svd_shapes_and_block_count(
+            monkeypatch, structured_matrix("jordan_split", n, 7)
+        )
+        assert not report.verdict
+        assert report.per_criterion["minimal_degree"].diagnostic == n // 2
+        assert shapes.count((n * n, n * n)) == 1
+        assert blocks <= int(np.ceil(np.log2(n))) + 2
 
 
 TRUTH = {
