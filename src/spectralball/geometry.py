@@ -24,6 +24,7 @@ from .matcore import (
     UNITARY_TOL,
     Spectrum,
     _cmul,
+    _misses_order,
     as_matrix,
     bottleneck_assignment,
     ordered_triangularize,
@@ -220,10 +221,31 @@ def _phase_align(v, t, u):
     interpolating logarithm between the two unitaries.
     """
     d = np.diag(v.conj().T @ u).copy()
-    d[np.abs(d) < 1e-12] = 1.0
+    d[d == 0.0] = 1.0  # any phase of a zero entry will do
     phases = d / np.abs(d)
     dm = np.diag(phases)
     return v @ dm, dm.conj().T @ t @ dm
+
+
+def _eigenvector_schur(s, vectors, order):
+    """Ordered Schur forms of a stack s from its eigenvectors.
+
+    Column j of each slice of *vectors* is an eigenvector for order[..., j].
+    With vectors = q r, q* s q = r diag(order) r^-1 is upper triangular in
+    that order; it is taken when the part below the diagonal is within the
+    rounding of a Householder triangularization, n^2 eps ||s||, and the
+    diagonal matches *order* as ``ordered_triangularize`` requires.  Else
+    (nearly dependent eigenvectors, as in defective matrices) the stack goes
+    to ``ordered_triangularize``.  Returns (u, t) as that function does.
+    """
+    n = s.shape[-1]
+    q = np.linalg.qr(vectors)[0]
+    t = q.conj().swapaxes(-2, -1) @ s @ q
+    below = np.linalg.norm(np.tril(t, -1), axis=(-2, -1))
+    rounding = n * n * np.finfo(float).eps * np.linalg.norm(s, axis=(-2, -1))
+    if (below <= rounding).all() and not _misses_order(t, order).any():
+        return q, np.triu(t)
+    return ordered_triangularize(s, order)
 
 
 def _triangular_frames(a, b, pairing):
@@ -231,23 +253,27 @@ def _triangular_frames(a, b, pairing):
 
     A and B must be square, of one size, and lie in the spectral ball.
     ``pairing(spectrum(A), spectrum(B))`` returns the permutation that lists
-    B's eigenvalues in the diagonal order of A's, or raises.  Both matrices
-    are triangularized in that order in one stacked call, A = u t_a u*,
-    B = v t_b v*, with the column phases of v aligned to u.  Returns
-    (t_a, t_b, u, L) with L the principal logarithm of u* v, so that
+    B's eigenvalues in the diagonal order of A's, or raises.  One stacked
+    ``eig`` gives both spectra and the eigenvectors, which are put in that
+    order and give both triangular forms, A = u t_a u*, B = v t_b v*
+    (``_eigenvector_schur``); the column phases of v are aligned to u.
+    Returns (t_a, t_b, u, L) with L the principal logarithm of u* v, so that
     u exp(L) = v.
     """
     A = as_matrix(a)
     B = as_matrix(b)
     if B.shape != A.shape:
         raise InvalidInputError("matrices must have the same dimension")
-    values = np.linalg.eigvals(np.stack([A, B]))
+    pair = np.stack([A, B])
+    values, vectors = np.linalg.eig(pair)
     sp_a, sp_b = Spectrum(values[0]), Spectrum(values[1])
     if not (sp_a.in_spectral_ball() and sp_b.in_spectral_ball()):
         raise DomainError("both matrices must lie in the spectral ball")
     perm = pairing(sp_a, sp_b)
-    (u, v), (t_a, t_b) = ordered_triangularize(
-        np.stack([A, B]), np.stack([sp_a.values, sp_b.values[perm]])
+    (u, v), (t_a, t_b) = _eigenvector_schur(
+        pair,
+        np.stack([vectors[0], vectors[1][:, perm]]),
+        np.stack([sp_a.values, sp_b.values[perm]]),
     )
     v, t_b = _phase_align(v, t_b, u)
     return t_a, t_b, u, unitary_log(u.conj().T @ v)

@@ -330,6 +330,10 @@ def ordered_triangularize(a, order):
     Raises InvalidInputError when a diagonal entry misses *order* by more
     than PAIRING_TOL * (1 + max |diag(t)|): *order* is then not a
     permutation of the spectrum.
+
+    The paired frames of the disc and curve witnesses come from
+    eigenvectors; they call this only for pairs whose eigenvectors do not
+    give a triangular form, such as defective ones.
     """
     t = _as_stack(a).copy()
     n = t.shape[-1]
@@ -352,11 +356,17 @@ def ordered_triangularize(a, order):
         t[..., k:, k:] = h @ t[..., k:, k:]
         u[..., :, k:] = u[..., :, k:] @ h
         t[..., k + 1 :, k] = 0.0
-    diag = np.diagonal(t, axis1=-2, axis2=-1)
-    scale = 1.0 + np.abs(diag).max(axis=-1)
-    if (np.abs(diag - order).max(axis=-1) > PAIRING_TOL * scale).any():
+    if _misses_order(t, order).any():
         raise InvalidInputError("order is not a permutation of the spectrum")
     return u, t
+
+
+def _misses_order(t, order):
+    """Per slice of a stack t, whether a diagonal entry misses *order* by
+    more than PAIRING_TOL * (1 + max |diag(t)|)."""
+    diag = np.diagonal(t, axis1=-2, axis2=-1)
+    scale = 1.0 + np.abs(diag).max(axis=-1)
+    return np.abs(diag - order).max(axis=-1) > PAIRING_TOL * scale
 
 
 def matrix_exp(m) -> np.ndarray:

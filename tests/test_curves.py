@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import spectralball as sb
 import spectralball.curves as curves_module
+import spectralball.geometry as geometry_module
 import spectralball.matcore as matcore_module
 from conftest import (
     brute_force_bottleneck,
@@ -52,13 +53,27 @@ class TestIsoSpectralCurve:
         check = sb.verify_constant_spectrum(c, sb.spectrum(a))
         assert check.passed, check.max_deviation
 
-    def test_derogatory_to_nonderogatory(self):
+    def test_derogatory_to_nonderogatory(self, count_calls):
         a = 0.4 * np.eye(2)
         b = np.array([[0.4, 1.0], [0.0, 0.4]])
         c = sb.iso_spectral_curve(a, b)
         assert np.linalg.norm(c(0.0) - a) <= 1e-10
         assert np.linalg.norm(c(1.0) - b) <= 1e-8
         assert sb.verify_constant_spectrum(c, sb.spectrum(a)).passed
+        # rotated J_2 + J_2 at both ends: eigvals splits each double
+        # eigenvalue by about sqrt(eps), under PAIRING_TOL, so the pairing
+        # accepts; the split eigenvectors are too close to dependent, and
+        # the deflation builds the frames
+        deflation = count_calls(geometry_module, "ordered_triangularize")
+        j = np.kron(np.eye(2), [[0.25, 0.1], [0.0, 0.25]])
+        for seed in range(4):
+            rng = np.random.default_rng([62, seed])
+            q, r = random_unitary(rng, 4), random_unitary(rng, 4)
+            a, b = q @ j @ q.conj().T, r @ j @ r.conj().T
+            c = sb.iso_spectral_curve(a, b)
+            assert np.linalg.norm(c(0.0) - a) <= geometry_module.ENDPOINT_TOL
+            assert np.linalg.norm(c(1.0) - b) <= geometry_module.ENDPOINT_TOL
+            assert len(deflation) == seed + 1
 
     def test_conjugated_pairs(self):
         rng = np.random.default_rng(52)

@@ -19,6 +19,20 @@ from conftest import (
 )
 
 
+def near_defective(rng, n, kappa):
+    """S D S^-1 with S = Q M for a random unitary Q and M = I but for column
+    1, e_0 + (2 / kappa) e_1, and D of radius below 0.8 but for
+    d_1 = d_0 + 2 / kappa: kappa(S) is about kappa, and the pair (d_0, d_1)
+    nears a Jordan block as kappa grows."""
+    gap = 2.0 / kappa
+    d = 0.8 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    d[1] = d[0] + gap
+    m = np.eye(n, dtype=complex)
+    m[:2, 1] = 1.0, gap
+    s = random_unitary(rng, n) @ m
+    return s @ np.diag(d) @ np.linalg.inv(s)
+
+
 class TestMobius:
     def test_examples(self):
         assert sb.mobius(0.0, 0.5) == pytest.approx(0.5)
@@ -264,31 +278,72 @@ class TestUpperBoundDisc:
         with pytest.raises(sb.DomainError):
             sb.upper_bound_disc(np.diag([1.5, 0.0]), np.zeros((2, 2)), 0.5)
 
-    def test_random_certificates(self):
+    def test_random_certificates(self, count_calls):
+        # Gaussian pairs, and bases S D S^-1 with two eigenvalues and their
+        # eigenvectors 2 / kappa apart, kappa(S) about kappa: the eigenvectors
+        # give the frames of some of these, the deflation those of the rest
+        deflation = count_calls(geometry_module, "ordered_triangularize")
         rng = np.random.default_rng(34)
-        for n in (2, 3, 4):
-            for _ in range(4):
-                a = random_ball_matrix(rng, n, radius=rng.uniform(0.3, 0.85))
+        built = 0
+        for n in (2, 3, 4, 6, 8):
+            bases = [random_ball_matrix(rng, n, radius=rng.uniform(0.3, 0.85)) for _ in range(4)]
+            bases += [near_defective(rng, n, kappa) for kappa in (1e1, 1e3, 1e6) for _ in range(2)]
+            for a in bases:
                 b = random_ball_matrix(rng, n, radius=rng.uniform(0.3, 0.85))
                 bound, _ = sb.bottleneck_minimax(sb.spectrum(a), sb.spectrum(b))
                 if bound + 0.01 >= 0.999:
                     continue
                 w = sb.upper_bound_disc(a, b, bound + 0.01)
+                built += 1
                 r0, r1 = w.endpoint_residuals()
                 assert max(r0, r1) <= 1e-8
                 assert w.certificate_grid.max_spectral_radius < 1.0
+        assert 0 < len(deflation) < built
 
-    def test_jordan_base_point(self):
-        # eigvals splits the triple eigenvalue 0.25 into a cluster of radius
-        # about 1e-5; the disc is built on that order all the same
-        j = jordan_block(0.5, 3)
-        for seed in range(50):
+    @pytest.mark.parametrize("case", ["similar_j3", "rotated_j3_j3", "rotated_j5"])
+    def test_jordan_base_point(self, case, count_calls):
+        # eigvals splits a k-fold defective eigenvalue 0.25 into a cluster of
+        # radius about eps^(1/k); the disc is built on that order all the
+        # same.  The eigenvectors of J_3 under a general similarity give its
+        # frame; those of the unitarily rotated J_3 + J_3 and J_5 are too
+        # close to dependent, and the deflation builds theirs
+        rotated = {
+            "rotated_j3_j3": np.kron(np.eye(2), jordan_block(0.25, 3)),
+            "rotated_j5": jordan_block(0.25, 5),
+        }
+        deflation = count_calls(geometry_module, "ordered_triangularize")
+        for seed in range(50 if case == "similar_j3" else 10):
             rng = np.random.default_rng([60, seed])
-            s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            a = 0.5 * np.linalg.solve(s, j @ s)
-            w = sb.upper_bound_disc(a, np.diag([0.1, 0.2, 0.3]), 0.9)
-            assert max(w.endpoint_residuals()) <= 1e-8
+            if case == "similar_j3":
+                s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                a = 0.5 * np.linalg.solve(s, jordan_block(0.5, 3) @ s)
+            else:
+                q = random_unitary(rng, len(rotated[case]))
+                a = q @ rotated[case] @ q.conj().T
+            b = np.diag(np.linspace(0.1, 0.3, len(a)))
+            w = sb.upper_bound_disc(a, b, 0.9)
+            assert max(w.endpoint_residuals()) <= geometry_module.ENDPOINT_TOL
             assert w.certificate_grid.max_spectral_radius < 1.0
+            assert len(deflation) == (0 if case == "similar_j3" else seed + 1)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_frames_need_one_eigensolve_and_no_svd(self, n, count_calls, count_eigvals):
+        # one stacked eig gives both spectra and both frames; the frame log
+        # adds unitary_log's eigvals, and no deflation runs
+        rng = np.random.default_rng([76, n])
+        a = random_ball_matrix(rng, n, radius=0.6)
+        b = random_ball_matrix(rng, n, radius=0.7)
+        q = random_unitary(rng, n, scale=0.3)
+        bound, _ = sb.bottleneck_minimax(sb.spectrum(a), sb.spectrum(b))
+        svd = count_calls(np.linalg, "svd")
+        for build in (
+            lambda: sb.upper_bound_disc(a, b, bound + 0.05),
+            lambda: sb.iso_spectral_curve(a, q @ a @ q.conj().T),
+        ):
+            count_eigvals.clear()
+            build()
+            assert count_eigvals == [(2, n, n), (n, n)]
+        assert svd == []
 
     def test_frame_log_is_principal(self):
         rng = np.random.default_rng(37)
