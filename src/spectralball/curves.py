@@ -38,7 +38,7 @@ from .matcore import (
     sigma_pushforward,
     solve_conjugation,
 )
-from .nonderog import classify
+from .nonderog import _nonderogatory
 
 #: Threshold below which a direction counts as nilpotent / a matrix as scalar.
 STRUCTURE_TOL = 1e-8
@@ -46,6 +46,10 @@ STRUCTURE_TOL = 1e-8
 #: Largest eigenvalue deviation at which a sampled curve passes as having
 #: constant spectrum.
 SPECTRUM_TOL = 1e-6
+
+# Coefficient of the isotropy quadratic of the 2x2 witness below which it
+# counts as zero (``_solve_quadratic_tail``, on entries scaled to at most 1).
+_QUADRATIC_TOL = 1e-14
 
 
 @dataclass(eq=False)
@@ -139,17 +143,17 @@ def iso_spectral_curve(a, b) -> TriangularConjugationCurve:
     return TriangularConjugationCurve(frame=u, frame_log=frame_log, t0=t0, t1=t1)
 
 
-def _scalar_base(A, B) -> bool:
-    """Whether the base A is scalar.  Raises UnsupportedError when the
+def _centered_base(A, B):
+    """The centered, normalized M of A = tau I + c M at STRUCTURE_TOL, or
+    None when the base A is scalar.  Raises UnsupportedError when the
     tests below rule out a witness with value A and derivative B.
 
-    Both tests are scale-free: they read the centered, normalized M of
-    A = tau I + c M and B / max |B|.  A scalar base needs a nilpotent
-    direction, ||B^n|| <= STRUCTURE_TOL ||B||^n; then the affine curve
-    A + lam B already has constant spectrum.  Any other base needs the
-    symmetrized differential of B to vanish, every coordinate at most
-    STRUCTURE_TOL.  The differential at A is the one at M composed with an
-    invertible triangular map, so the two vanish together.
+    Both tests are scale-free: they read M and B / max |B|.  A scalar base
+    needs a nilpotent direction, ||B^n|| <= STRUCTURE_TOL ||B||^n; then the
+    affine curve A + lam B already has constant spectrum.  Any other base
+    needs the symmetrized differential of B to vanish, every coordinate at
+    most STRUCTURE_TOL.  The differential at A is the one at M composed
+    with an invertible triangular map, so the two vanish together.
     """
     _, c, M = _centered(A, STRUCTURE_TOL)
     scale = float(np.abs(B).max())
@@ -159,10 +163,10 @@ def _scalar_base(A, B) -> bool:
         power = np.linalg.norm(np.linalg.matrix_power(b, n))
         if power > STRUCTURE_TOL * np.linalg.norm(b) ** n:
             raise UnsupportedError("scalar base point requires a nilpotent direction")
-        return True
+        return None
     if np.abs(sigma_pushforward(M, b)).max() > STRUCTURE_TOL:
         raise UnsupportedError("symmetrized differential of the direction does not vanish")
-    return False
+    return M
 
 
 def zero_metric_curve(a, b):
@@ -172,14 +176,22 @@ def zero_metric_curve(a, b):
     the affine curve A + lam B; a non-derogatory base with vanishing
     symmetrized differential gives the exponential conjugation along the
     solution of the commutation equation.  Anything else is unsupported.
+
+    Whether the base is non-derogatory is decided by one eigensolve of its
+    centered, normalized M when the eigenpairs prove that the commutant has
+    dimension n, and by ``classify`` otherwise.  A base that is not scalar
+    at STRUCTURE_TOL is not scalar at the smaller DEFAULT_TOL either, and
+    ``_centered`` then gives the same M at both, so the M of the structure
+    tests is the one the decision reads.
     """
     A = as_matrix(a)
     B = as_matrix(b)
     if B.shape != A.shape:
         raise InvalidInputError("matrices must have the same dimension")
-    if _scalar_base(A, B):
+    M = _centered_base(A, B)
+    if M is None:
         return MatrixPolynomialCurve([A, B])
-    if not classify(A).verdict:
+    if not _nonderogatory(A, M):
         raise UnsupportedError(
             "base point is derogatory and not scalar; no witness is constructed"
         )
@@ -244,12 +256,12 @@ def _solve_quadratic_tail(a0, b):
         a_coef = quad(direction)
         b_coef = bilin(xp, direction)
         c_coef = quad(xp)
-        if abs(a_coef) > 1e-14:
+        if abs(a_coef) > _QUADRATIC_TOL:
             roots = np.roots([a_coef, b_coef, c_coef])
             candidates.extend(xp + r * direction for r in roots)
-        elif abs(b_coef) > 1e-14:
+        elif abs(b_coef) > _QUADRATIC_TOL:
             candidates.append(xp + (-c_coef / b_coef) * direction)
-        elif abs(c_coef) <= 1e-14:
+        elif abs(c_coef) <= _QUADRATIC_TOL:
             candidates.append(xp)
     if not candidates:
         raise InternalError("no isotropic point on the constraint set")
@@ -274,7 +286,7 @@ def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
     B = as_matrix(b)
     if A.shape != (2, 2) or B.shape != (2, 2):
         raise InvalidInputError("operation is defined for 2x2 matrices")
-    if _scalar_base(A, B):
+    if _centered_base(A, B) is None:
         return MatrixPolynomialCurve([A, B])
     psi = _solve_quadratic_tail(A - (np.trace(A) / 2.0) * np.eye(2), B)
     s = max(np.abs(A).max(), np.abs(B).max(), np.abs(psi).max())

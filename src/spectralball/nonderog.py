@@ -344,3 +344,19 @@ def classify(a, rng=None) -> NonderogReport:
 
     tolerances = {"rank": DEFAULT_TOL, "cluster_gap": CLUSTER_GAP, "borderline_decade": BORDERLINE_DECADE}
     return NonderogReport(verdict, per, tolerances, PolyCoeffs(min_coeffs))
+
+
+def _nonderogatory(A, M) -> bool:
+    """Whether the matrix A is non-derogatory; M is its centered, normalized
+    M at DEFAULT_TOL (``_centered``).
+
+    One eigensolve of M decides every base whose eigenpairs prove that the
+    commutant has dimension n (``_commutant_rank_bound``).  Any other base
+    (scalar, repeated, clustered beyond the bound, defective or
+    ill-conditioned) gets the verdict of ``classify``.  The proof also
+    settles the bases on which the symmetrization rank alone fails and
+    ``classify`` raises InternalError.
+    """
+    if _commutant_rank_bound(M, *np.linalg.eig(M)) is not None:
+        return True
+    return classify(A).verdict

@@ -9,10 +9,12 @@ import spectralball as sb
 import spectralball.curves as curves_module
 import spectralball.geometry as geometry_module
 import spectralball.matcore as matcore_module
+import spectralball.nonderog as nonderog_module
 from conftest import (
     brute_force_bottleneck,
     disk_points,
     exp_frame_reference,
+    jordan_block,
     random_ball_matrix,
     random_gaussian,
     random_unitary,
@@ -236,11 +238,49 @@ class TestZeroMetricCurve:
             sb.MatrixPolynomialCurve([nil]).derivative_at_zero(), np.zeros((2, 2))
         )
 
-    def test_derogatory_nonscalar_unsupported(self):
+    def test_derogatory_nonscalar_unsupported(self, count_calls):
+        classified = count_calls(nonderog_module, "classify")
         a = np.zeros((3, 3), dtype=complex)
         a[0, 1] = 1.0  # nilpotent, derogatory for n=3, not scalar
         with pytest.raises(sb.UnsupportedError):
             sb.zero_metric_curve(a, np.zeros((3, 3)))
+        assert classified == [(3, 3)]
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_generic_base_is_decided_by_one_eigensolve(self, count_calls, n):
+        # the eigenpairs of M prove a Gaussian base non-derogatory at every
+        # scale and shift: classify is not called, and the one SVD is that of
+        # the eigenvectors in the proof
+        rng = np.random.default_rng(60 + n)
+        a0, y0 = random_gaussian(rng, n), 0.2 * random_gaussian(rng, n)
+        classified = count_calls(nonderog_module, "classify")
+        eigensolves = count_calls(np.linalg, "eig", "eigvals")
+        svds = count_calls(np.linalg, "svd")
+        for scale in (1.0, 1e-4, 1e4):
+            for shift in (0.0, 2.0 - 1.0j):
+                a = scale * a0 + shift * np.eye(n)
+                b = scale * (a0 @ y0 - y0 @ a0)
+                eigensolves.clear()
+                svds.clear()
+                c = sb.zero_metric_curve(a, b)
+                assert isinstance(c, sb.ExpConjugationCurve)
+                assert eigensolves == [(n, n)]
+                assert svds == [(n, n)]
+        assert classified == []
+
+    def test_jordan_base_falls_back_to_classify(self, count_calls):
+        # a rotated Jordan block is non-derogatory, but its eigenvectors are
+        # nearly parallel and prove nothing: classify decides
+        rng = np.random.default_rng(61)
+        u, _ = np.linalg.qr(random_gaussian(rng, 3))
+        a = u @ jordan_block(0.3, 3) @ u.conj().T
+        y0 = 0.2 * random_gaussian(rng, 3)
+        b = a @ y0 - y0 @ a
+        classified = count_calls(nonderog_module, "classify")
+        c = sb.zero_metric_curve(a, b)
+        assert classified == [(3, 3)]
+        assert isinstance(c, sb.ExpConjugationCurve)
+        assert np.linalg.norm(c.derivative_at_zero() - b) <= 1e-9 * (1.0 + np.linalg.norm(b))
 
 
 class TestQuadraticWitness:
@@ -316,7 +356,7 @@ class TestQuadraticWitness:
                 raise AssertionError(f"{name} called")
             return fail
 
-        monkeypatch.setattr(curves_module, "classify", counting("classify"))
+        monkeypatch.setattr(nonderog_module, "classify", counting("classify"))
         monkeypatch.setattr(curves_module, "solve_conjugation", counting("solve_conjugation"))
         rng = np.random.default_rng(56)
         for _ in range(5):
@@ -391,7 +431,7 @@ class TestScaleFreeWitnessTests:
             sb.quadratic_witness_2x2(a, a @ y - y @ a)
 
     def test_eigensolve_counts(self, count_eigvals):
-        # the classify call of a zero-metric curve solves once; the
+        # the non-derogatory proof of a zero-metric curve solves once; the
         # differential and the quadratic witness solve nothing
         rng = np.random.default_rng(57)
         a3, y3 = random_gaussian(rng, 3), 0.2 * random_gaussian(rng, 3)

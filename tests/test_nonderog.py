@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectralball as sb
+import spectralball.curves as curves_module
+import spectralball.matcore as matcore_module
 import spectralball.nonderog as nonderog_module
 from conftest import crafted_suite, jordan_block, random_gaussian
 
@@ -442,6 +444,97 @@ class TestScaleShiftAndSimilarityInvariance:
         assert sb.classify(a).verdict == TRUTH[structure]
         assert sb.classify(c * a + c * d * np.eye(n)).verdict == TRUTH[structure]
         assert sb.classify(u @ a @ u.conj().T).verdict == TRUTH[structure]
+
+
+def conditioned_diagonalizable(n, seed, kappa):
+    """S D S^-1 with distinct random eigenvalues and cond(S) = kappa."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(random_gaussian(rng, n))
+    w, _ = np.linalg.qr(random_gaussian(rng, n))
+    s = (u * np.logspace(0.0, np.log10(kappa), n)) @ w
+    d = 0.9 * rng.uniform(size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    return np.linalg.solve(s.T, (s * d).T).T
+
+
+def only_symmetrization_dissents(err):
+    """Whether classify's InternalError has every criterion but the
+    symmetrization rank passing."""
+    message = str(err)
+    return "'symmetrization_rank': (False" in message and message.count("(True,") == 4
+
+
+class TestEigenpairProofAgreesWithClassify:
+    """Where the eigenpairs of M prove the commutant n-dimensional, classify
+    does not call the base derogatory, and a zero-metric curve is the one
+    the classify path builds, bit for bit.  The exception: classify raises
+    InternalError when the symmetrization rank alone fails a well-separated,
+    moderately conditioned base of size 4 and up; the proof then builds the
+    curve that the classify path refused."""
+
+    @staticmethod
+    def zero_metric_outcome(a, b):
+        try:
+            curve = sb.zero_metric_curve(a, b)
+        except sb.SpectralBallError as err:
+            return type(err), str(err)
+        return getattr(curve, "generator", curve.kind)
+
+    @staticmethod
+    def proved(a):
+        _, _, m = matcore_module._centered(np.asarray(a, dtype=complex), sb.DEFAULT_TOL)
+        return nonderog_module._commutant_rank_bound(m, *np.linalg.eig(m)) is not None
+
+    @settings(max_examples=150)
+    @given(
+        structure=st.sampled_from(
+            ("gaussian", "clustered", "conditioned", "jordan", "jordan_split", "repeated")
+        ),
+        n=st.integers(2, 10),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-4, 4),
+        shift=st.booleans(),
+    )
+    def test_proof_implies_verdict_and_same_generator(self, structure, n, seed, k, shift):
+        if structure == "conditioned":
+            kappa = 10.0 ** np.random.default_rng(seed).uniform(0.0, 6.0)
+            a = conditioned_diagonalizable(n, seed, kappa)
+        else:
+            a = structured_matrix(structure, n, seed)
+        a = a * 10.0**k
+        if shift:
+            a = a + 10.0**k * (0.7 - 0.4j) * np.eye(n)
+        proved = self.proved(a)
+        if proved:
+            try:
+                assert sb.classify(a).verdict
+            except sb.InternalError as err:
+                assert only_symmetrization_dissents(err)
+        if structure == "gaussian":
+            assert proved
+        y0 = 0.2 * random_gaussian(np.random.default_rng(seed + 1), n)
+        b = a @ y0 - y0 @ a
+        outcome = self.zero_metric_outcome(a, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curves_module, "_nonderogatory", lambda a, m: sb.classify(a).verdict)
+            reference = self.zero_metric_outcome(a, b)
+        if isinstance(reference, np.ndarray):
+            assert np.array_equal(outcome, reference)
+        elif proved and reference[0] is sb.InternalError:
+            assert isinstance(outcome, np.ndarray)
+        else:
+            assert outcome == reference
+
+    def test_proof_builds_the_curve_classify_refuses(self):
+        a = conditioned_diagonalizable(8, 1, 100.0)
+        with pytest.raises(sb.InternalError) as err:
+            sb.classify(a)
+        assert only_symmetrization_dissents(err.value)
+        assert self.proved(a)
+        y0 = 0.2 * random_gaussian(np.random.default_rng(2), 8)
+        b = a @ y0 - y0 @ a
+        curve = sb.zero_metric_curve(a, b)
+        assert np.linalg.norm(curve.derivative_at_zero() - b) <= 1e-12 * np.linalg.norm(b)
+        assert sb.verify_constant_spectrum(curve, sb.spectrum(a), radius=1.0).passed
 
 
 class TestNamedScaleRegressions:
