@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Every subcommand reads matrices from JSON documents, runs one library
-operation and emits a single machine-readable JSON object on stdout holding
-inputs, outputs, tolerances and recomputable verification residuals.  Every
-float is printed as its shortest round-trip repr, so the output parses back
-bit-exactly.
+operation and emits one JSON object on stdout: inputs, outputs, and the
+tolerances and recomputable residuals that the result types name and compute
+themselves.  Every float is printed as its shortest round-trip repr, so the
+output parses back bit-exactly.
 
 Exit codes: 0 success, 2 domain or precondition error, 3 numeric failure
 (including a document that would hold a non-finite number).
@@ -29,8 +29,8 @@ from .errors import (
 )
 from .geometry import sample_omega
 from .matcore import (
-    DEFAULT_TOL, PAIRING_TOL, SymPoint, _centered, as_matrix, companion, elementary_symmetric,
-    sigma, spectrum,
+    DEFAULT_TOL, PAIRING_TOL, SymPoint, as_matrix, companion, elementary_symmetric, sigma,
+    spectrum,
 )
 from .pick import discontinuity_report
 
@@ -130,15 +130,6 @@ def _load_matrix(path) -> np.ndarray:
 def _cmd_classify(args):
     a = _load_matrix(args.input)
     report = nonderog.classify(a, rng=_rng(args.seed))
-    per = {
-        name: {
-            "passed": crit.passed,
-            "diagnostic": crit.diagnostic,
-            "borderline": crit.borderline,
-        }
-        for name, crit in report.per_criterion.items()
-    }
-    poly = report.minimal_polynomial
     return {
         "command": "classify",
         "inputs": {"matrix": emit_matrix(a)},
@@ -146,12 +137,10 @@ def _cmd_classify(args):
         "outputs": {
             "nonderogatory": report.verdict,
             "borderline": report.borderline,
-            "criteria": per,
-            "minimal_polynomial": _pairs(poly.coeffs),
+            "criteria": {name: vars(crit) for name, crit in report.per_criterion.items()},
+            "minimal_polynomial": _pairs(report.minimal_polynomial.coeffs),
         },
-        "residuals": {
-            "minimal_polynomial_norm": float(np.linalg.norm(poly.on_matrix(a)))
-        },
+        "residuals": report.residuals(a),
     }
 
 
@@ -177,16 +166,14 @@ def _cmd_sigma(args):
 def _cmd_bounds(args):
     a = _load_matrix(args.input)
     b = _load_matrix(args.input2)
-    sp_a = spectrum(a)
-    sp_b = spectrum(b)
-    value, perm = geometry.bottleneck_minimax(sp_a, sp_b)
+    value, perm = geometry.bottleneck_minimax(spectrum(a), spectrum(b))
     s1 = args.s1 if args.s1 is not None else min(value + 0.01, (value + 1.0) / 2.0)
     witness = geometry.upper_bound_disc(a, b, s1)
     r0, r1 = witness.endpoint_residuals()
     out = {
         "command": "bounds",
         "inputs": {"matrix": emit_matrix(a), "matrix2": emit_matrix(b), "s1": float(s1)},
-        "tolerances": {"endpoint": geometry.ENDPOINT_TOL},
+        "tolerances": witness.tolerances,
         "outputs": {
             "pairing_bound": value,
             "permutation": [int(p) for p in perm],
@@ -195,23 +182,10 @@ def _cmd_bounds(args):
         },
         "residuals": {"endpoint_base": r0, "endpoint_target": r1},
     }
-    t, c, _ = _centered(a, geometry.SCALAR_BASE_TOL)
-    if c == 0.0:
-        out["outputs"]["scalar_base_exact"] = geometry.lempert_scalar_base(t, b)
+    exact = witness.scalar_base_exact()
+    if exact is not None:
+        out["outputs"]["scalar_base_exact"] = exact
     return out
-
-
-#: Tolerances of every gap certificate: DEFAULT_TOL decides all-zero data and
-#: the rank of the Pick factorization, which is the order of the product;
-#: PICK_MARGIN decides the search and the closed form (all lambda_j / eps_j^k
-#: equal up to rounding).
-_GAP_TOLERANCES = {
-    "interpolation": pick.INTERPOLATION_TOL,
-    "rank": DEFAULT_TOL,
-    "zero_data": DEFAULT_TOL,
-    "bracket_width": pick.BISECT_WIDTH,
-    "pick_margin": pick.PICK_MARGIN,
-}
 
 
 def _cmd_blaschke(args):
@@ -220,52 +194,43 @@ def _cmd_blaschke(args):
     doc = {
         "command": "blaschke",
         "inputs": {"matrix": emit_matrix(b)},
-        "tolerances": dict(_GAP_TOLERANCES),
+        "tolerances": cert.tolerances,
         "outputs": {
             "beta": _pair(cert.beta),
             "upper_bound": cert.upper,
             "degenerate": cert.degenerate,
         },
-        "residuals": {"interpolation_max": cert.interpolation_residual},
+        "residuals": cert.residuals(),
     }
     if not cert.degenerate:
-        grid = np.exp(2j * np.pi * np.arange(256) / 256)
-        circle_dev = float(np.max(np.abs(np.abs(cert.blaschke(grid)) - 1.0)))
         doc["outputs"]["blaschke"] = {
             "unimodular": _pair(cert.blaschke.unimodular),
             "zeros": _pairs(cert.blaschke.zeros),
             "order": cert.blaschke.order,
         }
-        doc["residuals"]["circle_unimodularity"] = circle_dev
     return doc
+
+
+#: Constructor of each curve kind and the tolerances only it decides with.
+_CURVE_KINDS = {
+    "iso": (curves.iso_spectral_curve, {"pairing": PAIRING_TOL}),
+    "zero-metric": (curves.zero_metric_curve, {"structure": curves.STRUCTURE_TOL, "classify": DEFAULT_TOL}),
+    "quadratic": (curves.quadratic_witness_2x2, {"structure": curves.STRUCTURE_TOL}),
+}
 
 
 def _cmd_curve(args):
     a = _load_matrix(args.input)
     b = _load_matrix(args.input2)
-    if args.kind == "iso":
-        curve = curves.iso_spectral_curve(a, b)
-    elif args.kind == "zero-metric":
-        curve = curves.zero_metric_curve(a, b)
-    else:
-        curve = curves.quadratic_witness_2x2(a, b)
-    residuals = {"endpoint_base": float(np.linalg.norm(curve(0.0) - a))}
-    if args.kind == "iso":
-        residuals["endpoint_target"] = float(np.linalg.norm(curve(1.0) - b))
-    else:
-        residuals["derivative"] = float(np.linalg.norm(curve.derivative_at_zero() - b))
+    build, tolerances = _CURVE_KINDS[args.kind]
+    curve = build(a, b)
+    residuals = curve.residuals(a, b)
+    # only for this kind: a scalar 2x2 base gives zero-metric the same curve
     if args.kind == "quadratic":
-        residuals["max_nonconstant_coefficient"] = curves._max_nonconstant_variation(curve)
+        residuals["max_nonconstant_coefficient"] = curve.max_nonconstant_variation()
     check = curves.verify_constant_spectrum(
         curve, spectrum(a), samples=args.samples, radius=args.radius
     )
-    tolerances = {"spectrum": check.tol, "endpoint": geometry.ENDPOINT_TOL}
-    if args.kind == "iso":
-        tolerances["pairing"] = PAIRING_TOL
-    else:
-        tolerances["structure"] = curves.STRUCTURE_TOL
-    if args.kind == "zero-metric":
-        tolerances["classify"] = DEFAULT_TOL
     return {
         "command": "curve",
         "inputs": {
@@ -273,7 +238,7 @@ def _cmd_curve(args):
             "matrix2": emit_matrix(b),
             "kind": args.kind,
         },
-        "tolerances": tolerances,
+        "tolerances": {"spectrum": check.tol, "endpoint": geometry.ENDPOINT_TOL, **tolerances},
         "outputs": {
             "curve_kind": curve.kind,
             "constant_spectrum": {
@@ -293,28 +258,20 @@ def _cmd_hull(args):
     doc = {
         "command": "hull",
         "inputs": {"matrix": emit_matrix(a)},
-        "tolerances": {"reconstruction": geometry.HULL_TOL},
+        "tolerances": geometry.HullWitness.tolerances,
         "outputs": {"gauge": h, "inside": inside},
         "residuals": {},
     }
     if inside:
         witness = geometry.hull_witness(a)
-        t1, t2 = witness.terms
-        n = a.shape[0]
-        tau, s = np.trace(a) / n, witness.similarity
-        recon = float(np.linalg.norm(0.5 * t1 + 0.5 * t2 - a))
-        # S*(t1 - tau I)S is strictly upper and S*(t2 - tau I)S strictly lower
-        # triangular, so both terms have the one-point spectrum {tau}
-        z1, z2 = (s.conj().T @ (t - tau * np.eye(n)) @ s for t in (t1, t2))
-        slack = max(np.linalg.norm(np.tril(z1)), np.linalg.norm(np.triu(z2)))
         doc["outputs"]["witness"] = {
             "weights": [float(w) for w in witness.weights],
-            "terms": [emit_matrix(t1), emit_matrix(t2)],
-            "similarity": emit_matrix(s),
-            "term_radii": [float(abs(tau))] * 2,
+            "terms": [emit_matrix(t) for t in witness.terms],
+            "similarity": emit_matrix(witness.similarity),
+            # both terms have the one-point spectrum {tr A / n}
+            "term_radii": [float(abs(np.trace(a) / a.shape[0]))] * 2,
         }
-        doc["residuals"]["reconstruction"] = recon
-        doc["residuals"]["triangularity"] = float(slack / (1.0 + np.linalg.norm(a)))
+        doc["residuals"] = witness.residuals(a)
     return doc
 
 
@@ -326,7 +283,7 @@ def _cmd_discontinuity(args):
     return {
         "command": "discontinuity",
         "inputs": {"matrix": emit_matrix(b), "t": _pair(t)},
-        "tolerances": {"eigenvalue_equality": pick.EQUAL_EIGENVALUES_TOL, **_GAP_TOLERANCES},
+        "tolerances": {"eigenvalue_equality": pick.EQUAL_EIGENVALUES_TOL, **pick.GapCertificate.tolerances},
         "outputs": report,
         "residuals": {"jump_kobayashi_recomputed": float(max(recompute, 0.0))},
     }

@@ -71,9 +71,27 @@ class TriangularConjugationCurve:
         lam = np.asarray(lam, dtype=complex)[..., None, None]
         return _frame_similarity(self, lam, ((1.0 - lam, self.t0), (lam, self.t1)))
 
+    def residuals(self, a, b) -> dict:
+        """``endpoint_base`` ||c(0) - A||_F and ``endpoint_target`` ||c(1) - B||_F."""
+        return {
+            "endpoint_base": float(np.linalg.norm(self(0.0) - a)),
+            "endpoint_target": float(np.linalg.norm(self(1.0) - b)),
+        }
+
+
+class _FirstOrderWitness:
+    """A curve built to have value A and derivative B at 0."""
+
+    def residuals(self, a, b) -> dict:
+        """``endpoint_base`` ||c(0) - A||_F and ``derivative`` ||c'(0) - B||_F."""
+        return {
+            "endpoint_base": float(np.linalg.norm(self(0.0) - a)),
+            "derivative": float(np.linalg.norm(self.derivative_at_zero() - b)),
+        }
+
 
 @dataclass(eq=False)
-class ExpConjugationCurve:
+class ExpConjugationCurve(_FirstOrderWitness):
     """exp(-lam Y) A exp(lam Y); spectrum is constant identically.
 
     A scalar parameter gives one (n, n) matrix; a 1-D array of m parameters
@@ -95,7 +113,7 @@ class ExpConjugationCurve:
 
 
 @dataclass(eq=False)
-class MatrixPolynomialCurve:
+class MatrixPolynomialCurve(_FirstOrderWitness):
     """sum_k lam^k C_k for a list of coefficient matrices.
 
     A scalar parameter gives one (n, n) matrix; a 1-D array of m parameters
@@ -118,6 +136,12 @@ class MatrixPolynomialCurve:
         """C_1, the derivative of the curve at lam = 0."""
         c = self.coefficients
         return c[1] if len(c) > 1 else np.zeros_like(c[0])
+
+    def max_nonconstant_variation(self) -> float:
+        """Largest nonconstant coefficient of the trace and determinant of a 2x2
+        curve (``spectrum_polynomials_2x2``); 0 when its spectrum is constant."""
+        trace, det = spectrum_polynomials_2x2(self)
+        return float(max(np.abs(trace[1:]).max(initial=0.0), np.abs(det[1:]).max(initial=0.0)))
 
 
 def iso_spectral_curve(a, b) -> TriangularConjugationCurve:
@@ -290,15 +314,10 @@ def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
         return MatrixPolynomialCurve([A, B])
     psi = _solve_quadratic_tail(A - (np.trace(A) / 2.0) * np.eye(2), B)
     s = max(np.abs(A).max(), np.abs(B).max(), np.abs(psi).max())
-    variation = _max_nonconstant_variation(MatrixPolynomialCurve([A / s, B / s, psi / s]))
+    variation = MatrixPolynomialCurve([A / s, B / s, psi / s]).max_nonconstant_variation()
     if variation > 1e-10:
         raise InternalError(f"quadratic witness varies its spectrum ({variation:.3e} relative)")
     return MatrixPolynomialCurve([A, B, psi])
-
-
-def _max_nonconstant_variation(curve: MatrixPolynomialCurve) -> float:
-    trace, det = spectrum_polynomials_2x2(curve)
-    return float(max(np.abs(trace[1:]).max(initial=0.0), np.abs(det[1:]).max(initial=0.0)))
 
 
 @dataclass(eq=False)

@@ -23,6 +23,7 @@ from .errors import (
 from .matcore import (
     UNITARY_TOL,
     Spectrum,
+    _centered,
     _cmul,
     _misses_order,
     as_matrix,
@@ -206,11 +207,17 @@ class DiscWitness:
     certificate_grid: CertificateGrid
     matrix_at_base: np.ndarray
     matrix_at_target: np.ndarray
+    tolerances = {"endpoint": ENDPOINT_TOL}
 
     def endpoint_residuals(self):
         r0 = np.linalg.norm(self.curve(self.base_point) - self.matrix_at_base)
         r1 = np.linalg.norm(self.curve(self.target_point) - self.matrix_at_target)
         return float(r0), float(r1)
+
+    def scalar_base_exact(self):
+        """``lempert_scalar_base(t, B)`` if A is scalar, tI, at SCALAR_BASE_TOL; else None."""
+        t, c, _ = _centered(self.matrix_at_base, SCALAR_BASE_TOL)
+        return lempert_scalar_base(t, self.matrix_at_target) if c == 0.0 else None
 
 
 def _phase_align(v, t, u):
@@ -360,9 +367,25 @@ def hull_membership(a):
 class HullWitness:
     """Convex decomposition of a hull member into two ball members."""
 
-    weights: tuple
     terms: tuple
     similarity: np.ndarray
+    weights = (0.5, 0.5)
+    tolerances = {"reconstruction": HULL_TOL}
+
+    def residuals(self, a) -> dict:
+        """``reconstruction`` ||w_1 T_1 + w_2 T_2 - A||_F and ``triangularity``,
+        how far S*(T_k - tau I)S, tau = tr(A) / n, are from strictly upper (k = 1)
+        and lower (k = 2) triangular, relative to 1 + ||A||_F."""
+        A = as_matrix(a)
+        (t1, t2), (w1, w2), s = self.terms, self.weights, self.similarity
+        n = A.shape[0]
+        tau = np.trace(A) / n
+        z1, z2 = (s.conj().T @ (t - tau * np.eye(n)) @ s for t in (t1, t2))
+        slack = max(np.linalg.norm(np.tril(z1)), np.linalg.norm(np.triu(z2)))
+        return {
+            "reconstruction": float(np.linalg.norm(w1 * t1 + w2 * t2 - A)),
+            "triangularity": float(slack / (1.0 + np.linalg.norm(A))),
+        }
 
 
 def _plane_zero_vector(p, q, b, c):
@@ -476,4 +499,4 @@ def hull_witness(a) -> HullWitness:
     lower = np.tril(z, -1)
     t1 = s @ (2.0 * upper + tau * np.eye(n)) @ s.conj().T
     t2 = s @ (2.0 * lower + tau * np.eye(n)) @ s.conj().T
-    return HullWitness(weights=(0.5, 0.5), terms=(t1, t2), similarity=s)
+    return HullWitness(terms=(t1, t2), similarity=s)

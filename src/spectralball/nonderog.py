@@ -72,12 +72,16 @@ class NonderogReport:
 
     verdict: bool
     per_criterion: dict
-    tolerances: dict
     minimal_polynomial: PolyCoeffs
     borderline: bool = field(init=False)
+    tolerances = {"rank": DEFAULT_TOL, "cluster_gap": CLUSTER_GAP, "borderline_decade": BORDERLINE_DECADE}
 
     def __post_init__(self):
         self.borderline = any(c.borderline for c in self.per_criterion.values())
+
+    def residuals(self, a) -> dict:
+        """``minimal_polynomial_norm``: ||p(A)||_F, p the minimal polynomial found."""
+        return {"minimal_polynomial_norm": float(np.linalg.norm(self.minimal_polynomial.on_matrix(a)))}
 
 
 @dataclass(eq=False)
@@ -118,9 +122,9 @@ class PolyCoeffs:
 
 
 def _unit_columns(w):
-    """Columns of *w*, successive powers, scaled to unit 2-norm.  A column of
-    norm at most DEFAULT_TOL times the previous one's, and every later column, is
-    set to zero: the roundoff powers of a nilpotent part are no direction.
+    """Columns of *w*, polynomials of rising degree in M, at unit 2-norm.  A
+    column of norm at most DEFAULT_TOL times the previous one's, and every later
+    column, is zero: the roundoff powers of a nilpotent part are no direction.
     """
     norms = np.linalg.norm(w, axis=0)
     drop = np.flatnonzero(norms[1:] <= DEFAULT_TOL * norms[:-1])
@@ -325,7 +329,8 @@ def classify(a, rng=None) -> NonderogReport:
         commutant_dim == n, float(commutant_dim), op_borderline
     )
 
-    s_sig = np.linalg.svd(sigma_differential_matrix(M), compute_uv=False)
+    # row j has size about |mu|^j: its rank is read on unit rows, as the degree is
+    s_sig = np.linalg.svd(_unit_columns(sigma_differential_matrix(M).T), compute_uv=False)
     sig_rank, sig_borderline = _rank_by_svd(s_sig)
     per["symmetrization_rank"] = CriterionResult(
         sig_rank == n, float(sig_rank), sig_borderline
@@ -342,8 +347,7 @@ def classify(a, rng=None) -> NonderogReport:
         pool = clean if clean and sum(clean) * 2 != len(clean) else passed
         verdict = sum(pool) * 2 > len(pool)
 
-    tolerances = {"rank": DEFAULT_TOL, "cluster_gap": CLUSTER_GAP, "borderline_decade": BORDERLINE_DECADE}
-    return NonderogReport(verdict, per, tolerances, PolyCoeffs(min_coeffs))
+    return NonderogReport(verdict, per, PolyCoeffs(min_coeffs))
 
 
 def _nonderogatory(A, M) -> bool:
@@ -353,9 +357,7 @@ def _nonderogatory(A, M) -> bool:
     One eigensolve of M decides every base whose eigenpairs prove that the
     commutant has dimension n (``_commutant_rank_bound``).  Any other base
     (scalar, repeated, clustered beyond the bound, defective or
-    ill-conditioned) gets the verdict of ``classify``.  The proof also
-    settles the bases on which the symmetrization rank alone fails and
-    ``classify`` raises InternalError.
+    ill-conditioned) gets the verdict of ``classify``.
     """
     if _commutant_rank_bound(M, *np.linalg.eig(M)) is not None:
         return True

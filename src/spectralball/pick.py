@@ -260,6 +260,24 @@ class GapCertificate:
     degenerate: bool
     interpolation_residual: float
     smallest_eigenvalue: float
+    #: DEFAULT_TOL decides all-zero data and the Pick rank, the product's order;
+    #: PICK_MARGIN the search and the closed form.
+    tolerances = {
+        "interpolation": INTERPOLATION_TOL,
+        "rank": DEFAULT_TOL,
+        "zero_data": DEFAULT_TOL,
+        "bracket_width": BISECT_WIDTH,
+        "pick_margin": PICK_MARGIN,
+    }
+
+    def residuals(self) -> dict:
+        """``interpolation_max`` and, unless degenerate, ``circle_unimodularity``:
+        max ||B(z)| - 1| over the 256th roots of unity z."""
+        out = {"interpolation_max": self.interpolation_residual}
+        if not self.degenerate:
+            circle = np.abs(self.blaschke(_roots_of_unity(256)))
+            out["circle_unimodularity"] = float(np.max(np.abs(circle - 1.0)))
+        return out
 
 
 def _roots_of_unity(n):

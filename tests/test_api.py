@@ -4,11 +4,13 @@ Every callable exported by ``spectralball`` has its parameter names listed
 here, every CLI subcommand its flags and the classifier its criteria, so
 adding or removing a knob or a criterion shows up as a diff of this file.
 Every ``tolerances`` value a CLI document reports is checked against the
-library constant it names, and the tolerance literals of the package are
-counted.
+library constant it names and against the result type that names it, the
+tolerance literals of the package are counted, and ``cli.py`` is checked to
+read no private library name and to call no ``np.linalg`` function.
 """
 
 import argparse
+import ast
 import inspect
 import json
 import pathlib
@@ -32,9 +34,9 @@ PARAMETERS = {
         "beta", "blaschke", "upper", "radius", "is_gap", "degenerate", "interpolation_residual",
         "smallest_eigenvalue",
     ),
-    "HullWitness": ("weights", "terms", "similarity"),
+    "HullWitness": ("terms", "similarity"),
     "MatrixPolynomialCurve": ("coefficients",),
-    "NonderogReport": ("verdict", "per_criterion", "tolerances", "minimal_polynomial"),
+    "NonderogReport": ("verdict", "per_criterion", "minimal_polynomial"),
     "PickProblem": ("nodes", "targets"),
     "PolyCoeffs": ("coeffs",),
     "SpectralDisc": ("frame", "frame_log", "base_diag", "kappa", "t_base", "t_slope", "scale"),
@@ -146,7 +148,7 @@ def test_parameters_of_every_exported_callable():
             found[name] = tuple(p.name for p in params)
             defaults += sum(p.default is not inspect.Parameter.empty for p in params)
     assert found == PARAMETERS
-    assert sum(len(names) for names in found.values()) == 113
+    assert sum(len(names) for names in found.values()) == 111
     assert defaults == 6
 
 
@@ -218,3 +220,43 @@ def test_tolerance_blocks_name_library_constants(tmp_path, capsys):
         doc = json.loads(capsys.readouterr().out)
         assert doc["tolerances"] == tolerances, kind
 
+
+def test_tolerance_blocks_are_the_result_types_own():
+    """Each block is the ``tolerances`` class attribute of the result type
+    behind the document, which the library reads, not a copy in the CLI."""
+    own = {
+        "classify": sb.NonderogReport.tolerances,
+        "bounds": sb.DiscWitness.tolerances,
+        "blaschke": sb.GapCertificate.tolerances,
+        "hull": sb.HullWitness.tolerances,
+        "discontinuity": {
+            "eigenvalue_equality": pick.EQUAL_EIGENVALUES_TOL, **sb.GapCertificate.tolerances
+        },
+    }
+    for command, tolerances in own.items():
+        assert TOLERANCES[command] == tolerances, command
+    assert CURVE_TOLERANCES == {"spectrum": sb.SpectrumCheck.tol, "endpoint": geometry.ENDPOINT_TOL}
+
+
+def test_cli_only_parses_and_emits():
+    """cli.py imports no underscore-prefixed name from the package, reads no
+    ``module._name`` of a library module and calls no ``np.linalg``: the
+    result types compute their residuals and name their tolerances."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("spectralball"))
+    ]
+    modules = {alias.name for node in imports if node.module is None for alias in node.names}
+    private = [alias.name for node in imports for alias in node.names if alias.name.startswith("_")]
+    linalg = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and node.attr.startswith("_"):
+                private.append(f"{node.value.id}.{node.attr}")
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            linalg.append(node.lineno)
+    assert modules == {"curves", "geometry", "nonderog", "pick"}
+    assert private == []
+    assert linalg == []

@@ -68,6 +68,7 @@ class TestCommands:
         poly = sb.minimal_polynomial(a)
         recomputed = float(np.linalg.norm(poly.on_matrix(a)))
         assert abs(recomputed - doc["residuals"]["minimal_polynomial_norm"]) <= 1e-12
+        assert sb.classify(a).residuals(a) == {"minimal_polynomial_norm": recomputed}
 
     def test_sigma(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "a.json", np.diag([0.1, 0.2]))
@@ -104,6 +105,7 @@ class TestCommands:
         a = parse_matrix(doc["inputs"]["matrix"])
         recon = float(np.linalg.norm(0.5 * t1 + 0.5 * t2 - a))
         assert abs(recon - doc["residuals"]["reconstruction"]) <= 1e-12
+        assert sb.hull_witness(a).residuals(a)["reconstruction"] == recon
         assert max(witness["term_radii"]) < 1.0
 
     def test_hull_witness_at_n5(self, tmp_path, capsys):
@@ -147,6 +149,7 @@ class TestCommands:
             ) / (1.0 + np.linalg.norm(a))
             assert doc["residuals"]["triangularity"] == pytest.approx(slack, rel=1e-6, abs=1e-15)
             assert doc["residuals"]["triangularity"] <= 1e-12
+            assert sb.hull_witness(a).residuals(a)["triangularity"] == slack
 
     def test_bounds(self, tmp_path, capsys):
         p1 = write_matrix(tmp_path / "a.json", np.diag([0.1, 0.8]))
@@ -158,14 +161,22 @@ class TestCommands:
         assert doc["outputs"]["certificate_max_radius"] < 1.0
         assert doc["residuals"]["endpoint_base"] <= 1e-8
         assert doc["residuals"]["endpoint_target"] <= 1e-8
+        assert "scalar_base_exact" not in doc["outputs"]
+        witness = sb.upper_bound_disc(np.diag([0.1, 0.8]), np.diag([0.15, 0.75]), 0.13)
+        assert witness.scalar_base_exact() is None
 
     def test_bounds_scalar_reports_exact(self, tmp_path, capsys):
-        p1 = write_matrix(tmp_path / "a.json", np.zeros((2, 2)))
-        p2 = write_matrix(tmp_path / "b.json", np.diag([0.5, 0.2]))
-        code, out, _ = run_cli(capsys, "bounds", "--input", p1, "--input2", p2)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["outputs"]["scalar_base_exact"] == pytest.approx(0.5)
+        b = np.diag([0.5, 0.2])
+        p2 = write_matrix(tmp_path / "b.json", b)
+        for t, exact in ((0.0, 0.5), (0.4j, abs((0.5 - 0.4j) / (1 + 0.2j)))):
+            a = t * np.eye(2)
+            p1 = write_matrix(tmp_path / "a.json", a)
+            code, out, _ = run_cli(capsys, "bounds", "--input", p1, "--input2", p2)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["outputs"]["scalar_base_exact"] == pytest.approx(exact)
+            witness = sb.upper_bound_disc(a, b, doc["inputs"]["s1"])
+            assert witness.scalar_base_exact() == doc["outputs"]["scalar_base_exact"]
 
     def test_blaschke(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "b.json", np.diag([0.8, 0.0]))
@@ -200,6 +211,10 @@ class TestCommands:
         )))
         assert abs(resid) <= 1e-6
         assert abs(abs(beta) ** n - doc["outputs"]["upper_bound"]) <= 1e-12
+        circle = np.abs(bp(np.exp(2j * np.pi * np.arange(256) / 256)))
+        unimodularity = float(np.max(np.abs(circle - 1.0)))
+        assert doc["residuals"]["circle_unimodularity"] == pytest.approx(unimodularity, abs=1e-15)
+        assert sb.gap_certificate(b).residuals() == doc["residuals"]
 
     def test_curve_iso(self, tmp_path, capsys):
         p1 = write_matrix(tmp_path / "a.json", np.diag([0.3, 0.5]))
@@ -209,6 +224,13 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["outputs"]["constant_spectrum"]["passed"] is True
         assert doc["residuals"]["endpoint_target"] <= 1e-8
+        a, b = (parse_matrix(doc["inputs"][key]) for key in ("matrix", "matrix2"))
+        curve = sb.iso_spectral_curve(a, b)
+        recomputed = {
+            "endpoint_base": float(np.linalg.norm(curve(0.0) - a)),
+            "endpoint_target": float(np.linalg.norm(curve(1.0) - b)),
+        }
+        assert curve.residuals(a, b) == recomputed == doc["residuals"]
 
     @pytest.mark.parametrize("kind", ["zero-metric", "quadratic"])
     def test_curve_derivative_residual_is_exact(self, tmp_path, capsys, kind):
@@ -228,7 +250,18 @@ class TestCommands:
             assert doc["residuals"]["derivative"] == expected <= 1e-12
         else:
             # the linear coefficient of the quadratic is B itself
+            curve = sb.quadratic_witness_2x2(a, b)
             assert doc["residuals"]["derivative"] == 0.0
+            trace, det = sb.spectrum_polynomials_2x2(curve)
+            variation = max(np.abs(trace[1:]).max(), np.abs(det[1:]).max())
+            assert curve.max_nonconstant_variation() == variation
+            assert doc["residuals"]["max_nonconstant_coefficient"] == variation
+        recomputed = {
+            "endpoint_base": float(np.linalg.norm(curve(0.0) - a)),
+            "derivative": float(np.linalg.norm(curve.derivative_at_zero() - b)),
+        }
+        assert curve.residuals(a, b) == recomputed
+        assert {key: doc["residuals"][key] for key in recomputed} == recomputed
 
     def test_curve_zero_metric_eigensolve_count(self, tmp_path, capsys, count_eigvals):
         # classify, the reported spectrum of A and the stacked verifier

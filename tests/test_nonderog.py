@@ -276,7 +276,13 @@ def reference_classify(a):
     per["commutant_dim"] = sb.CriterionResult(
         n * n - op_rank == n, float(n * n - op_rank), op_borderline
     )
-    s_sig = np.linalg.svd(sb.sigma_differential_matrix(M), compute_uv=False)
+    # the rows on one scale: unit norm, after the vanishing rule of the degree search
+    rows = sb.sigma_differential_matrix(M)
+    units, vanished = [rows[0] / np.linalg.norm(rows[0])], False
+    for j in range(1, n):
+        vanished = vanished or np.linalg.norm(rows[j]) <= sb.DEFAULT_TOL * np.linalg.norm(rows[j - 1])
+        units.append(0.0 * rows[j] if vanished else rows[j] / np.linalg.norm(rows[j]))
+    s_sig = np.linalg.svd(np.column_stack(units), compute_uv=False)
     sig_rank, sig_borderline = rank_by_svd(s_sig)
     per["symmetrization_rank"] = sb.CriterionResult(sig_rank == n, float(sig_rank), sig_borderline)
     votes = sum(1 for c in per.values() if c.passed)
@@ -466,10 +472,9 @@ def only_symmetrization_dissents(err):
 class TestEigenpairProofAgreesWithClassify:
     """Where the eigenpairs of M prove the commutant n-dimensional, classify
     does not call the base derogatory, and a zero-metric curve is the one
-    the classify path builds, bit for bit.  The exception: classify raises
-    InternalError when the symmetrization rank alone fails a well-separated,
-    moderately conditioned base of size 4 and up; the proof then builds the
-    curve that the classify path refused."""
+    the classify path builds, bit for bit.  Should classify raise
+    InternalError there, only the symmetrization rank may dissent, and the
+    proof then builds the curve that the classify path refused."""
 
     @staticmethod
     def zero_metric_outcome(a, b):
@@ -478,6 +483,13 @@ class TestEigenpairProofAgreesWithClassify:
         except sb.SpectralBallError as err:
             return type(err), str(err)
         return getattr(curve, "generator", curve.kind)
+
+    @classmethod
+    def classify_path_outcome(cls, a, b):
+        """zero_metric_outcome with the base decided by classify alone."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curves_module, "_nonderogatory", lambda a, m: sb.classify(a).verdict)
+            return cls.zero_metric_outcome(a, b)
 
     @staticmethod
     def proved(a):
@@ -514,9 +526,7 @@ class TestEigenpairProofAgreesWithClassify:
         y0 = 0.2 * random_gaussian(np.random.default_rng(seed + 1), n)
         b = a @ y0 - y0 @ a
         outcome = self.zero_metric_outcome(a, b)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(curves_module, "_nonderogatory", lambda a, m: sb.classify(a).verdict)
-            reference = self.zero_metric_outcome(a, b)
+        reference = self.classify_path_outcome(a, b)
         if isinstance(reference, np.ndarray):
             assert np.array_equal(outcome, reference)
         elif proved and reference[0] is sb.InternalError:
@@ -524,15 +534,16 @@ class TestEigenpairProofAgreesWithClassify:
         else:
             assert outcome == reference
 
-    def test_proof_builds_the_curve_classify_refuses(self):
-        a = conditioned_diagonalizable(8, 1, 100.0)
-        with pytest.raises(sb.InternalError) as err:
-            sb.classify(a)
-        assert only_symmetrization_dissents(err.value)
-        assert self.proved(a)
-        y0 = 0.2 * random_gaussian(np.random.default_rng(2), 8)
+    @pytest.mark.parametrize("seed", [1, 53, 149, 156, 210, 225, 243, 250, 338, 392])
+    def test_classify_and_curve_at_kappa_100(self, seed):
+        # on these bases the rank of the raw differential rows, of sizes about
+        # |mu|^j, failed alone and classify raised InternalError
+        a = conditioned_diagonalizable(8, seed, 100.0)
+        assert all(c.passed for c in sb.classify(a).per_criterion.values())
+        y0 = 0.2 * random_gaussian(np.random.default_rng(seed + 1), 8)
         b = a @ y0 - y0 @ a
         curve = sb.zero_metric_curve(a, b)
+        assert np.array_equal(curve.generator, self.classify_path_outcome(a, b))
         assert np.linalg.norm(curve.derivative_at_zero() - b) <= 1e-12 * np.linalg.norm(b)
         assert sb.verify_constant_spectrum(curve, sb.spectrum(a), radius=1.0).passed
 
