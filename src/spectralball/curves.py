@@ -16,7 +16,7 @@ eigenvalue-multiset deviation from an expected spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -322,14 +322,17 @@ def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
 
 @dataclass(eq=False)
 class SpectrumCheck:
-    """Outcome of sampling a curve against an expected spectrum."""
+    """Outcome of sampling a curve against an expected spectrum, passed at ``tol``."""
 
-    passed: bool
+    passed: bool = field(init=False)
     max_deviation: float
     samples: int
     radius: float
     worst_point: complex
     tol = SPECTRUM_TOL
+
+    def __post_init__(self):
+        self.passed = bool(self.max_deviation <= self.tol)
 
 
 def _sample_points(samples, radius):
@@ -403,7 +406,6 @@ def verify_constant_spectrum(
     k = int(np.argmax(deviations))
     worst = float(deviations[k])
     return SpectrumCheck(
-        passed=bool(worst <= SPECTRUM_TOL),
         max_deviation=worst,
         samples=samples,
         radius=radius,

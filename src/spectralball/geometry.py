@@ -9,7 +9,7 @@ deterministic random sample of the ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -199,15 +199,26 @@ class CertificateGrid:
 
 @dataclass(eq=False)
 class DiscWitness:
-    """Analytic disc certifying an upper bound on the two-point distance."""
+    """Analytic disc certifying an upper bound on the two-point distance.
+
+    Its certificate radius is exact: entry j of the diagonal is a disk
+    automorphism of kappa_j zeta, so by the maximum principle its largest
+    modulus on the closed disk is (|a_j| + |kappa_j|) / (1 + |a_j| |kappa_j|).
+    """
 
     curve: SpectralDisc
-    base_point: complex
-    target_point: complex
-    certificate_grid: CertificateGrid
+    target_point: complex = field(init=False)
+    certificate_grid: CertificateGrid = field(init=False)
     matrix_at_base: np.ndarray
     matrix_at_target: np.ndarray
+    base_point = 0j
     tolerances = {"endpoint": ENDPOINT_TOL}
+
+    def __post_init__(self):
+        self.target_point = complex(self.curve.scale)
+        abs_a, abs_k = np.abs(self.curve.base_diag), np.abs(self.curve.kappa)
+        moduli = (abs_a + abs_k) / (1.0 + abs_a * abs_k)
+        self.certificate_grid = CertificateGrid(float(moduli.max()))
 
     def endpoint_residuals(self):
         r0 = np.linalg.norm(self.curve(self.base_point) - self.matrix_at_base)
@@ -312,10 +323,7 @@ def upper_bound_disc(a, b, s1: float) -> DiscWitness:
     closed unit disk stays inside the ball, off-diagonal entries are affine,
     and the triangularizing unitaries are joined by a one-parameter
     unitary group.
-    The witness establishes that the two-point distance is at most s1.  Its
-    certificate radius is exact: entry j of the diagonal is a disk
-    automorphism of kappa_j zeta, so by the maximum principle its largest
-    modulus on the closed disk is (|a_j| + |kappa_j|) / (1 + |a_j| |kappa_j|).
+    The witness establishes that the two-point distance is at most s1.
     """
     s1 = float(s1)
 
@@ -336,20 +344,14 @@ def upper_bound_disc(a, b, s1: float) -> DiscWitness:
     t_base = np.triu(t_a, 1)
     t_slope = np.triu(t_b - t_a, 1) / s1
 
-    curve = SpectralDisc(u, frame_log, da, kappa, t_base, t_slope, s1)
-
-    abs_a, abs_k = np.abs(da), np.abs(kappa)
-    cert = CertificateGrid(float(((abs_a + abs_k) / (1.0 + abs_a * abs_k)).max()))
-    if cert.max_spectral_radius >= 1.0:
-        raise InternalError("disc leaves the spectral ball")
-    return DiscWitness(
-        curve=curve,
-        base_point=0.0 + 0.0j,
-        target_point=complex(s1),
-        certificate_grid=cert,
+    witness = DiscWitness(
+        curve=SpectralDisc(u, frame_log, da, kappa, t_base, t_slope, s1),
         matrix_at_base=np.array(a, dtype=complex),
         matrix_at_target=np.array(b, dtype=complex),
     )
+    if witness.certificate_grid.max_spectral_radius >= 1.0:
+        raise InternalError("disc leaves the spectral ball")
+    return witness
 
 
 def hull_membership(a):
@@ -420,7 +422,7 @@ def _plane_zero_vector(p, q, b, c):
     return theta, phi
 
 
-def _plane_target(frame, i, j, target, scale):
+def _plane_target(frame, i, j, target):
     """Plane rotation G of slots (i, j) putting target on diagonal slot i.
 
     The frame stacks W* M W on W: rows i, j of the top block take G* and
@@ -429,8 +431,6 @@ def _plane_target(frame, i, j, target, scale):
     (Toeplitz-Hausdorff); slot j then holds d_i + d_j - target.
     """
     p, q = frame[i, i], frame[j, j]
-    if abs(p - target) <= scale:
-        return
     theta, phi = _plane_zero_vector(p - target, q - target, frame[i, j], frame[j, i])
     c, s = np.cos(theta), np.sin(theta)
     g = np.array([[c, -np.exp(-1j * phi) * s], [np.exp(1j * phi) * s, c]])
@@ -472,8 +472,8 @@ def _zero_diagonal_similarity(m):
         if not x < 0.0:
             raise InternalError("no diagonal target on the negative axis")
         if c != b:
-            _plane_target(frame, b, c, d[b] + s * (d[c] - d[b]), scale)
-        _plane_target(frame, a, b, 0.0, scale)
+            _plane_target(frame, b, c, d[b] + s * (d[c] - d[b]))
+        _plane_target(frame, a, b, 0.0)
     if np.max(np.abs(frame.diagonal())) > HULL_TOL * max(1.0, np.linalg.norm(m)):
         raise InternalError("zero-diagonal reduction failed to converge")
     return frame[n:]

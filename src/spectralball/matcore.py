@@ -489,8 +489,11 @@ def commutation_operator(a) -> np.ndarray:
 class CommutantBasis:
     """Basis of the space of matrices commuting with a given matrix."""
 
-    dim: int
+    dim: int = field(init=False)
     basis: list
+
+    def __post_init__(self):
+        self.dim = len(self.basis)
 
 
 def commutant_basis(a) -> CommutantBasis:
@@ -507,7 +510,7 @@ def commutant_basis(a) -> CommutantBasis:
     _, s, vh = np.linalg.svd(commutation_operator(M))
     rank, _ = _rank_by_svd(s)
     basis = [v.conj().reshape((n, n), order="F") for v in vh[rank:]]
-    return CommutantBasis(dim=n * n - rank, basis=basis)
+    return CommutantBasis(basis)
 
 
 def solve_conjugation(a, b) -> np.ndarray:

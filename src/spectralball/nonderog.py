@@ -53,7 +53,7 @@ CRITERIA = (
 #: Relative gap used to group nearly-equal computed eigenvalues.
 CLUSTER_GAP = 1e-6
 
-#: Number of random probes for the cyclic-vector criterion.
+#: Largest number of random probes for the cyclic-vector criterion.
 CYCLIC_TRIALS = 5
 
 _DEFAULT_SEED = 0x5EED
@@ -63,21 +63,37 @@ _DEFAULT_SEED = 0x5EED
 class CriterionResult:
     passed: bool
     diagnostic: float
-    borderline: bool = False
+    borderline: bool
 
 
 @dataclass(eq=False)
 class NonderogReport:
-    """Verdict, per-criterion results and the minimal polynomial found."""
+    """Per-criterion results, the minimal polynomial found and the verdict.
 
-    verdict: bool
+    The verdict is the majority of the criteria.  A disagreement with no
+    borderline rank decision raises InternalError.  Otherwise the criteria
+    without a borderline flag decide, unless they are empty or tied; then
+    all five do, and five cannot tie.
+    """
+
+    verdict: bool = field(init=False)
     per_criterion: dict
     minimal_polynomial: PolyCoeffs
     borderline: bool = field(init=False)
     tolerances = {"rank": DEFAULT_TOL, "cluster_gap": CLUSTER_GAP, "borderline_decade": BORDERLINE_DECADE}
 
     def __post_init__(self):
-        self.borderline = any(c.borderline for c in self.per_criterion.values())
+        per = self.per_criterion.values()
+        self.borderline = any(c.borderline for c in per)
+        pool = [c.passed for c in per]
+        if 0 < sum(pool) < len(pool):
+            if not self.borderline:
+                detail = {k: (c.passed, c.diagnostic) for k, c in self.per_criterion.items()}
+                raise InternalError(f"criteria disagree without borderline flags: {detail}")
+            clean = [c.passed for c in per if not c.borderline]
+            if clean and sum(clean) * 2 != len(clean):
+                pool = clean
+        self.verdict = sum(pool) * 2 > len(pool)
 
     def residuals(self, a) -> dict:
         """``minimal_polynomial_norm``: ||p(A)||_F, p the minimal polynomial found."""
@@ -237,7 +253,8 @@ def _criterion_cyclic(M, rng):
         rank, borderline = _rank_by_svd(s)
         if rank > best_rank or (rank == best_rank and not borderline):
             best_rank, best_borderline = rank, borderline
-        if best_rank == n and not best_borderline:
+        # a random probe reaches the largest Krylov rank: retry only a borderline one
+        if not best_borderline:
             break
     return CriterionResult(best_rank == n, float(best_rank), best_borderline)
 
@@ -298,11 +315,8 @@ def classify(a, rng=None) -> NonderogReport:
     """Classify a matrix as non-derogatory or derogatory.
 
     All five criteria are evaluated on the centered, normalized M of
-    A = tau I + c M; the verdict is their majority.  A disagreement with no
-    borderline rank decision raises InternalError.  Otherwise the criteria
-    without a borderline flag decide, unless they are empty or tied; then
-    all five do, and five cannot tie.  The randomized cyclic-vector probe
-    draws from *rng* (seeded default).
+    A = tau I + c M, and the report takes their vote.  The randomized
+    cyclic-vector probe draws from *rng* (seeded default).
     """
     A = as_matrix(a)
     n = A.shape[0]
@@ -336,18 +350,7 @@ def classify(a, rng=None) -> NonderogReport:
         sig_rank == n, float(sig_rank), sig_borderline
     )
 
-    passed = [crit.passed for crit in per.values()]
-    if sum(passed) in (0, len(passed)):
-        verdict = passed[0]
-    else:
-        if not any(crit.borderline for crit in per.values()):
-            detail = {k: (crit.passed, crit.diagnostic) for k, crit in per.items()}
-            raise InternalError(f"criteria disagree without borderline flags: {detail}")
-        clean = [crit.passed for crit in per.values() if not crit.borderline]
-        pool = clean if clean and sum(clean) * 2 != len(clean) else passed
-        verdict = sum(pool) * 2 > len(pool)
-
-    return NonderogReport(verdict, per, PolyCoeffs(min_coeffs))
+    return NonderogReport(per, PolyCoeffs(min_coeffs))
 
 
 def _nonderogatory(A, M) -> bool:

@@ -26,7 +26,7 @@ of B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -114,7 +114,7 @@ class BlaschkeProduct:
     unit circle, modulus below one inside the open disk.
     """
 
-    def __init__(self, unimodular: complex, zeros=()):
+    def __init__(self, unimodular: complex, zeros):
         u = complex(unimodular)
         if abs(abs(u) - 1.0) > 1e-6:
             raise InvalidInputError("leading constant must be unimodular")
@@ -206,8 +206,10 @@ def degenerate_interpolant(problem: PickProblem):
     within INTERPOLATION_TOL.  V itself is not tested for unitarity: the
     search certifies a radius infeasible by a rounding margin, and V carries
     that inconsistency amplified by 1 / sigma_min(a)^2, while the product is
-    unimodular on the circle by construction.  All-zero target data yields
-    the flagged constant-zero interpolant.
+    unimodular on the circle by construction.  All-zero targets (|w_j| <=
+    DEFAULT_TOL) give the flagged constant-zero interpolant only when their
+    Pick matrix 1 / (1 - x_j conj(x_k)), positive definite, reads singular:
+    for nodes that nearly coincide.  Other nodes raise PreconditionError.
     """
     _, vals, vecs = problem._factored
     scale = 1.0 + max(vals[-1], 0.0)
@@ -247,17 +249,19 @@ class GapCertificate:
     eigenvalues; ``upper`` = |beta|^n bounds the two-point distance limit
     from above; ``radius`` = r(B) is the value at the scalar base point
     itself.  A strictly positive gap occurs exactly when the eigenvalues of B
-    are not all equal.  ``smallest_eigenvalue`` is the smallest Pick
-    eigenvalue of the reduced problem at |beta|: the margin of the certified
-    radius, just below zero after the search.
+    are not all equal, so ``is_gap`` is upper < radius - EQUAL_EIGENVALUES_TOL.
+    ``degenerate`` marks all-zero data, radius <= DEFAULT_TOL, with beta = 0
+    and the constant-zero interpolant.  ``smallest_eigenvalue`` is the
+    smallest Pick eigenvalue of the reduced problem at |beta|: the margin of
+    the certified radius, just below zero after the search.
     """
 
     beta: complex
     blaschke: object
     upper: float
     radius: float
-    is_gap: bool
-    degenerate: bool
+    is_gap: bool = field(init=False)
+    degenerate: bool = field(init=False)
     interpolation_residual: float
     smallest_eigenvalue: float
     #: DEFAULT_TOL decides all-zero data and the Pick rank, the product's order;
@@ -269,6 +273,10 @@ class GapCertificate:
         "bracket_width": BISECT_WIDTH,
         "pick_margin": PICK_MARGIN,
     }
+
+    def __post_init__(self):
+        self.is_gap = bool(self.upper < self.radius - EQUAL_EIGENVALUES_TOL)
+        self.degenerate = self.radius <= DEFAULT_TOL
 
     def residuals(self) -> dict:
         """``interpolation_max`` and, unless degenerate, ``circle_unimodularity``:
@@ -417,10 +425,9 @@ def blaschke_through_roots_of_unity(lambdas) -> GapCertificate:
 
     Finds beta in the disk and a Blaschke product B of order at most n with
     B(0) = 0 and B(eps_j beta) = lambda_j at the n-th roots of unity eps_j,
-    and returns them with upper = |beta|^n, radius = max |lambda_j| and the
-    gap verdict upper < radius - 1e-9.  The radius |beta| is located where
-    the Pick matrix of the reduced data (which depends on |beta| only) first
-    turns singular positive semidefinite.
+    with upper = |beta|^n and radius = max |lambda_j|.  |beta| is located
+    where the Pick matrix of the reduced data (which depends on |beta| only)
+    first turns singular positive semidefinite.
 
     When lambda_j = c eps_j^k for one c and one k in 1..n, up to
     PICK_MARGIN * |c| in every ratio lambda_j / eps_j^k, that radius is
@@ -434,9 +441,7 @@ def blaschke_through_roots_of_unity(lambdas) -> GapCertificate:
     (``_boundary_search``) then narrows the lowest feasibility transition to
     BISECT_WIDTH, one stacked call per round, and certifies the lower end of
     its final bracket, which is infeasible beyond the rounding margin
-    PICK_MARGIN and within a few margins of the boundary.  All-zero data
-    (max |lambda_j| <= DEFAULT_TOL) is returned as the degenerate flagged
-    case with beta = 0.
+    PICK_MARGIN and within a few margins of the boundary.
     """
     lam = np.atleast_1d(np.asarray(lambdas, dtype=complex))
     n = len(lam)
@@ -448,8 +453,7 @@ def blaschke_through_roots_of_unity(lambdas) -> GapCertificate:
     radius = float(np.max(moduli))
     if radius >= 1.0:
         raise DomainError("values must lie in the open unit disk")
-    degenerate = radius <= DEFAULT_TOL
-    if degenerate:
+    if radius <= DEFAULT_TOL:
         r0, bp, smallest, residual = 0.0, ZeroInterpolant(), 0.0, 0.0
     else:
         eps = _roots_of_unity(n)
@@ -467,14 +471,11 @@ def blaschke_through_roots_of_unity(lambdas) -> GapCertificate:
         if residual > INTERPOLATION_TOL:
             raise NumericError(f"boundary interpolation residual {residual:.3e}")
     beta = complex(r0)
-    upper = float(abs(beta) ** n)
     return GapCertificate(
         beta=beta,
         blaschke=bp,
-        upper=upper,
+        upper=float(abs(beta) ** n),
         radius=radius,
-        is_gap=bool(upper < radius - 1e-9),
-        degenerate=degenerate,
         interpolation_residual=residual,
         smallest_eigenvalue=float(smallest),
     )
@@ -531,13 +532,7 @@ class SymmetrizedDisc:
 
 def gap_certificate(b) -> GapCertificate:
     """Gap certificate of B: ``blaschke_through_roots_of_unity`` of its
-    eigenvalues.
-
-    Returns upper = |beta|^n, radius = r(B), the gap verdict
-    upper < radius - 1e-9 and the smallest Pick eigenvalue at |beta|.  A
-    spectral radius of at most DEFAULT_TOL gives the degenerate certificate:
-    beta = 0 and the constant-zero interpolant.  A matrix outside the
-    spectral ball raises DomainError.
+    eigenvalues.  A matrix outside the spectral ball raises DomainError.
 
     The search matches the eigenvalues to the roots of unity in the order
     ``eigvals`` lists them.  For n >= 3 other orders give other valid

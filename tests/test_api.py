@@ -6,7 +6,8 @@ adding or removing a knob or a criterion shows up as a diff of this file.
 Every ``tolerances`` value a CLI document reports is checked against the
 library constant it names and against the result type that names it, the
 tolerance literals of the package are counted, and ``cli.py`` is checked to
-read no private library name and to call no ``np.linalg`` function.
+read no private library name and to call no ``np.linalg`` function.  The
+README quotes the totals, and must quote them as pinned here.
 """
 
 import argparse
@@ -14,6 +15,7 @@ import ast
 import inspect
 import json
 import pathlib
+import re
 import tokenize
 
 import numpy as np
@@ -23,25 +25,21 @@ from spectralball import cli, curves, geometry, matcore, nonderog, pick
 
 PARAMETERS = {
     "BlaschkeProduct": ("unimodular", "zeros"),
-    "CommutantBasis": ("dim", "basis"),
+    "CommutantBasis": ("basis",),
     "CriterionResult": ("passed", "diagnostic", "borderline"),
-    "DiscWitness": (
-        "curve", "base_point", "target_point", "certificate_grid",
-        "matrix_at_base", "matrix_at_target",
-    ),
+    "DiscWitness": ("curve", "matrix_at_base", "matrix_at_target"),
     "ExpConjugationCurve": ("base", "generator"),
     "GapCertificate": (
-        "beta", "blaschke", "upper", "radius", "is_gap", "degenerate", "interpolation_residual",
-        "smallest_eigenvalue",
+        "beta", "blaschke", "upper", "radius", "interpolation_residual", "smallest_eigenvalue",
     ),
     "HullWitness": ("terms", "similarity"),
     "MatrixPolynomialCurve": ("coefficients",),
-    "NonderogReport": ("verdict", "per_criterion", "minimal_polynomial"),
+    "NonderogReport": ("per_criterion", "minimal_polynomial"),
     "PickProblem": ("nodes", "targets"),
     "PolyCoeffs": ("coeffs",),
     "SpectralDisc": ("frame", "frame_log", "base_diag", "kappa", "t_base", "t_slope", "scale"),
     "Spectrum": ("values",),
-    "SpectrumCheck": ("passed", "max_deviation", "samples", "radius", "worst_point"),
+    "SpectrumCheck": ("max_deviation", "samples", "radius", "worst_point"),
     "SymPoint": ("coords",),
     "SymmetrizedDisc": ("blaschke", "n"),
     "TriangularConjugationCurve": ("frame", "frame_log", "t0", "t1"),
@@ -85,6 +83,9 @@ PARAMETERS = {
     "verify_constant_spectrum": ("curve", "expected", "samples", "radius"),
     "zero_metric_curve": ("a", "b"),
 }
+
+#: Totals: exported parameters, of which with defaults; CLI flags; tolerance literals.
+PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT = 103, 4, 18, 27
 
 CRITERIA = (
     "cyclic_vector",
@@ -148,8 +149,8 @@ def test_parameters_of_every_exported_callable():
             found[name] = tuple(p.name for p in params)
             defaults += sum(p.default is not inspect.Parameter.empty for p in params)
     assert found == PARAMETERS
-    assert sum(len(names) for names in found.values()) == 111
-    assert defaults == 6
+    assert sum(len(names) for names in found.values()) == PARAMETER_COUNT
+    assert defaults == DEFAULT_COUNT
 
 
 def test_tolerance_literals():
@@ -164,7 +165,7 @@ def test_tolerance_literals():
                 for token in tokenize.generate_tokens(source.readline)
                 if token.type == tokenize.NUMBER and "e-" in token.string.lower()
             ]
-    assert len(found) == 28
+    assert len(found) == LITERAL_COUNT
 
 
 def test_classifier_criteria():
@@ -190,7 +191,20 @@ def test_flags_of_every_subcommand():
         for command, p in _subcommands().items()
     }
     assert found == FLAGS
-    assert sum(len(flags) for flags in found.values()) == 18
+    assert sum(len(flags) for flags in found.values()) == FLAG_COUNT
+
+
+def test_readme_quotes_the_pinned_totals():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+    quoted = [
+        re.search(r"exported callable \((\d+), of which (\d+) have defaults\)", text),
+        re.search(r"flags of every CLI command \((\d+)\)", text),
+        re.search(r"tolerance literals in the package's code \((\d+) number tokens", text),
+    ]
+    assert all(quoted), quoted
+    numbers = tuple(int(n) for match in quoted for n in match.groups())
+    assert numbers == (PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT)
 
 
 def test_tolerance_blocks_name_library_constants(tmp_path, capsys):

@@ -322,6 +322,18 @@ class TestQuadraticWitness:
         assert np.linalg.norm(deriv - b) <= 1e-6
         assert sb.verify_constant_spectrum(c, sb.spectrum(a)).passed
 
+    def test_jordan_base_roots_the_linear_isotropy_equation(self):
+        # on this base the isotropy quadratic along the constraint line has no
+        # quadratic term, so its root solves a linear equation
+        a = np.array([[0.3, 1.0], [0.0, 0.3]])
+        b = np.array([[0.2, 0.5], [0.0, -0.2]])
+        c = sb.quadratic_witness_2x2(a, b)
+        trace, det = sb.spectrum_polynomials_2x2(c)
+        assert np.abs(trace[1:]).max() <= 1e-10
+        assert np.abs(det[1:]).max() <= 1e-10
+        assert np.linalg.det(c.coefficients[2]) == pytest.approx(0.0, abs=1e-15)
+        assert sb.verify_constant_spectrum(c, sb.spectrum(a)).passed
+
     def test_random_commutator_directions(self):
         rng = np.random.default_rng(55)
         for _ in range(10):

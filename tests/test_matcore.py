@@ -376,6 +376,12 @@ class TestBottleneckAssignment:
         assert (value, list(perm)) == (0.3, [0, 1])
         assert len(calls) == 1
 
+    def test_only_the_largest_cost_admits_a_matching(self):
+        # rows 0 and 1 reach only column 0 below 9, so the bisection over the
+        # one larger value admits no matching and that value's threshold does
+        value, perm = sb.bottleneck_assignment([[0, 9, 9], [0, 9, 9], [0, 0, 0]])
+        assert (value, list(perm)) == (9.0, [2, 1, 0])
+
     @pytest.mark.parametrize(
         "cost",
         [np.zeros((0, 0)), [[0.1, np.nan], [0.2, 0.3]], [[np.inf]], [[0.1, 0.2]], np.ones(3)],

@@ -30,6 +30,12 @@ class TestPolyCoeffs:
         with pytest.raises(sb.InvalidInputError, match="leading coefficient"):
             sb.PolyCoeffs(coeffs)
 
+    def test_evaluates_at_a_point(self):
+        p = sb.PolyCoeffs([2.0, -3.0, 1.0])  # (z - 1)(z - 2)
+        assert p(3.0) == 2.0
+        assert p(1.0 + 1.0j) == -1.0 - 1.0j
+        assert p(1.0) == 0.0
+
 
 class TestMinimalPolynomial:
     def test_identity(self):
@@ -379,8 +385,9 @@ class TestBatchedClassifierEqualsReference:
 
 class TestSvdBudget:
     """The eigenpairs settle the commutant of a generic matrix without the
-    n^2 x n^2 SVD, and interlacing settles a full degree with one SVD of a
-    leading block of R and bisects for a deficient one."""
+    n^2 x n^2 SVD, interlacing settles a full degree with one SVD of a
+    leading block of R and bisects for a deficient one, and a cyclic-vector
+    probe that is not borderline is the last."""
 
     @staticmethod
     def svd_shapes_and_block_count(monkeypatch, a):
@@ -419,6 +426,27 @@ class TestSvdBudget:
         assert report.per_criterion["minimal_degree"].diagnostic == n // 2
         assert shapes.count((n * n, n * n)) == 1
         assert blocks <= int(np.ceil(np.log2(n))) + 2
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.diag([0.3, 0.3, 0.7]), np.kron(np.eye(2), jordan_block(0.2, 2))],
+        ids=["repeated", "two_jordan_blocks"],
+    )
+    def test_derogatory_input_makes_one_cyclic_probe(self, a):
+        draws = []
+
+        class CountingRng:
+            generator = np.random.default_rng(3)
+
+            def standard_normal(self, size):
+                draws.append(size)
+                return self.generator.standard_normal(size)
+
+        u = np.linalg.qr(random_gaussian(np.random.default_rng(4), len(a)))[0]
+        report = sb.classify(u @ a @ u.conj().T, rng=CountingRng())
+        assert not report.verdict
+        assert not report.per_criterion["cyclic_vector"].borderline
+        assert len(draws) == 2  # the real and the imaginary part of one probe
 
 
 TRUTH = {
