@@ -27,12 +27,13 @@ from .errors import (
     PreconditionError,
     UnsupportedError,
 )
-from .geometry import _frame_similarity, _triangular_frames
+from .geometry import _FramePath, _triangular_frames
 from .matcore import (
     PAIRING_TOL,
     _bottleneck_pairing,
     _centered,
     _cmul,
+    _rank_by_svd,
     as_matrix,
     expm_pair,
     sigma_pushforward,
@@ -53,23 +54,20 @@ _QUADRATIC_TOL = 1e-14
 
 
 @dataclass(eq=False)
-class TriangularConjugationCurve:
-    """W(lam) ((1-lam) T0 + lam T1) W(lam)^-1 with W(lam) = U exp(lam L).
-
-    U is unitary and L skew-Hermitian (a call raises InvalidInputError if it
-    is not), so W(lam) is unitary for real lam.  A scalar parameter gives one
-    (n, n) matrix; a 1-D array of m parameters gives the (m, n, n) stack.
+class TriangularConjugationCurve(_FramePath):
+    """W(lam) ((1-lam) T0 + lam T1) W(lam)^-1, W the unitary path from the frame
+    U at 0 to frame_end V at 1 (L, the log of U* V, is derived).  A scalar
+    parameter gives one (n, n) matrix; a 1-D array of m parameters gives the
+    (m, n, n) stack.
     """
 
-    frame: np.ndarray
-    frame_log: np.ndarray
     t0: np.ndarray
     t1: np.ndarray
     kind = "triangular_conjugation"
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)[..., None, None]
-        return _frame_similarity(self, lam, ((1.0 - lam, self.t0), (lam, self.t1)))
+        return self._similarity(lam, ((1.0 - lam, self.t0), (lam, self.t1)))
 
     def residuals(self, a, b) -> dict:
         """``endpoint_base`` ||c(0) - A||_F and ``endpoint_target`` ||c(1) - B||_F."""
@@ -150,9 +148,10 @@ def iso_spectral_curve(a, b) -> TriangularConjugationCurve:
     Requires the two spectra to agree as multisets, under the optimal
     pairing, within PAIRING_TOL * (1 + r(A)), and both matrices to lie in
     the spectral ball.  Both matrices are triangularized with the same
-    diagonal order; the triangular parts are joined affinely (their shared
-    diagonal keeps the spectrum fixed) and the unitaries u, v through
-    u exp(lam L), with L the principal logarithm of u* v.
+    diagonal order; the triangular parts are joined affinely and the
+    unitaries u, v through u exp(lam L), L the principal logarithm of u* v.
+    t1 takes t0's diagonal, which keeps the spectrum fixed, so c(1) is B only
+    up to the pairing gap, above ENDPOINT_TOL on some defective pairs.
     """
 
     def pairing(sp_a, sp_b):
@@ -161,10 +160,10 @@ def iso_spectral_curve(a, b) -> TriangularConjugationCurve:
             raise PreconditionError(f"spectra differ as multisets (gap {gap:.3e})")
         return perm
 
-    t0, t1, u, frame_log = _triangular_frames(a, b, pairing)
+    t0, t1, u, v = _triangular_frames(a, b, pairing)
     # shared diagonal: the affine interpolation then fixes the spectrum
     np.fill_diagonal(t1, np.diag(t0))
-    return TriangularConjugationCurve(frame=u, frame_log=frame_log, t0=t0, t1=t1)
+    return TriangularConjugationCurve(frame=u, frame_end=v, t0=t0, t1=t1)
 
 
 def _centered_base(A, B):
@@ -266,8 +265,7 @@ def _solve_quadratic_tail(a0, b):
     if np.linalg.norm(rows @ xp - rhs) > 1e-10 * (1.0 + np.linalg.norm(rhs)):
         raise InternalError("quadratic witness constraints are inconsistent")
     _, s, vh = np.linalg.svd(rows)
-    rank = int(np.count_nonzero(s > 1e-12 * (s[0] if len(s) else 1.0)))
-    null = [vh[i].conj() for i in range(rank, 3)]
+    null = vh[_rank_by_svd(s)[0] :].conj()
 
     def quad(x):
         return x[0] * x[0] + x[1] * x[2]
@@ -376,8 +374,8 @@ def verify_constant_spectrum(
 ) -> SpectrumCheck:
     """Sample a curve and compare every spectrum against the expected one.
 
-    Evaluates the curve at *samples* points with |lam| <= radius (always
-    including 0 and 1, so at least two samples are required), measures the
+    Evaluates the curve at *samples* >= 2 points with |lam| <= radius, a
+    finite radius >= 0 (0 and 1 are always sampled), measures the
     optimal-pairing eigenvalue deviation and passes iff the worst deviation
     is at most SPECTRUM_TOL.  The curve is called once, with the 1-D array of
     sample points, and must return the stack of its values, one (n, n)
@@ -387,6 +385,8 @@ def verify_constant_spectrum(
         raise InvalidInputError(
             f"at least 2 samples are required (0 and 1 are always sampled), got {samples}"
         )
+    if not 0.0 <= radius < np.inf:
+        raise InvalidInputError(f"radius must be finite and nonnegative, got {radius}")
     exp_values = np.atleast_1d(
         np.asarray(getattr(expected, "values", expected), dtype=complex)
     )

@@ -21,7 +21,6 @@ from .errors import (
     PreconditionError,
 )
 from .matcore import (
-    UNITARY_TOL,
     Spectrum,
     _centered,
     _cmul,
@@ -144,23 +143,45 @@ def _mobius_shift(a, z):
 
 
 @dataclass(eq=False)
-class SpectralDisc:
+class _FramePath:
+    """The unitary path W(lam) = u exp(lam L) from the frame u to frame_end v.
+
+    L = ``unitary_log(u* v)`` (InvalidInputError unless u* v is unitary) and
+    -iL = q diag(theta) q* are taken once, at construction.
+    """
+
+    frame: np.ndarray
+    frame_end: np.ndarray
+    frame_log: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.frame_log = unitary_log(self.frame.conj().T @ self.frame_end)
+        self._theta, self._q = np.linalg.eigh(-1j * self.frame_log)
+        self._p = self.frame @ self._q
+
+    def _similarity(self, lam, terms):
+        """W(lam) (sum c_k T_k) W(lam)* over the pairs (c_k, T_k) of *terms*,
+        which broadcast with lam, as p ((sum c_k q* T_k q) o E) p* with p = u q
+        and E_jk = exp(i lam (theta_j - theta_k))."""
+        q, theta, p = self._q, self._theta, self._p
+        mid = sum(c * (q.conj().T @ t @ q) for c, t in terms)
+        return p @ (mid * np.exp(1j * lam * (theta[:, None] - theta))) @ p.conj().T
+
+
+@dataclass(eq=False)
+class SpectralDisc(_FramePath):
     """Holomorphic matrix-valued disc built from paired triangular forms.
 
     The inner path is upper triangular: each diagonal entry travels along a
     disk automorphism h_j(zeta) = T_aj^{-1}(kappa_j zeta) (so it stays in
     the closed disk whenever |kappa_j| < 1) and the off-diagonal entries are
-    affine in zeta.  The triangular path is conjugated by the interpolated
-    similarity W(zeta) = u exp((zeta/s) L), with L the principal logarithm
-    of u* v; it is unitary for real zeta and hits the two triangularizing
-    unitaries u and v at 0 and s.
+    affine in zeta.  The triangular path is conjugated by W(zeta / s), the
+    unitary path from the frame u (at 0) to frame_end v (at s).
 
     The spectrum of the value at zeta equals the diagonal h(zeta) exactly,
     for every zeta, since conjugation cannot move eigenvalues.
     """
 
-    frame: np.ndarray
-    frame_log: np.ndarray
     base_diag: np.ndarray
     kappa: np.ndarray
     t_base: np.ndarray
@@ -174,7 +195,7 @@ class SpectralDisc:
         one row of eigenvalues per parameter.
         """
         z = np.asarray(zeta, dtype=complex)[..., None] * self.kappa
-        return (z + self.base_diag) / (1.0 + np.conj(self.base_diag) * z)
+        return _mobius_shift(-self.base_diag, z)
 
     def triangular_part(self, zeta):
         t = self.t_base + complex(zeta) * self.t_slope
@@ -187,7 +208,7 @@ class SpectralDisc:
         if zeta == 0.0:
             # the similarity is the identity: keep the value u t u* exact
             return self.frame @ t @ self.frame.conj().T
-        return _frame_similarity(self, zeta / self.scale, ((1.0, t),))
+        return self._similarity(zeta / self.scale, ((1.0, t),))
 
 
 @dataclass(eq=False)
@@ -267,16 +288,14 @@ def _eigenvector_schur(s, vectors, order):
 
 
 def _triangular_frames(a, b, pairing):
-    """Paired triangular forms of A and B and the logarithm joining them.
+    """Paired triangular forms (t_a, t_b, u, v) of A = u t_a u*, B = v t_b v*.
 
     A and B must be square, of one size, and lie in the spectral ball.
     ``pairing(spectrum(A), spectrum(B))`` returns the permutation that lists
     B's eigenvalues in the diagonal order of A's, or raises.  One stacked
     ``eig`` gives both spectra and the eigenvectors, which are put in that
-    order and give both triangular forms, A = u t_a u*, B = v t_b v*
-    (``_eigenvector_schur``); the column phases of v are aligned to u.
-    Returns (t_a, t_b, u, L) with L the principal logarithm of u* v, so that
-    u exp(L) = v.
+    order and give both triangular forms (``_eigenvector_schur``); the
+    column phases of v are aligned to u.
     """
     A = as_matrix(a)
     B = as_matrix(b)
@@ -294,24 +313,7 @@ def _triangular_frames(a, b, pairing):
         np.stack([sp_a.values, sp_b.values[perm]]),
     )
     v, t_b = _phase_align(v, t_b, u)
-    return t_a, t_b, u, unitary_log(u.conj().T @ v)
-
-
-def _frame_similarity(curve, lam, terms):
-    """u exp(lam L) T exp(-lam L) u* for the frame u and frame log L of *curve*,
-    with T = sum c_k T_k over the pairs (c_k, T_k) of *terms*; lam and the c_k
-    broadcast, so lam of shape (m, 1, 1) gives m values.  For L skew-Hermitian
-    (else InvalidInputError), -iL = q diag(theta) q*; with p = u q this is
-    p ((sum c_k q* T_k q) o E) p*, E_jk = exp(i lam (theta_j - theta_k)).
-    """
-    h = -1j * np.asarray(curve.frame_log)
-    defect = np.linalg.norm(h - h.conj().T)
-    if not defect <= UNITARY_TOL * np.linalg.norm(h):
-        raise InvalidInputError(f"frame log is not skew-Hermitian (defect {defect:.3e})")
-    theta, q = np.linalg.eigh(h)
-    mid = sum(c * (q.conj().T @ t @ q) for c, t in terms)
-    p = curve.frame @ q
-    return p @ (mid * np.exp(1j * lam * (theta[:, None] - theta))) @ p.conj().T
+    return t_a, t_b, u, v
 
 
 def upper_bound_disc(a, b, s1: float) -> DiscWitness:
@@ -336,16 +338,13 @@ def upper_bound_disc(a, b, s1: float) -> DiscWitness:
             )
         return perm
 
-    t_a, t_b, u, frame_log = _triangular_frames(a, b, pairing)
+    t_a, t_b, u, v = _triangular_frames(a, b, pairing)
     da = np.diag(t_a).copy()
     db = np.diag(t_b).copy()
     kappa = _mobius_shift(da, db) / s1
-
-    t_base = np.triu(t_a, 1)
     t_slope = np.triu(t_b - t_a, 1) / s1
-
     witness = DiscWitness(
-        curve=SpectralDisc(u, frame_log, da, kappa, t_base, t_slope, s1),
+        curve=SpectralDisc(u, v, da, kappa, np.triu(t_a, 1), t_slope, s1),
         matrix_at_base=np.array(a, dtype=complex),
         matrix_at_target=np.array(b, dtype=complex),
     )

@@ -38,7 +38,7 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .geometry import _disk_point, _kobayashi_at, _lempert_at, disk_automorphism
+from .geometry import _disk_point, _kobayashi_at, _lempert_at, _mobius_shift, disk_automorphism
 from .matcore import DEFAULT_TOL, as_matrix, elementary_symmetric, spectrum
 
 #: Descending step of the coarse feasibility scan.
@@ -60,6 +60,7 @@ _MARGIN_STEPS = np.array([2.0, 4.0, 8.0])
 INTERPOLATION_TOL = 1e-6  # largest max_j |B(x_j) - w_j| of a recovered product
 BRANCH_TOL = 1e-9  # symmetrized disc: |zero at 0|, spread between root branches
 EQUAL_EIGENVALUES_TOL = 1e-9  # spread / (1 + modulus) of values read as equal
+_SINGULAR_TOL = 1e-6  # |smallest Pick eigenvalue| / (1 + largest) read as zero
 
 
 @dataclass(eq=False)
@@ -129,8 +130,7 @@ class BlaschkeProduct:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)[..., None]
-        w = self.zeros
-        out = self.unimodular * np.prod((z - w) / (1.0 - np.conj(w) * z), axis=-1)
+        out = self.unimodular * np.prod(_mobius_shift(self.zeros, z), axis=-1)
         if out.shape == ():
             return complex(out)
         return out
@@ -213,9 +213,9 @@ def degenerate_interpolant(problem: PickProblem):
     """
     _, vals, vecs = problem._factored
     scale = 1.0 + max(vals[-1], 0.0)
-    if vals[0] < -1e-6 * scale:
+    if vals[0] < -_SINGULAR_TOL * scale:
         raise PreconditionError("Pick matrix is not positive semidefinite")
-    if vals[0] > 1e-6 * scale:
+    if vals[0] > _SINGULAR_TOL * scale:
         raise PreconditionError("Pick matrix is not singular")
     x, w = problem.nodes, problem.targets
     if np.max(np.abs(w)) <= DEFAULT_TOL:

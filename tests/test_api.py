@@ -37,12 +37,12 @@ PARAMETERS = {
     "NonderogReport": ("per_criterion", "minimal_polynomial"),
     "PickProblem": ("nodes", "targets"),
     "PolyCoeffs": ("coeffs",),
-    "SpectralDisc": ("frame", "frame_log", "base_diag", "kappa", "t_base", "t_slope", "scale"),
+    "SpectralDisc": ("frame", "frame_end", "base_diag", "kappa", "t_base", "t_slope", "scale"),
     "Spectrum": ("values",),
     "SpectrumCheck": ("max_deviation", "samples", "radius", "worst_point"),
     "SymPoint": ("coords",),
     "SymmetrizedDisc": ("blaschke", "n"),
-    "TriangularConjugationCurve": ("frame", "frame_log", "t0", "t1"),
+    "TriangularConjugationCurve": ("frame", "frame_end", "t0", "t1"),
     "ZeroInterpolant": (),
     "as_matrix": ("a",),
     "blaschke_through_roots_of_unity": ("lambdas",),
@@ -85,7 +85,7 @@ PARAMETERS = {
 }
 
 #: Totals: exported parameters, of which with defaults; CLI flags; tolerance literals.
-PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT = 103, 4, 18, 27
+PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT = 103, 4, 18, 25
 
 CRITERIA = (
     "cyclic_vector",

@@ -1,9 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import spectralball as sb
+from spectralball import cli
 from spectralball.cli import _to_json, emit_matrix, main, parse_matrix, sample_omega
 from conftest import random_gaussian
 
@@ -295,6 +297,18 @@ class TestCommands:
         assert out == ""
         assert json.loads(err)["kind"] == "InvalidInputError"
 
+    @pytest.mark.parametrize("radius", ["-5", "inf", "nan"])
+    def test_curve_bad_radius_exit_2(self, tmp_path, capsys, radius):
+        p1 = write_matrix(tmp_path / "a.json", np.diag([0.3, 0.5]))
+        p2 = write_matrix(tmp_path / "b.json", np.array([[0.3, 7.0], [0.0, 0.5]]))
+        code, out, err = run_cli(
+            capsys, "curve", "--input", p1, "--input2", p2, "--radius=" + radius
+        )
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["kind"] == "InvalidInputError" and "radius" in error["error"]
+
     def test_discontinuity_gap_case(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "b.json", np.diag([0.8, 0.0]))
         code, out, _ = run_cli(capsys, "discontinuity", "--input", path)
@@ -440,6 +454,20 @@ class TestCommands:
         path = write_matrix(tmp_path / "b.json", np.diag([1.5, 0.0]))
         code, _, _ = run_cli(capsys, "discontinuity", "--input", path)
         assert code == 2
+
+
+class TestConsoleScript:
+    @pytest.mark.parametrize(
+        "argv, code", [(["sample", "--n", "2", "--samples", "3"], 0), (["sample", "--n", "0"], 2)]
+    )
+    def test_run_exits_with_the_code_of_main(self, monkeypatch, capsys, argv, code):
+        assert main(argv) == code
+        printed = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["spectralball", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+        assert exit_info.value.code == code
+        assert capsys.readouterr() == printed
 
 
 class TestSampling:

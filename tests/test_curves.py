@@ -156,12 +156,13 @@ class TestClosedFormFrame:
         v = random_unitary(rng, n)
         t0 = np.triu(random_gaussian(rng, n))
         t1 = np.triu(random_gaussian(rng, n), 1) + np.diag(np.diag(t0))
+        u = random_unitary(rng, n)
+        # u* v has the repeated eigenvalues exp(i angles)
         c = sb.TriangularConjugationCurve(
-            frame=random_unitary(rng, n),
-            frame_log=(v * (1j * angles)) @ v.conj().T,
-            t0=t0,
-            t1=t1,
+            frame=u, frame_end=u @ (v * np.exp(1j * angles)) @ v.conj().T, t0=t0, t1=t1
         )
+        theta = np.linalg.eigvalsh(-1j * c.frame_log)
+        np.testing.assert_allclose(theta, np.sort(angles), atol=1e-12)
         assert_matches_exponential_reference(c, disk_points(rng, 40))
 
     @given(
@@ -177,14 +178,47 @@ class TestClosedFormFrame:
         c = sb.iso_spectral_curve(a, nearby_conjugate(rng, a, scale))
         assert_matches_exponential_reference(c, lam)
 
+    @given(
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["generic", "minus_one", "repeated"]),
+        st.complex_numbers(max_magnitude=10.0),
+    )
+    @settings(max_examples=90)
+    def test_property_frame_pair(self, n, seed, case, lam):
+        # any unitaries u, v, also with the eigenvalue -1 or repeated angles
+        # in u* v: the curve runs from u t0 u* at 0 to v t1 v* at 1 and its
+        # log is the principal one, skew-Hermitian with ||L||_2 <= pi
+        rng = np.random.default_rng(seed)
+        u, w = random_unitary(rng, n, scale=3.0), random_unitary(rng, n, scale=3.0)
+        angles = {"minus_one": [np.pi, 0.4, np.pi, -2.0], "repeated": [0.7, 0.7, -1.2, 3.0, 3.0]}
+        if case == "generic":
+            v = random_unitary(rng, n, scale=3.0)
+        else:
+            v = u @ (w * np.exp(1j * np.resize(angles[case], n))) @ w.conj().T
+        t0, t1 = (np.triu(random_gaussian(rng, n)) for _ in range(2))
+        c = sb.TriangularConjugationCurve(frame=u, frame_end=v, t0=t0, t1=t1)
+        log = c.frame_log
+        assert np.linalg.norm(log + log.conj().T) <= 1e-13
+        assert np.linalg.norm(log, 2) <= np.pi * (1.0 + 1e-14)
+        assert np.linalg.norm(u @ sb.matrix_exp(log) - v) <= 1e-12
+        for lam_end, frame, t in ((0.0, u, t0), (1.0, v, t1)):
+            end = frame @ t @ frame.conj().T
+            assert np.linalg.norm(c(lam_end) - end) <= 1e-12 * (1.0 + np.linalg.norm(t))
+        assert_matches_exponential_reference(c, lam)
+        with pytest.raises(sb.InvalidInputError, match="not unitary"):
+            sb.TriangularConjugationCurve(frame=u, frame_end=1.001 * v, t0=t0, t1=t1)
+
     @pytest.mark.parametrize(
         "log", [np.diag([0.1, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), np.full((2, 2), np.nan)]
     )
     def test_frame_log_must_be_skew_hermitian(self, log):
+        # the log is derived from the two frames, so none that is not
+        # skew-Hermitian can arise: the step I + X along an X that is not
+        # skew-Hermitian is no unitary, and construction rejects the pair
         t = np.array([[0.1, 1.0], [0.0, 0.2]])
-        c = sb.TriangularConjugationCurve(frame=np.eye(2), frame_log=log, t0=t, t1=t)
-        with pytest.raises(sb.InvalidInputError, match="skew-Hermitian"):
-            c(np.array([0.5, 1.0]))
+        with pytest.raises(sb.InvalidInputError, match="not unitary|finite"):
+            sb.TriangularConjugationCurve(frame=np.eye(2), frame_end=np.eye(2) + log, t0=t, t1=t)
 
 
 class TestZeroMetricCurve:
@@ -484,6 +518,13 @@ class TestVerifier:
         c = sb.MatrixPolynomialCurve([a, np.eye(2)])
         with pytest.raises(sb.InvalidInputError):
             sb.verify_constant_spectrum(c, sb.spectrum(a), samples=samples)
+
+    @pytest.mark.parametrize("radius", [-5.0, -1e-300, np.inf, np.nan])
+    def test_rejects_a_negative_or_non_finite_radius(self, radius):
+        a = np.diag([0.2, 0.4])
+        c = sb.MatrixPolynomialCurve([a, np.zeros((2, 2))])
+        with pytest.raises(sb.InvalidInputError, match="radius"):
+            sb.verify_constant_spectrum(c, sb.spectrum(a), radius=radius)
 
     def test_two_samples_suffice(self):
         a = np.diag([0.2, 0.4])
