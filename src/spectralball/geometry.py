@@ -25,6 +25,7 @@ from .matcore import (
     _centered,
     _cmul,
     _misses_order,
+    _require_unitary,
     as_matrix,
     bottleneck_assignment,
     ordered_triangularize,
@@ -146,8 +147,8 @@ def _mobius_shift(a, z):
 class _FramePath:
     """The unitary path W(lam) = u exp(lam L) from the frame u to frame_end v.
 
-    L = ``unitary_log(u* v)`` (InvalidInputError unless u* v is unitary) and
-    -iL = q diag(theta) q* are taken once, at construction.
+    L = ``unitary_log(u* v)`` and -iL = q diag(theta) q* are taken once, at
+    construction, which raises InvalidInputError unless u and u* v are unitary.
     """
 
     frame: np.ndarray
@@ -155,6 +156,7 @@ class _FramePath:
     frame_log: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        _require_unitary(self.frame)
         self.frame_log = unitary_log(self.frame.conj().T @ self.frame_end)
         self._theta, self._q = np.linalg.eigh(-1j * self.frame_log)
         self._p = self.frame @ self._q

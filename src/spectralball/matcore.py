@@ -448,6 +448,13 @@ def expm_pair(x):
     return e.reshape(shape), e_inv.reshape(shape)
 
 
+def _require_unitary(u):
+    """InvalidInputError unless ||u* u - I||_F <= UNITARY_TOL sqrt(n)."""
+    defect = np.linalg.norm(u.conj().T @ u - np.eye(len(u)))
+    if defect > UNITARY_TOL * np.sqrt(len(u)):
+        raise InvalidInputError(f"matrix is not unitary (defect {defect:.3e})")
+
+
 def unitary_log(u) -> np.ndarray:
     """Principal logarithm of a unitary matrix: skew-Hermitian, norm <= pi.
 
@@ -458,11 +465,8 @@ def unitary_log(u) -> np.ndarray:
     Rayleigh quotients of u itself, so an eigenvalue -1 gives +i pi.
     """
     U = as_matrix(u)
-    n = U.shape[0]
-    eye = np.eye(n)
-    defect = np.linalg.norm(U.conj().T @ U - eye)
-    if defect > UNITARY_TOL * np.sqrt(n):
-        raise InvalidInputError(f"matrix is not unitary (defect {defect:.3e})")
+    _require_unitary(U)
+    eye = np.eye(len(U))
     angles = np.sort(np.angle(np.linalg.eigvals(U)))
     gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
     k = int(np.argmax(gaps))

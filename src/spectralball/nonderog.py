@@ -17,10 +17,10 @@ M of A = tau I + c M (``matcore._centered``), as the property is invariant
 under A -> cA + dI.  ``classify`` solves for the eigenpairs of M once; the
 minimal polynomial is searched on one QR of the stacked normalized powers of
 M (one SVD of the largest leading block of R when the degree is full, a
-bisection over the leading blocks otherwise); the eigenvalue clusters share
-one SVD.  When the eigenpairs prove the rank decision on the commutation
-operator (distinct, separated eigenvalues, well-conditioned eigenvectors),
-its n^2 x n^2 SVD is skipped; otherwise that SVD decides.
+bisection over the leading blocks otherwise).  The eigenpairs decide the
+eigenspace and commutant criteria where they prove the SVD's rank decision
+(separated eigenvalues, well-conditioned eigenvectors); elsewhere one stacked
+SVD of M - z I, z the cluster centres, or the n^2 x n^2 operator SVD decides.
 """
 
 from __future__ import annotations
@@ -219,26 +219,14 @@ def minimal_polynomial(a) -> PolyCoeffs:
 
 
 def _cluster_eigenvalues(values, radius):
-    """Group computed eigenvalues whose mutual gap is below the cluster
-    threshold; returns a list of index arrays."""
-    n = len(values)
-    thresh = CLUSTER_GAP * (1.0 + radius)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= thresh:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(g) for g in groups.values()]
+    """Group computed eigenvalues joined by chains of gaps at most the
+    cluster threshold; returns a list of ascending index arrays."""
+    close = (np.abs(values[:, None] - values) <= CLUSTER_GAP * (1.0 + radius)).tolist()
+    groups = []
+    for i, row in enumerate(close):
+        linked = [g for g in groups if any(row[j] for j in g)]
+        groups = [g for g in groups if g not in linked] + [sorted(sum(linked, [i]))]
+    return [np.array(g) for g in groups]
 
 
 def _criterion_cyclic(M, rng):
@@ -271,12 +259,55 @@ def _criterion_eigenspaces(M, values):
     return CriterionResult(max_mult == 1, float(max_mult), borderline)
 
 
-def _commutant_rank_bound(M, mu, V):
-    """``(n^2 - n, False)`` when the eigenpairs (mu, V) of M prove that this
-    is what ``_rank_by_svd`` returns on the SVD of ``commutation_operator(M)``;
-    None otherwise.
+def _eigenpair_bounds(M, mu, V):
+    """``(gaps, spread, v_min, v_max, r, slack, residual)`` of the eigenpairs
+    (mu, V) of M, V with unit columns, or None if V is numerically singular:
+    gaps_ij = |mu_i - mu_j| (inf on the diagonal), spread the largest, v_min
+    <= sigma(V) <= v_max, r the computed MV - V diag(mu), each column within
+    slack of the exact one (|mu| <= ||M||_F), residual >= ||MV - V diag(mu)||_F."""
+    n, eps = len(mu), np.finfo(float).eps
+    gaps = np.abs(mu[:, None] - mu)
+    spread = gaps.max()
+    np.fill_diagonal(gaps, np.inf)
+    s_v = np.linalg.svd(V, compute_uv=False)
+    v_max, v_min = s_v[0] * (1 + n * eps), s_v[-1] - n * eps * s_v[0]
+    if not v_min > 0.0:
+        return None
+    r = M @ V - V * mu
+    slack = 2 * (n + 2) * eps * np.linalg.norm(M)
+    return gaps, spread, v_min, v_max, r, slack, np.linalg.norm(r) + slack * np.sqrt(n)
 
-    With M = V diag(mu) V^-1 + F, ||F||_2 <= ||MV - V diag(mu)||_F / sigma_min(V).
+
+def _eigenspace_bound(M, mu, bounds):
+    """``CriterionResult(True, 1.0, False)`` if the ``_eigenpair_bounds``
+    prove that ``_criterion_eigenspaces(M, mu)`` returns it, else None.
+
+    Every gap above the cluster threshold makes each cluster one mu_j, its
+    own centre.  As M = V diag(mu) V^-1 + F, A_j = M - mu_j I has sigma_n <=
+    ||A_j v_j||, sigma_(n-1) >= gap_j v_min / v_max - residual / v_min (Weyl)
+    and sigma_1 in [||A_j||_F / sqrt(n), ||A_j||_F], each up to (n + 1) eps
+    ||A_j||_F of rounding (subtraction and SVD); sigma_n and sigma_(n-1) a
+    decade clear of the rank threshold give rank n - 1, unflagged.
+    """
+    if bounds is None or not bounds[0].min() > CLUSTER_GAP * (1.0 + np.abs(mu).max()):
+        return None
+    gaps, _, v_min, v_max, r, slack, residual = bounds
+    if not gaps.min() * v_min**2 > residual * v_max:  # sigma_(n-1) bound <= 0 at the closest pair
+        return None
+    n, e = len(mu), (len(mu) + 1) * np.finfo(float).eps  # e: the rounding per unit ||A_j||_F
+    a_fro = np.linalg.norm(M - mu[:, None, None] * np.eye(n), axis=(1, 2))
+    small = np.linalg.norm(r, axis=0) + slack  # >= ||A_j v_j||
+    below = small < a_fro * (DEFAULT_TOL / BORDERLINE_DECADE * (n**-0.5 - e) - e)
+    large = gaps.min(axis=1) * (v_min / v_max) - residual / v_min
+    above = large > a_fro * (DEFAULT_TOL * BORDERLINE_DECADE * (1.0 + e) + e)
+    return CriterionResult(True, 1.0, False) if (below & above).all() else None
+
+
+def _commutant_rank_bound(M, bounds):
+    """``(n^2 - n, False)`` if the ``_eigenpair_bounds`` of M prove that
+    ``_rank_by_svd`` returns it on the SVD of ``commutation_operator(M)``, else None.
+
+    With M = V diag(mu) V^-1 + F, ||F||_2 <= residual / v_min.
     The operator K of the first term is S L S^-1, with S = V^-T (x) V and L the
     diagonal of the differences mu_p - mu_j: n singular values are 0 and the
     other n^2 - n at least delta / kappa(V)^2, delta the least gap.  Weyl's
@@ -285,24 +316,13 @@ def _commutant_rank_bound(M, mu, V):
     max(||K||_F / n, largest gap - 2 ||F||_2) and ||K||_F, where
     ||K||_F^2 = 2n ||M||_F^2 - 2 |tr M|^2.
     """
-    n = len(mu)
-    if n < 2:
+    if bounds is None:
         return None
-    eps = np.finfo(float).eps
-    gaps = np.abs(mu[:, None] - mu)
-    spread = gaps.max()
-    np.fill_diagonal(gaps, np.inf)
-    s_v = np.linalg.svd(V, compute_uv=False)
-    v_max, v_min = s_v[0] * (1 + n * eps), s_v[-1] - n * eps * s_v[0]
-    if not v_min > 0.0:
-        return None
-    m_fro = np.linalg.norm(M)
-    # the residual with the rounding of its evaluation (|mu| <= ||M||_F,
-    # ||V||_F = sqrt(n)); Weyl's shift is at most twice ||F||_2
-    residual = np.linalg.norm(M @ V - V * mu) + 2 * (n + 2) * eps * m_fro * np.sqrt(n)
+    gaps, spread, v_min, v_max, _, _, residual = bounds
+    n = M.shape[0]
     shift = 2.0 * residual / v_min
-    k_fro = np.sqrt(max(2.0 * n * m_fro**2 - 2.0 * abs(M.trace()) ** 2, 0.0))
-    rounding = (n * n + 1) * eps * k_fro
+    k_fro = np.sqrt(max(2.0 * n * np.linalg.norm(M) ** 2 - 2.0 * abs(M.trace()) ** 2, 0.0))
+    rounding = (n * n + 1) * np.finfo(float).eps * k_fro
     small = shift + rounding
     large = gaps.min() * (v_min / v_max) ** 2 - small
     max_low = max(k_fro / n, spread - shift) - rounding
@@ -332,9 +352,10 @@ def classify(a, rng=None) -> NonderogReport:
     degree = len(min_coeffs) - 1
     per["minimal_degree"] = CriterionResult(degree == n, float(degree), mp_borderline)
 
-    per["eigenspace_dim"] = _criterion_eigenspaces(M, mu)
+    bounds = _eigenpair_bounds(M, mu, vectors)
+    per["eigenspace_dim"] = _eigenspace_bound(M, mu, bounds) or _criterion_eigenspaces(M, mu)
 
-    decision = _commutant_rank_bound(M, mu, vectors)
+    decision = _commutant_rank_bound(M, bounds)
     if decision is None:
         decision = _rank_by_svd(np.linalg.svd(commutation_operator(M), compute_uv=False))
     op_rank, op_borderline = decision
@@ -346,9 +367,7 @@ def classify(a, rng=None) -> NonderogReport:
     # row j has size about |mu|^j: its rank is read on unit rows, as the degree is
     s_sig = np.linalg.svd(_unit_columns(sigma_differential_matrix(M).T), compute_uv=False)
     sig_rank, sig_borderline = _rank_by_svd(s_sig)
-    per["symmetrization_rank"] = CriterionResult(
-        sig_rank == n, float(sig_rank), sig_borderline
-    )
+    per["symmetrization_rank"] = CriterionResult(sig_rank == n, float(sig_rank), sig_borderline)
 
     return NonderogReport(per, PolyCoeffs(min_coeffs))
 
@@ -362,6 +381,6 @@ def _nonderogatory(A, M) -> bool:
     (scalar, repeated, clustered beyond the bound, defective or
     ill-conditioned) gets the verdict of ``classify``.
     """
-    if _commutant_rank_bound(M, *np.linalg.eig(M)) is not None:
+    if _commutant_rank_bound(M, _eigenpair_bounds(M, *np.linalg.eig(M))) is not None:
         return True
     return classify(A).verdict

@@ -220,6 +220,19 @@ class TestClosedFormFrame:
         with pytest.raises(sb.InvalidInputError, match="not unitary|finite"):
             sb.TriangularConjugationCurve(frame=np.eye(2), frame_end=np.eye(2) + log, t0=t, t1=t)
 
+    @pytest.mark.parametrize("scale", [2.0, 0.5, 1.0 + 1e-7])
+    def test_frame_must_be_unitary(self, scale):
+        # u* v = I is unitary while u = scale I is not: the value at 0 would
+        # be scale^2 t, so construction rejects the frame
+        t = np.array([[0.1, 1.0], [0.0, 0.2]])
+        with pytest.raises(sb.InvalidInputError, match="not unitary"):
+            sb.TriangularConjugationCurve(
+                frame=scale * np.eye(2), frame_end=np.eye(2) / scale, t0=t, t1=t
+            )
+        u = random_unitary(np.random.default_rng(5), 2)
+        c = sb.TriangularConjugationCurve(frame=u, frame_end=u, t0=t, t1=t)
+        assert np.linalg.norm(c(0.0) - u @ t @ u.conj().T) <= 1e-15
+
 
 class TestZeroMetricCurve:
     def test_entrywise_example(self):

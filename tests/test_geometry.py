@@ -415,6 +415,15 @@ class TestUpperBoundDisc:
         with pytest.raises(sb.InvalidInputError, match="not unitary"):
             dataclasses.replace(w.curve, frame_end=w.curve.frame @ (np.eye(2) + log))
 
+    @pytest.mark.parametrize("scale", [2.0, 0.5, 1.0 + 1e-7])
+    def test_frame_must_be_unitary(self, scale):
+        # a frame pair with u* v unitary but u = scale W, W unitary, is no
+        # similarity, and construction rejects it
+        w = sb.upper_bound_disc(np.diag([0.1, 0.8]), np.diag([0.15, 0.75]), 0.13).curve
+        with pytest.raises(sb.InvalidInputError, match="not unitary"):
+            dataclasses.replace(w, frame=scale * w.frame, frame_end=w.frame_end / scale)
+        assert dataclasses.replace(w, frame=w.frame).frame_log.shape == (2, 2)
+
     def test_certificate_radius_is_the_supremum_over_the_disk(self):
         rng = np.random.default_rng(40)
         zetas = (np.arange(1, 65) / 64)[:, None] * np.exp(2j * np.pi * np.arange(256) / 256)

@@ -373,21 +373,30 @@ class TestBatchedClassifierEqualsReference:
             return svd(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        # three clusters and a full-degree minimal polynomial: every
-        # consumer of the spectrum runs
+        # three separated eigenvalues and a full-degree minimal polynomial:
+        # every consumer of the spectrum runs, and the eigenpairs settle the
+        # eigenspaces without the stacked SVD
         a = np.diag([0.1, 0.3, 0.5 + 0.2j]) + np.triu(np.ones((3, 3)), 1)
         report = sb.classify(a)
         assert report.verdict
         assert report.per_criterion["eigenspace_dim"].diagnostic == 1.0
         assert len(count_eigvals) == 1
+        assert sum(stacked) == 0
+        # a pair 1e-8 apart is one cluster, which the proof refuses: one
+        # stacked SVD of the two clusters decides
+        count_eigvals.clear()
+        report = sb.classify(np.diag([0.3, 0.3 + 1e-8, 0.7]))
+        assert report.verdict
+        assert len(count_eigvals) == 1
         assert sum(stacked) == 1
 
 
 class TestSvdBudget:
-    """The eigenpairs settle the commutant of a generic matrix without the
-    n^2 x n^2 SVD, interlacing settles a full degree with one SVD of a
-    leading block of R and bisects for a deficient one, and a cyclic-vector
-    probe that is not borderline is the last."""
+    """The eigenpairs settle the eigenspace dimensions and the commutant of a
+    generic matrix without the stacked (k, n, n) SVD of the clusters and the
+    n^2 x n^2 SVD of the commutation operator, interlacing settles a full
+    degree with one SVD of a leading block of R and bisects for a deficient
+    one, and a cyclic-vector probe that is not borderline is the last."""
 
     @staticmethod
     def svd_shapes_and_block_count(monkeypatch, a):
@@ -415,6 +424,7 @@ class TestSvdBudget:
         report, shapes, blocks = self.svd_shapes_and_block_count(monkeypatch, a)
         assert report.verdict
         assert (n * n, n * n) not in shapes
+        assert not any(len(shape) == 3 for shape in shapes)
         assert blocks == 1
 
     def test_split_jordan(self, monkeypatch):
@@ -502,7 +512,9 @@ class TestEigenpairProofAgreesWithClassify:
     does not call the base derogatory, and a zero-metric curve is the one
     the classify path builds, bit for bit.  Should classify raise
     InternalError there, only the symmetrization rank may dissent, and the
-    proof then builds the curve that the classify path refused."""
+    proof then builds the curve that the classify path refused.  Where they
+    prove the eigenspace criterion, the stacked SVD of the clusters returns
+    the same result."""
 
     @staticmethod
     def zero_metric_outcome(a, b):
@@ -520,9 +532,29 @@ class TestEigenpairProofAgreesWithClassify:
             return cls.zero_metric_outcome(a, b)
 
     @staticmethod
-    def proved(a):
+    def centered_eigenpairs(a):
+        """(M, mu, bounds): the centered M of a, its eigenvalues and their
+        ``_eigenpair_bounds``."""
         _, _, m = matcore_module._centered(np.asarray(a, dtype=complex), sb.DEFAULT_TOL)
-        return nonderog_module._commutant_rank_bound(m, *np.linalg.eig(m)) is not None
+        mu, v = np.linalg.eig(m)
+        return m, mu, nonderog_module._eigenpair_bounds(m, mu, v)
+
+    @classmethod
+    def proved(cls, a):
+        m, _, bounds = cls.centered_eigenpairs(a)
+        return nonderog_module._commutant_rank_bound(m, bounds) is not None
+
+    @staticmethod
+    def scaled_input(structure, n, seed, k, shift):
+        """A structured input, S D S^-1 with kappa(S) up to 1e6 for
+        "conditioned", times 10^k and shifted by 10^k (0.7 - 0.4i) I."""
+        if structure == "conditioned":
+            kappa = 10.0 ** np.random.default_rng(seed).uniform(0.0, 6.0)
+            a = conditioned_diagonalizable(n, seed, kappa)
+        else:
+            a = structured_matrix(structure, n, seed)
+        a = a * 10.0**k
+        return a + 10.0**k * (0.7 - 0.4j) * np.eye(n) if shift else a
 
     @settings(max_examples=150)
     @given(
@@ -535,14 +567,7 @@ class TestEigenpairProofAgreesWithClassify:
         shift=st.booleans(),
     )
     def test_proof_implies_verdict_and_same_generator(self, structure, n, seed, k, shift):
-        if structure == "conditioned":
-            kappa = 10.0 ** np.random.default_rng(seed).uniform(0.0, 6.0)
-            a = conditioned_diagonalizable(n, seed, kappa)
-        else:
-            a = structured_matrix(structure, n, seed)
-        a = a * 10.0**k
-        if shift:
-            a = a + 10.0**k * (0.7 - 0.4j) * np.eye(n)
+        a = self.scaled_input(structure, n, seed, k, shift)
         proved = self.proved(a)
         if proved:
             try:
@@ -562,6 +587,38 @@ class TestEigenpairProofAgreesWithClassify:
         else:
             assert outcome == reference
 
+    @settings(max_examples=300)
+    @given(
+        structure=st.sampled_from(
+            ("gaussian", "clustered", "near_pairs", "conditioned", "jordan", "jordan_split", "repeated")
+        ),
+        n=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-4, 4),
+        shift=st.booleans(),
+    )
+    def test_eigenspace_proof_is_the_cluster_svd_result(self, structure, n, seed, k, shift):
+        # wherever the eigenpairs prove the eigenspace criterion, the stacked
+        # SVD of the clusters returns the same (passed, diagnostic, borderline)
+        m, mu, bounds = self.centered_eigenpairs(self.scaled_input(structure, n, seed, k, shift))
+        proof = nonderog_module._eigenspace_bound(m, mu, bounds)
+        if proof is not None:
+            assert nonderog_module._criterion_eigenspaces(m, mu) == proof
+        if structure == "gaussian":
+            assert proof is not None
+
+    @pytest.mark.parametrize("gap", np.logspace(-10.0, -5.0, 41))
+    def test_eigenspace_proof_at_the_cluster_threshold(self, gap):
+        # a pair on either side of the cluster threshold, where the SVD of
+        # the cluster can flag its rank borderline
+        m, mu, bounds = self.centered_eigenpairs(np.diag([0.3, 0.3 + gap, 0.7]))
+        proof = nonderog_module._eigenspace_bound(m, mu, bounds)
+        if proof is not None:
+            assert nonderog_module._criterion_eigenspaces(m, mu) == proof
+        # beyond the threshold the well-separated normal M is always proved
+        separated = abs(mu[1] - mu[0]) > nonderog_module.CLUSTER_GAP * (1.0 + np.abs(mu).max())
+        assert (proof is not None) == separated
+
     @pytest.mark.parametrize("seed", [1, 53, 149, 156, 210, 225, 243, 250, 338, 392])
     def test_classify_and_curve_at_kappa_100(self, seed):
         # on these bases the rank of the raw differential rows, of sizes about
@@ -574,6 +631,15 @@ class TestEigenpairProofAgreesWithClassify:
         assert np.array_equal(curve.generator, self.classify_path_outcome(a, b))
         assert np.linalg.norm(curve.derivative_at_zero() - b) <= 1e-12 * np.linalg.norm(b)
         assert sb.verify_constant_spectrum(curve, sb.spectrum(a), radius=1.0).passed
+
+
+@pytest.mark.xfail(
+    raises=sb.InternalError,
+    strict=True,
+    reason="ROADMAP open item 3: at kappa(S) = 10^5.44 the commutant dimension alone dissents (7 for 5)",
+)
+def test_conditioned_base_at_kappa_10_to_5_44_gets_a_verdict():
+    assert isinstance(sb.classify(conditioned_diagonalizable(5, 1056, 10**5.44)).verdict, bool)
 
 
 class TestNamedScaleRegressions:
