@@ -16,156 +16,70 @@ radius below one.  This package provides:
 * entire matrix curves with constant spectrum (triangular conjugation,
   exponential conjugation, low-degree polynomials) plus a sampling verifier;
 * a JSON command-line interface (``spectralball``).
+
+Import footprint: ``import spectralball`` loads none of its submodules (and
+so neither numpy).  The first access to an exported name imports the module
+that defines it, with that module's own imports, and binds the name here, so
+later lookups are plain attribute reads: ``spectralball.classify`` loads
+``nonderog``, ``matcore`` and ``errors`` and nothing else.
 """
 
-from .curves import (
-    ExpConjugationCurve,
-    MatrixPolynomialCurve,
-    SpectrumCheck,
-    TriangularConjugationCurve,
-    iso_spectral_curve,
-    multiset_distance,
-    quadratic_witness_2x2,
-    spectrum_polynomials_2x2,
-    verify_constant_spectrum,
-    zero_metric_curve,
-)
-from .errors import (
-    DomainError,
-    InternalError,
-    InvalidInputError,
-    NoSolutionError,
-    NotInHullError,
-    NumericError,
-    PreconditionError,
-    SpectralBallError,
-    UnsupportedError,
-)
-from .geometry import (
-    DiscWitness,
-    HullWitness,
-    SpectralDisc,
-    bottleneck_minimax,
-    disk_automorphism,
-    hull_membership,
-    hull_witness,
-    kobayashi_scalar_base,
-    lempert_scalar_base,
-    mobius,
-    sample_omega,
-    upper_bound_disc,
-)
-from .matcore import (
-    DEFAULT_TOL,
-    CommutantBasis,
-    Spectrum,
-    SymPoint,
-    as_matrix,
-    bottleneck_assignment,
-    commutant_basis,
-    commutation_operator,
-    companion,
-    elementary_symmetric,
-    expm_pair,
-    matrix_exp,
-    ordered_triangularize,
-    sigma,
-    sigma_differential_matrix,
-    sigma_pushforward,
-    solve_conjugation,
-    spectrum,
-    unitary_log,
-)
-from .nonderog import (
-    CRITERIA,
-    CriterionResult,
-    NonderogReport,
-    PolyCoeffs,
-    classify,
-    minimal_polynomial,
-)
-from .pick import (
-    BlaschkeProduct,
-    GapCertificate,
-    PickProblem,
-    SymmetrizedDisc,
-    ZeroInterpolant,
-    blaschke_through_roots_of_unity,
-    degenerate_interpolant,
-    discontinuity_report,
-    gap_certificate,
-    is_psd,
-    pick_matrix,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TOL",
-    "BlaschkeProduct",
-    "CommutantBasis",
-    "CRITERIA",
-    "CriterionResult",
-    "DiscWitness",
-    "DomainError",
-    "ExpConjugationCurve",
-    "GapCertificate",
-    "HullWitness",
-    "InternalError",
-    "InvalidInputError",
-    "MatrixPolynomialCurve",
-    "NonderogReport",
-    "NoSolutionError",
-    "NotInHullError",
-    "NumericError",
-    "PickProblem",
-    "PolyCoeffs",
-    "PreconditionError",
-    "SpectralBallError",
-    "SpectralDisc",
-    "Spectrum",
-    "SpectrumCheck",
-    "SymPoint",
-    "SymmetrizedDisc",
-    "TriangularConjugationCurve",
-    "UnsupportedError",
-    "ZeroInterpolant",
-    "as_matrix",
-    "blaschke_through_roots_of_unity",
-    "bottleneck_assignment",
-    "bottleneck_minimax",
-    "classify",
-    "commutant_basis",
-    "commutation_operator",
-    "companion",
-    "degenerate_interpolant",
-    "discontinuity_report",
-    "disk_automorphism",
-    "elementary_symmetric",
-    "expm_pair",
-    "gap_certificate",
-    "hull_membership",
-    "hull_witness",
-    "is_psd",
-    "iso_spectral_curve",
-    "kobayashi_scalar_base",
-    "lempert_scalar_base",
-    "matrix_exp",
-    "minimal_polynomial",
-    "mobius",
-    "multiset_distance",
-    "ordered_triangularize",
-    "pick_matrix",
-    "quadratic_witness_2x2",
-    "sample_omega",
-    "sigma",
-    "sigma_differential_matrix",
-    "sigma_pushforward",
-    "solve_conjugation",
-    "spectrum",
-    "spectrum_polynomials_2x2",
-    "unitary_log",
-    "upper_bound_disc",
-    "verify_constant_spectrum",
-    "zero_metric_curve",
-]
+#: Exported names of each submodule.
+_EXPORTS = {
+    "curves": (
+        "ExpConjugationCurve", "MatrixPolynomialCurve", "SpectrumCheck",
+        "TriangularConjugationCurve", "iso_spectral_curve", "multiset_distance",
+        "quadratic_witness_2x2", "spectrum_polynomials_2x2", "verify_constant_spectrum",
+        "zero_metric_curve",
+    ),
+    "errors": (
+        "DomainError", "InternalError", "InvalidInputError", "NoSolutionError",
+        "NotInHullError", "NumericError", "PreconditionError", "SpectralBallError",
+        "UnsupportedError",
+    ),
+    "geometry": (
+        "DiscWitness", "HullWitness", "SpectralDisc", "bottleneck_minimax",
+        "disk_automorphism", "hull_membership", "hull_witness", "kobayashi_scalar_base",
+        "lempert_scalar_base", "mobius", "sample_omega", "upper_bound_disc",
+    ),
+    "matcore": (
+        "DEFAULT_TOL", "CommutantBasis", "Spectrum", "SymPoint", "as_matrix",
+        "bottleneck_assignment", "commutant_basis", "commutation_operator", "companion",
+        "elementary_symmetric", "expm_pair", "matrix_exp", "ordered_triangularize", "sigma",
+        "sigma_differential_matrix", "sigma_pushforward", "solve_conjugation", "spectrum",
+        "unitary_log",
+    ),
+    "nonderog": (
+        "CRITERIA", "CriterionResult", "NonderogReport", "PolyCoeffs", "classify",
+        "minimal_polynomial",
+    ),
+    "pick": (
+        "BlaschkeProduct", "GapCertificate", "PickProblem", "SymmetrizedDisc",
+        "ZeroInterpolant", "blaschke_through_roots_of_unity", "degenerate_interpolant",
+        "discontinuity_report", "gap_certificate", "is_psd", "pick_matrix",
+    ),
+}
+
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name):
+    """Import the submodule that defines *name*, or that *name* is, and bind
+    *name* here (PEP 562)."""
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

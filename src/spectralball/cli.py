@@ -4,7 +4,8 @@ Every subcommand reads matrices from JSON documents, runs one library
 operation and emits one JSON object on stdout: inputs, outputs, and the
 tolerances and recomputable residuals that the result types name and compute
 themselves.  Every float is printed as its shortest round-trip repr, so the
-output parses back bit-exactly.
+output parses back bit-exactly.  Each handler imports the library module it
+calls, so a process loads only the modules its command uses.
 
 Exit codes: 0 success, 2 domain or precondition error, 3 numeric failure
 (including a document that would hold a non-finite number).
@@ -18,7 +19,6 @@ import sys
 
 import numpy as np
 
-from . import curves, geometry, nonderog, pick
 from .errors import (
     DomainError,
     InvalidInputError,
@@ -27,14 +27,21 @@ from .errors import (
     SpectralBallError,
     UnsupportedError,
 )
-from .geometry import sample_omega
 from .matcore import (
     DEFAULT_TOL, PAIRING_TOL, SymPoint, as_matrix, companion, elementary_symmetric, sigma,
     spectrum,
 )
-from .pick import discontinuity_report
 
 USER_ERRORS = (InvalidInputError, DomainError, PreconditionError, UnsupportedError)
+
+#: Library functions this module re-exports, resolved on first access (PEP 562).
+_REEXPORTS = ("sample_omega", "discontinuity_report")
+
+
+def __getattr__(name):
+    if name in _REEXPORTS:
+        return getattr(sys.modules[__package__], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -128,6 +135,8 @@ def _load_matrix(path) -> np.ndarray:
 # subcommand handlers
 
 def _cmd_classify(args):
+    from . import nonderog
+
     a = _load_matrix(args.input)
     report = nonderog.classify(a, rng=_rng(args.seed))
     return {
@@ -164,6 +173,8 @@ def _cmd_sigma(args):
 
 
 def _cmd_bounds(args):
+    from . import geometry
+
     a = _load_matrix(args.input)
     b = _load_matrix(args.input2)
     value, perm = geometry.bottleneck_minimax(spectrum(a), spectrum(b))
@@ -189,6 +200,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_blaschke(args):
+    from . import pick
+
     b = _load_matrix(args.input)
     cert = pick.gap_certificate(b)
     doc = {
@@ -211,18 +224,17 @@ def _cmd_blaschke(args):
     return doc
 
 
-#: Constructor of each curve kind and the tolerances only it decides with.
-_CURVE_KINDS = {
-    "iso": (curves.iso_spectral_curve, {"pairing": PAIRING_TOL}),
-    "zero-metric": (curves.zero_metric_curve, {"structure": curves.STRUCTURE_TOL, "classify": DEFAULT_TOL}),
-    "quadratic": (curves.quadratic_witness_2x2, {"structure": curves.STRUCTURE_TOL}),
-}
-
-
 def _cmd_curve(args):
+    from . import curves, geometry
+
     a = _load_matrix(args.input)
     b = _load_matrix(args.input2)
-    build, tolerances = _CURVE_KINDS[args.kind]
+    # constructor of each curve kind and the tolerances only it decides with
+    build, tolerances = {
+        "iso": (curves.iso_spectral_curve, {"pairing": PAIRING_TOL}),
+        "zero-metric": (curves.zero_metric_curve, {"structure": curves.STRUCTURE_TOL, "classify": DEFAULT_TOL}),
+        "quadratic": (curves.quadratic_witness_2x2, {"structure": curves.STRUCTURE_TOL}),
+    }[args.kind]
     curve = build(a, b)
     residuals = curve.residuals(a, b)
     # only for this kind: a scalar 2x2 base gives zero-metric the same curve
@@ -253,6 +265,8 @@ def _cmd_curve(args):
 
 
 def _cmd_hull(args):
+    from . import geometry
+
     a = _load_matrix(args.input)
     h, inside = geometry.hull_membership(a)
     doc = {
@@ -276,9 +290,11 @@ def _cmd_hull(args):
 
 
 def _cmd_discontinuity(args):
+    from . import pick
+
     b = _load_matrix(args.input)
     t = complex(args.t[0], args.t[1])
-    report = discontinuity_report(b, t)
+    report = pick.discontinuity_report(b, t)
     recompute = (spectrum(b).radius - abs(np.trace(b)) / b.shape[0]) / (1.0 - abs(t) ** 2)
     return {
         "command": "discontinuity",
@@ -290,7 +306,9 @@ def _cmd_discontinuity(args):
 
 
 def _cmd_sample(args):
-    mats = sample_omega(args.n, args.samples, _rng(args.seed))
+    from . import geometry, nonderog
+
+    mats = geometry.sample_omega(args.n, args.samples, _rng(args.seed))
     rng = _rng(args.seed + 1)
     verdicts = [nonderog.classify(m, rng=rng).verdict for m in mats]
     radii = [spectrum(m).radius for m in mats]
