@@ -47,20 +47,18 @@ _EXPORTS = {
         "lempert_scalar_base", "mobius", "sample_omega", "upper_bound_disc",
     ),
     "matcore": (
-        "DEFAULT_TOL", "CommutantBasis", "Spectrum", "SymPoint", "as_matrix",
-        "bottleneck_assignment", "commutant_basis", "commutation_operator", "companion",
-        "elementary_symmetric", "expm_pair", "matrix_exp", "ordered_triangularize", "sigma",
-        "sigma_differential_matrix", "sigma_pushforward", "solve_conjugation", "spectrum",
-        "unitary_log",
+        "DEFAULT_TOL", "Spectrum", "SymPoint", "as_matrix", "bottleneck_assignment",
+        "commutation_operator", "companion", "elementary_symmetric", "expm_pair",
+        "ordered_triangularize", "sigma", "sigma_differential_matrix", "sigma_pushforward",
+        "solve_conjugation", "spectrum", "unitary_log",
     ),
     "nonderog": (
-        "CRITERIA", "CriterionResult", "NonderogReport", "PolyCoeffs", "classify",
-        "minimal_polynomial",
+        "CriterionResult", "NonderogReport", "PolyCoeffs", "classify", "minimal_polynomial",
     ),
     "pick": (
         "BlaschkeProduct", "GapCertificate", "PickProblem", "SymmetrizedDisc",
         "ZeroInterpolant", "blaschke_through_roots_of_unity", "degenerate_interpolant",
-        "discontinuity_report", "gap_certificate", "is_psd", "pick_matrix",
+        "discontinuity_report", "gap_certificate", "pick_matrix",
     ),
 }
 

@@ -74,7 +74,10 @@ def parse_matrix(document) -> np.ndarray:
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
             ):
                 raise InvalidInputError(f"row {i}, column {j}: expected a [re, im] pair")
-            re, im = float(entry[0]), float(entry[1])
+            try:
+                re, im = float(entry[0]), float(entry[1])
+            except OverflowError:  # an integer beyond the float range
+                re = im = np.inf
             if not (np.isfinite(re) and np.isfinite(im)):
                 raise InvalidInputError(f"row {i}, column {j}: entries must be finite")
             out[i, j] = complex(re, im)

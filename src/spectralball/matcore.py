@@ -369,11 +369,6 @@ def _misses_order(t, order):
     return np.abs(diag - order).max(axis=-1) > PAIRING_TOL * scale
 
 
-def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential of a square matrix (the first half of expm_pair)."""
-    return expm_pair(as_matrix(m))[0]
-
-
 #: Coefficients b_0, ..., b_13 of the degree-13 Pade approximant to exp,
 #: divided by b_0: then V(0) = I, and the solves give exp(0) = I exactly.
 _PADE13 = tuple(
@@ -487,34 +482,6 @@ def commutation_operator(a) -> np.ndarray:
     op[i, :, i, :] += A
     op[:, i, :, i] -= A.T
     return op.reshape(n * n, n * n)
-
-
-@dataclass(eq=False)
-class CommutantBasis:
-    """Basis of the space of matrices commuting with a given matrix."""
-
-    dim: int = field(init=False)
-    basis: list
-
-    def __post_init__(self):
-        self.dim = len(self.basis)
-
-
-def commutant_basis(a) -> CommutantBasis:
-    """Null-space basis of the commutation operator of *a*.
-
-    The dimension is always at least n, with equality exactly for
-    non-derogatory matrices.  The rank is decided as the classifier decides
-    it: by ``_rank_by_svd``, on the operator of the centered,
-    normalized M of ``_centered`` (A = tau I + c M has the same commutant).
-    """
-    A = as_matrix(a)
-    n = A.shape[0]
-    _, _, M = _centered(A, DEFAULT_TOL)
-    _, s, vh = np.linalg.svd(commutation_operator(M))
-    rank, _ = _rank_by_svd(s)
-    basis = [v.conj().reshape((n, n), order="F") for v in vh[rank:]]
-    return CommutantBasis(basis)
 
 
 def solve_conjugation(a, b) -> np.ndarray:

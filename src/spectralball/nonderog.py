@@ -42,14 +42,6 @@ from .matcore import (
     sigma_differential_matrix,
 )
 
-CRITERIA = (
-    "cyclic_vector",
-    "minimal_degree",
-    "eigenspace_dim",
-    "commutant_dim",
-    "symmetrization_rank",
-)
-
 #: Relative gap used to group nearly-equal computed eigenvalues.
 CLUSTER_GAP = 1e-6
 

@@ -27,7 +27,7 @@ of B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -65,11 +65,8 @@ _SINGULAR_TOL = 1e-6  # |smallest Pick eigenvalue| / (1 + largest) read as zero
 
 @dataclass(eq=False)
 class PickProblem:
-    """Disk interpolation data: distinct nodes in D and target values.
-
-    Nodes and targets have shape ``(n,)``, or ``(..., n)`` for a stack of
-    problems of the same size; every problem in the stack is validated.
-    """
+    """Disk interpolation data: distinct nodes in D and target values, each
+    of shape ``(n,)``."""
 
     nodes: np.ndarray
     targets: np.ndarray
@@ -77,6 +74,8 @@ class PickProblem:
     def __post_init__(self):
         x = self.nodes = np.atleast_1d(np.asarray(self.nodes, dtype=complex))
         w = self.targets = np.atleast_1d(np.asarray(self.targets, dtype=complex))
+        if x.ndim != 1 or w.ndim != 1:
+            raise InvalidInputError("nodes and targets must be one-dimensional")
         if x.shape != w.shape:
             raise InvalidInputError("nodes and targets must have equal length")
         if x.size == 0:
@@ -86,13 +85,13 @@ class PickProblem:
         ax = np.abs(x)
         if ax.max() >= 1.0:
             raise InvalidInputError("nodes must lie in the open unit disk")
-        j, k = _pairs(x.shape[-1])
-        if (np.abs(x[..., j] - x[..., k]) <= 1e-12 * (1.0 + ax[..., j])).any():
+        j, k = np.triu_indices(len(x), 1)
+        if (np.abs(x[j] - x[k]) <= 1e-12 * (1.0 + ax[j])).any():
             raise InvalidInputError("interpolation nodes must be distinct")
 
     @property
     def size(self) -> int:
-        return self.nodes.shape[-1]
+        return len(self.nodes)
 
     @cached_property
     def _factored(self):
@@ -100,12 +99,6 @@ class PickProblem:
         computed once per problem."""
         m = pick_matrix(self)
         return (m, *np.linalg.eigh(m))
-
-
-@lru_cache(maxsize=None)
-def _pairs(n):
-    """Index pairs (j, k) with j < k among n nodes, built once per n."""
-    return np.triu_indices(n, 1)
 
 
 class BlaschkeProduct:
@@ -117,11 +110,11 @@ class BlaschkeProduct:
 
     def __init__(self, unimodular: complex, zeros):
         u = complex(unimodular)
-        if abs(abs(u) - 1.0) > 1e-6:
+        if not abs(abs(u) - 1.0) <= 1e-6:
             raise InvalidInputError("leading constant must be unimodular")
         self.unimodular = u / abs(u)
         self.zeros = np.asarray(zeros, dtype=complex).ravel()
-        if self.zeros.size and np.max(np.abs(self.zeros)) >= 1.0:
+        if not (np.abs(self.zeros) < 1.0).all():
             raise InvalidInputError("zeros must lie in the open unit disk")
 
     @property
@@ -160,30 +153,12 @@ def pick_matrix(problem: PickProblem) -> np.ndarray:
 
     Entry (j, k) is (1 - w_j conj(w_k)) / (1 - x_j conj(x_k)); the problem
     admits a holomorphic disk-to-disk solution exactly when this matrix is
-    positive semidefinite.  A stacked problem with data of shape ``(..., n)``
-    gives the stack ``(..., n, n)`` of its Pick matrices, each equal to the
-    matrix of its own slice.
+    positive semidefinite.
     """
     x = problem.nodes
     w = problem.targets
-    num = 1.0 - w[..., :, None] * np.conj(w)[..., None, :]
-    den = 1.0 - x[..., :, None] * np.conj(x)[..., None, :]
-    m = num / den
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
-
-
-def is_psd(m) -> bool:
-    """Positive semidefiniteness of a Hermitian matrix.
-
-    True iff the smallest eigenvalue is at least -DEFAULT_TOL * (1 + largest).
-    Rejects input that is not Hermitian within tolerance.
-    """
-    M = as_matrix(m)
-    defect = np.linalg.norm(M - M.conj().T)
-    if defect > 1e-8 * (1.0 + np.linalg.norm(M)):
-        raise InvalidInputError("matrix is not Hermitian")
-    vals = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
-    return bool(vals[0] >= -DEFAULT_TOL * (1.0 + max(vals[-1], 0.0)))
+    m = (1.0 - w[:, None] * np.conj(w)) / (1.0 - x[:, None] * np.conj(x))
+    return (m + m.conj().T) / 2.0
 
 
 def degenerate_interpolant(problem: PickProblem):

@@ -75,7 +75,7 @@ def random_unitary(rng, n, scale=1.0):
     k = random_gaussian(rng, n)
     k = (k - k.conj().T) / 2.0
     k *= scale / max(np.linalg.norm(k), 1e-12)
-    return sb.matrix_exp(k)
+    return sb.expm_pair(k)[0]
 
 
 def brute_force_bottleneck(cost):

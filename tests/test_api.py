@@ -25,7 +25,6 @@ from spectralball import cli, curves, geometry, matcore, nonderog, pick
 
 PARAMETERS = {
     "BlaschkeProduct": ("unimodular", "zeros"),
-    "CommutantBasis": ("basis",),
     "CriterionResult": ("passed", "diagnostic", "borderline"),
     "DiscWitness": ("curve", "matrix_at_base", "matrix_at_target"),
     "ExpConjugationCurve": ("base", "generator"),
@@ -49,7 +48,6 @@ PARAMETERS = {
     "bottleneck_assignment": ("cost",),
     "bottleneck_minimax": ("spec_a", "spec_b"),
     "classify": ("a", "rng"),
-    "commutant_basis": ("a",),
     "commutation_operator": ("a",),
     "companion": ("s",),
     "degenerate_interpolant": ("problem",),
@@ -60,11 +58,9 @@ PARAMETERS = {
     "gap_certificate": ("b",),
     "hull_membership": ("a",),
     "hull_witness": ("a",),
-    "is_psd": ("m",),
     "iso_spectral_curve": ("a", "b"),
     "kobayashi_scalar_base": ("t", "b"),
     "lempert_scalar_base": ("t", "b"),
-    "matrix_exp": ("m",),
     "minimal_polynomial": ("a",),
     "mobius": ("z", "w"),
     "multiset_distance": ("values_a", "values_b"),
@@ -85,7 +81,7 @@ PARAMETERS = {
 }
 
 #: Totals: exported parameters, of which with defaults; CLI flags; tolerance literals.
-PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT = 103, 4, 18, 25
+PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT = 99, 4, 18, 24
 
 CRITERIA = (
     "cyclic_vector",
@@ -169,7 +165,6 @@ def test_tolerance_literals():
 
 
 def test_classifier_criteria():
-    assert sb.CRITERIA == CRITERIA
     report = sb.classify(np.diag([0.3, 0.1]))
     assert tuple(report.per_criterion) == CRITERIA
 

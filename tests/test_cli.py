@@ -42,8 +42,10 @@ class TestMatrixDocuments:
             parse_matrix({"n": 2, "rows": [[[0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]})
 
     def test_non_finite(self):
-        with pytest.raises(sb.InvalidInputError):
-            parse_matrix({"n": 1, "rows": [[[float("inf"), 0.0]]]})
+        # 10**400 is a finite integer of JSON that no float holds
+        for value in (float("inf"), 10**400):
+            with pytest.raises(sb.InvalidInputError, match="row 0, column 0: entries must be finite"):
+                parse_matrix({"n": 1, "rows": [[[value, 0.0]]]})
 
     def test_bad_entry(self):
         with pytest.raises(sb.InvalidInputError) as err:

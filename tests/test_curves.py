@@ -201,7 +201,7 @@ class TestClosedFormFrame:
         log = c.frame_log
         assert np.linalg.norm(log + log.conj().T) <= 1e-13
         assert np.linalg.norm(log, 2) <= np.pi * (1.0 + 1e-14)
-        assert np.linalg.norm(u @ sb.matrix_exp(log) - v) <= 1e-12
+        assert np.linalg.norm(u @ sb.expm_pair(log)[0] - v) <= 1e-12
         for lam_end, frame, t in ((0.0, u, t0), (1.0, v, t1)):
             end = frame @ t @ frame.conj().T
             assert np.linalg.norm(c(lam_end) - end) <= 1e-12 * (1.0 + np.linalg.norm(t))

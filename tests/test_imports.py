@@ -99,7 +99,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith(("spectralball.",
 def _documents() -> dict:
     a = np.array([[0.2, 0.1, 0.0], [0.0, -0.3, 0.4], [0.1, 0.0, 0.5j]])
     b = np.array([[0.6, 0.0, 0.2], [0.3, 0.1j, 0.0], [0.0, 0.2, -0.4]])
-    q = sb.matrix_exp(0.2j * np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.3], [0.0, 0.3, -1.0]]))
+    q, _ = sb.expm_pair(0.2j * np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.3], [0.0, 0.3, -1.0]]))
     y = np.array([[0.1, 0.2, 0.0], [0.0, 0.1j, 0.3], [0.2, 0.0, -0.1]])
     return {
         "a": a, "b": b, "rotated": q @ a @ q.conj().T, "direction": a @ y - y @ a,

@@ -147,25 +147,36 @@ class TestBlaschkeProduct:
             assert np.max(np.abs(got - ref)) <= 8.0 * (order + 1) * np.finfo(float).eps
         assert isinstance(bp(0.5), complex)
 
+    @pytest.mark.parametrize(
+        "unimodular, zeros",
+        [(np.nan, []), (1.0, [np.nan]), (1.0, [0.2, np.nan]), (2.0, []), (1.0, [0.5, 1.0])],
+    )
+    def test_rejects_invalid_data(self, unimodular, zeros):
+        with pytest.raises(sb.InvalidInputError):
+            sb.BlaschkeProduct(unimodular, zeros)
+
 
 class TestPickMatrix:
     def test_single_node(self):
-        m = sb.pick_matrix(PickProblem([0.0], [0.0]))
-        np.testing.assert_allclose(m, [[1.0]])
+        # a scalar node and target are one-node data
+        for p in (PickProblem([0.0], [0.0]), PickProblem(0.0, 0.0)):
+            assert p.size == 1
+            np.testing.assert_allclose(sb.pick_matrix(p), [[1.0]])
 
     def test_gap_data_singular(self):
         r = np.sqrt(GAP_RADIUS_SQ)
         p = PickProblem([r, -r], [0.8 / r, 0.0])
         m = sb.pick_matrix(p)
         assert abs(np.linalg.det(m)) <= 1e-9
-        assert sb.is_psd(m)
-        assert abs(np.linalg.eigvalsh(m)[0]) <= 1e-9
+        vals = np.linalg.eigvalsh(m)
+        assert abs(vals[0]) <= 1e-9 < vals[-1]  # singular positive semidefinite
 
     def test_oversized_target_breaks_psd(self):
         p = PickProblem([0.1, -0.1], [1.5, 0.0])
         m = sb.pick_matrix(p)
         assert m[0, 0].real < 0.0
-        assert not sb.is_psd(m)
+        vals = np.linalg.eigvalsh(m)
+        assert vals[0] < -1e-9 * (1.0 + vals[-1])
 
     def test_coincident_nodes(self):
         with pytest.raises(sb.InvalidInputError):
@@ -191,61 +202,6 @@ class TestPickMatrix:
             assert np.abs(m - base).max() <= 1e-12
 
 
-class TestStackedPickMatrix:
-    def _stack(self, rng, shape):
-        nodes = 0.9 * np.sqrt(rng.uniform(size=shape)) * np.exp(2j * np.pi * rng.uniform(size=shape))
-        targets = 1.5 * np.sqrt(rng.uniform(size=shape)) * np.exp(2j * np.pi * rng.uniform(size=shape))
-        return nodes, targets
-
-    @pytest.mark.parametrize("shape", [(5, 2), (7, 3), (4, 8), (2, 3, 5), (1, 1)])
-    def test_equals_stack_of_slices(self, shape):
-        rng = np.random.default_rng(sum(shape))
-        nodes, targets = self._stack(rng, shape)
-        stacked = sb.pick_matrix(PickProblem(nodes, targets))
-        flat_x = nodes.reshape(-1, shape[-1])
-        flat_w = targets.reshape(-1, shape[-1])
-        slices = np.stack([sb.pick_matrix(PickProblem(x, w)) for x, w in zip(flat_x, flat_w)])
-        assert stacked.shape == shape + (shape[-1],)
-        assert stacked.tobytes() == slices.reshape(stacked.shape).tobytes()
-
-    def test_roots_of_unity_stack_equals_slices(self):
-        # the data of the boundary search: scaled roots of unity at many radii
-        lam = np.array([0.6, -0.2 + 0.3j, 0.1j, 0.05 - 0.4j])
-        eps = np.exp(2j * np.pi * np.arange(4) / 4)
-        radii = np.linspace(0.61, 0.999, 23)
-        nodes = eps * radii[:, None]
-        stacked = sb.pick_matrix(PickProblem(nodes, lam / nodes))
-        for r, m in zip(radii, stacked):
-            one = sb.pick_matrix(PickProblem(eps * r, lam / (eps * r)))
-            assert m.tobytes() == one.tobytes()
-
-    @pytest.mark.parametrize(
-        "row, col, value",
-        [
-            (3, 1, 0.42 + 0.1j),  # coincides with node 0 of the same slice
-            (4, 2, 1.0),  # on the unit circle
-            (2, 0, np.nan),  # not a number
-        ],
-    )
-    def test_one_invalid_slice_rejects_stack(self, row, col, value):
-        rng = np.random.default_rng(48)
-        nodes, targets = self._stack(rng, (5, 3))
-        nodes[3, 0] = 0.42 + 0.1j
-        PickProblem(nodes, targets)
-        nodes[row, col] = value
-        with pytest.raises(sb.InvalidInputError):
-            PickProblem(nodes, targets)
-
-    def test_same_node_in_different_slices_allowed(self):
-        nodes = np.array([[0.3, -0.3], [0.3, 0.5]])
-        m = sb.pick_matrix(PickProblem(nodes, np.zeros((2, 2))))
-        assert m.shape == (2, 2, 2)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(sb.InvalidInputError, match="equal length"):
-            PickProblem(np.zeros((3, 2)), np.zeros((2, 2)))
-
-
 class TestPickValidation:
     def test_empty_problem(self):
         with pytest.raises(sb.InvalidInputError, match="empty"):
@@ -258,6 +214,26 @@ class TestPickValidation:
         with pytest.raises(sb.InvalidInputError, match="finite"):
             PickProblem(nodes, targets)
 
+    def test_node_on_the_circle(self):
+        with pytest.raises(sb.InvalidInputError, match="open unit disk"):
+            PickProblem([0.42 + 0.1j, 1.0], [0.0, 0.0])
+
+    def test_shape_mismatch(self):
+        with pytest.raises(sb.InvalidInputError, match="equal length"):
+            PickProblem(np.zeros(3), np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "nodes, targets",
+        [
+            ([[0.1, 0.2], [0.3, 0.4]], [[0.0, 0.0], [0.0, 0.0]]),
+            ([0.1, 0.2], [[0.0, 0.0]]),
+            ([[0.1, 0.2]], [0.0, 0.0]),
+        ],
+    )
+    def test_data_must_be_one_dimensional(self, nodes, targets):
+        with pytest.raises(sb.InvalidInputError, match="one-dimensional"):
+            PickProblem(nodes, targets)
+
     def test_boundary_search_no_values(self):
         with pytest.raises(sb.InvalidInputError, match="no values"):
             sb.blaschke_through_roots_of_unity([])
@@ -265,18 +241,6 @@ class TestPickValidation:
     def test_boundary_search_nan_value(self):
         with pytest.raises(sb.InvalidInputError, match="finite"):
             sb.blaschke_through_roots_of_unity([0.5, np.nan])
-
-
-class TestIsPsd:
-    def test_identity(self):
-        assert sb.is_psd(np.eye(3))
-
-    def test_indefinite(self):
-        assert not sb.is_psd(np.diag([1.0, -0.1]))
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(sb.InvalidInputError):
-            sb.is_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestDegenerateInterpolant:
@@ -573,8 +537,7 @@ class TestBoundaryInterpolation:
         grid, _, _ = sequential_scan(lam)
         radii = np.append(grid, abs(sb.blaschke_through_roots_of_unity(lam).beta))
         stack = pick_module._reduced_pick(np.asarray(lam, dtype=complex), eps)(radii)
-        nodes = eps * radii[:, None]
-        ref = sb.pick_matrix(PickProblem(nodes, lam / nodes))
+        ref = np.stack([sb.pick_matrix(PickProblem(eps * r, lam / (eps * r))) for r in radii])
         err = np.max(np.abs(stack - ref), axis=(1, 2))
         scale = np.maximum(1.0, np.max(np.abs(ref), axis=(1, 2))) / (1.0 - radii**2)
         assert np.all(err <= 8.0 * np.finfo(float).eps * scale)
