@@ -434,6 +434,16 @@ class TestCommands:
         assert code == 2 and out == ""
         assert json.loads(err)["kind"] == "InvalidInputError"
 
+    @pytest.mark.parametrize("command", ["classify", "sigma", "hull"])
+    def test_integer_beyond_float_range_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "a.json"
+        path.write_text('{"n": 1, "rows": [[[1' + "0" * 400 + ', 0]]]}', encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["kind"] == "InvalidInputError"
+        assert "row 0, column 0: entries must be finite" in doc["error"]
+
     @pytest.mark.parametrize("command", ["classify", "sample"])
     def test_negative_seed_exit_2(self, tmp_path, capsys, command):
         path = write_matrix(tmp_path / "a.json", np.diag([0.3, 0.1]))

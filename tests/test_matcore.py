@@ -551,6 +551,40 @@ class TestExpmPair:
             assert eigh == []
 
 
+def commutant_dim(a):
+    return sb.classify(a).per_criterion["commutant_dim"].diagnostic
+
+
+class TestCommutant:
+    def test_identity(self):
+        assert commutant_dim(np.eye(3)) == 9
+
+    def test_jordan_block(self):
+        assert commutant_dim(np.array([[0.0, 1.0], [0.0, 0.0]])) == 2
+
+    def test_distinct_diagonal(self):
+        assert commutant_dim(np.diag([0.1, 0.2, 0.3])) == 3
+
+    def test_basis_residuals(self):
+        # the null vectors of the operator, unstacked by columns, commute with A
+        rng = np.random.default_rng(13)
+        a = random_gaussian(rng, 3)
+        _, s, vh = np.linalg.svd(sb.commutation_operator(a))
+        null = vh[s <= 1e-9 * s[0]].conj()
+        assert len(null) == 3
+        for v in null:
+            m = v.reshape(3, 3, order="F")
+            resid = np.linalg.norm(m @ a - a @ m)
+            assert resid <= 1e-8 * np.linalg.norm(a) * np.linalg.norm(m)
+
+    def test_dimension_at_least_n(self):
+        rng = np.random.default_rng(15)
+        cases = [random_gaussian(rng, n) for n in (2, 3, 4)]
+        cases += [np.eye(3), np.diag([0.2, 0.2, 0.5]), np.zeros((2, 2))]
+        for a in cases:
+            assert commutant_dim(a) >= a.shape[0]
+
+
 def kron_commutation_operator(a):
     """H -> AH - HA on column-stacked H as a difference of Kronecker products."""
     n = a.shape[0]
@@ -569,19 +603,8 @@ class TestCommutationOperator:
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_commutant_dims_on_crafted_suite(self, n):
-        """The classifier's commutant dimension is the nullity of the
-        Kronecker form, for the crafted suite and, at n = 2 and 3, the
-        identity, the nilpotent Jordan block, distinct and repeated diagonals
-        and zero."""
-        extra = {
-            2: [(np.array([[0.0, 1.0], [0.0, 0.0]]), True), (np.zeros((2, 2)), False)],
-            3: [
-                (np.eye(3), False),
-                (np.diag([0.1, 0.2, 0.3]), True),
-                (np.diag([0.2, 0.2, 0.5]), False),
-            ],
-        }
-        for a, nonderogatory in crafted_suite(n) + extra.get(n, []):
+        """The classifier's commutant dimension is the nullity of the Kronecker form."""
+        for a, nonderogatory in crafted_suite(n):
             a = np.asarray(a, dtype=complex)
             s = np.linalg.svd(kron_commutation_operator(a), compute_uv=False)
             expected = int(np.count_nonzero(s <= 1e-9 * max(s[0], np.linalg.norm(a))))

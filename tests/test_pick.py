@@ -214,9 +214,10 @@ class TestPickValidation:
         with pytest.raises(sb.InvalidInputError, match="finite"):
             PickProblem(nodes, targets)
 
-    def test_node_on_the_circle(self):
+    @pytest.mark.parametrize("node", [1.0, -1j, 1.5], ids=["one", "minus-i", "outside"])
+    def test_node_outside_the_open_disk(self, node):
         with pytest.raises(sb.InvalidInputError, match="open unit disk"):
-            PickProblem([0.42 + 0.1j, 1.0], [0.0, 0.0])
+            PickProblem([0.42 + 0.1j, node], [0.0, 0.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(sb.InvalidInputError, match="equal length"):
