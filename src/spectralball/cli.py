@@ -129,7 +129,8 @@ def _load_matrix(path) -> np.ndarray:
             doc = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, an undecodable byte and an over-long integer
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
     return parse_matrix(doc)
 
@@ -260,6 +261,7 @@ def _cmd_curve(args):
                 "passed": check.passed,
                 "max_deviation": check.max_deviation,
                 "samples": check.samples,
+                "settled": check.settled,
                 "radius": check.radius,
             },
         },

@@ -10,8 +10,9 @@ Three entire closed forms witness degenerate invariant-distance behaviour:
 * matrix polynomial       -- explicit low-degree curves, including the
   quadratic 2x2 witness with constant trace and determinant.
 
-``verify_constant_spectrum`` samples any curve and reports the worst
-eigenvalue-multiset deviation from an expected spectrum.
+``verify_constant_spectrum`` samples any curve, settles the samples whose
+power sums match the expected spectrum's within their rounding bound, and
+reports the worst eigenvalue-multiset deviation of the others.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ STRUCTURE_TOL = 1e-8
 #: Largest eigenvalue deviation at which a sampled curve passes as having
 #: constant spectrum.
 SPECTRUM_TOL = 1e-6
+
+# Safety factor c of the power-sum rounding bound (``_power_sums``).
+_POWER_SUM_SAFETY = 16.0
 
 # Coefficient of the isotropy quadratic of the 2x2 witness below which it
 # counts as zero (``_solve_quadratic_tail``, on entries scaled to at most 1).
@@ -320,17 +324,23 @@ def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
 
 @dataclass(eq=False)
 class SpectrumCheck:
-    """Outcome of sampling a curve against an expected spectrum, passed at ``tol``."""
+    """Outcome of sampling a curve against an expected spectrum, passed at ``tol``.
+
+    ``settled`` of the ``samples`` passed the power-sum test; ``max_deviation``
+    and ``worst_point`` are the worst eigenvalue deviation over the others, or,
+    when all are settled, the deviation of the one nearest to its bound.
+    """
 
     passed: bool = field(init=False)
     max_deviation: float
     samples: int
+    settled: int
     radius: float
     worst_point: complex
     tol = SPECTRUM_TOL
 
     def __post_init__(self):
-        self.passed = bool(self.max_deviation <= self.tol)
+        self.passed = bool(self.settled == self.samples or self.max_deviation <= self.tol)
 
 
 def _sample_points(samples, radius):
@@ -366,6 +376,52 @@ def multiset_distance(values_a, values_b):
     return value
 
 
+def _power_sums(values, expected):
+    """(delta, tau), each of shape (m, n), for the (m, n, n) stack of values.
+
+    For each value X, delta_k = |p_k(X) - p_k(expected)| compares the power
+    sums p_k = tr X^k, k = 1..n, which fix the spectrum (Newton's
+    identities), and tau_k bounds the rounding of that difference:
+
+        tau_k = c n u (||X|| sum_{j=2..k} ||X^(j-1)|| ||X^(k-j)||
+                       + sqrt(n) ||X^k|| + k r^k),
+
+    Frobenius norms, u the unit roundoff, r = max |expected| and c the
+    safety factor.  The terms bound the rounding of the products
+    P_k = P_(k-1) X, of the trace and of the expected p_k.  A power that
+    overflows gives inf or nan, silently.
+    """
+    m, n, _ = values.shape
+    # X = A + iB acts on the row block [Re P, Im P] as the real matrix
+    # [[A, B], [-B, A]], whose top row block is X's own: one real product
+    # per power
+    step = np.empty((m, 2 * n, 2 * n))
+    step[:, :n, :n] = step[:, n:, n:] = values.real
+    step[:, :n, n:] = values.imag
+    step[:, n:, :n] = -values.imag
+    block = step[:, :n]
+    sums = np.empty((m, n), dtype=complex)
+    norms = np.empty((m, n + 1))
+    norms[:, 0] = np.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            if k > 1:
+                block = block @ step
+            sums.real[:, k - 1] = np.trace(block, axis1=1, axis2=2)
+            sums.imag[:, k - 1] = np.trace(block, offset=n, axis1=1, axis2=2)
+            norms[:, k] = np.sqrt(np.einsum("mij,mij->m", block, block))
+        products = np.zeros((m, n))
+        for k in range(2, n + 1):
+            products[:, k - 1] = (norms[:, 1:k] * norms[:, k - 2 :: -1]).sum(axis=1)
+        order = np.arange(1, n + 1)
+        r = np.abs(expected).max(initial=0.0)
+        tau = (_POWER_SUM_SAFETY * n * np.finfo(float).eps / 2.0) * (
+            norms[:, 1:2] * products + np.sqrt(n) * norms[:, 1:] + order * r**order
+        )
+        delta = np.abs(sums - np.vander(expected, n + 1, increasing=True)[:, 1:].sum(axis=0))
+    return delta, tau
+
+
 def verify_constant_spectrum(
     curve,
     expected,
@@ -375,11 +431,16 @@ def verify_constant_spectrum(
     """Sample a curve and compare every spectrum against the expected one.
 
     Evaluates the curve at *samples* >= 2 points with |lam| <= radius, a
-    finite radius >= 0 (0 and 1 are always sampled), measures the
-    optimal-pairing eigenvalue deviation and passes iff the worst deviation
-    is at most SPECTRUM_TOL.  The curve is called once, with the 1-D array of
-    sample points, and must return the stack of its values, one (n, n)
-    matrix per point, as the curve classes of this module do.
+    finite radius >= 0 (0 and 1 are always sampled).  A sample is settled
+    when its power sums match the expected spectrum's within their rounding
+    bound and that bound is at most SPECTRUM_TOL (``_power_sums``).  Every
+    other sample gets the optimal-pairing eigenvalue deviation, and the
+    check passes iff every sample is settled or the worst deviation is at
+    most SPECTRUM_TOL.  When every sample is settled, the deviation is
+    measured at the one nearest to its bound.  The curve is called once,
+    with the 1-D array of sample points, and must return the stack of its
+    values, one (n, n) matrix per point, as the curve classes of this
+    module do.
     """
     if samples < 2:
         raise InvalidInputError(
@@ -402,12 +463,20 @@ def verify_constant_spectrum(
         )
     if not np.isfinite(values).all():
         raise InvalidInputError("matrix entries must be finite")
-    deviations = multiset_distance(np.linalg.eigvals(values), exp_values)
-    k = int(np.argmax(deviations))
-    worst = float(deviations[k])
+    delta, tau = _power_sums(values, exp_values)
+    # a nan or inf settles nothing
+    settled = ((tau <= SPECTRUM_TOL) & (delta <= tau)).all(axis=1)
+    if settled.all():
+        ratio = np.divide(delta, tau, out=np.zeros_like(delta), where=tau > 0.0)
+        measured = [int(np.argmax(ratio.max(axis=1, initial=0.0)))]
+    else:
+        measured = np.flatnonzero(~settled)
+    deviations = multiset_distance(np.linalg.eigvals(values[measured]), exp_values)
+    i = int(np.argmax(deviations))
     return SpectrumCheck(
-        max_deviation=worst,
+        max_deviation=float(deviations[i]),
         samples=samples,
+        settled=int(settled.sum()),
         radius=radius,
-        worst_point=complex(points[k]),
+        worst_point=complex(points[measured[i]]),
     )

@@ -38,7 +38,7 @@ PARAMETERS = {
     "PolyCoeffs": ("coeffs",),
     "SpectralDisc": ("frame", "frame_end", "base_diag", "kappa", "t_base", "t_slope", "scale"),
     "Spectrum": ("values",),
-    "SpectrumCheck": ("max_deviation", "samples", "radius", "worst_point"),
+    "SpectrumCheck": ("max_deviation", "samples", "settled", "radius", "worst_point"),
     "SymPoint": ("coords",),
     "SymmetrizedDisc": ("blaschke", "n"),
     "TriangularConjugationCurve": ("frame", "frame_end", "t0", "t1"),
@@ -81,7 +81,7 @@ PARAMETERS = {
 }
 
 #: Totals: exported parameters, of which with defaults; CLI flags; tolerance literals.
-PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT = 99, 4, 18, 24
+PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT = 100, 4, 18, 24
 
 CRITERIA = (
     "cyclic_vector",

@@ -227,6 +227,7 @@ class TestCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["outputs"]["constant_spectrum"]["passed"] is True
+        assert doc["outputs"]["constant_spectrum"]["settled"] == 100
         assert doc["residuals"]["endpoint_target"] <= 1e-8
         a, b = (parse_matrix(doc["inputs"][key]) for key in ("matrix", "matrix2"))
         curve = sb.iso_spectral_curve(a, b)
@@ -417,6 +418,23 @@ class TestCommands:
         code, _, err = run_cli(capsys, "classify", "--input", str(bad))
         assert code == 2
         assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"n": 1, "rows": [[[1' + b"0" * 4400 + b', 0]]]}',
+            b'{"n": 1, "rows": [[[0.5, 0]]]}\xff',
+        ],
+        ids=["integer-beyond-digit-limit", "undecodable-byte"],
+    )
+    def test_unreadable_json_exit_2(self, tmp_path, capsys, content):
+        # both are ValueErrors of the JSON reader, not JSONDecodeErrors
+        path = tmp_path / "a.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "classify", "--input", str(path))
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["kind"] == "InvalidInputError" and "not valid JSON" in doc["error"]
 
     @pytest.mark.parametrize(
         "document",

@@ -559,17 +559,46 @@ class TestVerifier:
             sb.verify_constant_spectrum(lambda lam: a, sb.spectrum(a))
 
 
-def reference_check(curve, expected, samples=100, radius=10.0, tol=1e-6):
-    """The verifier as a per-point loop: scalar evaluation, one eigensolve
-    and one bottleneck assignment per sample, first maximum kept."""
+def reference_deviations(curve, expected, samples=100, radius=10.0):
+    """Eigenvalue deviation of every sample by a per-point loop: scalar
+    evaluation, one eigensolve and one bottleneck assignment per sample."""
     exp_values = np.asarray(expected.values)
-    worst, worst_point = -1.0, None
+    deviations = []
     for lam in curves_module._sample_points(samples, radius):
         vals = np.linalg.eigvals(curve(lam))
         dev, _ = sb.bottleneck_assignment(np.abs(vals[:, None] - exp_values[None, :]))
-        if dev > worst:
-            worst, worst_point = dev, complex(lam)
-    return worst <= tol, worst, worst_point
+        deviations.append(dev)
+    return np.array(deviations)
+
+
+def reference_check(curve, expected, samples=100, radius=10.0, tol=1e-6):
+    """The eigensolve-only verifier as a per-point loop, first maximum kept."""
+    deviations = reference_deviations(curve, expected, samples, radius)
+    k = int(np.argmax(deviations))
+    points = curves_module._sample_points(samples, radius)
+    return deviations[k] <= tol, deviations[k], complex(points[k])
+
+
+def settled_samples(values, expected):
+    """The samples that the power sums settle: every bound tau_k at most
+    SPECTRUM_TOL and every |p_k(X) - p_k(expected)| at most its tau_k."""
+    delta, tau = curves_module._power_sums(values, np.asarray(expected.values))
+    return ((tau <= curves_module.SPECTRUM_TOL) & (delta <= tau)).all(axis=1)
+
+
+def assert_matches_reference_over_unsettled(check, curve, expected):
+    """max_deviation and worst_point are the reference loop's over the
+    unsettled samples, or its value at worst_point when all are settled."""
+    points = curves_module._sample_points(check.samples, check.radius)
+    deviations = reference_deviations(curve, expected, check.samples, check.radius)
+    settled = settled_samples(curve(points), expected)
+    assert check.settled == settled.sum()
+    if settled.all():
+        k = int(np.flatnonzero(points == check.worst_point)[0])
+    else:
+        k = int(np.argmax(np.where(settled, -1.0, deviations)))
+        assert check.worst_point == points[k]
+    assert abs(check.max_deviation - deviations[k]) <= 1e-12
 
 
 def scalar_polynomial(coefficients, lam):
@@ -630,15 +659,16 @@ class TestVectorizedVerifier:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_verifier_matches_reference_loop(self, n):
+        # the settled samples skip the eigensolve: max_deviation is the
+        # reference's over the others, or its value at worst_point when
+        # every sample is settled
         rng = np.random.default_rng(700 + n)
         a, curves = curves_of_each_class(rng, n)
         expected = sb.spectrum(a)
         for curve in curves:
             check = sb.verify_constant_spectrum(curve, expected)
-            passed, worst, worst_point = reference_check(curve, expected)
-            assert abs(check.max_deviation - worst) <= 1e-12
-            assert check.worst_point == worst_point
-            assert check.passed == passed
+            assert check.passed == reference_check(curve, expected)[0]
+            assert_matches_reference_over_unsettled(check, curve, expected)
 
     def test_verifier_fallback_on_shared_nearest_value(self, monkeypatch):
         # both computed eigenvalues (0.4, 0.45) lie nearest to the expected 0,
@@ -659,6 +689,83 @@ class TestVectorizedVerifier:
         assert check.worst_point == 0.0 and not check.passed
         passed, worst, worst_point = reference_check(c, sb.spectrum(np.diag([0.0, 1.0])), 5)
         assert (passed, worst, worst_point) == (False, 0.55, 0.0)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_power_sums_match_plain_loop(self, n):
+        # complex powers of one matrix at a time, the bound term by term
+        rng = np.random.default_rng(930 + n)
+        values = np.stack([random_gaussian(rng, n) for _ in range(6)])
+        expected = np.linalg.eigvals(values[0])
+        delta, tau = curves_module._power_sums(values, expected)
+        u, r = np.finfo(float).eps / 2.0, np.abs(expected).max()
+        for x, d, t in zip(values, delta, tau):
+            powers = [np.linalg.matrix_power(x, k) for k in range(n + 1)]
+            norms = [np.linalg.norm(p) for p in powers]
+            for k in range(1, n + 1):
+                products = sum(norms[j - 1] * norms[k - j] for j in range(2, k + 1))
+                bound = 16 * n * u * (norms[1] * products + np.sqrt(n) * norms[k] + k * r**k)
+                assert t[k - 1] == pytest.approx(bound, rel=1e-9)
+                difference = abs(np.trace(powers[k]) - np.sum(expected**k))
+                assert abs(d[k - 1] - difference) <= 1e-9 * difference + t[k - 1]
+        assert ((delta <= tau).all(axis=1) == [True] + [False] * 5).all()
+
+    @pytest.mark.parametrize("delta", (1e-3, 1e-5))
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_power_sums_never_settle_a_nonconstant_sample(self, n, delta):
+        # A + lam delta N with N not nilpotent: only lam = 0 has A's spectrum
+        rng = np.random.default_rng(900 + n)
+        a = random_ball_matrix(rng, n, radius=0.7)
+        direction = np.diag(np.arange(1.0, n + 1.0)) + random_gaussian(rng, n)
+        assert np.linalg.norm(np.linalg.matrix_power(direction, n)) > 1.0
+        c = sb.MatrixPolynomialCurve([a, delta * direction])
+        check = sb.verify_constant_spectrum(c, sb.spectrum(a))
+        assert not check.passed
+        assert check.settled <= 1
+
+    def test_power_sum_bound_grows_with_the_powers(self):
+        # near 0 the bound covers the rounding of p_k through the norms of
+        # X^k, so those samples settle; far out ||X^k|| lifts the bound above
+        # SPECTRUM_TOL and those samples go to eigvals
+        rng = np.random.default_rng(910)
+        a = random_ball_matrix(rng, 8, radius=0.7)
+        y = 0.2 * random_gaussian(rng, 8)
+        curve = sb.zero_metric_curve(a, a @ y - y @ a)
+        expected = sb.spectrum(a)
+        check = sb.verify_constant_spectrum(curve, expected, radius=10.0)
+        assert check.passed and check.settled < check.samples
+        values = curve(curves_module._sample_points(check.samples, check.radius))
+        settled = settled_samples(values, expected)
+        norms = np.linalg.norm(values, axis=(1, 2))
+        assert settled[norms <= 100.0].all()
+        assert not settled[norms >= 1000.0].any()
+        assert_matches_reference_over_unsettled(check, curve, expected)
+
+    def test_settles_a_constant_defective_spectrum(self):
+        # eigvals split a 6 x 6 Jordan block by about eps^(1/6), which the
+        # eigenvalue tolerance rejects; its power sums match to rounding
+        rng = np.random.default_rng(1)
+        q = random_unitary(rng, 6)
+        curve = sb.MatrixPolynomialCurve([q @ jordan_block(0.3, 6) @ q.conj().T])
+        expected = sb.Spectrum(np.full(6, 0.3 + 0j))
+        check = sb.verify_constant_spectrum(curve, expected)
+        assert check.passed and check.settled == check.samples
+        assert not reference_check(curve, expected)[0]
+        assert_matches_reference_over_unsettled(check, curve, expected)
+
+    def test_overflowing_powers_fall_back_silently(self):
+        # ||X|| ~ 1e40: X^10 overflows, so no sample settles and no warning
+        # is raised; eigvals then give the reference loop's verdict
+        rng = np.random.default_rng(920)
+        a = 1e40 * random_ball_matrix(rng, 10, radius=1.0)
+        y = 0.2 * random_gaussian(rng, 10)
+        curve = sb.ExpConjugationCurve(base=a, generator=y)
+        expected = sb.spectrum(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check = sb.verify_constant_spectrum(curve, expected, samples=20, radius=1.0)
+        assert check.settled == 0
+        assert check.passed == reference_check(curve, expected, 20, 1.0)[0]
+        assert_matches_reference_over_unsettled(check, curve, expected)
 
     def test_multiset_distance_mixed_stack(self):
         b = np.array([0.0, 1.0])
