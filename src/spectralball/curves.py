@@ -11,8 +11,8 @@ Three entire closed forms witness degenerate invariant-distance behaviour:
   quadratic 2x2 witness with constant trace and determinant.
 
 ``verify_constant_spectrum`` samples any curve, settles the samples whose
-power sums match the expected spectrum's within their rounding bound, and
-reports the worst eigenvalue-multiset deviation of the others.
+power sums prove their spectrum within SPECTRUM_TOL of the expected one,
+and reports the worst eigenvalue-multiset deviation of the others.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ STRUCTURE_TOL = 1e-8
 #: constant spectrum.
 SPECTRUM_TOL = 1e-6
 
-# Safety factor c of the power-sum rounding bound (``_power_sums``).
+# Safety factor c of the power-sum error bound (``_power_sums``).
 _POWER_SUM_SAFETY = 16.0
 
 # Coefficient of the isotropy quadratic of the 2x2 witness below which it
@@ -326,9 +326,10 @@ def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
 class SpectrumCheck:
     """Outcome of sampling a curve against an expected spectrum, passed at ``tol``.
 
-    ``settled`` of the ``samples`` passed the power-sum test; ``max_deviation``
-    and ``worst_point`` are the worst eigenvalue deviation over the others, or,
-    when all are settled, the deviation of the one nearest to its bound.
+    ``settled`` of the ``samples`` were proved by their power sums to lie
+    within ``tol`` (``_settle_ratio``); ``max_deviation`` and ``worst_point``
+    are the worst eigenvalue deviation over the others, or, when all are
+    settled, the deviation of the one nearest to its bound.
     """
 
     passed: bool = field(init=False)
@@ -340,7 +341,7 @@ class SpectrumCheck:
     tol = SPECTRUM_TOL
 
     def __post_init__(self):
-        self.passed = bool(self.settled == self.samples or self.max_deviation <= self.tol)
+        self.passed = bool(self.max_deviation <= self.tol)
 
 
 def _sample_points(samples, radius):
@@ -381,20 +382,22 @@ def _power_sums(values, expected):
 
     For each value X, delta_k = |p_k(X) - p_k(expected)| compares the power
     sums p_k = tr X^k, k = 1..n, which fix the spectrum (Newton's
-    identities), and tau_k bounds the rounding of that difference:
+    identities), and tau_k bounds, to first order in u, what rounding and
+    the backward error c n u ||X|| of a stable eigensolver change p_k by:
 
-        tau_k = c n u (||X|| sum_{j=2..k} ||X^(j-1)|| ||X^(k-j)||
-                       + sqrt(n) ||X^k|| + k r^k),
+        tau_k = c n u (||X|| (sum_{j=2..k} ||X^(j-1)|| ||X^(k-j)||
+                              + k ||X^(k-1)||) + sqrt(n) ||X^k|| + k r^k),
 
     Frobenius norms, u the unit roundoff, r = max |expected| and c the
     safety factor.  The terms bound the rounding of the products
-    P_k = P_(k-1) X, of the trace and of the expected p_k.  A power that
-    overflows gives inf or nan, silently.
+    P_k = P_(k-1) X, the eigensolver's perturbation F (|tr((X+F)^k - X^k)|
+    <= k ||X^(k-1)|| ||F|| to first order), the trace and the expected p_k.
+    A power that overflows gives inf or nan, silently.
     """
     m, n, _ = values.shape
     # X = A + iB acts on the row block [Re P, Im P] as the real matrix
     # [[A, B], [-B, A]], whose top row block is X's own: one real product
-    # per power
+    # per power, about twice as fast as numpy's stacked complex product
     step = np.empty((m, 2 * n, 2 * n))
     step[:, :n, :n] = step[:, n:, n:] = values.real
     step[:, :n, n:] = values.imag
@@ -410,16 +413,69 @@ def _power_sums(values, expected):
             sums.real[:, k - 1] = np.trace(block, axis1=1, axis2=2)
             sums.imag[:, k - 1] = np.trace(block, offset=n, axis1=1, axis2=2)
             norms[:, k] = np.sqrt(np.einsum("mij,mij->m", block, block))
-        products = np.zeros((m, n))
-        for k in range(2, n + 1):
-            products[:, k - 1] = (norms[:, 1:k] * norms[:, k - 2 :: -1]).sum(axis=1)
         order = np.arange(1, n + 1)
+        products = order * norms[:, :-1]
+        for k in range(2, n + 1):
+            products[:, k - 1] += (norms[:, 1:k] * norms[:, k - 2 :: -1]).sum(axis=1)
         r = np.abs(expected).max(initial=0.0)
         tau = (_POWER_SUM_SAFETY * n * np.finfo(float).eps / 2.0) * (
             norms[:, 1:2] * products + np.sqrt(n) * norms[:, 1:] + order * r**order
         )
         delta = np.abs(sums - np.vander(expected, n + 1, increasing=True)[:, 1:].sum(axis=0))
     return delta, tau
+
+
+def _settle_ratio(values, expected):
+    """For each of the (m, n, n) values, a ratio below 1 proves that every
+    matrix within a stable eigensolver's backward error of it has its
+    spectrum within SPECTRUM_TOL of *expected*; inf where nothing is proved.
+
+    With e_k the elementary symmetric functions, Newton's identities
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i turn the power-sum bounds
+    eps_k = delta_k + tau_k >= |p_k(X) - p_k(expected)| (``_power_sums``)
+    into bounds d_k on |e_k(X) - e_k(expected)|, linear in eps as long as
+    every eps_k <= P_k = sum |expected|^k (then |p_k(X)| <= 2 P_k).  The
+    characteristic polynomials of X and of *expected* then differ by at most
+    H_i = sum_k d_k (|lam_i| + rho)^(n-k) on the circle |z - lam_i| = rho,
+    rho = SPECTRUM_TOL, where the expected one is at least
+    L_i = rho prod_(j != i) (|lam_i - lam_j| - rho).  Where every
+    H_i < L_i and the circles are disjoint, Rouche's theorem puts one
+    eigenvalue of X in each disc.  The ratio is the largest H_i / L_i.  An
+    expected spectrum with two values within 2 rho (repeated or clustered)
+    settles nothing, since its discs overlap.
+    """
+    m, n, _ = values.shape
+    rho = SPECTRUM_TOL
+    gaps = np.abs(expected[:, None] - expected)
+    np.fill_diagonal(gaps, np.inf)
+    if gaps.min(initial=np.inf) <= 2.0 * rho:
+        return np.full(m, np.inf)
+    radii = np.abs(expected)
+    order = np.arange(1, n + 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sums_bound = (radii ** order[:, None]).sum(axis=1)
+        # e_k(|expected|) >= |e_k(expected)|
+        coeffs_bound = np.poly(-radii).real
+        # row k: d_k = gain[k] @ eps, from
+        # k d_k <= sum_(i<k) 2 P_(k-i) d_i + sum_(i<=k) e_(k-i) eps_i
+        gain = np.zeros((n + 1, n))
+        for k in order:
+            gain[k, :k] = coeffs_bound[k - 1 :: -1]
+            if k > 1:
+                gain[k] += 2.0 * sums_bound[k - 2 :: -1] @ gain[1:k]
+            gain[k] /= k
+        floor = rho * np.prod(gaps - rho, axis=1, where=np.isfinite(gaps))
+        reach = gain[1:].T @ (radii + rho) ** (n - order[:, None]) / floor
+    # an expected spectrum too large for these bounds proves nothing
+    if not (np.isfinite(sums_bound).all() and np.isfinite(reach).all() and floor.all()):
+        return np.full(m, np.inf)
+    delta, tau = _power_sums(values, expected)
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = delta + tau
+        ratio = (errors @ reach).max(axis=1)
+        # a nan or inf power proves nothing
+        proved = (errors <= sums_bound).all(axis=1) & (ratio < 1.0)
+    return np.where(proved, ratio, np.inf)
 
 
 def verify_constant_spectrum(
@@ -432,15 +488,16 @@ def verify_constant_spectrum(
 
     Evaluates the curve at *samples* >= 2 points with |lam| <= radius, a
     finite radius >= 0 (0 and 1 are always sampled).  A sample is settled
-    when its power sums match the expected spectrum's within their rounding
-    bound and that bound is at most SPECTRUM_TOL (``_power_sums``).  Every
-    other sample gets the optimal-pairing eigenvalue deviation, and the
-    check passes iff every sample is settled or the worst deviation is at
-    most SPECTRUM_TOL.  When every sample is settled, the deviation is
-    measured at the one nearest to its bound.  The curve is called once,
-    with the 1-D array of sample points, and must return the stack of its
-    values, one (n, n) matrix per point, as the curve classes of this
-    module do.
+    when its power sums prove that its spectrum, and that of every matrix
+    within a stable eigensolver's backward error of it, lies within
+    SPECTRUM_TOL of the expected one (``_settle_ratio``); an expected
+    spectrum with repeated or clustered values settles nothing.  Every
+    other sample gets the optimal-pairing eigenvalue deviation, or, when
+    every sample is settled, the one nearest to its bound does; the check
+    passes iff the worst deviation is at most SPECTRUM_TOL.  The curve is
+    called once, with the 1-D array of sample points, and must return the
+    stack of its values, one (n, n) matrix per point, as the curve classes
+    of this module do.
     """
     if samples < 2:
         raise InvalidInputError(
@@ -463,12 +520,10 @@ def verify_constant_spectrum(
         )
     if not np.isfinite(values).all():
         raise InvalidInputError("matrix entries must be finite")
-    delta, tau = _power_sums(values, exp_values)
-    # a nan or inf settles nothing
-    settled = ((tau <= SPECTRUM_TOL) & (delta <= tau)).all(axis=1)
+    ratio = _settle_ratio(values, exp_values)
+    settled = ratio < 1.0
     if settled.all():
-        ratio = np.divide(delta, tau, out=np.zeros_like(delta), where=tau > 0.0)
-        measured = [int(np.argmax(ratio.max(axis=1, initial=0.0)))]
+        measured = [int(np.argmax(ratio))]
     else:
         measured = np.flatnonzero(~settled)
     deviations = multiset_distance(np.linalg.eigvals(values[measured]), exp_values)

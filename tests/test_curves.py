@@ -580,18 +580,18 @@ def reference_check(curve, expected, samples=100, radius=10.0, tol=1e-6):
 
 
 def settled_samples(values, expected):
-    """The samples that the power sums settle: every bound tau_k at most
-    SPECTRUM_TOL and every |p_k(X) - p_k(expected)| at most its tau_k."""
-    delta, tau = curves_module._power_sums(values, np.asarray(expected.values))
-    return ((tau <= curves_module.SPECTRUM_TOL) & (delta <= tau)).all(axis=1)
+    """The samples that the power sums settle: a settle ratio below 1."""
+    return curves_module._settle_ratio(values, np.asarray(expected.values)) < 1.0
 
 
 def assert_matches_reference_over_unsettled(check, curve, expected):
-    """max_deviation and worst_point are the reference loop's over the
-    unsettled samples, or its value at worst_point when all are settled."""
+    """Every settled sample passes the reference loop; max_deviation and
+    worst_point are the loop's over the unsettled samples, or its value at
+    worst_point when all are settled."""
     points = curves_module._sample_points(check.samples, check.radius)
     deviations = reference_deviations(curve, expected, check.samples, check.radius)
     settled = settled_samples(curve(points), expected)
+    assert (deviations[settled] <= curves_module.SPECTRUM_TOL).all()
     assert check.settled == settled.sum()
     if settled.all():
         k = int(np.flatnonzero(points == check.worst_point)[0])
@@ -703,6 +703,7 @@ class TestVectorizedVerifier:
             norms = [np.linalg.norm(p) for p in powers]
             for k in range(1, n + 1):
                 products = sum(norms[j - 1] * norms[k - j] for j in range(2, k + 1))
+                products += k * norms[k - 1]
                 bound = 16 * n * u * (norms[1] * products + np.sqrt(n) * norms[k] + k * r**k)
                 assert t[k - 1] == pytest.approx(bound, rel=1e-9)
                 difference = abs(np.trace(powers[k]) - np.sum(expected**k))
@@ -724,8 +725,9 @@ class TestVectorizedVerifier:
 
     def test_power_sum_bound_grows_with_the_powers(self):
         # near 0 the bound covers the rounding of p_k through the norms of
-        # X^k, so those samples settle; far out ||X^k|| lifts the bound above
-        # SPECTRUM_TOL and those samples go to eigvals
+        # X^k, so those samples settle; far out ||X^k|| lifts the bound, which
+        # Newton's identities and 1 / prod |lam_i - lam_j| magnify past the
+        # discs of radius SPECTRUM_TOL, and those samples go to eigvals
         rng = np.random.default_rng(910)
         a = random_ball_matrix(rng, 8, radius=0.7)
         y = 0.2 * random_gaussian(rng, 8)
@@ -736,25 +738,65 @@ class TestVectorizedVerifier:
         values = curve(curves_module._sample_points(check.samples, check.radius))
         settled = settled_samples(values, expected)
         norms = np.linalg.norm(values, axis=(1, 2))
-        assert settled[norms <= 100.0].all()
-        assert not settled[norms >= 1000.0].any()
+        assert settled[norms <= 10.0].all()
+        assert not settled[norms >= 100.0].any()
         assert_matches_reference_over_unsettled(check, curve, expected)
 
-    def test_settles_a_constant_defective_spectrum(self):
-        # eigvals split a 6 x 6 Jordan block by about eps^(1/6), which the
-        # eigenvalue tolerance rejects; its power sums match to rounding
+    def test_defective_spectrum_keeps_the_eigenvalue_verdict(self):
+        # a repeated expected value settles nothing: eigvals split a 6 x 6
+        # Jordan block by about eps^(1/6), and the eigenvalue tolerance
+        # rejects the curve as the reference loop does
         rng = np.random.default_rng(1)
         q = random_unitary(rng, 6)
         curve = sb.MatrixPolynomialCurve([q @ jordan_block(0.3, 6) @ q.conj().T])
         expected = sb.Spectrum(np.full(6, 0.3 + 0j))
         check = sb.verify_constant_spectrum(curve, expected)
-        assert check.passed and check.settled == check.samples
-        assert not reference_check(curve, expected)[0]
+        assert check.settled == 0
+        passed, worst, worst_point = reference_check(curve, expected)
+        assert not passed and (check.passed, check.worst_point) == (passed, worst_point)
+        assert abs(check.max_deviation - worst) <= 1e-12
+
+    def test_nilpotent_drift_is_not_settled(self):
+        # [[0, 1e4], [1e-12 lam, 0]] has eigenvalues +-1e-4 sqrt(lam), about
+        # 3e-4 at |lam| = 10, while p_2 moves by only 2e-8 |lam|
+        curve = sb.MatrixPolynomialCurve(
+            [np.array([[0.0, 1e4], [0.0, 0.0]]), np.array([[0.0, 0.0], [1e-12, 0.0]])]
+        )
+        expected = sb.Spectrum(np.zeros(2, dtype=complex))
+        check = sb.verify_constant_spectrum(curve, expected)
+        assert check.settled == 0 and not check.passed
+        assert check.max_deviation > 100.0 * curves_module.SPECTRUM_TOL
+        passed, worst, worst_point = reference_check(curve, expected)
+        assert (check.passed, check.worst_point) == (passed, worst_point)
+        assert abs(check.max_deviation - worst) <= 1e-12
+
+    @pytest.mark.parametrize("n", (2, 5))
+    def test_settles_no_sample_beyond_the_tolerance(self, n):
+        # diag(lam_1 + s lam, lam_2, ...) with s = 3e-7 moves one eigenvalue
+        # by 3e-7 |lam|: the samples beyond |lam| = 10 / 3 must go to eigvals
+        base = np.exp(2j * np.pi * np.arange(n) / n) * 0.5
+        drift = np.zeros((n, n))
+        drift[0, 0] = 3e-7
+        curve = sb.MatrixPolynomialCurve([np.diag(base), drift])
+        expected = sb.Spectrum(base)
+        check = sb.verify_constant_spectrum(curve, expected)
+        assert not check.passed
+        points = curves_module._sample_points(check.samples, check.radius)
+        settled = settled_samples(curve(points), expected)
+        assert settled[0] and check.settled == settled.sum()
+        assert (3e-7 * np.abs(points[settled]) <= curves_module.SPECTRUM_TOL).all()
         assert_matches_reference_over_unsettled(check, curve, expected)
 
+    def test_clustered_expected_spectrum_settles_nothing(self):
+        # two expected values 1.5 SPECTRUM_TOL apart: their discs overlap
+        expected = sb.Spectrum(np.array([0.3, 0.3 + 1.5e-6, -0.4], dtype=complex))
+        curve = sb.MatrixPolynomialCurve([np.diag(expected.values)])
+        check = sb.verify_constant_spectrum(curve, expected)
+        assert check.settled == 0 and check.passed
+
     def test_overflowing_powers_fall_back_silently(self):
-        # ||X|| ~ 1e40: X^10 overflows, so no sample settles and no warning
-        # is raised; eigvals then give the reference loop's verdict
+        # ||X|| ~ 1e40: the tenth powers overflow, so no sample settles and no
+        # warning is raised; eigvals then give the reference loop's verdict
         rng = np.random.default_rng(920)
         a = 1e40 * random_ball_matrix(rng, 10, radius=1.0)
         y = 0.2 * random_gaussian(rng, 10)
