@@ -27,21 +27,9 @@ from .errors import (
     SpectralBallError,
     UnsupportedError,
 )
-from .matcore import (
-    DEFAULT_TOL, PAIRING_TOL, SymPoint, as_matrix, companion, elementary_symmetric, sigma,
-    spectrum,
-)
+from .matcore import DEFAULT_TOL, PAIRING_TOL, as_matrix, companion, sigma, spectrum
 
 USER_ERRORS = (InvalidInputError, DomainError, PreconditionError, UnsupportedError)
-
-#: Library functions this module re-exports, resolved on first access (PEP 562).
-_REEXPORTS = ("sample_omega", "discontinuity_report")
-
-
-def __getattr__(name):
-    if name in _REEXPORTS:
-        return getattr(sys.modules[__package__], name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +148,7 @@ def _cmd_classify(args):
 def _cmd_sigma(args):
     a = _load_matrix(args.input)
     sp = spectrum(a)
-    point = SymPoint(elementary_symmetric(sp.values))
+    point = sp.symmetrized()
     roundtrip = float(np.max(np.abs(sigma(companion(point)).coords - point.coords)))
     return {
         "command": "sigma",

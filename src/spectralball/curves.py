@@ -31,11 +31,11 @@ from .errors import (
 from .geometry import _FramePath, _triangular_frames
 from .matcore import (
     PAIRING_TOL,
-    _bottleneck_pairing,
     _centered,
     _cmul,
     _rank_by_svd,
     as_matrix,
+    bottleneck_assignment,
     expm_pair,
     sigma_pushforward,
     solve_conjugation,
@@ -159,7 +159,7 @@ def iso_spectral_curve(a, b) -> TriangularConjugationCurve:
     """
 
     def pairing(sp_a, sp_b):
-        gap, perm = _bottleneck_pairing(np.abs(sp_a.values[:, None] - sp_b.values))
+        gap, perm = bottleneck_assignment(np.abs(sp_a.values[:, None] - sp_b.values))
         if gap > PAIRING_TOL * (1.0 + sp_a.radius):
             raise PreconditionError(f"spectra differ as multisets (gap {gap:.3e})")
         return perm
@@ -363,18 +363,16 @@ def multiset_distance(values_a, values_b):
     against the same *values_b*; the result then has shape (...), and a
     single multiset gives a float.
 
-    Nearest values are paired when they are distinct (then that pairing is
-    optimal); any other multiset goes to ``bottleneck_assignment``.  Either
-    way the result is an exact entry of the distance matrix.
+    The pairing is ``bottleneck_assignment``'s, so the result is an exact
+    entry of the distance matrix; empty multisets are at distance 0.
     """
     a = np.atleast_1d(np.asarray(values_a, dtype=complex))
     b = np.atleast_1d(np.asarray(values_b, dtype=complex))
     if a.shape[-1] != len(b):
         raise InvalidInputError("multisets must have equal size")
-    value, _ = _bottleneck_pairing(np.abs(a[..., :, None] - b))
-    if a.ndim == 1:
-        return float(value)
-    return value
+    # a leading axis makes even one multiset a stack, which may be empty
+    value, _ = bottleneck_assignment(np.abs(a[None, ..., :, None] - b))
+    return float(value[0]) if a.ndim == 1 else value[0]
 
 
 def _power_sums(values, expected):

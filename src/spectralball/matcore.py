@@ -12,11 +12,12 @@ numpy arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NoSolutionError
+from .errors import InvalidInputError, NoSolutionError, NumericError
 
 #: Default relative tolerance for residuals and rank decisions.
 DEFAULT_TOL = 1e-9
@@ -68,15 +69,23 @@ def _rank_by_svd(s):
 def _centered(a, tol):
     """(tau, c, M) with A = tau I + c M, tau = tr(A) / n and c = max |A - tau I|,
     so no entry of M exceeds 1.  A is scalar (c = 0, M = 0) when
-    c <= tol * max |A|."""
+    c <= tol * max |A|.  The steps act on A 2^-e, 2^e just above A's largest
+    real or imaginary part, and tau and c are scaled back: no trace overflows
+    nor divisor is subnormal, and in the normal range each step rounds as on
+    A itself.  At the top of the range tau or c may be inf."""
     n = a.shape[0]
-    tau = a.trace() / n
-    d = a.copy()
+    parts = np.ascontiguousarray(a).view(float)
+    e = math.frexp(np.abs(parts).max())[1]
+    d = np.ldexp(parts, -e).view(complex)
+    top = float(np.abs(d).max())
+    tau = complex(d.trace() / n)
     d.flat[:: n + 1] -= tau
     c = float(np.abs(d).max())
-    if c <= tol * float(np.abs(a).max()):
+    half = math.ldexp(1.0, e - 1)  # 2^e in two factors: 2^1024 is no float
+    tau = complex(tau.real * half * 2.0, tau.imag * half * 2.0)
+    if c <= tol * top:
         return tau, 0.0, np.zeros_like(d)
-    return tau, c, d / c
+    return tau, c * half * 2.0, d / c
 
 
 def _cmul(a, b):
@@ -98,6 +107,14 @@ class Spectrum:
 
     def in_spectral_ball(self) -> bool:
         return self.radius < 1.0
+
+    def symmetrized(self) -> SymPoint:
+        """SymPoint of the values; NumericError when a coordinate overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            coords = elementary_symmetric(self.values)
+        if not np.isfinite(coords).all():
+            raise NumericError("symmetrized coordinates overflow")
+        return SymPoint(coords)
 
 
 @dataclass(eq=False)
@@ -155,9 +172,10 @@ def sigma(a) -> SymPoint:
 
     The j-th coordinate is the j-th elementary symmetric function of the
     eigenvalues; equivalently the characteristic polynomial of A is
-    t^n + sum_j (-1)^j sigma_j t^(n-j).
+    t^n + sum_j (-1)^j sigma_j t^(n-j).  A coordinate that overflows
+    raises NumericError.
     """
-    return SymPoint(elementary_symmetric(spectrum(a).values))
+    return spectrum(a).symmetrized()
 
 
 def sigma_pushforward(a, b) -> np.ndarray:
@@ -251,54 +269,26 @@ def _perfect_matching(adj):
 
 
 def bottleneck_assignment(cost):
-    """Assignment minimizing the maximum cost entry.
+    """Assignment minimizing the largest cost entry, for one square cost or
+    a stack of them, shape (..., n, n).
 
-    Every assignment uses an entry of each row and of each column, so the
-    larger of the largest row minimum and the largest column minimum is a
-    lower bound.  That threshold is tested first, and only when it admits
-    no perfect matching does a bisection over the larger cost values
-    follow.  Returns (value, permutation) where permutation[i] is the column
-    matched to row i and the value is an exact entry of the cost matrix;
-    the permutation is the matching found at that value's threshold.
+    The largest row minimum is a lower bound, which the nearest pairing
+    attains wherever the rows' nearest columns are distinct: one test over
+    the whole stack.  Each other slice tests the larger of that bound and
+    the largest column minimum with one matching; only if that fails does a
+    bisection over the larger entries follow, ended by one matching at the
+    value found.  Returns (value, permutation), permutation[..., i] the
+    column of row i and each value an entry of its slice: a float for one
+    cost, arrays of shape (...) and (..., n) for a stack, value 0 at n = 0.
 
-    Raises InvalidInputError for an empty, non-square or non-finite cost.
+    Raises InvalidInputError for a non-square or non-finite cost, or a
+    single empty one.
     """
     cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+    if cost.ndim < 2 or cost.shape[-1] != cost.shape[-2]:
         raise InvalidInputError("cost matrix must be square")
-    if cost.size == 0 or not np.isfinite(cost).all():
+    if cost.shape == (0, 0) or not np.isfinite(cost).all():
         raise InvalidInputError("cost matrix must be non-empty and finite")
-    bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())
-    best = _perfect_matching(cost <= bound)
-    if best is not None:
-        return float(bound), best
-    values = np.unique(cost[cost > bound])
-    lo, hi = 0, len(values) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        perm = _perfect_matching(cost <= values[mid])
-        if perm is None:
-            lo = mid + 1
-        else:
-            hi = mid
-            best = perm
-    if best is None:
-        # the largest value admits every pairing
-        best = _perfect_matching(cost <= values[lo])
-    return float(values[lo]), best
-
-
-def _bottleneck_pairing(cost):
-    """Bottleneck-optimal pairing of every slice of a cost stack (..., n, n).
-
-    Returns (value, perm): value[...] is the least largest entry over all
-    permutations and perm[..., i] the column paired with row i.  Pairing
-    each row with its nearest column gives a lower bound; when those
-    columns are distinct they attain it, so that pairing is exact.  Any
-    other slice goes to ``bottleneck_assignment``.  Either way the value is
-    an exact entry of the slice; empty slices (n = 0) have value 0.
-    """
-    cost = np.asarray(cost, dtype=float)
     n = cost.shape[-1]
     if n == 0:
         return np.zeros(cost.shape[:-2]), np.zeros(cost.shape[:-1], dtype=int)
@@ -307,7 +297,23 @@ def _bottleneck_pairing(cost):
     value = flat.min(axis=2).max(axis=1)
     distinct = (np.sort(perm, axis=1) == np.arange(n)).all(axis=1)
     for k in np.flatnonzero(~distinct):
-        value[k], perm[k] = bottleneck_assignment(flat[k])
+        c = flat[k]
+        bound = max(value[k], c.min(axis=0).max())
+        match = _perfect_matching(c <= bound)
+        if match is None:
+            values = np.unique(c[c > bound])
+            lo, hi = 0, len(values) - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if _perfect_matching(c <= values[mid]) is None:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            bound = values[lo]
+            match = _perfect_matching(c <= bound)
+        value[k], perm[k] = bound, match
+    if cost.ndim == 2:
+        return float(value[0]), perm[0]
     return value.reshape(cost.shape[:-2]), perm.reshape(cost.shape[:-1])
 
 

@@ -123,10 +123,10 @@ class PolyCoeffs:
         a = as_matrix(m)
         out = np.zeros_like(a)
         power = np.eye(a.shape[0], dtype=complex)
-        for c in self.coeffs:
+        for c in self.coeffs[:-1]:
             out = out + c * power
             power = power @ a
-        return out
+        return out + power  # the leading coefficient is 1
 
 
 def _unit_columns(w):

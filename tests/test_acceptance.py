@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spectralball as sb
-from spectralball.cli import discontinuity_report, sample_omega
+from spectralball import discontinuity_report, sample_omega
 from conftest import (
     brute_force_bottleneck,
     crafted_suite,

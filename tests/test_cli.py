@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import spectralball as sb
-from spectralball import cli
-from spectralball.cli import _to_json, emit_matrix, main, parse_matrix, sample_omega
+from spectralball import cli, sample_omega
+from spectralball.cli import _to_json, emit_matrix, main, parse_matrix
 from conftest import random_gaussian
 
 
@@ -480,6 +480,31 @@ class TestCommands:
         assert out == ""
         assert json.loads(err)["kind"] == "NumericError"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "a",
+        [1e-320 * np.array([[1.0, 2.0], [0.0, 3.0]]), 1e308 * np.eye(2)],
+        ids=["subnormal", "top-of-range-scalar"],
+    )
+    def test_classify_at_extreme_scales(self, tmp_path, capsys, a):
+        # regression: the trace of 1e308 I overflowed, and dividing by a
+        # subnormal c put inf in M; either ended in LinAlgError (exit 1)
+        path = write_matrix(tmp_path / "a.json", a)
+        code, out, err = run_cli(capsys, "classify", "--input", path)
+        assert code == 0 and err == ""
+        unscaled = sb.classify(a / np.abs(a).max()).verdict
+        assert json.loads(out)["outputs"]["nonderogatory"] == unscaled
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sigma_overflow_exit_3(self, tmp_path, capsys):
+        # finite input whose coordinates (2e308, 1e616) overflow
+        path = write_matrix(tmp_path / "a.json", np.diag([1e308, 1e308]))
+        code, out, err = run_cli(capsys, "sigma", "--input", path)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "symmetrized coordinates overflow", "kind": "NumericError"
+        }
+
     def test_outside_ball_exit_2(self, tmp_path, capsys):
         path = write_matrix(tmp_path / "b.json", np.diag([1.5, 0.0]))
         code, _, _ = run_cli(capsys, "discontinuity", "--input", path)
@@ -514,6 +539,3 @@ class TestSampling:
     def test_invalid(self):
         with pytest.raises(sb.InvalidInputError):
             sample_omega(0, 5, 1)
-
-    def test_library_function(self):
-        assert sample_omega is sb.sample_omega

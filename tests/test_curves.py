@@ -674,14 +674,16 @@ class TestVectorizedVerifier:
         # both computed eigenvalues (0.4, 0.45) lie nearest to the expected 0,
         # so the nearest-value pairing is no permutation: the optimal one
         # pairs 0.4 -> 0 and 0.45 -> 1, at distance 0.55, not 0.45
+        # each of the 5 samples goes to one matching, at the largest column
+        # minimum
         calls = []
-        original = matcore_module.bottleneck_assignment
+        original = matcore_module._perfect_matching
 
-        def counting(cost):
-            calls.append(cost)
-            return original(cost)
+        def counting(adj):
+            calls.append(adj)
+            return original(adj)
 
-        monkeypatch.setattr(matcore_module, "bottleneck_assignment", counting)
+        monkeypatch.setattr(matcore_module, "_perfect_matching", counting)
         c = sb.MatrixPolynomialCurve([np.diag([0.4, 0.45])])
         check = sb.verify_constant_spectrum(c, np.array([0.0, 1.0]), samples=5)
         assert len(calls) == 5
@@ -822,7 +824,7 @@ class TestVectorizedVerifier:
         assert sb.multiset_distance([], []) == 0.0
         assert isinstance(sb.multiset_distance([], []), float)
         np.testing.assert_array_equal(sb.multiset_distance(np.zeros((3, 0)), []), np.zeros(3))
-        value, perm = matcore_module._bottleneck_pairing(np.zeros((2, 0, 0)))
+        value, perm = sb.bottleneck_assignment(np.zeros((2, 0, 0)))
         assert value.shape == (2,) and perm.shape == (2, 0)
 
 
@@ -856,12 +858,12 @@ class TestMultisetDistanceProperties:
         # the pairing behind it: each permutation attains its value, and a
         # stack gives its slices' values and permutations
         cost = np.abs(a[:, :, None] - b)
-        value, perm = matcore_module._bottleneck_pairing(cost)
+        value, perm = sb.bottleneck_assignment(cost)
         np.testing.assert_array_equal(value, got)
         for k in range(len(a)):
             assert sorted(perm[k]) == list(range(len(b)))
             assert cost[k][np.arange(len(b)), perm[k]].max() == value[k]
-            one_value, one_perm = matcore_module._bottleneck_pairing(cost[k])
+            one_value, one_perm = sb.bottleneck_assignment(cost[k])
             assert one_value == value[k]
             np.testing.assert_array_equal(one_perm, perm[k])
 

@@ -177,7 +177,3 @@ def test_unknown_names_raise_attribute_error():
     with pytest.raises(AttributeError):
         cli.no_such_name
     assert not hasattr(sb, "_private")
-
-
-def test_cli_reexports_are_the_library_functions():
-    assert cli.discontinuity_report is sb.discontinuity_report

@@ -98,6 +98,35 @@ class TestSigma:
         assert sb.sigma(np.diag([0.5, -0.3])).in_symmetrized_polydisc()
         assert not sb.sigma(np.diag([1.5, 0.0])).in_symmetrized_polydisc()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_coordinates_raise_numeric_error(self):
+        # finite eigenvalues whose product, 1e616, no float holds
+        with pytest.raises(sb.NumericError, match="symmetrized coordinates overflow"):
+            sb.sigma(np.diag([1e308, 1e308]))
+        assert sb.spectrum(np.diag([1e154, 1e154])).symmetrized().coords[1] == 1e308
+
+
+class TestCentered:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-1066, -600, 600, 1019])
+    def test_same_normalized_matrix_at_every_scale(self, k):
+        # integer entries stay exact down to the subnormal range; at 2^1019
+        # the trace overflows unscaled, at 2^-1066 dividing by c does
+        rng = np.random.default_rng(17)
+        a = rng.integers(-8, 9, (4, 4)) + 1j * rng.integers(-8, 9, (4, 4))
+        tau, c, m = matcore_module._centered(a, sb.DEFAULT_TOL)
+        scaled = np.empty_like(a)
+        scaled.real, scaled.imag = np.ldexp(a.real, k), np.ldexp(a.imag, k)
+        tau_k, c_k, m_k = matcore_module._centered(scaled, sb.DEFAULT_TOL)
+        assert np.array_equal(m_k, m)
+        assert tau_k == complex(np.ldexp(tau.real, k), np.ldexp(tau.imag, k))
+        assert c_k == pytest.approx(np.ldexp(c, k), rel=1e-12 if k > -1000 else 1e-3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scalar_at_the_top_of_the_range(self):
+        tau, c, m = matcore_module._centered(1e308 * np.eye(3, dtype=complex), sb.DEFAULT_TOL)
+        assert (tau, c) == (1e308, 0.0) and not m.any()
+
 
 class TestElementarySymmetric:
     def test_values(self):
@@ -347,20 +376,29 @@ def square_costs(elements):
     return st.integers(1, 8).flatmap(lambda n: hnp.arrays(float, (n, n), elements=elements))
 
 
+def assert_equals_the_bisection(cost):
+    """The value is the reference's and the permutation attains it: the
+    nearest pairing where the rows' nearest columns are distinct, else the
+    reference's matching."""
+    value, perm = sb.bottleneck_assignment(cost)
+    ref_value, ref_perm = bisection_bottleneck(cost)
+    assert value == ref_value
+    assert cost[np.arange(len(cost)), perm].max() == value
+    nearest = cost.argmin(axis=1)
+    if len(set(nearest)) == len(cost):
+        assert np.array_equal(perm, nearest)
+    else:
+        assert np.array_equal(perm, ref_perm)
+
+
 class TestBottleneckAssignment:
     @given(square_costs(st.integers(0, 3).map(float)))
     def test_tied_costs_equal_the_bisection(self, cost):
-        value, perm = sb.bottleneck_assignment(cost)
-        ref_value, ref_perm = bisection_bottleneck(cost)
-        assert value == ref_value
-        assert np.array_equal(perm, ref_perm)
+        assert_equals_the_bisection(cost)
 
     @given(square_costs(st.floats(0.0, 1.0, allow_subnormal=False)))
     def test_real_costs_equal_the_bisection(self, cost):
-        value, perm = sb.bottleneck_assignment(cost)
-        ref_value, ref_perm = bisection_bottleneck(cost)
-        assert value == ref_value
-        assert np.array_equal(perm, ref_perm)
+        assert_equals_the_bisection(cost)
 
     def test_lower_bound_start_needs_one_matching(self, monkeypatch):
         calls = []
@@ -371,9 +409,14 @@ class TestBottleneckAssignment:
             return original(adj)
 
         monkeypatch.setattr(matcore_module, "_perfect_matching", counting)
-        # the largest row minimum (0.3) is attained by the diagonal
+        # distinct nearest columns attain the largest row minimum (0.3)
         value, perm = sb.bottleneck_assignment([[0.1, 0.2], [0.5, 0.3]])
         assert (value, list(perm)) == (0.3, [0, 1])
+        assert not calls
+        # both rows are nearest column 0; the largest column minimum (0.2)
+        # is attained by the antidiagonal
+        value, perm = sb.bottleneck_assignment([[0.1, 0.2], [0.15, 0.3]])
+        assert (value, list(perm)) == (0.2, [1, 0])
         assert len(calls) == 1
 
     def test_only_the_largest_cost_admits_a_matching(self):
