@@ -24,8 +24,10 @@ from .matcore import (
     Spectrum,
     _centered,
     _cmul,
+    _frobenius,
     _misses_order,
     _require_unitary,
+    _scaled_down,
     as_matrix,
     bottleneck_assignment,
     ordered_triangularize,
@@ -384,10 +386,10 @@ class HullWitness:
         n = A.shape[0]
         tau = np.trace(A) / n
         z1, z2 = (s.conj().T @ (t - tau * np.eye(n)) @ s for t in (t1, t2))
-        slack = max(np.linalg.norm(np.tril(z1)), np.linalg.norm(np.triu(z2)))
+        slack = max(_frobenius(np.tril(z1)), _frobenius(np.triu(z2)))
         return {
-            "reconstruction": float(np.linalg.norm(w1 * t1 + w2 * t2 - A)),
-            "triangularity": float(slack / (1.0 + np.linalg.norm(A))),
+            "reconstruction": _frobenius(w1 * t1 + w2 * t2 - A),
+            "triangularity": slack / (1.0 + _frobenius(A)),
         }
 
 
@@ -494,8 +496,14 @@ def hull_witness(a) -> HullWitness:
     if not inside:
         raise NotInHullError(f"|tr A|/n = {h:.6g} is not below 1")
     tau = np.trace(A) / n
-    s = _zero_diagonal_similarity(A - tau * np.eye(n))
-    z = s.conj().T @ (A - tau * np.eye(n)) @ s
+    m = A - tau * np.eye(n)
+    # W is unitary, so the W of m 2^-e serves m.  An m with an entry of 1 or
+    # more is scaled below 1, so that no norm or product of the reduction
+    # overflows; a smaller m is kept, as the floor 1 of the reduction's
+    # rounding scale stands for |tau| < 1
+    d, e = _scaled_down(m)
+    s = _zero_diagonal_similarity(d if e > 0 else m)
+    z = s.conj().T @ m @ s
     upper = np.triu(z, 1)
     lower = np.tril(z, -1)
     t1 = s @ (2.0 * upper + tau * np.eye(n)) @ s.conj().T

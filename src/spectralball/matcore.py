@@ -66,17 +66,32 @@ def _rank_by_svd(s):
     return rank, borderline
 
 
+def _scaled_down(x):
+    """(x 2^-e, e) for a complex array x, 2^e just above its largest real or
+    imaginary part (e = 0 when x is zero).  In the normal range the scaling
+    is exact, so each step on x 2^-e rounds as on x itself."""
+    parts = np.ascontiguousarray(x, dtype=complex).view(float)
+    e = math.frexp(np.abs(parts).max())[1]
+    return np.ldexp(parts, -e).view(complex), e
+
+
+def _frobenius(x) -> float:
+    """||x||_F, taken on ``_scaled_down(x)`` and scaled back: no square
+    overflows or underflows, so the norm is finite whenever it is
+    representable."""
+    d, e = _scaled_down(x)
+    half = math.ldexp(1.0, e - 1)  # 2^e in two factors: 2^1024 is no float
+    return float(np.linalg.norm(d)) * half * 2.0
+
+
 def _centered(a, tol):
     """(tau, c, M) with A = tau I + c M, tau = tr(A) / n and c = max |A - tau I|,
     so no entry of M exceeds 1.  A is scalar (c = 0, M = 0) when
-    c <= tol * max |A|.  The steps act on A 2^-e, 2^e just above A's largest
-    real or imaginary part, and tau and c are scaled back: no trace overflows
-    nor divisor is subnormal, and in the normal range each step rounds as on
-    A itself.  At the top of the range tau or c may be inf."""
+    c <= tol * max |A|.  The steps act on ``_scaled_down(A)``, and tau and c
+    are scaled back: no trace overflows nor divisor is subnormal.  At the top
+    of the range tau or c may be inf."""
     n = a.shape[0]
-    parts = np.ascontiguousarray(a).view(float)
-    e = math.frexp(np.abs(parts).max())[1]
-    d = np.ldexp(parts, -e).view(complex)
+    d, e = _scaled_down(a)
     top = float(np.abs(d).max())
     tau = complex(d.trace() / n)
     d.flat[:: n + 1] -= tau

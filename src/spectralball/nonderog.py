@@ -26,6 +26,7 @@ SVD of M - z I, z the cluster centres, or the n^2 x n^2 operator SVD decides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .matcore import (
     DEFAULT_TOL,
     SymPoint,
     _centered,
+    _frobenius,
     _rank_by_svd,
     as_matrix,
     commutation_operator,
@@ -88,8 +90,13 @@ class NonderogReport:
         self.verdict = sum(pool) * 2 > len(pool)
 
     def residuals(self, a) -> dict:
-        """``minimal_polynomial_norm``: ||p(A)||_F, p the minimal polynomial found."""
-        return {"minimal_polynomial_norm": float(np.linalg.norm(self.minimal_polynomial.on_matrix(a)))}
+        """``minimal_polynomial_norm``: ||p(A)||_F, p the minimal polynomial found.
+        NumericError when p(A) overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            p_a = self.minimal_polynomial.on_matrix(a)
+        if not np.isfinite(p_a).all():
+            raise NumericError("minimal polynomial residual p(A) overflows")
+        return {"minimal_polynomial_norm": _frobenius(p_a)}
 
 
 @dataclass(eq=False)
@@ -147,10 +154,14 @@ def _minimal_polynomial_impl(tau, c, M, mu=None):
     The degree is searched on M; *mu* are the eigenvalues of M.
     """
     n = M.shape[0]
-    powers = [np.eye(n, dtype=complex)]
-    for _ in range(1, n):
-        powers.append(powers[-1] @ M)
-    w = np.column_stack([p.ravel(order="F") for p in powers])
+    # column k of w is M^k raveled in column-major order: w[j n + i, k] = M^k[i, j]
+    w = np.empty((n * n, n), dtype=complex)
+    cube = w.reshape(n, n, n)
+    power = np.eye(n, dtype=complex)
+    cube[:, :, 0] = power
+    for k in range(1, n):
+        power = power @ M
+        cube[:, :, k] = power.T
     # the leading (d+1) x (d+1) block of R is the R factor of the first d+1
     # normalized powers, so it has their singular values
     r = np.linalg.qr(_unit_columns(w), mode="r")
@@ -221,11 +232,29 @@ def _cluster_eigenvalues(values, radius):
     return [np.array(g) for g in groups]
 
 
-def _criterion_cyclic(M, rng):
-    n = M.shape[0]
-    best_rank, best_borderline = 0, True
+def _draw_probes(rng, n):
+    """The CYCLIC_TRIALS random probes of size n, drawn from *rng* one at a
+    time: a probe that decides ends the draws."""
     for _ in range(CYCLIC_TRIALS):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        yield rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@cache
+def _default_probes(n):
+    """The probes of size n of ``default_rng(_DEFAULT_SEED)``, as the
+    read-only rows of one array."""
+    probes = np.array(list(_draw_probes(np.random.default_rng(_DEFAULT_SEED), n)))
+    probes.flags.writeable = False
+    return probes
+
+
+def _criterion_cyclic(M, rng):
+    """Krylov rank of M from probes drawn from *rng*; without one, the
+    ``_default_probes`` of M's size."""
+    n = M.shape[0]
+    probes = _default_probes(n) if rng is None else _draw_probes(rng, n)
+    best_rank, best_borderline = 0, True
+    for v in probes:
         cols = [v]
         for _ in range(n - 1):
             cols.append(M @ cols[-1])
@@ -328,12 +357,12 @@ def classify(a, rng=None) -> NonderogReport:
 
     All five criteria are evaluated on the centered, normalized M of
     A = tau I + c M, and the report takes their vote.  The randomized
-    cyclic-vector probe draws from *rng* (seeded default).
+    cyclic-vector probes are drawn from *rng*.  Without one they are fixed
+    per size: the first draws of a generator seeded with ``_DEFAULT_SEED``,
+    made once for each n.
     """
     A = as_matrix(a)
     n = A.shape[0]
-    if rng is None:
-        rng = np.random.default_rng(_DEFAULT_SEED)
     tau, c, M = _centered(A, DEFAULT_TOL)
 
     per = {}

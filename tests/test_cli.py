@@ -495,6 +495,42 @@ class TestCommands:
         unscaled = sb.classify(a / np.abs(a).max()).verdict
         assert json.loads(out)["outputs"]["nonderogatory"] == unscaled
 
+    def test_classify_residual_at_1e100(self, tmp_path, capsys):
+        # regression: the norm of p(A), whose largest entry is near 1e285,
+        # squared the entries and overflowed to inf (exit 3)
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        a = 1e100 * 0.3 * (x + 1j * y)
+        path = write_matrix(tmp_path / "a.json", a)
+        code, out, err = run_cli(capsys, "classify", "--input", path)
+        assert code == 0 and err == ""
+        residual = json.loads(out)["residuals"]["minimal_polynomial_norm"]
+        p_a = sb.classify(a).minimal_polynomial.on_matrix(a)
+        assert residual == pytest.approx(np.linalg.norm(p_a * 2.0**-950) * 2.0**950, rel=1e-14)
+        assert 0.0 < residual <= 1e-12 * np.linalg.norm(a / 1e100) ** 3 * 1e300
+
+    def test_classify_residual_overflow_exit_3(self, tmp_path, capsys):
+        # p(z) = (z - 1)(z - 2) is finite, but A^2 of this A is not
+        path = write_matrix(tmp_path / "a.json", np.array([[1.0, 1e308], [0.0, 2.0]]))
+        code, out, err = run_cli(capsys, "classify", "--input", path)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "minimal polynomial residual p(A) overflows", "kind": "NumericError"
+        }
+
+    def test_hull_at_1e200(self, tmp_path, capsys):
+        # regression: ||A - tau I||_F overflowed in the zero-diagonal
+        # reduction, which then made no rotation (exit 3)
+        a = np.array([[1e200, 3e199], [0.0, -1e200]])
+        path = write_matrix(tmp_path / "a.json", a)
+        code, out, err = run_cli(capsys, "hull", "--input", path)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        s = parse_matrix(doc["outputs"]["witness"]["similarity"])
+        assert np.linalg.norm(s.conj().T @ s - np.eye(2)) <= 1e-15
+        assert doc["residuals"]["reconstruction"] <= 1e-15 * 1e200
+        assert doc["residuals"]["triangularity"] <= 1e-15
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sigma_overflow_exit_3(self, tmp_path, capsys):
         # finite input whose coordinates (2e308, 1e616) overflow

@@ -523,6 +523,17 @@ class TestHullWitness:
         with pytest.raises(sb.NotInHullError):
             sb.hull_witness(np.eye(2))
 
+    @pytest.mark.parametrize("k", [1, 660, 1000])
+    def test_same_similarity_at_every_scale(self, k):
+        # regression: at 2^660 ||M||_F overflowed, every diagonal entry read as
+        # zero within an infinite rounding scale and no rotation was made
+        base = np.array([[1.0, 0.3], [0.2j, -1.0]])
+        w = sb.hull_witness(np.ldexp(1.0, k) * base)
+        assert w.similarity.tobytes() == sb.hull_witness(base).similarity.tobytes()
+        residuals = w.residuals(np.ldexp(1.0, k) * base)
+        assert residuals["reconstruction"] <= 1e-15 * np.ldexp(np.linalg.norm(base), k)
+        assert residuals["triangularity"] <= 1e-15
+
     def test_dimension_five(self):
         a = 0.3 * random_gaussian(np.random.default_rng(63), 5)
         assert_valid_witness(a, sb.hull_witness(a))

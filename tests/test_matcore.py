@@ -128,6 +128,23 @@ class TestCentered:
         assert (tau, c) == (1e308, 0.0) and not m.any()
 
 
+class TestFrobenius:
+    @pytest.mark.parametrize("k", [-1070, -600, 0, 600, 1015])
+    def test_norm_at_every_scale(self, k):
+        # 2^1015 squares to inf and 2^-1070 to 0: np.linalg.norm fails at both
+        rng = np.random.default_rng(19)
+        a = rng.integers(-8, 9, (4, 4)) + 1j * rng.integers(-8, 9, (4, 4))
+        scaled = np.empty_like(a)
+        scaled.real, scaled.imag = np.ldexp(a.real, k), np.ldexp(a.imag, k)
+        expected = np.ldexp(np.linalg.norm(a), k)
+        rel = 1e-15 if k > -1000 else 1e-3
+        assert matcore_module._frobenius(scaled) == pytest.approx(expected, rel=rel)
+
+    def test_zero_and_real_input(self):
+        assert matcore_module._frobenius(np.zeros((3, 3), dtype=complex)) == 0.0
+        assert matcore_module._frobenius(np.array([[3.0, 0.0], [0.0, -4.0]])) == 5.0
+
+
 class TestElementarySymmetric:
     def test_values(self):
         np.testing.assert_allclose(

@@ -645,6 +645,111 @@ def test_conditioned_base_at_kappa_10_to_5_44_gets_a_verdict():
     assert isinstance(sb.classify(conditioned_diagonalizable(5, 1056, 10**5.44)).verdict, bool)
 
 
+def rotated_jordan_block_8():
+    """A J_8(lam) under a random unitary similarity, neither scaled nor
+    shifted: the classify-survey benchmark input of seed 15, report 1601."""
+    rng = np.random.default_rng([15, 0, 1601])
+    lam = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+    g = (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    return u @ (lam * np.eye(8, dtype=complex) + np.diag(np.ones(7), 1)) @ u.conj().T
+
+
+@pytest.mark.xfail(
+    raises=sb.InternalError,
+    strict=True,
+    reason="ROADMAP open item 9: the first default probe's Krylov matrix has "
+    "sigma_min / sigma_max = 1.6e-11, below the borderline band, so cyclic_vector "
+    "alone reads rank 7, unflagged, and stops",
+)
+def test_rotated_jordan_block_gets_a_verdict():
+    assert sb.classify(rotated_jordan_block_8()).verdict
+
+
+class TestDefaultProbes:
+    """Without a generator, classify takes the probes that a generator seeded
+    with the default seed draws first, made once per size."""
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_equal_to_a_seeded_generator(self, structure):
+        for n in range(1, 17):
+            for k, shift in [(0, False), (3, False), (0, True), (-2, True)]:
+                a = structured_matrix(structure, n, n) * 10.0**k
+                if shift:
+                    a = a + 10.0**k * (0.7 - 0.4j) * np.eye(n)
+                rng = np.random.default_rng(nonderog_module._DEFAULT_SEED)
+                seeded, report = sb.classify(a, rng=rng), sb.classify(a)
+                assert (report.verdict, report.borderline) == (seeded.verdict, seeded.borderline)
+                assert report.per_criterion == seeded.per_criterion
+                expected = seeded.minimal_polynomial.coeffs.tobytes()
+                assert report.minimal_polynomial.coeffs.tobytes() == expected
+
+    def test_cached_probes_are_read_only_and_unchanged(self):
+        n = 6
+        rng = np.random.default_rng(nonderog_module._DEFAULT_SEED)
+        drawn = [
+            rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for _ in range(nonderog_module.CYCLIC_TRIALS)
+        ]
+        probes = nonderog_module._default_probes(n)
+        assert probes is nonderog_module._default_probes(n)
+        assert not probes.flags.writeable
+        with pytest.raises(ValueError):
+            probes[0, 0] = 0.0
+        for structure in STRUCTURES:
+            sb.classify(structured_matrix(structure, n, 11))
+        assert probes is nonderog_module._default_probes(n)
+        assert probes.tobytes() == np.array(drawn).tobytes()
+
+
+class TestPowerMatrix:
+    """The power matrix written in place is the column stack of the powers
+    I, M, ..., M^(n-1) raveled in column-major order, byte for byte."""
+
+    @staticmethod
+    def column_stack_powers(M):
+        powers = [np.eye(len(M), dtype=complex)]
+        for _ in range(1, len(M)):
+            powers.append(powers[-1] @ M)
+        return np.column_stack([p.ravel(order="F") for p in powers])
+
+    def record(self, monkeypatch, a):
+        seen = {}
+        unit_columns, lstsq = nonderog_module._unit_columns, np.linalg.lstsq
+
+        def recording_unit_columns(w):
+            seen["w"] = w.copy()
+            return unit_columns(w)
+
+        def recording_lstsq(x, y, *args, **kwargs):
+            seen["lstsq"] = (x.copy(), y.copy())
+            return lstsq(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(nonderog_module, "_unit_columns", recording_unit_columns)
+        monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+        coeffs = sb.minimal_polynomial(a).coeffs
+        _, _, M = matcore_module._centered(np.asarray(a, dtype=complex), sb.DEFAULT_TOL)
+        return seen, self.column_stack_powers(M), coeffs
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_full_degree(self, monkeypatch, n):
+        seen, w, coeffs = self.record(monkeypatch, random_gaussian(np.random.default_rng(n), n))
+        assert len(coeffs) == n + 1
+        assert seen["w"].flags.c_contiguous == w.flags.c_contiguous
+        assert seen["w"].tobytes() == w.tobytes()
+        assert "lstsq" not in seen
+
+    def test_deficient_degree(self, monkeypatch):
+        seen, w, coeffs = self.record(monkeypatch, structured_matrix("jordan_split", 8, 7))
+        d = len(coeffs) - 1
+        assert d == 4
+        assert seen["w"].tobytes() == w.tobytes()
+        x, y = seen["lstsq"]
+        assert x.tobytes() == w[:, :d].tobytes()
+        assert y.tobytes() == (-w[:, d]).tobytes()
+
+
 class TestNamedScaleRegressions:
     @pytest.mark.parametrize("scale", [1e-6, 1e-8])
     def test_small_repeated_diagonal(self, scale):
