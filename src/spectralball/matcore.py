@@ -53,17 +53,15 @@ def _rank_by_svd(s):
 
     Rank counts values above DEFAULT_TOL * s_max; the decision is flagged borderline
     when a singular value sits within a factor BORDERLINE_DECADE of that
-    threshold.
+    threshold.  Decided on Python floats: the comparisons are numpy's, without
+    its per-call dispatch.
     """
-    s = np.asarray(s, dtype=float)
-    if not len(s) or s[0] == 0.0:
+    s = np.asarray(s, dtype=float).tolist()
+    if not s or s[0] == 0.0:
         return 0, False
     thresh = DEFAULT_TOL * s[0]
-    rank = int(np.count_nonzero(s > thresh))
-    borderline = bool(
-        ((s >= thresh / BORDERLINE_DECADE) & (s <= thresh * BORDERLINE_DECADE)).any()
-    )
-    return rank, borderline
+    low, high = thresh / BORDERLINE_DECADE, thresh * BORDERLINE_DECADE
+    return len([x for x in s if x > thresh]), any(low <= x <= high for x in s)
 
 
 def _scaled_down(x):

@@ -14,13 +14,17 @@ side by side and cross-checked:
 Disagreement between criteria without a borderline rank decision is reported
 as an internal error.  Every criterion is decided on the centered, normalized
 M of A = tau I + c M (``matcore._centered``), as the property is invariant
-under A -> cA + dI.  ``classify`` solves for the eigenpairs of M once; the
-minimal polynomial is searched on one QR of the stacked normalized powers of
-M (one SVD of the largest leading block of R when the degree is full, a
-bisection over the leading blocks otherwise).  The eigenpairs decide the
-eigenspace and commutant criteria where they prove the SVD's rank decision
-(separated eigenvalues, well-conditioned eigenvectors); elsewhere one stacked
-SVD of M - z I, z the cluster centres, or the n^2 x n^2 operator SVD decides.
+under A -> cA + dI.  ``classify`` solves for the eigenpairs of M once, and
+the minimal polynomial is searched on one QR of the stacked normalized powers
+of M.  A first pass takes one SVD of a (3, n, n) stack: the first cyclic
+probe's unit-column Krylov matrix, the largest leading block of R and the
+eigenvector matrix.  It settles a probe that is not borderline, a full degree
+and the conditioning of the eigenvectors; a borderline probe takes the next
+one, and a deficient degree bisects over the leading blocks, each with its
+own SVD.  The eigenpairs decide the eigenspace and commutant criteria where
+they prove the SVD's rank decision (separated eigenvalues, well-conditioned
+eigenvectors); elsewhere one stacked SVD of M - z I, z the cluster centres,
+or the n^2 x n^2 operator SVD decides.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .matcore import (
     _centered,
     _frobenius,
     _rank_by_svd,
+    _scaled_down,
     as_matrix,
     commutation_operator,
     elementary_symmetric,
@@ -91,12 +96,21 @@ class NonderogReport:
 
     def residuals(self, a) -> dict:
         """``minimal_polynomial_norm``: ||p(A)||_F, p the minimal polynomial found.
-        NumericError when p(A) overflows."""
+
+        Taken as 2^(ed) ||q(B)||_F on B = A 2^-e (``_scaled_down``), with
+        q_k = p_k 2^(e(k - d)) and d the degree: in the normal range every
+        step rounds as on A, and no power of A overflows.  NumericError when
+        the residual itself does."""
+        b, e = _scaled_down(as_matrix(a))
+        p = self.minimal_polynomial.coeffs
+        d = len(p) - 1
+        shifts = np.repeat(e * np.arange(-d, 1), 2)  # for the real and imaginary parts
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            p_a = self.minimal_polynomial.on_matrix(a)
-        if not np.isfinite(p_a).all():
+            q_b = PolyCoeffs(np.ldexp(p.view(float), shifts).view(complex)).on_matrix(b)
+            norm = np.ldexp(_frobenius(q_b), e * d)
+        if not np.isfinite(norm):
             raise NumericError("minimal polynomial residual p(A) overflows")
-        return {"minimal_polynomial_norm": _frobenius(p_a)}
+        return {"minimal_polynomial_norm": float(norm)}
 
 
 @dataclass(eq=False)
@@ -136,25 +150,38 @@ class PolyCoeffs:
         return out + power  # the leading coefficient is 1
 
 
+def _norms(x, axis):
+    """``np.linalg.norm(x, axis=axis)``: numpy's own formula, without the
+    dispatch of its arguments."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
+
+
+def _norm(x):
+    """``np.linalg.norm(x)`` of a complex array: numpy's own formula, without
+    the dispatch of its arguments."""
+    x = x.ravel(order="K")
+    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def _unit_columns(w):
     """Columns of *w*, polynomials of rising degree in M, at unit 2-norm.  A
     column of norm at most DEFAULT_TOL times the previous one's, and every later
     column, is zero: the roundoff powers of a nilpotent part are no direction.
     """
-    norms = np.linalg.norm(w, axis=0)
-    drop = np.flatnonzero(norms[1:] <= DEFAULT_TOL * norms[:-1])
-    if len(drop):
-        norms[drop[0] + 1 :] = np.inf
+    norms = _norms(w, 0)
+    if len(norms) > 1:
+        drop = norms[1:] <= DEFAULT_TOL * norms[:-1]
+        first = drop.argmax()
+        if drop[first]:
+            norms[first + 1 :] = np.inf
     return w / norms
 
 
-def _minimal_polynomial_impl(tau, c, M, mu=None):
-    """(ascending coefficients, borderline flag) for A = tau I + c M.
-
-    The degree is searched on M; *mu* are the eigenvalues of M.
-    """
+def _power_stack(M):
+    """(w, r): column k of w is M^k raveled in column-major order, for k < n,
+    and r is the R factor of its ``_unit_columns``."""
     n = M.shape[0]
-    # column k of w is M^k raveled in column-major order: w[j n + i, k] = M^k[i, j]
+    # w[j n + i, k] = M^k[i, j]
     w = np.empty((n * n, n), dtype=complex)
     cube = w.reshape(n, n, n)
     power = np.eye(n, dtype=complex)
@@ -162,13 +189,23 @@ def _minimal_polynomial_impl(tau, c, M, mu=None):
     for k in range(1, n):
         power = power @ M
         cube[:, :, k] = power.T
+    return w, np.linalg.qr(_unit_columns(w), mode="r")
+
+
+def _minimal_polynomial_impl(tau, c, M, w, r, s, mu=None):
+    """(ascending coefficients, borderline flag) for A = tau I + c M.
+
+    The degree is searched on M: (w, r) is its ``_power_stack`` and *s* holds
+    the singular values of r; *mu* are the eigenvalues of M.
+    """
+    n = M.shape[0]
     # the leading (d+1) x (d+1) block of R is the R factor of the first d+1
     # normalized powers, so it has their singular values
-    r = np.linalg.qr(_unit_columns(w), mode="r")
     flags = {0: False}  # block 0 is one unit column
 
     def deficient(d):
-        rank, flags[d] = _rank_by_svd(np.linalg.svd(r[: d + 1, : d + 1], compute_uv=False))
+        block = s if d == n - 1 else np.linalg.svd(r[: d + 1, : d + 1], compute_uv=False)
+        rank, flags[d] = _rank_by_svd(block)
         return rank <= d
 
     # Adding a column never lowers sigma_max nor raises sigma_min (interlacing,
@@ -217,7 +254,9 @@ def minimal_polynomial(a) -> PolyCoeffs:
     least-squares solve of the unnormalized prefix against the next power,
     and A's are c^d q((z - tau) / c).
     """
-    coeffs, _ = _minimal_polynomial_impl(*_centered(as_matrix(a), DEFAULT_TOL))
+    tau, c, M = _centered(as_matrix(a), DEFAULT_TOL)
+    w, r = _power_stack(M)
+    coeffs, _ = _minimal_polynomial_impl(tau, c, M, w, r, np.linalg.svd(r, compute_uv=False))
     return PolyCoeffs(coeffs)
 
 
@@ -248,24 +287,46 @@ def _default_probes(n):
     return probes
 
 
-def _criterion_cyclic(M, rng):
-    """Krylov rank of M from probes drawn from *rng*; without one, the
-    ``_default_probes`` of M's size."""
+def _probes(n, rng):
+    """Iterator over the cyclic-vector probes of size n: drawn from *rng*,
+    or without one the ``_default_probes``."""
+    return iter(_default_probes(n)) if rng is None else _draw_probes(rng, n)
+
+
+def _krylov(M, v):
+    """The ``_unit_columns`` of the Krylov matrix [v, Mv, ..., M^(n-1) v]."""
+    n = len(v)
+    rows = np.empty((n, n), dtype=complex)
+    rows[0] = v
+    for k in range(1, n):
+        rows[k] = M @ rows[k - 1]
+    # numpy sums the columns of a C-ordered array row by row, of an F-ordered
+    # one pairwise: in C order the norms round as those of a column stack
+    return _unit_columns(np.ascontiguousarray(rows.T))
+
+
+def _cyclic_rank(M, probes, s):
+    """Krylov rank of M.  *s* are the singular values of the first probe's
+    ``_krylov`` matrix; the next probe is taken from *probes* only while the
+    best decision is borderline."""
     n = M.shape[0]
-    probes = _default_probes(n) if rng is None else _draw_probes(rng, n)
     best_rank, best_borderline = 0, True
-    for v in probes:
-        cols = [v]
-        for _ in range(n - 1):
-            cols.append(M @ cols[-1])
-        s = np.linalg.svd(_unit_columns(np.column_stack(cols)), compute_uv=False)
+    while True:
         rank, borderline = _rank_by_svd(s)
         if rank > best_rank or (rank == best_rank and not borderline):
             best_rank, best_borderline = rank, borderline
         # a random probe reaches the largest Krylov rank: retry only a borderline one
-        if not best_borderline:
-            break
-    return CriterionResult(best_rank == n, float(best_rank), best_borderline)
+        v = next(probes, None) if best_borderline else None
+        if v is None:
+            return CriterionResult(best_rank == n, float(best_rank), best_borderline)
+        s = np.linalg.svd(_krylov(M, v), compute_uv=False)
+
+
+def _criterion_cyclic(M, rng):
+    """Krylov rank of M from probes drawn from *rng*; without one, the
+    ``_default_probes`` of M's size."""
+    probes = _probes(M.shape[0], rng)
+    return _cyclic_rank(M, probes, np.linalg.svd(_krylov(M, next(probes)), compute_uv=False))
 
 
 def _criterion_eigenspaces(M, values):
@@ -280,9 +341,10 @@ def _criterion_eigenspaces(M, values):
     return CriterionResult(max_mult == 1, float(max_mult), borderline)
 
 
-def _eigenpair_bounds(M, mu, V):
+def _eigenpair_bounds(M, mu, V, s_v):
     """``(gaps, spread, v_min, v_max, r, slack, residual)`` of the eigenpairs
-    (mu, V) of M, V with unit columns, or None if V is numerically singular:
+    (mu, V) of M, V with unit columns and singular values *s_v*, or None if V
+    is numerically singular:
     gaps_ij = |mu_i - mu_j| (inf on the diagonal), spread the largest, v_min
     <= sigma(V) <= v_max, r the computed MV - V diag(mu), each column within
     slack of the exact one (|mu| <= ||M||_F), residual >= ||MV - V diag(mu)||_F."""
@@ -290,13 +352,12 @@ def _eigenpair_bounds(M, mu, V):
     gaps = np.abs(mu[:, None] - mu)
     spread = gaps.max()
     np.fill_diagonal(gaps, np.inf)
-    s_v = np.linalg.svd(V, compute_uv=False)
     v_max, v_min = s_v[0] * (1 + n * eps), s_v[-1] - n * eps * s_v[0]
     if not v_min > 0.0:
         return None
     r = M @ V - V * mu
-    slack = 2 * (n + 2) * eps * np.linalg.norm(M)
-    return gaps, spread, v_min, v_max, r, slack, np.linalg.norm(r) + slack * np.sqrt(n)
+    slack = 2 * (n + 2) * eps * _norm(M)
+    return gaps, spread, v_min, v_max, r, slack, _norm(r) + slack * np.sqrt(n)
 
 
 def _eigenspace_bound(M, mu, bounds):
@@ -316,8 +377,8 @@ def _eigenspace_bound(M, mu, bounds):
     if not gaps.min() * v_min**2 > residual * v_max:  # sigma_(n-1) bound <= 0 at the closest pair
         return None
     n, e = len(mu), (len(mu) + 1) * np.finfo(float).eps  # e: the rounding per unit ||A_j||_F
-    a_fro = np.linalg.norm(M - mu[:, None, None] * np.eye(n), axis=(1, 2))
-    small = np.linalg.norm(r, axis=0) + slack  # >= ||A_j v_j||
+    a_fro = _norms(M - mu[:, None, None] * np.eye(n), (1, 2))
+    small = _norms(r, 0) + slack  # >= ||A_j v_j||
     below = small < a_fro * (DEFAULT_TOL / BORDERLINE_DECADE * (n**-0.5 - e) - e)
     large = gaps.min(axis=1) * (v_min / v_max) - residual / v_min
     above = large > a_fro * (DEFAULT_TOL * BORDERLINE_DECADE * (1.0 + e) + e)
@@ -342,7 +403,7 @@ def _commutant_rank_bound(M, bounds):
     gaps, spread, v_min, v_max, _, _, residual = bounds
     n = M.shape[0]
     shift = 2.0 * residual / v_min
-    k_fro = np.sqrt(max(2.0 * n * np.linalg.norm(M) ** 2 - 2.0 * abs(M.trace()) ** 2, 0.0))
+    k_fro = np.sqrt(max(2.0 * n * _norm(M) ** 2 - 2.0 * abs(M.trace()) ** 2, 0.0))
     rounding = (n * n + 1) * np.finfo(float).eps * k_fro
     small = shift + rounding
     large = gaps.min() * (v_min / v_max) ** 2 - small
@@ -359,21 +420,27 @@ def classify(a, rng=None) -> NonderogReport:
     A = tau I + c M, and the report takes their vote.  The randomized
     cyclic-vector probes are drawn from *rng*.  Without one they are fixed
     per size: the first draws of a generator seeded with ``_DEFAULT_SEED``,
-    made once for each n.
+    made once for each n.  One stacked SVD serves the first probe, a full
+    degree and the bounds of the eigenpairs.
     """
     A = as_matrix(a)
     n = A.shape[0]
     tau, c, M = _centered(A, DEFAULT_TOL)
 
-    per = {}
-    per["cyclic_vector"] = _criterion_cyclic(M, rng)
-
+    # the first pass: one SVD of the first probe's Krylov matrix, the full
+    # leading block of the powers' R and the eigenvectors of M
+    probes = _probes(n, rng)
+    krylov = _krylov(M, next(probes))
     mu, vectors = np.linalg.eig(M)
-    min_coeffs, mp_borderline = _minimal_polynomial_impl(tau, c, M, mu)
+    w, r = _power_stack(M)
+    s_krylov, s_r, s_v = np.linalg.svd(np.array([krylov, r, vectors]), compute_uv=False)
+
+    per = {"cyclic_vector": _cyclic_rank(M, probes, s_krylov)}
+    min_coeffs, mp_borderline = _minimal_polynomial_impl(tau, c, M, w, r, s_r, mu)
     degree = len(min_coeffs) - 1
     per["minimal_degree"] = CriterionResult(degree == n, float(degree), mp_borderline)
 
-    bounds = _eigenpair_bounds(M, mu, vectors)
+    bounds = _eigenpair_bounds(M, mu, vectors, s_v)
     per["eigenspace_dim"] = _eigenspace_bound(M, mu, bounds) or _criterion_eigenspaces(M, mu)
 
     decision = _commutant_rank_bound(M, bounds)
@@ -402,6 +469,8 @@ def _nonderogatory(A, M) -> bool:
     (scalar, repeated, clustered beyond the bound, defective or
     ill-conditioned) gets the verdict of ``classify``.
     """
-    if _commutant_rank_bound(M, _eigenpair_bounds(M, *np.linalg.eig(M))) is not None:
+    mu, vectors = np.linalg.eig(M)
+    bounds = _eigenpair_bounds(M, mu, vectors, np.linalg.svd(vectors, compute_uv=False))
+    if _commutant_rank_bound(M, bounds) is not None:
         return True
     return classify(A).verdict

@@ -509,9 +509,30 @@ class TestCommands:
         assert residual == pytest.approx(np.linalg.norm(p_a * 2.0**-950) * 2.0**950, rel=1e-14)
         assert 0.0 < residual <= 1e-12 * np.linalg.norm(a / 1e100) ** 3 * 1e300
 
-    def test_classify_residual_overflow_exit_3(self, tmp_path, capsys):
-        # p(z) = (z - 1)(z - 2) is finite, but A^2 of this A is not
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("scale", [1e200, 1e300, 1e307])
+    def test_classify_nilpotent_residual_at_huge_scales(self, tmp_path, capsys, n, scale):
+        # regression: p(A) = A^n = 0, but the powers of A overflowed (exit 3)
+        a = np.triu(np.arange(1.0, n * n + 1).reshape(n, n) / (n * n), 1) * scale
+        path = write_matrix(tmp_path / "a.json", a)
+        code, out, err = run_cli(capsys, "classify", "--input", path)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["outputs"]["nonderogatory"] is True
+        assert doc["residuals"]["minimal_polynomial_norm"] == 0.0
+
+    def test_classify_residual_of_overflowing_powers(self, tmp_path, capsys):
+        # p(z) = (z - 1)(z - 2) is finite and p(A) = 0, though A^2 of this A
+        # is not finite: the residual is taken on A 2^-1024 (exit 3 before)
         path = write_matrix(tmp_path / "a.json", np.array([[1.0, 1e308], [0.0, 2.0]]))
+        code, out, err = run_cli(capsys, "classify", "--input", path)
+        assert code == 0 and err == ""
+        assert json.loads(out)["residuals"]["minimal_polynomial_norm"] == 0.0
+
+    def test_classify_residual_overflow_exit_3(self, tmp_path, capsys):
+        # p(A) rounds at about eps ||A^3||, some 1e584: no double holds it
+        a = np.array([[0.1, 1e300, 3e299], [0.0, 0.2, 7e299], [0.0, 0.0, 0.3]])
+        path = write_matrix(tmp_path / "a.json", a)
         code, out, err = run_cli(capsys, "classify", "--input", path)
         assert code == 3 and out == ""
         assert json.loads(err) == {

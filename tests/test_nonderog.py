@@ -368,14 +368,14 @@ class TestBatchedClassifierEqualsReference:
         assert sb.minimal_polynomial(a).coeffs.tobytes() == sb.PolyCoeffs(coeffs).coeffs.tobytes()
 
     def test_one_eigensolve_and_one_stacked_cluster_svd(self, monkeypatch, count_eigvals):
-        stacked = []
+        svd_inputs = []
         svd = np.linalg.svd
 
-        def counting_svd(x, *args, **kwargs):
-            stacked.append(np.ndim(x) == 3)
+        def recording_svd(x, *args, **kwargs):
+            svd_inputs.append(np.array(x))
             return svd(x, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
         # three separated eigenvalues and a full-degree minimal polynomial:
         # every consumer of the spectrum runs, and the eigenpairs settle the
         # eigenspaces without the stacked SVD
@@ -384,14 +384,146 @@ class TestBatchedClassifierEqualsReference:
         assert report.verdict
         assert report.per_criterion["eigenspace_dim"].diagnostic == 1.0
         assert len(count_eigvals) == 1
-        assert sum(stacked) == 0
+        assert cluster_stacks(svd_inputs, a) == []
         # a pair 1e-8 apart is one cluster, which the proof refuses: one
         # stacked SVD of the two clusters decides
         count_eigvals.clear()
-        report = sb.classify(np.diag([0.3, 0.3 + 1e-8, 0.7]))
+        svd_inputs.clear()
+        a = np.diag([0.3, 0.3 + 1e-8, 0.7])
+        report = sb.classify(a)
         assert report.verdict
         assert len(count_eigvals) == 1
-        assert sum(stacked) == 1
+        assert [len(x) for x in cluster_stacks(svd_inputs, a)] == [2]
+
+
+def cluster_stacks(svd_inputs, a):
+    """The SVD inputs that are stacks of M - z I, M the centered,
+    normalized M of *a*: every matrix of the stack has M's off-diagonal."""
+    _, _, m = matcore_module._centered(np.asarray(a, dtype=complex), sb.DEFAULT_TOL)
+    off = ~np.eye(len(m), dtype=bool)
+    return [x for x in svd_inputs if x.ndim == 3 and all((y[off] == m[off]).all() for y in x)]
+
+
+# ----------------------------------------------------------------------
+# The rank-decision helpers before their dispatch-free spellings: the
+# helpers must return these bit for bit.
+
+
+def former_rank_by_svd(s):
+    s = np.asarray(s, dtype=float)
+    if not len(s) or s[0] == 0.0:
+        return 0, False
+    thresh = sb.DEFAULT_TOL * s[0]
+    rank = int(np.count_nonzero(s > thresh))
+    decade = matcore_module.BORDERLINE_DECADE
+    borderline = bool(((s >= thresh / decade) & (s <= thresh * decade)).any())
+    return rank, borderline
+
+
+def former_unit_columns(w):
+    norms = np.linalg.norm(w, axis=0)
+    drop = np.flatnonzero(norms[1:] <= sb.DEFAULT_TOL * norms[:-1])
+    if len(drop):
+        norms[drop[0] + 1 :] = np.inf
+    return w / norms
+
+
+def former_criterion_cyclic(M, rng):
+    n = M.shape[0]
+    best_rank, best_borderline = 0, True
+    for _ in range(nonderog_module.CYCLIC_TRIALS):
+        cols = [rng.standard_normal(n) + 1j * rng.standard_normal(n)]
+        for _ in range(n - 1):
+            cols.append(M @ cols[-1])
+        s = np.linalg.svd(former_unit_columns(np.column_stack(cols)), compute_uv=False)
+        rank, borderline = former_rank_by_svd(s)
+        if rank > best_rank or (rank == best_rank and not borderline):
+            best_rank, best_borderline = rank, borderline
+        if not best_borderline:
+            break
+    return sb.CriterionResult(best_rank == n, float(best_rank), best_borderline)
+
+
+def singular_value_edges():
+    """Descending lists with values exactly at the rank threshold, at a
+    tenth and at ten times it, and the degenerate lists."""
+    cases = [[], [0.0], [0.0, 0.0], [1.0], [1.0, 0.0], [np.inf, 1.0]]
+    for top in (1.0, 3.7, 1e-300, 5e-324, 1e300, np.finfo(float).max):
+        thresh = sb.DEFAULT_TOL * top
+        low, high = thresh / 10.0, thresh * 10.0
+        for edge in (thresh, low, high):
+            for value in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)):
+                cases.append([top, value])
+                cases.append([top, top / 2, value, 0.0])
+        cases.append([top, high, thresh, low, 0.0])
+    return cases
+
+
+def column_edges():
+    """Matrices whose column-norm ratios sit exactly at DEFAULT_TOL, with
+    zero, subnormal and huge columns, in C and in F order."""
+    e = np.eye(4, dtype=complex)
+    tol = sb.DEFAULT_TOL
+    cases = [
+        np.column_stack([e[0], tol * e[1], e[2], e[3]]),  # ratio exactly DEFAULT_TOL
+        np.column_stack([e[0], np.nextafter(tol, 1.0) * e[1], e[2], e[3]]),
+        np.column_stack([e[0], e[1], tol * e[2], tol * tol * e[3]]),
+        np.column_stack([e[0], 0 * e[1], e[2], e[3]]),  # a zero column
+        np.column_stack([0 * e[0], e[1], e[2], e[3]]),  # a zero first column
+        np.zeros((4, 4), dtype=complex),
+        np.column_stack([e[0], 1e-320 * e[1], 1e-320j * e[2], e[3]]),  # subnormal
+        np.full((4, 4), 1e-310 + 2e-310j),
+        np.column_stack([1e300 * e[0], 1e300 * (e[1] + e[2]), e[3], 1e300j * e[3]]),
+        np.full((4, 4), 1e300 - 1e300j),
+        np.ones((1, 1), dtype=complex),
+        np.ones((5, 1), dtype=complex),
+    ]
+    rng = np.random.default_rng(17)
+    for n in (2, 9, 16):
+        cases.append(rng.standard_normal((n * n, n)) + 1j * rng.standard_normal((n * n, n)))
+    return cases + [np.asfortranarray(w) for w in cases]
+
+
+class TestRankHelpersEqualFormerSpellings:
+    @pytest.mark.parametrize("s", singular_value_edges())
+    def test_rank_by_svd(self, s):
+        rank, flag = matcore_module._rank_by_svd(s)
+        assert (rank, flag) == former_rank_by_svd(s)
+        assert (type(rank), type(flag)) == (int, bool)
+        array = np.array(s, dtype=float)
+        assert matcore_module._rank_by_svd(array) == former_rank_by_svd(array)
+
+    @pytest.mark.parametrize("w", column_edges())
+    def test_unit_columns(self, w):
+        with np.errstate(all="ignore"):  # zero and huge columns divide by 0 and inf
+            expected = former_unit_columns(w.copy())
+            got = nonderog_module._unit_columns(w.copy())
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("w", column_edges())
+    def test_norms(self, w):
+        with np.errstate(over="ignore"):  # the squares of huge columns
+            assert nonderog_module._norm(w).tobytes() == np.linalg.norm(w).tobytes()
+            assert nonderog_module._norms(w, 0).tobytes() == np.linalg.norm(w, axis=0).tobytes()
+            stack = np.stack([w, 2.0 * w])
+            expected = np.linalg.norm(stack, axis=(1, 2))
+            assert nonderog_module._norms(stack, (1, 2)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("structure", STRUCTURES + NEAR_THRESHOLD)
+    def test_krylov_and_criterion_cyclic(self, structure):
+        for n in (1, 2, 3, 5, 8, 9, 12, 16):
+            a = structured_matrix(structure, n, 100 + n)
+            _, _, M = matcore_module._centered(a, sb.DEFAULT_TOL)
+            v = np.random.default_rng(n).standard_normal(n) + 0.5j
+            cols = [v]
+            for _ in range(n - 1):
+                cols.append(M @ cols[-1])
+            expected = former_unit_columns(np.column_stack(cols))
+            assert nonderog_module._krylov(M, v).tobytes() == expected.tobytes()
+            seed = nonderog_module._DEFAULT_SEED
+            got = nonderog_module._criterion_cyclic(M, np.random.default_rng(seed))
+            assert got == former_criterion_cyclic(M, np.random.default_rng(seed))
+            assert nonderog_module._criterion_cyclic(M, None) == got
 
 
 class TestSvdBudget:
@@ -403,8 +535,11 @@ class TestSvdBudget:
 
     @staticmethod
     def svd_shapes_and_block_count(monkeypatch, a):
+        """The report, the shape of every SVD input and the number of SVDs of
+        a leading block of R: a block taken from R itself, or the full block
+        copied into the first-pass stack.  Also the cluster stacks."""
         qr, svd = np.linalg.qr, np.linalg.svd
-        factors, shapes, blocks = [], [], []
+        factors, inputs, blocks = [], [], []
 
         def recording_qr(x, *args, **kwargs):
             r = qr(x, *args, **kwargs)
@@ -412,27 +547,45 @@ class TestSvdBudget:
             return r
 
         def counting_svd(x, *args, **kwargs):
-            shapes.append(np.shape(x))
-            blocks.append(any(np.shares_memory(x, r) for r in factors))
+            inputs.append(np.array(x))
+            for y in x if np.ndim(x) == 3 else [x]:
+                blocks.append(
+                    any(np.shares_memory(y, r) or np.array_equal(y, r) for r in factors)
+                )
             return svd(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         report = sb.classify(a)
-        return report, shapes, sum(blocks)
+        shapes = [x.shape for x in inputs]
+        return report, shapes, sum(blocks), cluster_stacks(inputs, a)
 
     @pytest.mark.parametrize("n", [12, 16])
     def test_gaussian(self, monkeypatch, n):
         a = random_gaussian(np.random.default_rng(n), n)
-        report, shapes, blocks = self.svd_shapes_and_block_count(monkeypatch, a)
+        report, shapes, blocks, clusters = self.svd_shapes_and_block_count(monkeypatch, a)
         assert report.verdict
         assert (n * n, n * n) not in shapes
-        assert not any(len(shape) == 3 for shape in shapes)
+        assert clusters == []
         assert blocks == 1
+
+    def test_generic_call_budget(self, count_calls):
+        """A generic 5 x 5 input: classify takes one first-pass stack SVD and
+        the symmetrization SVD, one QR and one eigensolve; minimal_polynomial
+        one SVD, one QR and the eigenvalues."""
+        calls = {name: count_calls(np.linalg, name) for name in ("svd", "qr", "eig", "eigvals")}
+        a = random_gaussian(np.random.default_rng(5), 5)
+        assert sb.classify(a).verdict
+        assert {name: len(c) for name, c in calls.items()} == {"svd": 2, "qr": 1, "eig": 1, "eigvals": 0}
+        assert calls["svd"][0] == (3, 5, 5)
+        for c in calls.values():
+            c.clear()
+        assert sb.minimal_polynomial(a).degree == 5
+        assert {name: len(c) for name, c in calls.items()} == {"svd": 1, "qr": 1, "eig": 0, "eigvals": 1}
 
     def test_split_jordan(self, monkeypatch):
         n = 16
-        report, shapes, blocks = self.svd_shapes_and_block_count(
+        report, shapes, blocks, _ = self.svd_shapes_and_block_count(
             monkeypatch, structured_matrix("jordan_split", n, 7)
         )
         assert not report.verdict
@@ -540,7 +693,7 @@ class TestEigenpairProofAgreesWithClassify:
         ``_eigenpair_bounds``."""
         _, _, m = matcore_module._centered(np.asarray(a, dtype=complex), sb.DEFAULT_TOL)
         mu, v = np.linalg.eig(m)
-        return m, mu, nonderog_module._eigenpair_bounds(m, mu, v)
+        return m, mu, nonderog_module._eigenpair_bounds(m, mu, v, np.linalg.svd(v, compute_uv=False))
 
     @classmethod
     def proved(cls, a):
@@ -775,3 +928,17 @@ class TestNamedScaleRegressions:
             report = sb.classify(1e30 * np.eye(16))
         assert not report.verdict
         assert report.minimal_polynomial.degree == 1
+
+
+class TestResiduals:
+    """||p(A)||_F is taken on A scaled by a power of two: where nothing
+    overflows nor turns subnormal it is the direct evaluation's, bit for bit."""
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_equal_to_the_direct_evaluation(self, structure):
+        for n in (1, 2, 3, 5, 8):
+            for k in (-3, 0, 3, 30):
+                a = structured_matrix(structure, n, n) * 10.0**k
+                report = sb.classify(a)
+                direct = matcore_module._frobenius(report.minimal_polynomial.on_matrix(a))
+                assert report.residuals(a)["minimal_polynomial_norm"] == direct
