@@ -56,9 +56,9 @@ _EXPORTS = {
         "CriterionResult", "NonderogReport", "PolyCoeffs", "classify", "minimal_polynomial",
     ),
     "pick": (
-        "BlaschkeProduct", "GapCertificate", "PickProblem", "SymmetrizedDisc",
-        "ZeroInterpolant", "blaschke_through_roots_of_unity", "degenerate_interpolant",
-        "discontinuity_report", "gap_certificate", "pick_matrix",
+        "BlaschkeProduct", "GapCertificate", "PickProblem", "ZeroInterpolant",
+        "blaschke_through_roots_of_unity", "degenerate_interpolant", "discontinuity_report",
+        "gap_certificate", "pick_matrix",
     ),
 }
 

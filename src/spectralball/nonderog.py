@@ -287,12 +287,6 @@ def _default_probes(n):
     return probes
 
 
-def _probes(n, rng):
-    """Iterator over the cyclic-vector probes of size n: drawn from *rng*,
-    or without one the ``_default_probes``."""
-    return iter(_default_probes(n)) if rng is None else _draw_probes(rng, n)
-
-
 def _krylov(M, v):
     """The ``_unit_columns`` of the Krylov matrix [v, Mv, ..., M^(n-1) v]."""
     n = len(v)
@@ -320,13 +314,6 @@ def _cyclic_rank(M, probes, s):
         if v is None:
             return CriterionResult(best_rank == n, float(best_rank), best_borderline)
         s = np.linalg.svd(_krylov(M, v), compute_uv=False)
-
-
-def _criterion_cyclic(M, rng):
-    """Krylov rank of M from probes drawn from *rng*; without one, the
-    ``_default_probes`` of M's size."""
-    probes = _probes(M.shape[0], rng)
-    return _cyclic_rank(M, probes, np.linalg.svd(_krylov(M, next(probes)), compute_uv=False))
 
 
 def _criterion_eigenspaces(M, values):
@@ -429,7 +416,7 @@ def classify(a, rng=None) -> NonderogReport:
 
     # the first pass: one SVD of the first probe's Krylov matrix, the full
     # leading block of the powers' R and the eigenvectors of M
-    probes = _probes(n, rng)
+    probes = iter(_default_probes(n)) if rng is None else _draw_probes(rng, n)
     krylov = _krylov(M, next(probes))
     mu, vectors = np.linalg.eig(M)
     w, r = _power_stack(M)

@@ -3,10 +3,9 @@
 Feasibility of disk interpolation problems via positive semidefiniteness of
 the Pick matrix, recovery of the unique Blaschke-product solution in the
 singular case, a boundary search producing a Blaschke product through scaled
-roots of unity, the induced analytic disc into the symmetrized polydisc, and
-the resulting certified gap between the spectral radius and the generic
-two-point distance limit at scalar base points, and the two-sided
-discontinuity report built on it.
+roots of unity, the resulting certified gap between the spectral radius and
+the generic two-point distance limit at scalar base points, and the
+two-sided discontinuity report built on it.
 
 The boundary search builds the Pick matrices of its reduced problems in
 closed form, for a whole array of radii at once, so its coarse scan and each
@@ -39,7 +38,7 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import _disk_point, _kobayashi_at, _lempert_at, _mobius_shift, disk_automorphism
-from .matcore import DEFAULT_TOL, as_matrix, elementary_symmetric, spectrum
+from .matcore import DEFAULT_TOL, as_matrix, spectrum
 
 #: Descending step of the coarse feasibility scan.
 COARSE_STEP = 1e-2
@@ -58,7 +57,6 @@ _MARGIN_STEPS = np.array([2.0, 4.0, 8.0])
 
 #: Tolerances of the certificates.
 INTERPOLATION_TOL = 1e-6  # largest max_j |B(x_j) - w_j| of a recovered product
-BRANCH_TOL = 1e-9  # symmetrized disc: |zero at 0|, spread between root branches
 EQUAL_EIGENVALUES_TOL = 1e-9  # spread / (1 + modulus) of values read as equal
 _SINGULAR_TOL = 1e-6  # |smallest Pick eigenvalue| / (1 + largest) read as zero
 
@@ -225,6 +223,9 @@ class GapCertificate:
     from above; ``radius`` = r(B) is the value at the scalar base point
     itself.  A strictly positive gap occurs exactly when the eigenvalues of B
     are not all equal, so ``is_gap`` is upper < radius - EQUAL_EIGENVALUES_TOL.
+    The pair is the analytic disc zeta -> sigma(B(eps_j zeta^(1/n))) into the
+    symmetrized polydisc behind ``upper``: at zeta = beta^n the n-th roots are
+    the nodes eps_j beta, where B takes the eigenvalues within the residual.
     ``degenerate`` marks all-zero data, radius <= DEFAULT_TOL, with beta = 0
     and the constant-zero interpolant.  ``smallest_eigenvalue`` is the
     smallest Pick eigenvalue of the reduced problem at |beta|: the margin of
@@ -454,55 +455,6 @@ def blaschke_through_roots_of_unity(lambdas) -> GapCertificate:
         interpolation_residual=residual,
         smallest_eigenvalue=float(smallest),
     )
-
-
-class SymmetrizedDisc:
-    """Analytic disc into the symmetrized polydisc induced by a Blaschke
-    product vanishing at the origin.
-
-    Evaluates the elementary symmetric functions of B at the n-th roots of
-    an arbitrary n-th root of the parameter; the value does not depend on
-    the chosen root because changing it permutes the arguments.
-    """
-
-    def __init__(self, blaschke, n: int):
-        if blaschke.order > n:
-            raise PreconditionError("product order must not exceed n")
-        if not np.any(np.abs(blaschke.zeros) <= BRANCH_TOL):
-            raise PreconditionError("product must vanish at the origin")
-        self.blaschke = blaschke
-        self.n = n
-        self._eps = _roots_of_unity(n)
-        self._verify()
-
-    def _value(self, zeta, branch=0):
-        zeta = complex(zeta)
-        if zeta == 0.0:
-            return np.zeros(self.n, dtype=complex)
-        root = np.exp(np.log(zeta) / self.n) * self._eps[branch]
-        return elementary_symmetric(self.blaschke(self._eps * root))
-
-    def __call__(self, zeta):
-        return self._value(zeta)
-
-    def branch_spread(self, zeta) -> float:
-        """Largest coordinatewise deviation across all root branches."""
-        base = self._value(zeta, 0)
-        spread = 0.0
-        for b in range(1, self.n):
-            spread = max(spread, float(np.max(np.abs(self._value(zeta, b) - base))))
-        return spread
-
-    def _verify(self):
-        rng = np.random.default_rng(1234)
-        pts = 0.95 * np.sqrt(rng.uniform(0.01, 1.0, 16)) * np.exp(
-            2j * np.pi * rng.uniform(size=16)
-        )
-        worst = max(self.branch_spread(z) for z in pts)
-        if worst > BRANCH_TOL:
-            raise InternalError(
-                f"symmetrized disc depends on the root branch ({worst:.3e})"
-            )
 
 
 def gap_certificate(b) -> GapCertificate:

@@ -40,7 +40,6 @@ PARAMETERS = {
     "Spectrum": ("values",),
     "SpectrumCheck": ("max_deviation", "samples", "settled", "radius", "worst_point"),
     "SymPoint": ("coords",),
-    "SymmetrizedDisc": ("blaschke", "n"),
     "TriangularConjugationCurve": ("frame", "frame_end", "t0", "t1"),
     "ZeroInterpolant": (),
     "as_matrix": ("a",),
@@ -80,8 +79,9 @@ PARAMETERS = {
     "zero_metric_curve": ("a", "b"),
 }
 
-#: Totals: exported parameters, of which with defaults; CLI flags; tolerance literals.
-PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT = 100, 4, 18, 24
+#: Totals: exported names; their parameters, of which with defaults; CLI flags;
+#: tolerance literals.
+NAME_COUNT, PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT = 61, 98, 4, 18, 23
 
 CRITERIA = (
     "cyclic_vector",
@@ -145,6 +145,7 @@ def test_parameters_of_every_exported_callable():
             found[name] = tuple(p.name for p in params)
             defaults += sum(p.default is not inspect.Parameter.empty for p in params)
     assert found == PARAMETERS
+    assert len(sb.__all__) == NAME_COUNT
     assert sum(len(names) for names in found.values()) == PARAMETER_COUNT
     assert defaults == DEFAULT_COUNT
 
@@ -193,13 +194,14 @@ def test_readme_quotes_the_pinned_totals():
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
     text = " ".join(readme.read_text(encoding="utf-8").split())
     quoted = [
+        re.search(r"pins the exported names \((\d+)\)", text),
         re.search(r"exported callable \((\d+), of which (\d+) have defaults\)", text),
         re.search(r"flags of every CLI command \((\d+)\)", text),
         re.search(r"tolerance literals in the package's code \((\d+) number tokens", text),
     ]
     assert all(quoted), quoted
     numbers = tuple(int(n) for match in quoted for n in match.groups())
-    assert numbers == (PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT)
+    assert numbers == (NAME_COUNT, PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT)
 
 
 def test_tolerance_blocks_name_library_constants(tmp_path, capsys):

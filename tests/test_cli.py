@@ -437,6 +437,28 @@ class TestCommands:
         assert doc["kind"] == "InvalidInputError" and "not valid JSON" in doc["error"]
 
     @pytest.mark.parametrize(
+        "document, message",
+        [
+            ([[[0.5, 0.0]]], "matrix document must be an object"),
+            ({"rows": [[[0.5, 0.0]]]}, "needs fields 'n' and 'rows'"),
+            ({"n": 1}, "needs fields 'n' and 'rows'"),
+            ({"n": 2, "rows": [[[0.5, 0.0], [0.0, 0.0]]]}, "expected 2 rows, got 1"),
+            ({"n": 1, "rows": "[[0.5, 0.0]]"}, "expected 1 rows, got str"),
+            (None, "cannot read"),
+        ],
+        ids=["not-an-object", "missing-n", "missing-rows", "too-few-rows", "rows-not-a-list",
+             "unreadable-path"],
+    )
+    def test_malformed_document_exit_2(self, tmp_path, capsys, document, message):
+        path = tmp_path / "a.json"
+        if document is not None:  # None: the path names no file
+            path.write_text(json.dumps(document), encoding="utf-8")
+        code, out, err = run_cli(capsys, "classify", "--input", str(path))
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["kind"] == "InvalidInputError" and message in doc["error"]
+
+    @pytest.mark.parametrize(
         "document",
         [
             {"n": True, "rows": [[[0.5, 0.0]]]},

@@ -66,6 +66,34 @@ class TestSpectrum:
             sb.spectrum(np.zeros((0, 0)))
 
 
+TWO, THREE = np.diag([0.3, 0.1]), np.diag([0.3, 0.1, 0.0])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sb.as_matrix(np.ones(3)), "got shape (3,)"),
+        (lambda: sb.companion([0.5, np.nan]), "coordinates must be finite"),
+        (lambda: sb.solve_conjugation(TWO, THREE), "same dimension"),
+        (lambda: sb.zero_metric_curve(TWO, THREE), "same dimension"),
+        (lambda: sb.iso_spectral_curve(TWO, THREE), "same dimension"),
+        (lambda: sb.upper_bound_disc(TWO, THREE, 0.5), "same dimension"),
+        (
+            lambda: sb.spectrum_polynomials_2x2(sb.MatrixPolynomialCurve([THREE, THREE])),
+            "only 2x2",
+        ),
+    ],
+    ids=[
+        "as_matrix-1d", "companion-nan", "solve_conjugation-sizes", "zero_metric_curve-sizes",
+        "iso_spectral_curve-sizes", "upper_bound_disc-sizes", "spectrum_polynomials_2x2-3x3",
+    ],
+)
+def test_shape_and_finiteness_errors(call, message):
+    with pytest.raises(sb.InvalidInputError) as err:
+        call()
+    assert message in str(err.value)
+
+
 class TestSigma:
     def test_diagonal_example(self):
         np.testing.assert_allclose(

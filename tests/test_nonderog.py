@@ -274,7 +274,7 @@ def reference_classify(a):
     n = A.shape[0]
     _, _, M = reference_centered(A, sb.DEFAULT_TOL)
     rng = np.random.default_rng(nonderog_module._DEFAULT_SEED)
-    per = {"cyclic_vector": nonderog_module._criterion_cyclic(M, rng)}
+    per = {"cyclic_vector": former_criterion_cyclic(M, rng)}
     coeffs, mp_borderline = reference_minimal_polynomial(A, sb.DEFAULT_TOL)
     degree = len(coeffs) - 1
     per["minimal_degree"] = sb.CriterionResult(degree == n, float(degree), mp_borderline)
@@ -521,9 +521,9 @@ class TestRankHelpersEqualFormerSpellings:
             expected = former_unit_columns(np.column_stack(cols))
             assert nonderog_module._krylov(M, v).tobytes() == expected.tobytes()
             seed = nonderog_module._DEFAULT_SEED
-            got = nonderog_module._criterion_cyclic(M, np.random.default_rng(seed))
+            got = sb.classify(a, rng=np.random.default_rng(seed)).per_criterion["cyclic_vector"]
             assert got == former_criterion_cyclic(M, np.random.default_rng(seed))
-            assert nonderog_module._criterion_cyclic(M, None) == got
+            assert sb.classify(a).per_criterion["cyclic_vector"] == got
 
 
 class TestSvdBudget:
@@ -792,7 +792,7 @@ class TestEigenpairProofAgreesWithClassify:
 @pytest.mark.xfail(
     raises=sb.InternalError,
     strict=True,
-    reason="ROADMAP open item 3: at kappa(S) = 10^5.44 the commutant dimension alone dissents (7 for 5)",
+    reason="ROADMAP open item 9: at kappa(S) = 10^5.44 the commutant dimension alone dissents (7 for 5)",
 )
 def test_conditioned_base_at_kappa_10_to_5_44_gets_a_verdict():
     assert isinstance(sb.classify(conditioned_diagonalizable(5, 1056, 10**5.44)).verdict, bool)

@@ -273,6 +273,17 @@ class TestDegenerateInterpolant:
         with pytest.raises(sb.PreconditionError):
             sb.degenerate_interpolant(p)
 
+    def test_indefinite_rejected(self):
+        p = PickProblem([0.0, 0.5], [2.0, 0.0])
+        with pytest.raises(sb.PreconditionError, match="not positive semidefinite"):
+            sb.degenerate_interpolant(p)
+
+    def test_zero_targets_at_nearly_coincident_nodes(self):
+        # 1 / (1 - x_j conj(x_k)) reads singular: the constant-zero interpolant
+        f = sb.degenerate_interpolant(PickProblem([0.3, 0.3 + 1e-9], [0.0, 0.0]))
+        assert isinstance(f, sb.ZeroInterpolant)
+        assert f.order == 0 and f.degenerate
+
     @settings(max_examples=80)
     @given(
         st.lists(
@@ -579,39 +590,6 @@ class TestBoundaryInterpolation:
         assert cert.upper <= cert.radius
 
 
-class TestSymmetrizedDisc:
-    def test_square_product(self):
-        bp = sb.BlaschkeProduct(1.0, [0.0, 0.0])
-        disc = sb.SymmetrizedDisc(bp, 2)
-        rng = np.random.default_rng(44)
-        for _ in range(10):
-            z = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            np.testing.assert_allclose(disc(z), [2 * z, z * z], atol=1e-12)
-
-    def test_origin(self):
-        bp = sb.BlaschkeProduct(-1.0, [0.0])
-        disc = sb.SymmetrizedDisc(bp, 3)
-        np.testing.assert_allclose(disc(0.0), 0.0)
-
-    def test_gap_example_interpolation(self):
-        cert = sb.gap_certificate(np.diag([0.8, 0.0]))
-        disc = sb.SymmetrizedDisc(cert.blaschke, 2)
-        beta_sq = cert.beta**2
-        np.testing.assert_allclose(disc(beta_sq), [0.8, 0.0], atol=1e-6)
-
-    def test_branch_independence(self):
-        cert = sb.gap_certificate(np.diag([0.6, 0.1j, -0.3]))
-        disc = sb.SymmetrizedDisc(cert.blaschke, 3)
-        rng = np.random.default_rng(45)
-        for _ in range(100):
-            z = 0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            assert disc.branch_spread(z) <= 1e-10
-
-    def test_requires_zero_at_origin(self):
-        with pytest.raises(sb.PreconditionError):
-            sb.SymmetrizedDisc(sb.BlaschkeProduct(1.0, [0.5]), 2)
-
-
 class TestGapCertificate:
     def test_distinct_eigenvalues(self):
         cert = sb.gap_certificate(np.diag([0.8, 0.0]))
@@ -633,6 +611,26 @@ class TestGapCertificate:
         assert cert.degenerate
         assert cert.beta == 0.0 and cert.interpolation_residual == 0.0
         assert isinstance(cert.blaschke, sb.ZeroInterpolant)
+        value = cert.blaschke(0.5)
+        assert type(value) is complex and value == 0.0
+        values = cert.blaschke(circle_grid(8))
+        assert values.shape == (8,) and values.dtype == complex and not values.any()
+
+    def test_beta_and_product_are_the_symmetrized_disc(self):
+        """(beta, B) is the analytic disc zeta -> sigma(B(eps_j zeta^(1/n)))
+        into the symmetrized polydisc behind ``upper``: it maps 0 to sigma(0)
+        and zeta = beta^n, whose n-th roots are the nodes eps_j beta, to
+        sigma(B)."""
+        rng = np.random.default_rng(44)
+        for n in range(2, 7):
+            eps = np.exp(2j * np.pi * np.arange(n) / n)
+            for _ in range(8):
+                b = random_ball_matrix(rng, n, radius=rng.uniform(0.3, 0.95))
+                cert = sb.gap_certificate(b)
+                assert abs(cert.blaschke(0.0)) <= 1e-12
+                assert cert.upper == abs(cert.beta) ** n
+                disc = sb.elementary_symmetric(cert.blaschke(eps * cert.beta))
+                np.testing.assert_allclose(disc, sb.sigma(b).coords, rtol=0, atol=1e-8)
 
     def test_upper_never_exceeds_radius(self):
         rng = np.random.default_rng(46)
