@@ -11,13 +11,16 @@ Three entire closed forms witness degenerate invariant-distance behaviour:
   quadratic 2x2 witness with constant trace and determinant.
 
 ``verify_constant_spectrum`` samples any curve, settles the samples whose
-power sums prove their spectrum within SPECTRUM_TOL of the expected one,
-and reports the worst eigenvalue-multiset deviation of the others.
+spectrum a proof puts within SPECTRUM_TOL of the expected one (an
+eigenvector enclosure for the exponential conjugation, the power sums for
+any other curve), and reports the worst eigenvalue-multiset deviation of
+the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,9 +108,14 @@ class ExpConjugationCurve(_FirstOrderWitness):
     kind = "exp_conjugation"
 
     def __call__(self, lam):
+        return self._with_frames(lam)[0]
+
+    def _with_frames(self, lam):
+        """(values, w, w_inv) at lam: the curve's values and the conjugators
+        w = exp(lam Y) and w_inv = exp(-lam Y) they are formed with."""
         x = np.asarray(lam, dtype=complex)[..., None, None] * self.generator
         w, w_inv = expm_pair(x)
-        return w_inv @ self.base @ w
+        return w_inv @ self.base @ w, w, w_inv
 
     def derivative_at_zero(self) -> np.ndarray:
         """A Y - Y A, the derivative of the curve at lam = 0."""
@@ -326,10 +334,12 @@ def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
 class SpectrumCheck:
     """Outcome of sampling a curve against an expected spectrum, passed at ``tol``.
 
-    ``settled`` of the ``samples`` were proved by their power sums to lie
-    within ``tol`` (``_settle_ratio``); ``max_deviation`` and ``worst_point``
-    are the worst eigenvalue deviation over the others, or, when all are
-    settled, the deviation of the one nearest to its bound.
+    ``settled`` of the ``samples`` were proved to lie within ``tol``, by an
+    eigenvector enclosure for an ``ExpConjugationCurve``
+    (``_enclosure_ratio``) and by their power sums for any other curve
+    (``_settle_ratio``); ``max_deviation`` and ``worst_point`` are the worst
+    eigenvalue deviation over the others, or, when all are settled, the
+    deviation of the one nearest to its bound.
     """
 
     passed: bool = field(init=False)
@@ -344,16 +354,20 @@ class SpectrumCheck:
         self.passed = bool(self.max_deviation <= self.tol)
 
 
+@lru_cache(maxsize=64)
 def _sample_points(samples, radius):
     """Deterministic low-discrepancy sampling of the disk |lam| <= radius.
 
-    Returns 0, 1 and samples - 2 further points; *samples* is at least 2.
+    Returns 0, 1 and samples - 2 further points, as one read-only array per
+    (samples, radius); *samples* is at least 2.
     """
     golden = (np.sqrt(5.0) - 1.0) / 2.0
     k = np.arange(samples - 2)
     r = radius * np.sqrt((k + 0.5) / (samples - 2))
     theta = 2.0 * np.pi * ((k * golden) % 1.0)
-    return np.concatenate(([0.0 + 0.0j, 1.0 + 0.0j], r * np.exp(1j * theta)))
+    points = np.concatenate(([0.0 + 0.0j, 1.0 + 0.0j], r * np.exp(1j * theta)))
+    points.flags.writeable = False
+    return points
 
 
 def multiset_distance(values_a, values_b):
@@ -476,6 +490,90 @@ def _settle_ratio(values, expected):
     return np.where(proved, ratio, np.inf)
 
 
+def _enclosure_ratio(base, values, w, w_inv, expected):
+    """For each of the (m, n, n) values X = w^-1 A w of an exponential
+    conjugation, a ratio below 1 proves what ``_settle_ratio`` does: every
+    matrix X + E with ||E|| <= beta = c n u ||X||, a stable eigensolver's
+    backward error, has its spectrum within SPECTRUM_TOL of *expected*; inf
+    where nothing is proved.
+
+    One eig A V = V diag(mu) of the base gives Z = w^-1 V and P = V^-1 w,
+    approximate eigenvectors of X and their inverse.  With D the expected
+    values paired to mu by ``bottleneck_assignment`` and g >= ||I - P Z||
+    below 1, Z is invertible with ||Z^-1|| <= ||P|| / (1 - g), and
+    Z^-1 (X + E) Z = D + Delta, Delta = Z^-1 (R + E Z) for the residual
+    R = X Z - Z D, so
+
+        ||Delta|| <= r = ||P|| (||R|| + ||Z|| beta) / (1 - g).
+
+    (This is the bound through M = P X Z without forming M: with
+    G = I - P Z, (I - G)^-1 (M - D + G D) = (I - G)^-1 P R.)  By Bauer and
+    Fike (Numer. Math. 2, 1960) every eigenvalue of D + t Delta,
+    0 <= t <= 1, lies within r of an expected value, so while 2 r is below
+    their least gap each disc keeps the one eigenvalue it holds at t = 0.
+    The ratio is r / min(SPECTRUM_TOL, gap / 2).  Frobenius norms bound the
+    2-norms; the computed P Z and R are within c n u ||P|| ||Z|| and
+    c n u (||X|| + max |expected|) ||Z|| of the exact ones, u the unit
+    roundoff and c the power sums' safety factor.  A nan or inf settles
+    nothing, silently.
+    """
+    m, n, _ = values.shape
+    if len(expected) != n or not np.isfinite(expected).all():
+        return np.full(m, np.inf)
+    mu, vectors = np.linalg.eig(base)
+    try:
+        vectors_inv = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError:
+        return np.full(m, np.inf)
+    _, perm = bottleneck_assignment(np.abs(mu[:, None] - expected))
+    paired = expected[perm]
+    gaps = np.abs(expected[:, None] - expected)
+    np.fill_diagonal(gaps, np.inf)
+    reach = min(SPECTRUM_TOL, gaps.min(initial=np.inf) / 2.0)
+    cnu = _POWER_SUM_SAFETY * n * np.finfo(float).eps / 2.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # one GEMM each: the stacks against a single matrix, side by side
+        z = (w_inv.reshape(m * n, n) @ vectors).reshape(m, n, n)
+        p = (vectors_inv @ w.transpose(1, 0, 2).reshape(n, m * n)).reshape(n, m, n)
+        p = p.transpose(1, 0, 2)
+        gram = p @ z
+        gram.reshape(m, n * n)[:, :: n + 1] -= 1.0
+        residual = values @ z - z * paired
+        # the Frobenius norms of all five stacks from one real product
+        flat = np.stack([p, z, values, gram, residual]).view(float).reshape(5, m, -1)
+        norm_p, norm_z, norm_x, norm_g, norm_r = np.sqrt(np.einsum("kmi,kmi->km", flat, flat))
+        g = norm_g + cnu * norm_p * norm_z
+        # ||R|| plus its rounding, plus ||Z|| beta
+        slack = norm_r + cnu * (2.0 * norm_x + np.abs(paired).max()) * norm_z
+        ratio = norm_p * slack / (1.0 - g) / reach
+    return np.where((g < 1.0) & (ratio < 1.0), ratio, np.inf)
+
+
+def _settled_values(curve, points, expected):
+    """(values, ratio): the curve's (m, n, n) values at the m points, from
+    one call, and each one's settle ratio.  A curve with ``_with_frames``
+    gets ``_enclosure_ratio``; any other, ``_settle_ratio``."""
+    with_frames = getattr(curve, "_with_frames", None)
+    if with_frames is None:
+        values, frames = curve(points), None
+    else:
+        values, *frames = with_frames(points)
+    values = np.asarray(values, dtype=complex)
+    if (
+        values.ndim != 3
+        or values.shape[0] != len(points)
+        or values.shape[1] != values.shape[2]
+    ):
+        raise InvalidInputError(
+            f"expected {len(points)} stacked square matrices, got shape {values.shape}"
+        )
+    if not np.isfinite(values).all():
+        raise InvalidInputError("matrix entries must be finite")
+    if frames is None:
+        return values, _settle_ratio(values, expected)
+    return values, _enclosure_ratio(curve.base, values, *frames, expected)
+
+
 def verify_constant_spectrum(
     curve,
     expected,
@@ -486,16 +584,19 @@ def verify_constant_spectrum(
 
     Evaluates the curve at *samples* >= 2 points with |lam| <= radius, a
     finite radius >= 0 (0 and 1 are always sampled).  A sample is settled
-    when its power sums prove that its spectrum, and that of every matrix
-    within a stable eigensolver's backward error of it, lies within
-    SPECTRUM_TOL of the expected one (``_settle_ratio``); an expected
-    spectrum with repeated or clustered values settles nothing.  Every
-    other sample gets the optimal-pairing eigenvalue deviation, or, when
-    every sample is settled, the one nearest to its bound does; the check
-    passes iff the worst deviation is at most SPECTRUM_TOL.  The curve is
-    called once, with the 1-D array of sample points, and must return the
-    stack of its values, one (n, n) matrix per point, as the curve classes
-    of this module do.
+    when a proof puts its spectrum, and that of every matrix within a
+    stable eigensolver's backward error of it, within SPECTRUM_TOL of the
+    expected one.  An ``ExpConjugationCurve`` is evaluated once through its
+    conjugators, and its samples are settled by an eigenvector enclosure
+    from one eig of the base (``_enclosure_ratio``); any other curve by its
+    power sums (``_settle_ratio``), where an expected spectrum with
+    repeated or clustered values settles nothing.  Every other sample gets
+    the optimal-pairing eigenvalue deviation, or, when every sample is
+    settled, the one nearest to its bound does; the check passes iff the
+    worst deviation is at most SPECTRUM_TOL.  Any other curve is called
+    once, with the 1-D array of sample points, and must return the stack of
+    its values, one (n, n) matrix per point, as the curve classes of this
+    module do.
     """
     if samples < 2:
         raise InvalidInputError(
@@ -506,19 +607,8 @@ def verify_constant_spectrum(
     exp_values = np.atleast_1d(
         np.asarray(getattr(expected, "values", expected), dtype=complex)
     )
-    points = _sample_points(samples, radius)
-    values = np.asarray(curve(points), dtype=complex)
-    if (
-        values.ndim != 3
-        or values.shape[0] != samples
-        or values.shape[1] != values.shape[2]
-    ):
-        raise InvalidInputError(
-            f"expected {samples} stacked square matrices, got shape {values.shape}"
-        )
-    if not np.isfinite(values).all():
-        raise InvalidInputError("matrix entries must be finite")
-    ratio = _settle_ratio(values, exp_values)
+    points = _sample_points(samples, float(radius))
+    values, ratio = _settled_values(curve, points, exp_values)
     settled = ratio < 1.0
     if settled.all():
         measured = [int(np.argmax(ratio))]

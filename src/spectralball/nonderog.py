@@ -177,6 +177,14 @@ def _unit_columns(w):
     return w / norms
 
 
+@cache
+def _strictly_lower(n):
+    """The read-only mask of the entries below the diagonal of an n x n matrix."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _power_stack(M):
     """(w, r): column k of w is M^k raveled in column-major order, for k < n,
     and r is the R factor of its ``_unit_columns``."""
@@ -189,7 +197,13 @@ def _power_stack(M):
     for k in range(1, n):
         power = power @ M
         cube[:, :, k] = power.T
-    return w, np.linalg.qr(_unit_columns(w), mode="r")
+    # mode="r" is the raw factor's leading block through np.triu, which
+    # builds its mask anew on every call: zeroing with a cached one gives
+    # the same bytes in the same (C) order
+    h, _ = np.linalg.qr(_unit_columns(w), mode="raw")
+    r = h.T[:n]
+    r[_strictly_lower(n)] = 0.0
+    return w, r
 
 
 def _minimal_polynomial_impl(tau, c, M, w, r, s, mu=None):

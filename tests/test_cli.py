@@ -269,7 +269,8 @@ class TestCommands:
         assert {key: doc["residuals"][key] for key in recomputed} == recomputed
 
     def test_curve_zero_metric_eigensolve_count(self, tmp_path, capsys, count_eigvals):
-        # classify, the reported spectrum of A and the stacked verifier
+        # classify, the reported spectrum of A, the eig of A for the
+        # verifier's enclosure and its one eigvals
         rng = np.random.default_rng(82)
         a = 0.5 * random_gaussian(rng, 3)
         y = 0.2 * random_gaussian(rng, 3)
@@ -279,7 +280,7 @@ class TestCommands:
             capsys, "curve", "--input", p1, "--input2", p2, "--kind", "zero-metric"
         )
         assert code == 0
-        assert len(count_eigvals) == 3
+        assert len(count_eigvals) == 4
 
     def test_curve_mismatched_spectra_exit_2(self, tmp_path, capsys):
         p1 = write_matrix(tmp_path / "a.json", np.diag([0.1, 0.2]))

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -579,9 +580,12 @@ def reference_check(curve, expected, samples=100, radius=10.0, tol=1e-6):
     return deviations[k] <= tol, deviations[k], complex(points[k])
 
 
-def settled_samples(values, expected):
-    """The samples that the power sums settle: a settle ratio below 1."""
-    return curves_module._settle_ratio(values, np.asarray(expected.values)) < 1.0
+def settled_samples(curve, points, expected):
+    """The verifier's own settled mask at *points*: a settle ratio below 1,
+    from the enclosure for an exponential conjugation and the power sums
+    for any other curve."""
+    _, ratio = curves_module._settled_values(curve, points, np.asarray(expected.values))
+    return ratio < 1.0
 
 
 def assert_matches_reference_over_unsettled(check, curve, expected):
@@ -590,7 +594,7 @@ def assert_matches_reference_over_unsettled(check, curve, expected):
     worst_point when all are settled."""
     points = curves_module._sample_points(check.samples, check.radius)
     deviations = reference_deviations(curve, expected, check.samples, check.radius)
-    settled = settled_samples(curve(points), expected)
+    settled = settled_samples(curve, points, expected)
     assert (deviations[settled] <= curves_module.SPECTRUM_TOL).all()
     assert check.settled == settled.sum()
     if settled.all():
@@ -599,6 +603,18 @@ def assert_matches_reference_over_unsettled(check, curve, expected):
         k = int(np.argmax(np.where(settled, -1.0, deviations)))
         assert check.worst_point == points[k]
     assert abs(check.max_deviation - deviations[k]) <= 1e-12
+
+
+@dataclass(eq=False)
+class PerturbedValues(sb.ExpConjugationCurve):
+    """The frames of the exponential conjugation of the base A, with the
+    values of A + perturbation conjugated by them."""
+
+    perturbation: np.ndarray
+
+    def _with_frames(self, lam):
+        _, w, w_inv = super()._with_frames(lam)
+        return w_inv @ (self.base + self.perturbation) @ w, w, w_inv
 
 
 def scalar_polynomial(coefficients, lam):
@@ -641,6 +657,13 @@ class TestVectorizedVerifier:
             assert got.dtype == ref.dtype and got.shape == (samples,)
             assert got.tobytes() == ref.tobytes()
 
+    def test_sample_points_are_one_read_only_array(self):
+        points = curves_module._sample_points(100, 10.0)
+        assert curves_module._sample_points(100, 10.0) is points
+        assert not points.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            points[0] = 2.0
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_stacked_evaluation_matches_pointwise(self, n):
         rng = np.random.default_rng(600 + n)
@@ -657,7 +680,7 @@ class TestVectorizedVerifier:
             poly(points), np.stack([scalar_polynomial(poly.coefficients, p) for p in points])
         )
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_verifier_matches_reference_loop(self, n):
         # the settled samples skip the eigensolve: max_deviation is the
         # reference's over the others, or its value at worst_point when
@@ -729,34 +752,50 @@ class TestVectorizedVerifier:
         # near 0 the bound covers the rounding of p_k through the norms of
         # X^k, so those samples settle; far out ||X^k|| lifts the bound, which
         # Newton's identities and 1 / prod |lam_i - lam_j| magnify past the
-        # discs of radius SPECTRUM_TOL, and those samples go to eigvals
+        # discs of radius SPECTRUM_TOL, and those samples go to eigvals.  A
+        # plain callable with the curve's values gets the power sums; the
+        # curve itself gets the enclosure, whose bound grows only with
+        # ||P|| ||X|| ||Z||, and which settles most samples beyond ||X|| = 100
         rng = np.random.default_rng(910)
         a = random_ball_matrix(rng, 8, radius=0.7)
         y = 0.2 * random_gaussian(rng, 8)
         curve = sb.zero_metric_curve(a, a @ y - y @ a)
         expected = sb.spectrum(a)
-        check = sb.verify_constant_spectrum(curve, expected, radius=10.0)
+
+        def values_only(lam):
+            return curve(lam)
+
+        check = sb.verify_constant_spectrum(values_only, expected, radius=10.0)
         assert check.passed and check.settled < check.samples
-        values = curve(curves_module._sample_points(check.samples, check.radius))
-        settled = settled_samples(values, expected)
-        norms = np.linalg.norm(values, axis=(1, 2))
+        points = curves_module._sample_points(check.samples, check.radius)
+        settled = settled_samples(values_only, points, expected)
+        norms = np.linalg.norm(curve(points), axis=(1, 2))
         assert settled[norms <= 10.0].all()
         assert not settled[norms >= 100.0].any()
+        assert_matches_reference_over_unsettled(check, values_only, expected)
+        enclosed = settled_samples(curve, points, expected)
+        assert (enclosed >= settled).all() and enclosed[norms >= 100.0].mean() > 0.5
+        check = sb.verify_constant_spectrum(curve, expected, radius=10.0)
+        assert check.passed and check.settled == enclosed.sum()
         assert_matches_reference_over_unsettled(check, curve, expected)
 
     def test_defective_spectrum_keeps_the_eigenvalue_verdict(self):
-        # a repeated expected value settles nothing: eigvals split a 6 x 6
-        # Jordan block by about eps^(1/6), and the eigenvalue tolerance
-        # rejects the curve as the reference loop does
+        # a repeated expected value settles nothing, under either proof:
+        # eigvals split a 6 x 6 Jordan block by about eps^(1/6), and the
+        # eigenvalue tolerance rejects the curve as the reference loop does
         rng = np.random.default_rng(1)
         q = random_unitary(rng, 6)
-        curve = sb.MatrixPolynomialCurve([q @ jordan_block(0.3, 6) @ q.conj().T])
+        base = q @ jordan_block(0.3, 6) @ q.conj().T
         expected = sb.Spectrum(np.full(6, 0.3 + 0j))
-        check = sb.verify_constant_spectrum(curve, expected)
-        assert check.settled == 0
-        passed, worst, worst_point = reference_check(curve, expected)
-        assert not passed and (check.passed, check.worst_point) == (passed, worst_point)
-        assert abs(check.max_deviation - worst) <= 1e-12
+        for curve in (
+            sb.MatrixPolynomialCurve([base]),
+            sb.ExpConjugationCurve(base=base, generator=0.2 * random_gaussian(rng, 6)),
+        ):
+            check = sb.verify_constant_spectrum(curve, expected)
+            assert check.settled == 0
+            passed, worst, worst_point = reference_check(curve, expected)
+            assert not passed and (check.passed, check.worst_point) == (passed, worst_point)
+            assert abs(check.max_deviation - worst) <= 1e-12
 
     def test_nilpotent_drift_is_not_settled(self):
         # [[0, 1e4], [1e-12 lam, 0]] has eigenvalues +-1e-4 sqrt(lam), about
@@ -784,7 +823,7 @@ class TestVectorizedVerifier:
         check = sb.verify_constant_spectrum(curve, expected)
         assert not check.passed
         points = curves_module._sample_points(check.samples, check.radius)
-        settled = settled_samples(curve(points), expected)
+        settled = settled_samples(curve, points, expected)
         assert settled[0] and check.settled == settled.sum()
         assert (3e-7 * np.abs(points[settled]) <= curves_module.SPECTRUM_TOL).all()
         assert_matches_reference_over_unsettled(check, curve, expected)
@@ -797,19 +836,41 @@ class TestVectorizedVerifier:
         assert check.settled == 0 and check.passed
 
     def test_overflowing_powers_fall_back_silently(self):
-        # ||X|| ~ 1e40: the tenth powers overflow, so no sample settles and no
-        # warning is raised; eigvals then give the reference loop's verdict
-        rng = np.random.default_rng(920)
-        a = 1e40 * random_ball_matrix(rng, 10, radius=1.0)
-        y = 0.2 * random_gaussian(rng, 10)
-        curve = sb.ExpConjugationCurve(base=a, generator=y)
-        expected = sb.spectrum(a)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            check = sb.verify_constant_spectrum(curve, expected, samples=20, radius=1.0)
-        assert check.settled == 0
-        assert check.passed == reference_check(curve, expected, 20, 1.0)[0]
-        assert_matches_reference_over_unsettled(check, curve, expected)
+        # ||X|| ~ 1e40: the tenth powers of a plain callable's values
+        # overflow; at 1e160 the squared norms of the enclosure do too.  No
+        # sample settles and no warning is raised; eigvals then give the
+        # reference loop's verdict
+        for scale in (1e40, 1e160):
+            rng = np.random.default_rng(920)
+            a = scale * random_ball_matrix(rng, 10, radius=1.0)
+            y = 0.2 * random_gaussian(rng, 10)
+            curve = sb.ExpConjugationCurve(base=a, generator=y)
+            expected = sb.spectrum(a)
+
+            def values_only(lam, curve=curve):
+                return curve(lam)
+
+            for c in (curve, values_only):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    check = sb.verify_constant_spectrum(c, expected, samples=20, radius=1.0)
+                assert check.settled == 0
+                assert check.passed == reference_check(c, expected, 20, 1.0)[0]
+                assert_matches_reference_over_unsettled(check, c, expected)
+
+    @pytest.mark.parametrize("delta", (1e-3, 1e-5))
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_enclosure_never_settles_values_off_their_frames(self, n, delta):
+        # the frames w are those of A, the values those of A + delta E: the
+        # residual X Z - Z D carries delta w^-1 E V, far above SPECTRUM_TOL
+        rng = np.random.default_rng(940 + n)
+        a = random_ball_matrix(rng, n, radius=0.7)
+        y = 0.2 * random_gaussian(rng, n)
+        direction = random_gaussian(rng, n)
+        curve = PerturbedValues(a, y, delta * direction / np.linalg.norm(direction))
+        check = sb.verify_constant_spectrum(curve, sb.spectrum(a))
+        assert check.settled == 0 and not check.passed
+        assert check.passed == reference_check(curve, sb.spectrum(a))[0]
 
     def test_multiset_distance_mixed_stack(self):
         b = np.array([0.0, 1.0])
@@ -826,6 +887,29 @@ class TestVectorizedVerifier:
         np.testing.assert_array_equal(sb.multiset_distance(np.zeros((3, 0)), []), np.zeros(3))
         value, perm = sb.bottleneck_assignment(np.zeros((2, 0, 0)))
         assert value.shape == (2,) and perm.shape == (2, 0)
+
+
+class TestEnclosureProperties:
+    @settings(max_examples=40)
+    @given(st.integers(2, 10), st.integers(0, 2**32 - 1))
+    def test_settles_only_samples_within_the_tolerance(self, n, seed):
+        # a zero-metric curve as the benchmark draws it: every sample that
+        # the enclosure settles has its eigvals within SPECTRUM_TOL, and the
+        # verdict is the reference loop's
+        rng = np.random.default_rng(seed)
+        a = random_ball_matrix(rng, n, radius=rng.uniform(0.3, 0.8))
+        y = 0.2 * random_gaussian(rng, n)
+        curve = sb.zero_metric_curve(a, a @ y - y @ a)
+        assert isinstance(curve, sb.ExpConjugationCurve)
+        expected = sb.spectrum(a)
+        points = curves_module._sample_points(100, 10.0)
+        values, ratio = curves_module._settled_values(curve, points, expected.values)
+        settled = ratio < 1.0
+        deviations = sb.multiset_distance(np.linalg.eigvals(values), expected.values)
+        assert (deviations[settled] <= curves_module.SPECTRUM_TOL).all()
+        check = sb.verify_constant_spectrum(curve, expected)
+        assert check.settled == settled.sum()
+        assert check.passed == reference_check(curve, expected)[0]
 
 
 _grid_value = st.builds(

@@ -542,9 +542,10 @@ class TestSvdBudget:
         factors, inputs, blocks = [], [], []
 
         def recording_qr(x, *args, **kwargs):
-            r = qr(x, *args, **kwargs)
-            factors.append(r)
-            return r
+            out = qr(x, *args, **kwargs)
+            # a raw factor holds R, transposed, in its leading block
+            factors.append(out[0].T[: x.shape[1]] if isinstance(out, tuple) else out)
+            return out
 
         def counting_svd(x, *args, **kwargs):
             inputs.append(np.array(x))
@@ -901,6 +902,32 @@ class TestPowerMatrix:
         x, y = seen["lstsq"]
         assert x.tobytes() == w[:, :d].tobytes()
         assert y.tobytes() == (-w[:, d]).tobytes()
+
+
+class TestPowerStackFactor:
+    """The R factor of ``_power_stack`` is numpy's mode="r" factor, byte for
+    byte and in the same memory order, at full and at deficient degree."""
+
+    def test_equals_numpy_mode_r(self):
+        degrees = set()
+        for n in range(1, 17):
+            for structure in ("gaussian", "jordan_split", "repeated", "scalar"):
+                a = structured_matrix(structure, n, 50 + n)
+                _, _, M = matcore_module._centered(a, sb.DEFAULT_TOL)
+                w, r = nonderog_module._power_stack(M)
+                ref = np.linalg.qr(nonderog_module._unit_columns(w), mode="r")
+                assert r.dtype == ref.dtype and r.shape == ref.shape
+                assert r.flags.c_contiguous == ref.flags.c_contiguous
+                assert r.strides == ref.strides
+                assert r.tobytes() == ref.tobytes()
+                degrees.add(len(sb.minimal_polynomial(a).coeffs) - 1 == n)
+        assert degrees == {True, False}
+
+    def test_cached_mask_is_read_only(self):
+        mask = nonderog_module._strictly_lower(5)
+        assert mask is nonderog_module._strictly_lower(5)
+        assert not mask.flags.writeable
+        assert (mask == np.tri(5, k=-1, dtype=bool)).all()
 
 
 class TestNamedScaleRegressions:
