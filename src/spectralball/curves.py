@@ -6,7 +6,9 @@ Three entire closed forms witness degenerate invariant-distance behaviour:
   shared triangular frame, with the conjugating unitaries joined by a
   one-parameter unitary group;
 * exponential conjugation -- lam -> exp(-lam Y) A exp(lam Y), the canonical
-  zero-metric witness with prescribed first derivative;
+  zero-metric witness with prescribed first derivative, its conjugators
+  formed from one eigendecomposition of Y (the Pade exponential
+  ``expm_pair`` only for a Y too close to defective);
 * matrix polynomial       -- explicit low-degree curves, including the
   quadratic 2x2 witness with constant trace and determinant.
 
@@ -36,6 +38,7 @@ from .matcore import (
     PAIRING_TOL,
     _centered,
     _cmul,
+    _frobenius,
     _rank_by_svd,
     as_matrix,
     bottleneck_assignment,
@@ -95,17 +98,55 @@ class _FirstOrderWitness:
         }
 
 
+def _eigenbasis(generator):
+    """(nu, S, S^-1) with Y = S diag(nu) S^-1, from one eig of the generator,
+    or None when the eig or the inverse fails or S is too ill-conditioned
+    for exp(lam Y) = S diag(e^(lam nu)) S^-1.
+
+    That route (Moler and Van Loan, SIAM Rev. 45, 2003, method 14) errs by
+    about kappa(S) u relative to the exponential, u = eps / 2 the unit
+    roundoff.  The bound kappa(S) <= 1 / sqrt(eps), about 6.7e7, keeps that
+    below sqrt(eps) / 2, about 7.5e-9: half the digits, and two decades
+    under SPECTRUM_TOL on values of norm 1.  A defective or nearly defective
+    Y exceeds it (a nilpotent 2 x 2 reads kappa(S) about 2e291) and gets
+    ``expm_pair``.  eig gives S unit columns, so kappa(S) is at most
+    kappa_F(S) = sqrt(n) ||S^-1||_F, here taken overflow-safe.
+    """
+    n = generator.shape[0]
+    try:
+        nu, s = np.linalg.eig(generator)
+        s_inv = np.linalg.inv(s)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.sqrt(n) * _frobenius(s_inv) <= np.finfo(float).eps ** -0.5:
+        return None
+    return nu, s, s_inv
+
+
 @dataclass(eq=False)
 class ExpConjugationCurve(_FirstOrderWitness):
     """exp(-lam Y) A exp(lam Y); spectrum is constant identically.
 
     A scalar parameter gives one (n, n) matrix; a 1-D array of m parameters
-    gives the (m, n, n) stack of values.
+    gives the (m, n, n) stack of values.  The conjugators come from one eig
+    Y = S diag(nu) S^-1 of the generator, taken at construction
+    (``_eigenbasis``); a generator whose S is too ill-conditioned for that
+    route, such as a nilpotent one, gets ``expm_pair``'s Pade exponential
+    instead.  The value at 0 is A exactly.  Construction raises
+    InvalidInputError unless A and Y are finite square matrices of one size.
     """
 
     base: np.ndarray
     generator: np.ndarray
     kind = "exp_conjugation"
+
+    def __post_init__(self):
+        self.base = as_matrix(self.base)
+        self.generator = as_matrix(self.generator)
+        if self.generator.shape != self.base.shape:
+            raise InvalidInputError("matrices must have the same dimension")
+        self._eigenbasis = _eigenbasis(self.generator)
+        self._base_eig = None
 
     def __call__(self, lam):
         return self._with_frames(lam)[0]
@@ -113,9 +154,30 @@ class ExpConjugationCurve(_FirstOrderWitness):
     def _with_frames(self, lam):
         """(values, w, w_inv) at lam: the curve's values and the conjugators
         w = exp(lam Y) and w_inv = exp(-lam Y) they are formed with."""
-        x = np.asarray(lam, dtype=complex)[..., None, None] * self.generator
-        w, w_inv = expm_pair(x)
-        return w_inv @ self.base @ w, w, w_inv
+        lam = np.asarray(lam, dtype=complex)
+        if self._eigenbasis is None:
+            w, w_inv = expm_pair(lam[..., None, None] * self.generator)
+            return w_inv @ self.base @ w, w, w_inv
+        nu, s, s_inv = self._eigenbasis
+        n = len(nu)
+        shape = lam.shape + (n, n)
+        x = lam[..., None, None] * nu
+        # (S e^(lam nu)) S^-1 and w^-1 A: each one (m n, n) by (n, n) product
+        # over the whole stack
+        w = ((s * np.exp(x)).reshape(-1, n) @ s_inv).reshape(shape)
+        w_inv = ((s * np.exp(-x)).reshape(-1, n) @ s_inv).reshape(shape)
+        zero = lam == 0
+        # exp(0) = I: keep the value at 0 exactly A
+        w[zero] = w_inv[zero] = np.eye(n)
+        return (w_inv.reshape(-1, n) @ self.base).reshape(shape) @ w, w, w_inv
+
+    def _base_eigenpairs(self):
+        """(mu, V) with A V = V diag(mu): from one eig of the base on first
+        use, unless ``zero_metric_curve`` gave the ones its base was proved
+        non-derogatory with."""
+        if self._base_eig is None:
+            self._base_eig = np.linalg.eig(self.base)
+        return self._base_eig
 
     def derivative_at_zero(self) -> np.ndarray:
         """A Y - Y A, the derivative of the curve at lam = 0."""
@@ -179,8 +241,8 @@ def iso_spectral_curve(a, b) -> TriangularConjugationCurve:
 
 
 def _centered_base(A, B):
-    """The centered, normalized M of A = tau I + c M at STRUCTURE_TOL, or
-    None when the base A is scalar.  Raises UnsupportedError when the
+    """(tau, c, M), A = tau I + c M centered and normalized at STRUCTURE_TOL,
+    or None when the base A is scalar.  Raises UnsupportedError when the
     tests below rule out a witness with value A and derivative B.
 
     Both tests are scale-free: they read M and B / max |B|.  A scalar base
@@ -190,7 +252,7 @@ def _centered_base(A, B):
     most STRUCTURE_TOL.  The differential at A is the one at M composed
     with an invertible triangular map, so the two vanish together.
     """
-    _, c, M = _centered(A, STRUCTURE_TOL)
+    tau, c, M = _centered(A, STRUCTURE_TOL)
     scale = float(np.abs(B).max())
     b = B / scale if scale else B
     if c == 0.0:
@@ -201,7 +263,7 @@ def _centered_base(A, B):
         return None
     if np.abs(sigma_pushforward(M, b)).max() > STRUCTURE_TOL:
         raise UnsupportedError("symmetrized differential of the direction does not vanish")
-    return M
+    return tau, c, M
 
 
 def zero_metric_curve(a, b):
@@ -217,20 +279,25 @@ def zero_metric_curve(a, b):
     dimension n, and by ``classify`` otherwise.  A base that is not scalar
     at STRUCTURE_TOL is not scalar at the smaller DEFAULT_TOL either, and
     ``_centered`` then gives the same M at both, so the M of the structure
-    tests is the one the decision reads.
+    tests is the one the decision reads.  The curve keeps that eig of M,
+    with A's eigenvalues tau + c mu, for its verifier's enclosure.
     """
     A = as_matrix(a)
     B = as_matrix(b)
     if B.shape != A.shape:
         raise InvalidInputError("matrices must have the same dimension")
-    M = _centered_base(A, B)
-    if M is None:
+    centered = _centered_base(A, B)
+    if centered is None:
         return MatrixPolynomialCurve([A, B])
-    if not _nonderogatory(A, M):
+    tau, c, M = centered
+    mu, vectors = np.linalg.eig(M)
+    if not _nonderogatory(A, M, mu, vectors):
         raise UnsupportedError(
             "base point is derogatory and not scalar; no witness is constructed"
         )
-    return ExpConjugationCurve(base=A, generator=solve_conjugation(A, B))
+    curve = ExpConjugationCurve(base=A, generator=solve_conjugation(A, B))
+    curve._base_eig = (tau + c * mu, vectors)
+    return curve
 
 
 def spectrum_polynomials_2x2(curve: MatrixPolynomialCurve):
@@ -490,15 +557,15 @@ def _settle_ratio(values, expected):
     return np.where(proved, ratio, np.inf)
 
 
-def _enclosure_ratio(base, values, w, w_inv, expected):
+def _enclosure_ratio(eigenpairs, values, w, w_inv, expected):
     """For each of the (m, n, n) values X = w^-1 A w of an exponential
     conjugation, a ratio below 1 proves what ``_settle_ratio`` does: every
     matrix X + E with ||E|| <= beta = c n u ||X||, a stable eigensolver's
     backward error, has its spectrum within SPECTRUM_TOL of *expected*; inf
     where nothing is proved.
 
-    One eig A V = V diag(mu) of the base gives Z = w^-1 V and P = V^-1 w,
-    approximate eigenvectors of X and their inverse.  With D the expected
+    The eigenpairs A V = V diag(mu) of the base give Z = w^-1 V and
+    P = V^-1 w, approximate eigenvectors of X and their inverse.  With D the expected
     values paired to mu by ``bottleneck_assignment`` and g >= ||I - P Z||
     below 1, Z is invertible with ||Z^-1|| <= ||P|| / (1 - g), and
     Z^-1 (X + E) Z = D + Delta, Delta = Z^-1 (R + E Z) for the residual
@@ -520,7 +587,7 @@ def _enclosure_ratio(base, values, w, w_inv, expected):
     m, n, _ = values.shape
     if len(expected) != n or not np.isfinite(expected).all():
         return np.full(m, np.inf)
-    mu, vectors = np.linalg.eig(base)
+    mu, vectors = eigenpairs
     try:
         vectors_inv = np.linalg.inv(vectors)
     except np.linalg.LinAlgError:
@@ -571,7 +638,7 @@ def _settled_values(curve, points, expected):
         raise InvalidInputError("matrix entries must be finite")
     if frames is None:
         return values, _settle_ratio(values, expected)
-    return values, _enclosure_ratio(curve.base, values, *frames, expected)
+    return values, _enclosure_ratio(curve._base_eigenpairs(), values, *frames, expected)
 
 
 def verify_constant_spectrum(
@@ -588,7 +655,7 @@ def verify_constant_spectrum(
     stable eigensolver's backward error of it, within SPECTRUM_TOL of the
     expected one.  An ``ExpConjugationCurve`` is evaluated once through its
     conjugators, and its samples are settled by an eigenvector enclosure
-    from one eig of the base (``_enclosure_ratio``); any other curve by its
+    from the eigenpairs of the base (``_enclosure_ratio``); any other curve by its
     power sums (``_settle_ratio``), where an expected spectrum with
     repeated or clustered values settles nothing.  Every other sample gets
     the optimal-pairing eigenvalue deviation, or, when every sample is

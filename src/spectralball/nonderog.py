@@ -461,16 +461,15 @@ def classify(a, rng=None) -> NonderogReport:
     return NonderogReport(per, PolyCoeffs(min_coeffs))
 
 
-def _nonderogatory(A, M) -> bool:
+def _nonderogatory(A, M, mu, vectors) -> bool:
     """Whether the matrix A is non-derogatory; M is its centered, normalized
-    M at DEFAULT_TOL (``_centered``).
+    M at DEFAULT_TOL (``_centered``) and (mu, vectors) its eig.
 
-    One eigensolve of M decides every base whose eigenpairs prove that the
+    The eigenpairs decide every base for which they prove that the
     commutant has dimension n (``_commutant_rank_bound``).  Any other base
     (scalar, repeated, clustered beyond the bound, defective or
     ill-conditioned) gets the verdict of ``classify``.
     """
-    mu, vectors = np.linalg.eig(M)
     bounds = _eigenpair_bounds(M, mu, vectors, np.linalg.svd(vectors, compute_uv=False))
     if _commutant_rank_bound(M, bounds) is not None:
         return True

@@ -269,8 +269,9 @@ class TestCommands:
         assert {key: doc["residuals"][key] for key in recomputed} == recomputed
 
     def test_curve_zero_metric_eigensolve_count(self, tmp_path, capsys, count_eigvals):
-        # classify, the reported spectrum of A, the eig of A for the
-        # verifier's enclosure and its one eigvals
+        # the eig of the centered base, which proves it non-derogatory and
+        # serves the verifier's enclosure, the curve's eig of its generator,
+        # the reported spectrum of A and the verifier's one eigvals
         rng = np.random.default_rng(82)
         a = 0.5 * random_gaussian(rng, 3)
         y = 0.2 * random_gaussian(rng, 3)
@@ -281,6 +282,20 @@ class TestCommands:
         )
         assert code == 0
         assert len(count_eigvals) == 4
+
+    def test_curve_zero_metric_defective_generator(self, tmp_path, capsys):
+        # the nilpotent generator Y = [[0, 0.2], [0, 0]] takes the Pade
+        # exponential; the document is that of any zero-metric curve
+        a, y = np.diag([0.3, 0.5]), np.array([[0.0, 0.2], [0.0, 0.0]])
+        p1 = write_matrix(tmp_path / "a.json", a)
+        p2 = write_matrix(tmp_path / "b.json", a @ y - y @ a)
+        code, out, err = run_cli(
+            capsys, "curve", "--input", p1, "--input2", p2, "--kind", "zero-metric"
+        )
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["outputs"]["constant_spectrum"]["passed"] is True
+        assert doc["residuals"]["endpoint_base"] == 0.0
 
     def test_curve_mismatched_spectra_exit_2(self, tmp_path, capsys):
         p1 = write_matrix(tmp_path / "a.json", np.diag([0.1, 0.2]))

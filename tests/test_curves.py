@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -298,7 +299,8 @@ class TestZeroMetricCurve:
     def test_generic_base_is_decided_by_one_eigensolve(self, count_calls, n):
         # the eigenpairs of M prove a Gaussian base non-derogatory at every
         # scale and shift: classify is not called, and the one SVD is that of
-        # the eigenvectors in the proof
+        # the eigenvectors in the proof; the other eigensolve is the curve's
+        # eig of its generator
         rng = np.random.default_rng(60 + n)
         a0, y0 = random_gaussian(rng, n), 0.2 * random_gaussian(rng, n)
         classified = count_calls(nonderog_module, "classify")
@@ -312,7 +314,7 @@ class TestZeroMetricCurve:
                 svds.clear()
                 c = sb.zero_metric_curve(a, b)
                 assert isinstance(c, sb.ExpConjugationCurve)
-                assert eigensolves == [(n, n)]
+                assert eigensolves == [(n, n)] * 2
                 assert svds == [(n, n)]
         assert classified == []
 
@@ -329,6 +331,160 @@ class TestZeroMetricCurve:
         assert classified == [(3, 3)]
         assert isinstance(c, sb.ExpConjugationCurve)
         assert np.linalg.norm(c.derivative_at_zero() - b) <= 1e-9 * (1.0 + np.linalg.norm(b))
+
+
+def defective_zero_metric_curve():
+    """The zero-metric curve of diag(0.3, 0.5) along AY - YA, Y = [[0, 0.2],
+    [0, 0]]: its generator is nilpotent, and eig gives it nearly parallel
+    eigenvectors."""
+    a = np.diag([0.3, 0.5])
+    y = np.array([[0.0, 0.2], [0.0, 0.0]])
+    return a, sb.zero_metric_curve(a, a @ y - y @ a)
+
+
+def pade_frames(curve, lam):
+    """(values, w, w_inv) of an exponential conjugation from expm_pair."""
+    w, w_inv = sb.expm_pair(np.asarray(lam, dtype=complex)[..., None, None] * curve.generator)
+    return w_inv @ curve.base @ w, w, w_inv
+
+
+def relative_error(x, ref):
+    return np.linalg.norm(x - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
+
+
+class TestExpConjugationCurve:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_eigenbasis_matches_expm_pair_and_scipy(self, count_calls, n):
+        rng = np.random.default_rng([330, n])
+        expm = count_calls(curves_module, "expm_pair")
+        for scale in (0.2, 1.0):
+            a = random_ball_matrix(rng, n, radius=0.7)
+            curve = sb.ExpConjugationCurve(base=a, generator=scale * random_gaussian(rng, n))
+            assert curve._eigenbasis is not None
+            lam = np.concatenate(([1.0, -1.0, 10.0, 10.0j], disk_points(rng, 30)))
+            values, w, w_inv = curve._with_frames(lam)
+            assert expm == []
+            for got, ref in zip((values, w, w_inv), pade_frames(curve, lam)):
+                assert relative_error(got, ref).max() <= 1e-12
+            for k, t in enumerate(lam):
+                e, e_inv = scipy.linalg.expm(t * curve.generator), scipy.linalg.expm(-t * curve.generator)
+                assert relative_error(w[k], e) <= 1e-12
+                assert relative_error(w_inv[k], e_inv) <= 1e-12
+                assert relative_error(values[k], e_inv @ a @ e) <= 1e-12
+
+    def test_defective_generator_takes_expm_pair_bit_for_bit(self, count_calls):
+        a, curve = defective_zero_metric_curve()
+        assert curve._eigenbasis is None
+        _, s = np.linalg.eig(curve.generator)
+        assert np.linalg.cond(s) > 1e200
+        expm = count_calls(curves_module, "expm_pair")
+        points = curves_module._sample_points(100, 10.0)
+        for got, ref in zip(curve._with_frames(points), pade_frames(curve, points)):
+            np.testing.assert_array_equal(got, ref)
+        assert expm == [(100, 2, 2)]
+        check = sb.verify_constant_spectrum(curve, sb.spectrum(a))
+        assert check.passed and check.settled == 100
+
+    @pytest.mark.parametrize("delta, eigenbasis", [(1e-5, True), (1e-9, False)])
+    def test_route_follows_the_condition_of_the_eigenvectors(self, delta, eigenbasis):
+        # Y = 0.2 [[delta, 1], [0, -delta]] has eigenvectors at an angle of
+        # about 2 delta: kappa_F(S) about 1 / delta, against 1 / sqrt(eps)
+        y = 0.2 * np.array([[delta, 1.0], [0.0, -delta]])
+        _, s = np.linalg.eig(y)
+        kappa = np.sqrt(2.0) * np.linalg.norm(np.linalg.inv(s))
+        assert (kappa <= np.finfo(float).eps ** -0.5) == eigenbasis
+        a = np.array([[0.3, 0.1], [0.05, -0.2]])
+        curve = sb.ExpConjugationCurve(base=a, generator=y)
+        assert (curve._eigenbasis is not None) == eigenbasis
+        lam = disk_points(np.random.default_rng(331), 20)
+        err = relative_error(curve(lam), pade_frames(curve, lam)[0])
+        assert err.max() <= kappa * np.finfo(float).eps * 10.0
+
+    def test_value_at_zero_is_the_base_on_both_routes(self):
+        rng = np.random.default_rng(332)
+        a, y = random_ball_matrix(rng, 4, radius=0.6), 0.3 * random_gaussian(rng, 4)
+        defective_base, defective = defective_zero_metric_curve()
+        for base, curve in (
+            (a, sb.ExpConjugationCurve(base=a, generator=y)),
+            (a, sb.zero_metric_curve(a, a @ y - y @ a)),
+            (defective_base, defective),
+        ):
+            n = base.shape[0]
+            np.testing.assert_array_equal(curve(0.0), base)
+            values, w, w_inv = curve._with_frames(np.array([0.0, 0.5j, 0.0, 2.0]))
+            for k in (0, 2):
+                np.testing.assert_array_equal(values[k], base)
+                np.testing.assert_array_equal(w[k], np.eye(n))
+                np.testing.assert_array_equal(w_inv[k], np.eye(n))
+            assert curve.residuals(base, curve.derivative_at_zero())["endpoint_base"] == 0.0
+
+    def test_mismatched_sizes_are_invalid(self):
+        with pytest.raises(sb.InvalidInputError, match="same dimension"):
+            sb.ExpConjugationCurve(base=np.eye(2), generator=np.zeros((3, 3)))
+
+    def test_list_inputs_are_matrices(self):
+        base = [[0.3, 0.1], [0.0, -0.2]]
+        generator = [[0.0, 0.2], [0.1, 0.05]]
+        curve = sb.ExpConjugationCurve(base=base, generator=generator)
+        reference = sb.ExpConjugationCurve(base=np.array(base), generator=np.array(generator))
+        np.testing.assert_array_equal(curve.derivative_at_zero(), reference.derivative_at_zero())
+        np.testing.assert_array_equal(curve(0.7j), reference(0.7j))
+
+    @pytest.mark.parametrize("which", ["base", "generator"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_are_invalid(self, which, bad):
+        entries = {"base": np.diag([0.3, 0.5]), "generator": np.array([[0.0, 0.2], [0.1, 0.0]])}
+        entries[which] = entries[which].copy()
+        entries[which][0, 1] = bad
+        with pytest.raises(sb.InvalidInputError, match="finite"):
+            sb.ExpConjugationCurve(**entries)
+
+    def test_non_square_input_is_invalid(self):
+        with pytest.raises(sb.InvalidInputError, match="square"):
+            sb.ExpConjugationCurve(base=np.zeros((2, 3)), generator=np.zeros((2, 3)))
+
+    def test_failed_eigensolve_falls_back_to_expm_pair(self, monkeypatch):
+        def no_convergence(x):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        rng = np.random.default_rng(333)
+        a, y = random_ball_matrix(rng, 3, radius=0.6), 0.2 * random_gaussian(rng, 3)
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "eig", no_convergence)
+            curve = sb.ExpConjugationCurve(base=a, generator=y)
+        assert curve._eigenbasis is None
+        lam = disk_points(rng, 10)
+        for got, ref in zip(curve._with_frames(lam), pade_frames(curve, lam)):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_zero_metric_report_takes_one_eig_of_the_base(self, count_calls, n):
+        # the eig of M that proves the base non-derogatory is the verifier's
+        # too: building the curve solves M and the generator, and verifying
+        # it solves only the eigvals of its samples
+        rng = np.random.default_rng([334, n])
+        a, y = random_ball_matrix(rng, n, radius=0.7), 0.2 * random_gaussian(rng, n)
+        expected = sb.spectrum(a)
+        eig = count_calls(np.linalg, "eig")
+        curve = sb.zero_metric_curve(a, a @ y - y @ a)
+        assert eig == [(n, n)] * 2
+        eig.clear()
+        check = sb.verify_constant_spectrum(curve, expected)
+        assert eig == []
+        # a curve built directly takes its own eig of the base, once
+        direct = sb.ExpConjugationCurve(base=curve.base, generator=curve.generator)
+        eig.clear()
+        for _ in range(2):
+            again = sb.verify_constant_spectrum(direct, expected)
+        assert eig == [(n, n)]
+        assert again.passed == check.passed
+        # the eigenvalues tau + c mu of the proof pair with the expected
+        # values as those of the base's own eig do
+        paired = [
+            sb.bottleneck_assignment(np.abs(mu[:, None] - expected.values))[1]
+            for mu, _ in (curve._base_eigenpairs(), direct._base_eigenpairs())
+        ]
+        np.testing.assert_array_equal(*paired)
 
 
 class TestQuadraticWitness:
@@ -491,13 +647,14 @@ class TestScaleFreeWitnessTests:
             sb.quadratic_witness_2x2(a, a @ y - y @ a)
 
     def test_eigensolve_counts(self, count_eigvals):
-        # the non-derogatory proof of a zero-metric curve solves once; the
-        # differential and the quadratic witness solve nothing
+        # the non-derogatory proof of a zero-metric curve solves once and the
+        # curve's eigenbasis of its generator once; the differential and the
+        # quadratic witness solve nothing
         rng = np.random.default_rng(57)
         a3, y3 = random_gaussian(rng, 3), 0.2 * random_gaussian(rng, 3)
         a2, y2 = random_gaussian(rng, 2), 0.2 * random_gaussian(rng, 2)
         sb.zero_metric_curve(a3, a3 @ y3 - y3 @ a3)
-        assert len(count_eigvals) == 1
+        assert len(count_eigvals) == 2
         count_eigvals.clear()
         sb.quadratic_witness_2x2(a2, a2 @ y2 - y2 @ a2)
         assert len(count_eigvals) == 0

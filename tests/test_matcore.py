@@ -619,9 +619,10 @@ class TestExpmPair:
 
     def test_verifier_calls_the_kernel_once_per_curve(self, count_calls):
         # the iso curve takes exp(lam L) from the eigenbasis of L that it took
-        # when it was built, with no eigh; only the exponential conjugation,
-        # whose generator is not normal, needs the Pade kernel, once for the
-        # whole stack
+        # when it was built, with no eigh, and so does the exponential
+        # conjugation from the eig of a Gaussian generator; only a defective
+        # generator, whose eigenvectors are nearly parallel, needs the Pade
+        # kernel, once for the whole stack
         expm = count_calls(curves_module, "expm_pair")
         eigh = count_calls(np.linalg, "eigh")
         rng = np.random.default_rng(350)
@@ -629,7 +630,8 @@ class TestExpmPair:
         q = random_unitary(rng, 3, scale=0.2)
         curves = (
             (sb.iso_spectral_curve(a, q @ a @ q.conj().T), 0),
-            (sb.ExpConjugationCurve(base=a, generator=0.2 * random_gaussian(rng, 3)), 1),
+            (sb.ExpConjugationCurve(base=a, generator=0.2 * random_gaussian(rng, 3)), 0),
+            (sb.ExpConjugationCurve(base=a, generator=0.2 * np.eye(3, k=1)), 1),
         )
         for curve, expm_count in curves:
             expm.clear()

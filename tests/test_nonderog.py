@@ -685,7 +685,7 @@ class TestEigenpairProofAgreesWithClassify:
     def classify_path_outcome(cls, a, b):
         """zero_metric_outcome with the base decided by classify alone."""
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(curves_module, "_nonderogatory", lambda a, m: sb.classify(a).verdict)
+            mp.setattr(curves_module, "_nonderogatory", lambda a, *_: sb.classify(a).verdict)
             return cls.zero_metric_outcome(a, b)
 
     @staticmethod
