@@ -2,9 +2,8 @@
 
 Three entire closed forms witness degenerate invariant-distance behaviour:
 
-* triangular conjugation  -- joins two matrices with equal spectra through a
-  shared triangular frame, with the conjugating unitaries joined by a
-  one-parameter unitary group;
+* triangular conjugation  -- joins two matrices with equal spectra on the
+  frame path of the analytic discs (``geometry._FramePath``);
 * exponential conjugation -- lam -> exp(-lam Y) A exp(lam Y), the canonical
   zero-metric witness with prescribed first derivative, its conjugators
   formed from one eigendecomposition of Y (the Pade exponential
@@ -12,15 +11,17 @@ Three entire closed forms witness degenerate invariant-distance behaviour:
 * matrix polynomial       -- explicit low-degree curves, including the
   quadratic 2x2 witness with constant trace and determinant.
 
-``verify_constant_spectrum`` samples any curve, settles the samples whose
-spectrum a proof puts within SPECTRUM_TOL of the expected one (an
-eigenvector enclosure for the exponential conjugation, the power sums for
-any other curve), and reports the worst eigenvalue-multiset deviation of
-the others.
+Each curve maps a scalar parameter to one (n, n) matrix and a 1-D array of
+m parameters to the (m, n, n) stack of its values.  ``verify_constant_spectrum``
+samples any curve, settles the samples whose spectrum a proof puts within
+SPECTRUM_TOL of the expected one, and reports the worst eigenvalue-multiset
+deviation of the others.
 """
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -40,6 +41,7 @@ from .matcore import (
     _cmul,
     _frobenius,
     _rank_by_svd,
+    _scaled_down,
     as_matrix,
     bottleneck_assignment,
     expm_pair,
@@ -66,35 +68,32 @@ _QUADRATIC_TOL = 1e-14
 @dataclass(eq=False)
 class TriangularConjugationCurve(_FramePath):
     """W(lam) ((1-lam) T0 + lam T1) W(lam)^-1, W the unitary path from the frame
-    U at 0 to frame_end V at 1 (L, the log of U* V, is derived).  A scalar
-    parameter gives one (n, n) matrix; a 1-D array of m parameters gives the
-    (m, n, n) stack.
-    """
+    U at 0 to frame_end V at 1 (L, the log of U* V, is derived)."""
 
-    t0: np.ndarray
-    t1: np.ndarray
     kind = "triangular_conjugation"
+    scale = 1.0  # the parameter of frame_end
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)[..., None, None]
         return self._similarity(lam, ((1.0 - lam, self.t0), (lam, self.t1)))
 
-    def residuals(self, a, b) -> dict:
-        """``endpoint_base`` ||c(0) - A||_F and ``endpoint_target`` ||c(1) - B||_F."""
-        return {
-            "endpoint_base": float(np.linalg.norm(self(0.0) - a)),
-            "endpoint_target": float(np.linalg.norm(self(1.0) - b)),
-        }
-
 
 class _FirstOrderWitness:
-    """A curve built to have value A and derivative B at 0."""
+    """A curve built to have value A and derivative B at 0, whose values raise
+    NumericError, naming the least |lam| concerned, where they overflow."""
+
+    @staticmethod
+    def _finite(values, lam):
+        bad = ~np.isfinite(values).all(axis=(-2, -1))
+        if bad.any():
+            raise NumericError(f"curve values overflow at |lam| = {np.abs(lam[bad]).min():.6g}")
+        return values
 
     def residuals(self, a, b) -> dict:
         """``endpoint_base`` ||c(0) - A||_F and ``derivative`` ||c'(0) - B||_F."""
         return {
-            "endpoint_base": float(np.linalg.norm(self(0.0) - a)),
-            "derivative": float(np.linalg.norm(self.derivative_at_zero() - b)),
+            "endpoint_base": _frobenius(self(0.0) - a),
+            "derivative": _frobenius(self.derivative_at_zero() - b),
         }
 
 
@@ -127,13 +126,12 @@ def _eigenbasis(generator):
 class ExpConjugationCurve(_FirstOrderWitness):
     """exp(-lam Y) A exp(lam Y); spectrum is constant identically.
 
-    A scalar parameter gives one (n, n) matrix; a 1-D array of m parameters
-    gives the (m, n, n) stack of values.  The conjugators come from one eig
-    Y = S diag(nu) S^-1 of the generator, taken at construction
-    (``_eigenbasis``); a generator whose S is too ill-conditioned for that
-    route, such as a nilpotent one, gets ``expm_pair``'s Pade exponential
-    instead.  The value at 0 is A exactly.  Construction raises
-    InvalidInputError unless A and Y are finite square matrices of one size.
+    The conjugators come from one eig Y = S diag(nu) S^-1 of the generator,
+    taken at construction (``_eigenbasis``); a generator whose S is too
+    ill-conditioned for that route, such as a nilpotent one, gets
+    ``expm_pair``'s Pade exponential instead.  The value at 0 is A exactly.
+    Construction raises InvalidInputError unless A and Y are finite square
+    matrices of one size.
     """
 
     base: np.ndarray
@@ -151,25 +149,28 @@ class ExpConjugationCurve(_FirstOrderWitness):
     def __call__(self, lam):
         return self._with_frames(lam)[0]
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow raises below
     def _with_frames(self, lam):
         """(values, w, w_inv) at lam: the curve's values and the conjugators
         w = exp(lam Y) and w_inv = exp(-lam Y) they are formed with."""
         lam = np.asarray(lam, dtype=complex)
         if self._eigenbasis is None:
             w, w_inv = expm_pair(lam[..., None, None] * self.generator)
-            return w_inv @ self.base @ w, w, w_inv
-        nu, s, s_inv = self._eigenbasis
-        n = len(nu)
-        shape = lam.shape + (n, n)
-        x = lam[..., None, None] * nu
-        # (S e^(lam nu)) S^-1 and w^-1 A: each one (m n, n) by (n, n) product
-        # over the whole stack
-        w = ((s * np.exp(x)).reshape(-1, n) @ s_inv).reshape(shape)
-        w_inv = ((s * np.exp(-x)).reshape(-1, n) @ s_inv).reshape(shape)
-        zero = lam == 0
-        # exp(0) = I: keep the value at 0 exactly A
-        w[zero] = w_inv[zero] = np.eye(n)
-        return (w_inv.reshape(-1, n) @ self.base).reshape(shape) @ w, w, w_inv
+            values = w_inv @ self.base @ w
+        else:
+            nu, s, s_inv = self._eigenbasis
+            n = len(nu)
+            shape = lam.shape + (n, n)
+            x = lam[..., None, None] * nu
+            # (S e^(lam nu)) S^-1 and w^-1 A: each one (m n, n) by (n, n)
+            # product over the whole stack
+            w = ((s * np.exp(x)).reshape(-1, n) @ s_inv).reshape(shape)
+            w_inv = ((s * np.exp(-x)).reshape(-1, n) @ s_inv).reshape(shape)
+            zero = lam == 0
+            # exp(0) = I: keep the value at 0 exactly A
+            w[zero] = w_inv[zero] = np.eye(n)
+            values = (w_inv.reshape(-1, n) @ self.base).reshape(shape) @ w
+        return self._finite(values, lam), w, w_inv
 
     def _base_eigenpairs(self):
         """(mu, V) with A V = V diag(mu): from one eig of the base on first
@@ -186,23 +187,21 @@ class ExpConjugationCurve(_FirstOrderWitness):
 
 @dataclass(eq=False)
 class MatrixPolynomialCurve(_FirstOrderWitness):
-    """sum_k lam^k C_k for a list of coefficient matrices.
-
-    A scalar parameter gives one (n, n) matrix; a 1-D array of m parameters
-    gives the (m, n, n) stack of values.
-    """
+    """sum_k lam^k C_k for a list of coefficient matrices."""
 
     coefficients: list
     kind = "matrix_polynomial"
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow raises below
     def __call__(self, lam):
-        lam = np.asarray(lam, dtype=complex)[..., None, None]
+        lam = np.asarray(lam, dtype=complex)
+        x = lam[..., None, None]
         out = np.zeros_like(self.coefficients[0])
-        power = np.ones_like(lam)
+        power = np.ones_like(x)
         for c in self.coefficients:
             out = out + power * c
-            power = _cmul(power, lam)
-        return out
+            power = _cmul(power, x)
+        return self._finite(out, lam)
 
     def derivative_at_zero(self) -> np.ndarray:
         """C_1, the derivative of the curve at lam = 0."""
@@ -221,11 +220,9 @@ def iso_spectral_curve(a, b) -> TriangularConjugationCurve:
 
     Requires the two spectra to agree as multisets, under the optimal
     pairing, within PAIRING_TOL * (1 + r(A)), and both matrices to lie in
-    the spectral ball.  Both matrices are triangularized with the same
-    diagonal order; the triangular parts are joined affinely and the
-    unitaries u, v through u exp(lam L), L the principal logarithm of u* v.
-    t1 takes t0's diagonal, which keeps the spectrum fixed, so c(1) is B only
-    up to the pairing gap, above ENDPOINT_TOL on some defective pairs.
+    the spectral ball.  The curve joins their paired triangular forms, t1
+    with t0's diagonal, which keeps the spectrum fixed: so c(1) is B only up
+    to the pairing gap, above ENDPOINT_TOL on some defective pairs.
     """
 
     def pairing(sp_a, sp_b):
@@ -253,8 +250,9 @@ def _centered_base(A, B):
     with an invertible triangular map, so the two vanish together.
     """
     tau, c, M = _centered(A, STRUCTURE_TOL)
-    scale = float(np.abs(B).max())
-    b = B / scale if scale else B
+    d = _scaled_down(B)[0]  # B 2^-e, whose largest modulus is a normal number
+    scale = float(np.abs(d).max())
+    b = d / scale if scale else B
     if c == 0.0:
         n = A.shape[0]
         power = np.linalg.norm(np.linalg.matrix_power(b, n))
@@ -274,13 +272,11 @@ def zero_metric_curve(a, b):
     symmetrized differential gives the exponential conjugation along the
     solution of the commutation equation.  Anything else is unsupported.
 
-    Whether the base is non-derogatory is decided by one eigensolve of its
-    centered, normalized M when the eigenpairs prove that the commutant has
-    dimension n, and by ``classify`` otherwise.  A base that is not scalar
-    at STRUCTURE_TOL is not scalar at the smaller DEFAULT_TOL either, and
-    ``_centered`` then gives the same M at both, so the M of the structure
-    tests is the one the decision reads.  The curve keeps that eig of M,
-    with A's eigenvalues tau + c mu, for its verifier's enclosure.
+    Whether the base is non-derogatory is decided by one eig of the
+    centered, normalized M of the structure tests (the same at DEFAULT_TOL)
+    when its eigenpairs prove that the commutant has dimension n, and by
+    ``classify`` otherwise; the curve keeps that eig, A's eigenvalues being
+    tau + c mu, for its verifier.
     """
     A = as_matrix(a)
     B = as_matrix(b)
@@ -305,17 +301,11 @@ def spectrum_polynomials_2x2(curve: MatrixPolynomialCurve):
 
     Returns (trace_coeffs, det_coeffs), ascending in the curve parameter.
     """
-    coeffs = [np.asarray(c, dtype=complex) for c in curve.coefficients]
-    if coeffs[0].shape != (2, 2):
+    c = np.array([np.asarray(m, dtype=complex) for m in curve.coefficients])
+    if c.shape[1:] != (2, 2):
         raise InvalidInputError("only 2x2 matrix polynomials are supported")
-    entry = {
-        (i, j): np.array([c[i, j] for c in coeffs]) for i in range(2) for j in range(2)
-    }
-    trace = entry[(0, 0)] + entry[(1, 1)]
-    det = np.convolve(entry[(0, 0)], entry[(1, 1)]) - np.convolve(
-        entry[(0, 1)], entry[(1, 0)]
-    )
-    return trace, det
+    trace = c[:, 0, 0] + c[:, 1, 1]
+    return trace, np.convolve(c[:, 0, 0], c[:, 1, 1]) - np.convolve(c[:, 0, 1], c[:, 1, 0])
 
 
 def _solve_quadratic_tail(a0, b):
@@ -324,13 +314,14 @@ def _solve_quadratic_tail(a0, b):
     psi is parametrized as [[u, v], [w, -u]]; the two linear constraints cut
     an affine subspace on which the isotropy condition u^2 + v w = 0 is
     rooted directly, on A0 / s and B / s for s the power of two at the
-    largest entry (an exact rescaling: every threshold below is scale-free).
+    largest entry (an exact rescaling, taken part by part with ``ldexp``, as
+    1 / s may overflow: every threshold below is scale-free).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]):
             raise NumericError("det B overflows")
-    scale = np.ldexp(1.0, np.frexp(max(np.abs(a0).max(), np.abs(b).max()))[1])
-    a0, b = a0 / scale, b / scale
+    e = np.frexp(max(np.abs(a0).max(), np.abs(b).max()))[1]
+    a0, b = np.ldexp(np.stack([a0, b]).view(float), -e).view(complex)
     det_b = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
     # tr(M psi) = (m00 - m11) u + m10 v + m01 w
     rows = np.array(
@@ -368,7 +359,7 @@ def _solve_quadratic_tail(a0, b):
         raise InternalError("no isotropic point on the constraint set")
     best = min(candidates, key=lambda x: abs(quad(x)) + 0.0)
     u, v, w = best
-    return scale * np.array([[u, v], [w, -u]])
+    return np.ldexp(np.array([[u, v], [w, -u]]).view(float), e).view(complex)
 
 
 def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
@@ -390,8 +381,9 @@ def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
     if _centered_base(A, B) is None:
         return MatrixPolynomialCurve([A, B])
     psi = _solve_quadratic_tail(A - (np.trace(A) / 2.0) * np.eye(2), B)
-    s = max(np.abs(A).max(), np.abs(B).max(), np.abs(psi).max())
-    variation = MatrixPolynomialCurve([A / s, B / s, psi / s]).max_nonconstant_variation()
+    # the coefficients 2^-e C_k, divided by s 2^-e, a normal number
+    d = _scaled_down(np.stack([A, B, psi]))[0]
+    variation = MatrixPolynomialCurve(list(d / np.abs(d).max())).max_nonconstant_variation()
     if variation > 1e-10:
         raise InternalError(f"quadratic witness varies its spectrum ({variation:.3e} relative)")
     return MatrixPolynomialCurve([A, B, psi])
@@ -399,15 +391,10 @@ def quadratic_witness_2x2(a, b) -> MatrixPolynomialCurve:
 
 @dataclass(eq=False)
 class SpectrumCheck:
-    """Outcome of sampling a curve against an expected spectrum, passed at ``tol``.
-
-    ``settled`` of the ``samples`` were proved to lie within ``tol``, by an
-    eigenvector enclosure for an ``ExpConjugationCurve``
-    (``_enclosure_ratio``) and by their power sums for any other curve
-    (``_settle_ratio``); ``max_deviation`` and ``worst_point`` are the worst
-    eigenvalue deviation over the others, or, when all are settled, the
-    deviation of the one nearest to its bound.
-    """
+    """Outcome of ``verify_constant_spectrum``, passed at ``tol``: ``settled``
+    of the ``samples`` were proved to lie within ``tol``, and ``max_deviation``
+    and ``worst_point`` are the worst eigenvalue deviation over the others,
+    or, when all are settled, that of the one nearest to its bound."""
 
     passed: bool = field(init=False)
     max_deviation: float
@@ -649,32 +636,27 @@ def verify_constant_spectrum(
 ) -> SpectrumCheck:
     """Sample a curve and compare every spectrum against the expected one.
 
-    Evaluates the curve at *samples* >= 2 points with |lam| <= radius, a
-    finite radius >= 0 (0 and 1 are always sampled).  A sample is settled
-    when a proof puts its spectrum, and that of every matrix within a
-    stable eigensolver's backward error of it, within SPECTRUM_TOL of the
-    expected one.  An ``ExpConjugationCurve`` is evaluated once through its
-    conjugators, and its samples are settled by an eigenvector enclosure
-    from the eigenpairs of the base (``_enclosure_ratio``); any other curve by its
-    power sums (``_settle_ratio``), where an expected spectrum with
-    repeated or clustered values settles nothing.  Every other sample gets
-    the optimal-pairing eigenvalue deviation, or, when every sample is
-    settled, the one nearest to its bound does; the check passes iff the
-    worst deviation is at most SPECTRUM_TOL.  Any other curve is called
-    once, with the 1-D array of sample points, and must return the stack of
-    its values, one (n, n) matrix per point, as the curve classes of this
-    module do.
+    Evaluates the curve once, at an integer number *samples* >= 2 of points
+    with |lam| <= radius, a real, finite radius >= 0 (0 and 1 are always
+    sampled); other values raise InvalidInputError.  Any curve must map the
+    1-D array of points to the stack of its values, as the curve classes of
+    this module do.  A sample is settled when a proof puts its spectrum, and
+    that of every matrix within a stable eigensolver's backward error of it,
+    within SPECTRUM_TOL of the expected one: an eigenvector enclosure from
+    the eigenpairs of the base for an ``ExpConjugationCurve``, evaluated
+    through its conjugators (``_enclosure_ratio``), and the power sums for
+    any other curve (``_settle_ratio``).  Every other sample, or the settled
+    one nearest to its bound when all are, gets the optimal-pairing
+    eigenvalue deviation; the check passes iff the worst is at most
+    SPECTRUM_TOL.
     """
-    if samples < 2:
-        raise InvalidInputError(
-            f"at least 2 samples are required (0 and 1 are always sampled), got {samples}"
-        )
-    if not 0.0 <= radius < np.inf:
-        raise InvalidInputError(f"radius must be finite and nonnegative, got {radius}")
-    exp_values = np.atleast_1d(
-        np.asarray(getattr(expected, "values", expected), dtype=complex)
-    )
-    points = _sample_points(samples, float(radius))
+    count = operator.index(samples) if hasattr(samples, "__index__") else 0
+    if count < 2:
+        raise InvalidInputError(f"an integer number of samples >= 2 is required, got {samples!r}")
+    if not (isinstance(radius, numbers.Real) and 0.0 <= radius < np.inf):
+        raise InvalidInputError(f"radius must be real, finite and nonnegative, got {radius!r}")
+    exp_values = np.atleast_1d(np.asarray(getattr(expected, "values", expected), dtype=complex))
+    points = _sample_points(count, float(radius))
     values, ratio = _settled_values(curve, points, exp_values)
     settled = ratio < 1.0
     if settled.all():
@@ -685,8 +667,8 @@ def verify_constant_spectrum(
     i = int(np.argmax(deviations))
     return SpectrumCheck(
         max_deviation=float(deviations[i]),
-        samples=samples,
+        samples=count,
         settled=int(settled.sum()),
-        radius=radius,
+        radius=float(radius),
         worst_point=complex(points[measured[i]]),
     )

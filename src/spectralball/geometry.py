@@ -4,7 +4,9 @@ Pseudohyperbolic (Moebius) distance on the disk, exact two-point and
 infinitesimal distance values at scalar base points, the permutation-minimax
 pairing bound with explicit analytic-disc witnesses, the convex hull of
 the spectral ball with constructive membership certificates, and a
-deterministic random sample of the ball.
+deterministic random sample of the ball.  A disc and an iso-spectral curve
+are one frame path (``_FramePath``): a triangular path between two paired
+triangular forms, conjugated along the unitary path between their frames.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from .matcore import (
     _misses_order,
     _require_unitary,
     _scaled_down,
+    _unitary_eig,
     as_matrix,
     bottleneck_assignment,
     ordered_triangularize,
     spectrum,
-    unitary_log,
 )
 
 #: Tolerances of the witnesses.
@@ -147,20 +149,22 @@ def _mobius_shift(a, z):
 
 @dataclass(eq=False)
 class _FramePath:
-    """The unitary path W(lam) = u exp(lam L) from the frame u to frame_end v.
-
-    L = ``unitary_log(u* v)`` and -iL = q diag(theta) q* are taken once, at
-    construction, which raises InvalidInputError unless u and u* v are unitary.
-    """
+    """The upper triangular path from t0 to t1, conjugated along the unitary
+    path W(lam) = u exp(lam L) from the frame u to frame_end v: u* v =
+    q diag(e^(i theta)) q* is decomposed once, at construction (``_unitary_eig``,
+    as for ``unitary_log``), which raises InvalidInputError unless u and u* v
+    are unitary, and L = q diag(i theta) q*."""
 
     frame: np.ndarray
     frame_end: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
     frame_log: np.ndarray = field(init=False)
 
     def __post_init__(self):
         _require_unitary(self.frame)
-        self.frame_log = unitary_log(self.frame.conj().T @ self.frame_end)
-        self._theta, self._q = np.linalg.eigh(-1j * self.frame_log)
+        self._theta, self._q = _unitary_eig(self.frame.conj().T @ self.frame_end)
+        self.frame_log = (self._q * (1j * self._theta)) @ self._q.conj().T
         self._p = self.frame @ self._q
 
     def _similarity(self, lam, terms):
@@ -171,26 +175,39 @@ class _FramePath:
         mid = sum(c * (q.conj().T @ t @ q) for c, t in terms)
         return p @ (mid * np.exp(1j * lam * (theta[:, None] - theta))) @ p.conj().T
 
+    def residuals(self, a, b) -> dict:
+        """``endpoint_base`` ||c(0) - A||_F and ``endpoint_target`` ||c(s) - B||_F,
+        s = ``scale``, the parameter of frame_end."""
+        return {
+            "endpoint_base": float(np.linalg.norm(self(0.0) - a)),
+            "endpoint_target": float(np.linalg.norm(self(self.scale) - b)),
+        }
+
 
 @dataclass(eq=False)
 class SpectralDisc(_FramePath):
-    """Holomorphic matrix-valued disc built from paired triangular forms.
+    """Holomorphic matrix-valued disc through u t0 u* (at 0) and v t1 v* (at s),
+    the triangular path conjugated by W(zeta / s).
 
-    The inner path is upper triangular: each diagonal entry travels along a
-    disk automorphism h_j(zeta) = T_aj^{-1}(kappa_j zeta) (so it stays in
-    the closed disk whenever |kappa_j| < 1) and the off-diagonal entries are
-    affine in zeta.  The triangular path is conjugated by W(zeta / s), the
-    unitary path from the frame u (at 0) to frame_end v (at s).
-
-    The spectrum of the value at zeta equals the diagonal h(zeta) exactly,
-    for every zeta, since conjugation cannot move eigenvalues.
+    The path's entries above the diagonal are affine in zeta, and entry j of
+    its diagonal is the disk automorphism h_j(zeta) = T_aj^{-1}(kappa_j zeta),
+    with a = diag t0 (``base_diag``) and kappa = T_a(diag t1) / s derived at
+    construction: in the closed disk while |kappa_j| < 1, and exactly the
+    spectrum of the value at zeta.  Construction raises InvalidInputError
+    unless the scale s is finite and positive.
     """
 
-    base_diag: np.ndarray
-    kappa: np.ndarray
-    t_base: np.ndarray
-    t_slope: np.ndarray
     scale: float
+    base_diag: np.ndarray = field(init=False)
+    kappa: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        if not 0.0 < self.scale < np.inf:
+            raise InvalidInputError(f"scale must be finite and positive, got {self.scale}")
+        super().__post_init__()
+        self.base_diag = np.diag(self.t0).copy()
+        self.kappa = _mobius_shift(self.base_diag, np.diag(self.t1)) / self.scale
+        self._slope = np.triu(self.t1 - self.t0, 1) / self.scale
 
     def diagonal_values(self, zeta):
         """Spectrum of the disc value at zeta (closed form).
@@ -202,7 +219,7 @@ class SpectralDisc(_FramePath):
         return _mobius_shift(-self.base_diag, z)
 
     def triangular_part(self, zeta):
-        t = self.t_base + complex(zeta) * self.t_slope
+        t = np.triu(self.t0, 1) + complex(zeta) * self._slope
         np.fill_diagonal(t, self.diagonal_values(zeta))
         return t
 
@@ -232,23 +249,19 @@ class DiscWitness:
     """
 
     curve: SpectralDisc
-    target_point: complex = field(init=False)
     certificate_grid: CertificateGrid = field(init=False)
     matrix_at_base: np.ndarray
     matrix_at_target: np.ndarray
-    base_point = 0j
     tolerances = {"endpoint": ENDPOINT_TOL}
 
     def __post_init__(self):
-        self.target_point = complex(self.curve.scale)
         abs_a, abs_k = np.abs(self.curve.base_diag), np.abs(self.curve.kappa)
         moduli = (abs_a + abs_k) / (1.0 + abs_a * abs_k)
         self.certificate_grid = CertificateGrid(float(moduli.max()))
 
     def endpoint_residuals(self):
-        r0 = np.linalg.norm(self.curve(self.base_point) - self.matrix_at_base)
-        r1 = np.linalg.norm(self.curve(self.target_point) - self.matrix_at_target)
-        return float(r0), float(r1)
+        """The disc's ``residuals`` at A and B, as a tuple."""
+        return tuple(self.curve.residuals(self.matrix_at_base, self.matrix_at_target).values())
 
     def scalar_base_exact(self):
         """``lempert_scalar_base(t, B)`` if A is scalar, tI, at SCALAR_BASE_TOL; else None."""
@@ -324,12 +337,9 @@ def upper_bound_disc(a, b, s1: float) -> DiscWitness:
     """Analytic disc through A (at 0) and B (at s1) inside the spectral ball.
 
     Requires s1 strictly between the pairing bound of the two spectra and 1.
-    Both matrices are triangularized with the bottleneck-optimal diagonal
-    pairing; the diagonal entries move along disk automorphisms scaled so the
-    closed unit disk stays inside the ball, off-diagonal entries are affine,
-    and the triangularizing unitaries are joined by a one-parameter
-    unitary group.
-    The witness establishes that the two-point distance is at most s1.
+    The ``SpectralDisc`` of scale s1 joins the paired triangular forms of A
+    and B, in the bottleneck-optimal diagonal order, and stays in the ball
+    on the closed unit disk: it proves the two-point distance at most s1.
     """
     s1 = float(s1)
 
@@ -343,12 +353,8 @@ def upper_bound_disc(a, b, s1: float) -> DiscWitness:
         return perm
 
     t_a, t_b, u, v = _triangular_frames(a, b, pairing)
-    da = np.diag(t_a).copy()
-    db = np.diag(t_b).copy()
-    kappa = _mobius_shift(da, db) / s1
-    t_slope = np.triu(t_b - t_a, 1) / s1
     witness = DiscWitness(
-        curve=SpectralDisc(u, v, da, kappa, np.triu(t_a, 1), t_slope, s1),
+        curve=SpectralDisc(u, v, t_a, t_b, s1),
         matrix_at_base=np.array(a, dtype=complex),
         matrix_at_target=np.array(b, dtype=complex),
     )

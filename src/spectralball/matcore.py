@@ -348,11 +348,8 @@ def ordered_triangularize(a, order):
 
     Raises InvalidInputError when a diagonal entry misses *order* by more
     than PAIRING_TOL * (1 + max |diag(t)|): *order* is then not a
-    permutation of the spectrum.
-
-    The paired frames of the disc and curve witnesses come from
-    eigenvectors; they call this only for pairs whose eigenvectors do not
-    give a triangular form, such as defective ones.
+    permutation of the spectrum.  The paired frames of the disc and curve
+    witnesses take it only where their eigenvectors give no triangular form.
     """
     t = _as_stack(a).copy()
     n = t.shape[-1]
@@ -469,14 +466,15 @@ def _require_unitary(u):
         raise InvalidInputError(f"matrix is not unitary (defect {defect:.3e})")
 
 
-def unitary_log(u) -> np.ndarray:
-    """Principal logarithm of a unitary matrix: skew-Hermitian, norm <= pi.
+def _unitary_eig(u):
+    """(theta, q) with u = q diag(e^(i theta)) q*, theta in (-pi, pi].
 
     u is turned by a unimodular factor that puts -1 in the middle of the
     widest gap between its eigenvalue angles.  The Cayley transform of the
     turned matrix is then Hermitian with the eigenvectors of u, so one
-    ``eigh`` diagonalizes u.  The angles, in (-pi, pi], are those of the
-    Rayleigh quotients of u itself, so an eigenvalue -1 gives +i pi.
+    ``eigh`` diagonalizes u.  The angles are those of the Rayleigh quotients
+    of u itself, so an eigenvalue -1 gives pi.  Raises InvalidInputError
+    unless u is a finite, square, unitary matrix.
     """
     U = as_matrix(u)
     _require_unitary(U)
@@ -487,7 +485,13 @@ def unitary_log(u) -> np.ndarray:
     r = np.exp(1j * (np.pi - angles[k] - gaps[k] / 2.0)) * U
     h = 1j * np.linalg.solve(eye + r, eye - r)
     _, q = np.linalg.eigh((h + h.conj().T) / 2.0)
-    theta = np.angle(np.diag(q.conj().T @ U @ q))
+    return np.angle(np.diag(q.conj().T @ U @ q)), q
+
+
+def unitary_log(u) -> np.ndarray:
+    """Principal logarithm q diag(i theta) q* of a unitary matrix
+    (``_unitary_eig``): skew-Hermitian, norm <= pi."""
+    theta, q = _unitary_eig(u)
     return (q * (1j * theta)) @ q.conj().T
 
 
@@ -508,7 +512,7 @@ def solve_conjugation(a, b) -> np.ndarray:
 
     Solves the column-stacked linear system in the least-squares sense and
     rejects the result when B is not in the range of the commutation
-    operator (residual above DEFAULT_TOL * (1 + ||B||)).
+    operator (residual above DEFAULT_TOL * (1 + ||B||_F)).
     """
     A = as_matrix(a)
     B = as_matrix(b)
@@ -518,10 +522,14 @@ def solve_conjugation(a, b) -> np.ndarray:
     op = commutation_operator(A)
     y, *_ = np.linalg.lstsq(op, B.ravel(order="F"), rcond=None)
     Y = y.reshape((n, n), order="F")
-    resid = np.linalg.norm(A @ Y - Y @ A - B)
-    if resid > DEFAULT_TOL * (1.0 + np.linalg.norm(B)):
+    # on (A, B) 2^-e, as on (A, B) in the normal range, with finite products;
+    # 2^-e is capped at 2^1023, below which (A, B) is subnormal
+    (a_s, b_s), e = _scaled_down(np.stack([A, B]))
+    scale = math.ldexp(1.0, min(-e, 1023)) + np.linalg.norm(b_s)  # (1 + ||B||_F) 2^-e
+    resid = np.linalg.norm(a_s @ Y - Y @ a_s - b_s)
+    if resid > DEFAULT_TOL * scale:
         raise NoSolutionError(
             f"direction is not in the range of the commutation operator "
-            f"(residual {resid:.3e})"
+            f"(residual {resid / scale:.3e} relative to 1 + ||B||_F)"
         )
     return Y

@@ -36,7 +36,7 @@ PARAMETERS = {
     "NonderogReport": ("per_criterion", "minimal_polynomial"),
     "PickProblem": ("nodes", "targets"),
     "PolyCoeffs": ("coeffs",),
-    "SpectralDisc": ("frame", "frame_end", "base_diag", "kappa", "t_base", "t_slope", "scale"),
+    "SpectralDisc": ("frame", "frame_end", "t0", "t1", "scale"),
     "Spectrum": ("values",),
     "SpectrumCheck": ("max_deviation", "samples", "settled", "radius", "worst_point"),
     "SymPoint": ("coords",),
@@ -81,7 +81,7 @@ PARAMETERS = {
 
 #: Totals: exported names; their parameters, of which with defaults; CLI flags;
 #: tolerance literals.
-NAME_COUNT, PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT = 61, 98, 4, 18, 23
+NAME_COUNT, PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT = 61, 96, 4, 18, 23
 
 CRITERIA = (
     "cyclic_vector",

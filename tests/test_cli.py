@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectralball as sb
 from spectralball import cli, sample_omega
 from spectralball.cli import _to_json, emit_matrix, main, parse_matrix
-from conftest import random_gaussian
+from conftest import random_gaussian, random_unitary
 
 
 def write_matrix(path, a):
@@ -296,6 +300,19 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["outputs"]["constant_spectrum"]["passed"] is True
         assert doc["residuals"]["endpoint_base"] == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_curve_zero_metric_overflow_exit_3(self, tmp_path, capsys):
+        # a valid pair whose generator [[0, -100], [100, 0]] makes exp(lam Y)
+        # overflow within the sampled radius: one NumericError, nothing else
+        p1 = write_matrix(tmp_path / "a.json", np.diag([0.3, 0.5]))
+        p2 = write_matrix(tmp_path / "b.json", np.array([[0.0, 20.0], [20.0, 0.0]]))
+        code, out, err = run_cli(
+            capsys, "curve", "--input", p1, "--input2", p2, "--kind", "zero-metric"
+        )
+        assert code == 3 and out == ""
+        doc = json.loads(err)
+        assert doc["kind"] == "NumericError" and "overflow at |lam|" in doc["error"]
 
     def test_curve_mismatched_spectra_exit_2(self, tmp_path, capsys):
         p1 = write_matrix(tmp_path / "a.json", np.diag([0.1, 0.2]))
@@ -604,6 +621,101 @@ class TestCommands:
         path = write_matrix(tmp_path / "b.json", np.diag([1.5, 0.0]))
         code, _, _ = run_cli(capsys, "discontinuity", "--input", path)
         assert code == 2
+
+
+def seeded_inputs(seed, n, shape):
+    """Seeded A of one shape, each entry below 1 in modulus so that 2^k A is
+    finite for every k up to 1023, with its unitary conjugate Q A Q* (on
+    which ``curve --kind iso`` builds) and a direction A Y - Y A, or a
+    nilpotent one at a scalar A (on which zero-metric and quadratic do)."""
+    rng = np.random.default_rng([seed, n])
+    a = {
+        "general": random_gaussian(rng, n),
+        "upper": np.triu(random_gaussian(rng, n), 1),
+        "diagonal": np.diag(random_gaussian(rng, n).diagonal()),
+        "jordan": 0.3 * np.eye(n) + np.eye(n, k=1),
+        "scalar": random_gaussian(rng, 1) * np.eye(n),
+    }[shape]
+    a = a.astype(complex) * np.ldexp(1.0, -np.frexp(np.abs(a).max())[1])
+    q, y = random_unitary(rng, n), 0.2 * random_gaussian(rng, n)
+    direction = np.triu(y, 1) if shape == "scalar" else a @ y - y @ a
+    return {"a": a, "conjugate": q @ a @ q.conj().T, "direction": direction}
+
+
+#: Every command that takes a matrix, with the inputs it reads.
+SCALED_COMMANDS = {
+    "classify": ["--input", "a"],
+    "sigma": ["--input", "a"],
+    "bounds": ["--input", "a", "--input2", "direction"],
+    "blaschke": ["--input", "a"],
+    "curve-iso": ["--input", "a", "--input2", "conjugate", "--kind", "iso"],
+    "curve-zero-metric": ["--input", "a", "--input2", "direction", "--kind", "zero-metric"],
+    "curve-quadratic": ["--input", "a", "--input2", "direction", "--kind", "quadratic"],
+    "hull": ["--input", "a"],
+    "discontinuity": ["--input", "a"],
+}
+
+SHAPES = ("general", "upper", "diagonal", "jordan", "scalar")
+
+
+def scaled(m, k):
+    """2^k M, part by part: exact unless a part leaves the normal range."""
+    return np.ldexp(np.ascontiguousarray(m).view(float), k).view(complex)
+
+
+def run_scaled(workdir, command, inputs, k):
+    """Run *command* on its *inputs* scaled by 2^k through main; returns
+    (exit code, stdout, stderr)."""
+    paths = {name: write_matrix(workdir / f"{name}.json", scaled(m, k)) for name, m in inputs.items()}
+    argv = [command.split("-", 1)[0]] + [paths.get(arg, arg) for arg in SCALED_COMMANDS[command]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_answer(code, out, err):
+    """Exit 0 with a document and an empty stderr, or exit 2 or 3 with one
+    JSON error document on stderr and nothing on stdout."""
+    if code == 0:
+        assert err == "" and json.loads(out)
+    else:
+        assert code in (2, 3) and out == ""
+        assert set(json.loads(err)) == {"error", "kind"}
+
+
+@pytest.mark.filterwarnings("error")
+class TestEveryScale:
+    """ROADMAP item 5: every command that takes a matrix, on seeded inputs
+    scaled by 2^k over the whole exponent range, gives an answer or one
+    typed error, and nothing else on stderr."""
+
+    @pytest.mark.parametrize("command", sorted(SCALED_COMMANDS))
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 4),
+        shape=st.sampled_from(SHAPES),
+        k=st.integers(-1074, 1023),
+    )
+    @settings(max_examples=20)
+    def test_answer_or_one_typed_error(self, tmp_path_factory, command, seed, n, shape, k):
+        inputs = seeded_inputs(seed, 2 if command == "curve-quadratic" else n, shape)
+        assert_one_answer(*run_scaled(tmp_path_factory.mktemp("scale"), command, inputs, k))
+
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 5), shape=st.sampled_from(SHAPES))
+    @settings(max_examples=20)
+    def test_classify_verdict_is_the_same_at_every_scale(self, tmp_path_factory, seed, n, shape):
+        # a 2^k A with subnormal parts has lost bits of A: it is another
+        # matrix, whose verdict may differ (a strictly upper A may round to 0)
+        a = seeded_inputs(seed, n, shape)["a"]
+        workdir = tmp_path_factory.mktemp("verdict")
+        verdicts = set()
+        for k in (-1074, -1040, -1000, -600, -300, -20, 0, 20, 300, 600, 1000, 1020, 1023):
+            code, out, err = run_scaled(workdir, "classify", {"a": a}, k)
+            assert_one_answer(code, out, err)
+            if code == 0 and np.array_equal(scaled(scaled(a, k), -k), a):
+                verdicts.add(json.loads(out)["outputs"]["nonderogatory"])
+        assert len(verdicts) == 1
 
 
 class TestConsoleScript:

@@ -237,6 +237,42 @@ class TestClosedFormFrame:
 
 
 class TestZeroMetricCurve:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "a, generator, route",
+        [
+            # exp(lam Y) has entries e^(100 |Im lam|), the values their square
+            (np.diag([0.3, 0.5]), np.array([[0.0, -100.0], [100.0, 0.0]]), "eigenbasis"),
+            # nilpotent Y: the values hold lam^2 Y A Y, 0.1 lam^2 1e308
+            (np.array([[0.3, 0.0], [0.1, 0.5]]), 1e154 * np.eye(2, k=1), "pade"),
+        ],
+    )
+    def test_overflowing_values_raise_numeric_error(self, a, generator, route, count_calls):
+        # the values are finite at |lam| <= 4 and overflow at 7; the curve
+        # names the least |lam| at which they overflow, with no warning
+        expm = count_calls(curves_module, "expm_pair")
+        c = sb.ExpConjugationCurve(base=a, generator=generator)
+        lam = np.array([0.0, 1e-3, 4.0, -7.0j, 3.0j, 9.0j])
+        with pytest.raises(sb.NumericError, match=r"overflow at \|lam\| = 7$"):
+            c(lam)
+        assert np.isfinite(c(lam[[0, 1, 2, 4]])).all()
+        with pytest.raises(sb.NumericError, match="overflow"):
+            sb.verify_constant_spectrum(c, sb.spectrum(a))
+        assert bool(expm) == (route == "pade")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_affine_curve_raises_numeric_error(self):
+        # the affine witness A + lam B of a scalar base, 1e308 B: finite at
+        # |lam| <= 1.5, not at 2.5 or 3
+        a, b = 0.5e308 * np.eye(2), 1e308 * np.eye(2, k=1)
+        c = sb.zero_metric_curve(a, b)
+        assert c.kind == "matrix_polynomial"
+        with pytest.raises(sb.NumericError, match=r"overflow at \|lam\| = 2.5$"):
+            c(np.array([0.0, 1.0, 3.0j, 2.5, -1.5]))
+        assert np.isfinite(c(np.array([0.0, 1.0, -1.5]))).all()
+        with pytest.raises(sb.NumericError, match="overflow"):
+            sb.verify_constant_spectrum(c, sb.spectrum(a))
+
     def test_entrywise_example(self):
         a = np.diag([0.1, 0.2])
         b = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -682,7 +718,7 @@ class TestVerifier:
         check = sb.verify_constant_spectrum(c, sb.spectrum(a))
         assert check.passed and check.max_deviation <= 1e-8
 
-    @pytest.mark.parametrize("samples", [-3, 0, 1])
+    @pytest.mark.parametrize("samples", [-3, 0, 1, 3.7, "5", 2.0, None])
     def test_rejects_fewer_than_two_samples(self, samples):
         # A + lam I is not constant, but lam = 0 alone would not show it
         a = np.diag([0.2, 0.4])
@@ -690,7 +726,7 @@ class TestVerifier:
         with pytest.raises(sb.InvalidInputError):
             sb.verify_constant_spectrum(c, sb.spectrum(a), samples=samples)
 
-    @pytest.mark.parametrize("radius", [-5.0, -1e-300, np.inf, np.nan])
+    @pytest.mark.parametrize("radius", [-5.0, -1e-300, np.inf, np.nan, 1j, "10", None])
     def test_rejects_a_negative_or_non_finite_radius(self, radius):
         a = np.diag([0.2, 0.4])
         c = sb.MatrixPolynomialCurve([a, np.zeros((2, 2))])

@@ -328,22 +328,65 @@ class TestUpperBoundDisc:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_frames_need_one_eigensolve_and_no_svd(self, n, count_calls, count_eigvals):
-        # one stacked eig gives both spectra and both frames; the frame log
-        # adds unitary_log's eigvals, and no deflation runs
+        # one stacked eig gives both spectra and both frames; the frame path
+        # adds the eigvals and the one eigh that decompose u* v, which give
+        # its log and its exponentials alike, and no deflation runs
         rng = np.random.default_rng([76, n])
         a = random_ball_matrix(rng, n, radius=0.6)
         b = random_ball_matrix(rng, n, radius=0.7)
         q = random_unitary(rng, n, scale=0.3)
         bound, _ = sb.bottleneck_minimax(sb.spectrum(a), sb.spectrum(b))
         svd = count_calls(np.linalg, "svd")
+        eigh = count_calls(np.linalg, "eigh")
         for build in (
             lambda: sb.upper_bound_disc(a, b, bound + 0.05),
             lambda: sb.iso_spectral_curve(a, q @ a @ q.conj().T),
         ):
             count_eigvals.clear()
+            eigh.clear()
             build()
             assert count_eigvals == [(2, n, n), (n, n)]
+            assert eigh == [(n, n)]
         assert svd == []
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_disc_derives_its_path_from_the_two_triangles(self, n):
+        # the disc takes the paired triangles t0 and t1 and derives its
+        # diagonal, kappa and slope; the reference is the closed form the
+        # disc was built from when those were passed in, bit for bit
+        rng = np.random.default_rng([77, n])
+        a = random_ball_matrix(rng, n, radius=0.6)
+        b = random_ball_matrix(rng, n, radius=0.7)
+        bound, _ = sb.bottleneck_minimax(sb.spectrum(a), sb.spectrum(b))
+        s1 = bound + 0.05
+        w = sb.upper_bound_disc(a, b, s1)
+        d = w.curve
+        da, db = np.diag(d.t0).copy(), np.diag(d.t1).copy()
+        kappa = (db - da) / (1.0 - np.conj(da) * db) / s1
+        slope = np.triu(d.t1 - d.t0, 1) / s1
+        assert d.scale == s1
+        assert np.array_equal(d.base_diag, da) and np.array_equal(d.kappa, kappa)
+        for zeta in (0.0, 0.3, 0.2 - 0.5j, -0.9j):
+            t = np.triu(d.t0, 1) + complex(zeta) * slope
+            z = complex(zeta) * kappa
+            np.fill_diagonal(t, (z + da) / (1.0 + np.conj(da) * z))
+            assert np.array_equal(d.triangular_part(zeta), t)
+        assert np.array_equal(d(0.0), d.frame @ d.triangular_part(0.0) @ d.frame.conj().T)
+        moduli = (np.abs(da) + np.abs(kappa)) / (1.0 + np.abs(da) * np.abs(kappa))
+        assert w.certificate_grid.max_spectral_radius == moduli.max()
+        # one implementation of the endpoint residuals for discs and iso curves
+        assert sb.SpectralDisc.residuals is sb.TriangularConjugationCurve.residuals
+        r0, r1 = w.endpoint_residuals()
+        assert (r0, r1) == (
+            float(np.linalg.norm(d(0.0) - a)), float(np.linalg.norm(d(s1) - b))
+        )
+        assert max(r0, r1) <= geometry_module.ENDPOINT_TOL
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5, np.inf, np.nan])
+    def test_disc_rejects_a_scale_that_is_not_finite_and_positive(self, scale):
+        d = sb.upper_bound_disc(np.diag([0.1, 0.8]), np.diag([0.15, 0.75]), 0.13).curve
+        with pytest.raises(sb.InvalidInputError, match="scale"):
+            dataclasses.replace(d, scale=scale)
 
     def test_frame_log_is_principal(self):
         rng = np.random.default_rng(37)
@@ -369,7 +412,7 @@ class TestUpperBoundDisc:
 
     def test_endpoint_residuals_need_one_exponential(self, count_calls):
         # the value at 0 skips the similarity; the value at s1 is the one
-        # exponential, exp(L) from the eigenbasis of -iL that the disc took
+        # exponential, exp(L) from the eigenbasis of u* v that the disc took
         # when it was built: no eigensolve, no Pade step and no solve
         rng = np.random.default_rng(41)
         a = random_ball_matrix(rng, 3, radius=0.5)
