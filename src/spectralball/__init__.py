@@ -4,8 +4,8 @@ The spectral ball is the set of square complex matrices with spectral
 radius below one.  This package provides:
 
 * a dense matrix kernel: spectra, symmetrized coordinates and their
-  differential, companion matrices, ordered triangularization, matrix
-  exponentials/logarithms and commutation-operator linear algebra;
+  differential, companion matrices, ordered triangularization, the matrix
+  exponential and commutation-operator linear algebra;
 * a cross-checked non-derogatory classifier built from five equivalent
   criteria;
 * invariant-distance geometry: pseudohyperbolic distance, exact values at
@@ -50,7 +50,7 @@ _EXPORTS = {
         "DEFAULT_TOL", "Spectrum", "SymPoint", "as_matrix", "bottleneck_assignment",
         "commutation_operator", "companion", "elementary_symmetric", "expm_pair",
         "ordered_triangularize", "sigma", "sigma_differential_matrix", "sigma_pushforward",
-        "solve_conjugation", "spectrum", "unitary_log",
+        "solve_conjugation", "spectrum",
     ),
     "nonderog": (
         "CriterionResult", "NonderogReport", "PolyCoeffs", "classify", "minimal_polynomial",

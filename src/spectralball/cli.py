@@ -278,7 +278,7 @@ def _cmd_hull(args):
             # both terms have the one-point spectrum {tr A / n}
             "term_radii": [float(abs(np.trace(a) / a.shape[0]))] * 2,
         }
-        doc["residuals"] = witness.residuals(a)
+        doc["residuals"] = witness.residuals()
     return doc
 
 

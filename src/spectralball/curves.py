@@ -37,6 +37,7 @@ from .errors import (
 from .geometry import _FramePath, _triangular_frames
 from .matcore import (
     PAIRING_TOL,
+    _as_stack,
     _centered,
     _cmul,
     _frobenius,
@@ -68,7 +69,7 @@ _QUADRATIC_TOL = 1e-14
 @dataclass(eq=False)
 class TriangularConjugationCurve(_FramePath):
     """W(lam) ((1-lam) T0 + lam T1) W(lam)^-1, W the unitary path from the frame
-    U at 0 to frame_end V at 1 (L, the log of U* V, is derived)."""
+    U at 0 to frame_end V at 1 (``geometry._FramePath``)."""
 
     kind = "triangular_conjugation"
     scale = 1.0  # the parameter of frame_end
@@ -187,10 +188,18 @@ class ExpConjugationCurve(_FirstOrderWitness):
 
 @dataclass(eq=False)
 class MatrixPolynomialCurve(_FirstOrderWitness):
-    """sum_k lam^k C_k for a list of coefficient matrices."""
+    """sum_k lam^k C_k for a list of coefficient matrices.  Construction
+    raises InvalidInputError unless the list holds at least one matrix and
+    every one is finite, square and of one size."""
 
     coefficients: list
     kind = "matrix_polynomial"
+
+    def __post_init__(self):
+        coefficients = [np.asarray(c, dtype=complex) for c in self.coefficients]
+        if not coefficients or len({c.shape for c in coefficients}) != 1:
+            raise InvalidInputError("coefficients must be one or more matrices of one size")
+        self.coefficients = list(_as_stack(np.stack(coefficients)))
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflow raises below
     def __call__(self, lam):
@@ -572,8 +581,6 @@ def _enclosure_ratio(eigenpairs, values, w, w_inv, expected):
     nothing, silently.
     """
     m, n, _ = values.shape
-    if len(expected) != n or not np.isfinite(expected).all():
-        return np.full(m, np.inf)
     mu, vectors = eigenpairs
     try:
         vectors_inv = np.linalg.inv(vectors)
@@ -623,6 +630,9 @@ def _settled_values(curve, points, expected):
         )
     if not np.isfinite(values).all():
         raise InvalidInputError("matrix entries must be finite")
+    n = values.shape[-1]
+    if len(expected) != n:
+        raise InvalidInputError(f"expected {len(expected)} eigenvalues of {n} x {n} samples")
     if frames is None:
         return values, _settle_ratio(values, expected)
     return values, _enclosure_ratio(curve._base_eigenpairs(), values, *frames, expected)
@@ -638,17 +648,19 @@ def verify_constant_spectrum(
 
     Evaluates the curve once, at an integer number *samples* >= 2 of points
     with |lam| <= radius, a real, finite radius >= 0 (0 and 1 are always
-    sampled); other values raise InvalidInputError.  Any curve must map the
-    1-D array of points to the stack of its values, as the curve classes of
-    this module do.  A sample is settled when a proof puts its spectrum, and
-    that of every matrix within a stable eigensolver's backward error of it,
-    within SPECTRUM_TOL of the expected one: an eigenvector enclosure from
-    the eigenpairs of the base for an ``ExpConjugationCurve``, evaluated
-    through its conjugators (``_enclosure_ratio``), and the power sums for
-    any other curve (``_settle_ratio``).  Every other sample, or the settled
-    one nearest to its bound when all are, gets the optimal-pairing
-    eigenvalue deviation; the check passes iff the worst is at most
-    SPECTRUM_TOL.
+    sampled), against *expected*, a ``Spectrum`` or a 1-D list of n finite
+    values for n x n samples.  Other arguments raise InvalidInputError, a
+    wrong length once the curve is evaluated and before any settle work.
+    Any curve must map the 1-D array of points to the stack of its values,
+    as the curve classes of this module do.  A sample is settled when a
+    proof puts its spectrum, and that of every matrix within a stable
+    eigensolver's backward error of it, within SPECTRUM_TOL of the expected
+    one: an eigenvector enclosure from the eigenpairs of the base for an
+    ``ExpConjugationCurve``, evaluated through its conjugators
+    (``_enclosure_ratio``), and the power sums for any other curve
+    (``_settle_ratio``).  Every other sample, or the settled one nearest to
+    its bound when all are, gets the optimal-pairing eigenvalue deviation;
+    the check passes iff the worst is at most SPECTRUM_TOL.
     """
     count = operator.index(samples) if hasattr(samples, "__index__") else 0
     if count < 2:
@@ -656,6 +668,8 @@ def verify_constant_spectrum(
     if not (isinstance(radius, numbers.Real) and 0.0 <= radius < np.inf):
         raise InvalidInputError(f"radius must be real, finite and nonnegative, got {radius!r}")
     exp_values = np.atleast_1d(np.asarray(getattr(expected, "values", expected), dtype=complex))
+    if exp_values.ndim != 1 or exp_values.size == 0 or not np.isfinite(exp_values).all():
+        raise InvalidInputError("expected spectrum must be a non-empty 1-D list of finite values")
     points = _sample_points(count, float(radius))
     values, ratio = _settled_values(curve, points, exp_values)
     settled = ratio < 1.0

@@ -11,6 +11,7 @@ triangular forms, conjugated along the unitary path between their frames.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import (
     InternalError,
     InvalidInputError,
     NotInHullError,
+    NumericError,
     PreconditionError,
 )
 from .matcore import (
@@ -62,7 +64,10 @@ def mobius(z, w):
 
 
 def _disk_point(t) -> complex:
-    """t as a complex number; DomainError unless it is finite with |t| < 1."""
+    """t as a complex number: InvalidInputError unless it is a number, and
+    DomainError unless it is finite with |t| < 1."""
+    if not isinstance(t, numbers.Number):
+        raise InvalidInputError(f"t must be a number, got {t!r}")
     t = complex(t)
     if not abs(t) < 1.0:
         raise DomainError("|t| must be below 1")
@@ -150,21 +155,26 @@ def _mobius_shift(a, z):
 @dataclass(eq=False)
 class _FramePath:
     """The upper triangular path from t0 to t1, conjugated along the unitary
-    path W(lam) = u exp(lam L) from the frame u to frame_end v: u* v =
-    q diag(e^(i theta)) q* is decomposed once, at construction (``_unitary_eig``,
-    as for ``unitary_log``), which raises InvalidInputError unless u and u* v
-    are unitary, and L = q diag(i theta) q*."""
+    path W(lam) = u exp(lam L) from the frame u to frame_end v, with L the
+    principal logarithm q diag(i theta) q* of u* v = q diag(e^(i theta)) q*.
+    Construction raises InvalidInputError unless the four matrices are
+    finite, square and of one size and u and u* v are unitary, and then
+    decomposes u* v once (``_unitary_eig``); L itself is never formed."""
 
     frame: np.ndarray
     frame_end: np.ndarray
     t0: np.ndarray
     t1: np.ndarray
-    frame_log: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        mats = [as_matrix(m) for m in (self.frame, self.frame_end, self.t0, self.t1)]
+        if len({m.shape for m in mats}) != 1:
+            raise InvalidInputError("frames and triangles must be matrices of one size")
+        self.frame, self.frame_end, self.t0, self.t1 = mats
         _require_unitary(self.frame)
-        self._theta, self._q = _unitary_eig(self.frame.conj().T @ self.frame_end)
-        self.frame_log = (self._q * (1j * self._theta)) @ self._q.conj().T
+        step = self.frame.conj().T @ self.frame_end
+        _require_unitary(step)
+        self._theta, self._q = _unitary_eig(step)
         self._p = self.frame @ self._q
 
     def _similarity(self, lam, terms):
@@ -177,10 +187,10 @@ class _FramePath:
 
     def residuals(self, a, b) -> dict:
         """``endpoint_base`` ||c(0) - A||_F and ``endpoint_target`` ||c(s) - B||_F,
-        s = ``scale``, the parameter of frame_end."""
+        s = ``scale``, the parameter of frame_end (overflow-safe norms)."""
         return {
-            "endpoint_base": float(np.linalg.norm(self(0.0) - a)),
-            "endpoint_target": float(np.linalg.norm(self(self.scale) - b)),
+            "endpoint_base": _frobenius(self(0.0) - a),
+            "endpoint_target": _frobenius(self(self.scale) - b),
         }
 
 
@@ -202,8 +212,8 @@ class SpectralDisc(_FramePath):
     kappa: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 < self.scale < np.inf:
-            raise InvalidInputError(f"scale must be finite and positive, got {self.scale}")
+        if not (isinstance(self.scale, numbers.Real) and 0.0 < self.scale < np.inf):
+            raise InvalidInputError(f"scale must be finite and positive, got {self.scale!r}")
         super().__post_init__()
         self.base_diag = np.diag(self.t0).copy()
         self.kappa = _mobius_shift(self.base_diag, np.diag(self.t1)) / self.scale
@@ -252,7 +262,7 @@ class DiscWitness:
     certificate_grid: CertificateGrid = field(init=False)
     matrix_at_base: np.ndarray
     matrix_at_target: np.ndarray
-    tolerances = {"endpoint": ENDPOINT_TOL}
+    tolerances = {"endpoint": ENDPOINT_TOL, "scalar_base": SCALAR_BASE_TOL}
 
     def __post_init__(self):
         abs_a, abs_k = np.abs(self.curve.base_diag), np.abs(self.curve.kappa)
@@ -290,18 +300,32 @@ def _eigenvector_schur(s, vectors, order):
     With vectors = q r, q* s q = r diag(order) r^-1 is upper triangular in
     that order; it is taken when the part below the diagonal is within the
     rounding of a Householder triangularization, n^2 eps ||s||, and the
-    diagonal matches *order* as ``ordered_triangularize`` requires.  Else
-    (nearly dependent eigenvectors, as in defective matrices) the stack goes
-    to ``ordered_triangularize``.  Returns (u, t) as that function does.
+    diagonal matches *order* as ``ordered_triangularize`` requires.  Both
+    norms are taken on the slice times 2^-e, 2^e just above its largest part:
+    the ratio is unchanged, and no square overflows.  Else (nearly dependent
+    eigenvectors, as in defective matrices) the stack goes to
+    ``ordered_triangularize``.  Returns (u, t) as that function does, or
+    raises NumericError when no triangular form it finds puts *order*, the
+    computed spectrum, on its diagonal: eigenvalues too ill-conditioned to
+    resolve within PAIRING_TOL.
     """
     n = s.shape[-1]
     q = np.linalg.qr(vectors)[0]
     t = q.conj().swapaxes(-2, -1) @ s @ q
-    below = np.linalg.norm(np.tril(t, -1), axis=(-2, -1))
-    rounding = n * n * np.finfo(float).eps * np.linalg.norm(s, axis=(-2, -1))
-    if (below <= rounding).all() and not _misses_order(t, order).any():
+    e = -np.frexp(np.abs(s.view(float)).max(axis=(-2, -1)))[1][..., None, None]
+    below, size = (
+        np.linalg.norm(np.ldexp(x.view(float), e).view(complex), axis=(-2, -1))
+        for x in (np.tril(t, -1), s)
+    )
+    if (below <= n * n * np.finfo(float).eps * size).all() and not _misses_order(t, order).any():
         return q, np.triu(t)
-    return ordered_triangularize(s, order)
+    try:
+        return ordered_triangularize(s, order)
+    except InvalidInputError as err:
+        raise NumericError(
+            "no triangular frame puts the computed eigenvalues on its diagonal "
+            "within PAIRING_TOL: they are too ill-conditioned to pair"
+        ) from err
 
 
 def _triangular_frames(a, b, pairing):
@@ -340,7 +364,10 @@ def upper_bound_disc(a, b, s1: float) -> DiscWitness:
     The ``SpectralDisc`` of scale s1 joins the paired triangular forms of A
     and B, in the bottleneck-optimal diagonal order, and stays in the ball
     on the closed unit disk: it proves the two-point distance at most s1.
+    A radius that is not a real number raises InvalidInputError.
     """
+    if not isinstance(s1, numbers.Real):
+        raise InvalidInputError(f"radius s1 must be a real number, got {s1!r}")
     s1 = float(s1)
 
     def pairing(sp_a, sp_b):
@@ -376,18 +403,39 @@ def hull_membership(a):
 
 @dataclass(eq=False)
 class HullWitness:
-    """Convex decomposition of a hull member into two ball members."""
+    """Convex decomposition of a hull member A into two ball members.
 
-    terms: tuple
+    With tau = tr(A)/n and a unitary S making A - tau I zero-diagonal, the
+    two ``terms`` are S (2 N_u + tau I) S^-1 and S (2 N_l + tau I) S^-1 where
+    N_u, N_l are the strict triangular parts of S* (A - tau I) S, derived
+    from A and S at construction.  Both terms have one-point spectrum
+    {tau}, hence spectral radius below 1 when |tau| < 1.
+    """
+
+    matrix: np.ndarray
     similarity: np.ndarray
+    terms: tuple = field(init=False)
     weights = (0.5, 0.5)
     tolerances = {"reconstruction": HULL_TOL}
 
-    def residuals(self, a) -> dict:
+    def __post_init__(self):
+        A = self.matrix = np.array(as_matrix(self.matrix))
+        s = self.similarity = as_matrix(self.similarity)
+        if s.shape != A.shape:
+            raise InvalidInputError("matrix and similarity must have the same dimension")
+        n = A.shape[0]
+        tau = np.trace(A) / n
+        z = s.conj().T @ (A - tau * np.eye(n)) @ s
+        self.terms = tuple(
+            s @ (2.0 * part + tau * np.eye(n)) @ s.conj().T
+            for part in (np.triu(z, 1), np.tril(z, -1))
+        )
+
+    def residuals(self) -> dict:
         """``reconstruction`` ||w_1 T_1 + w_2 T_2 - A||_F and ``triangularity``,
         how far S*(T_k - tau I)S, tau = tr(A) / n, are from strictly upper (k = 1)
         and lower (k = 2) triangular, relative to 1 + ||A||_F."""
-        A = as_matrix(a)
+        A = self.matrix
         (t1, t2), (w1, w2), s = self.terms, self.weights, self.similarity
         n = A.shape[0]
         tau = np.trace(A) / n
@@ -489,29 +537,18 @@ def _zero_diagonal_similarity(m):
 
 
 def hull_witness(a) -> HullWitness:
-    """Write a hull member as the midpoint of two spectral-ball members.
-
-    With tau = tr(A)/n and a unitary S making A - tau I zero-diagonal, the
-    two terms are S (2 N_u + tau I) S^-1 and S (2 N_l + tau I) S^-1 where
-    N_u, N_l are the strict triangular parts of the reduced matrix.  Both
-    terms have one-point spectrum {tau}, hence spectral radius below 1.
-    """
+    """Write a hull member as the midpoint of two spectral-ball members: the
+    ``HullWitness`` of A and a unitary S making A - tr(A)/n I zero-diagonal.
+    A matrix outside the hull raises NotInHullError."""
     A = as_matrix(a)
     n = A.shape[0]
     h, inside = hull_membership(A)
     if not inside:
         raise NotInHullError(f"|tr A|/n = {h:.6g} is not below 1")
-    tau = np.trace(A) / n
-    m = A - tau * np.eye(n)
+    m = A - np.trace(A) / n * np.eye(n)
     # W is unitary, so the W of m 2^-e serves m.  An m with an entry of 1 or
     # more is scaled below 1, so that no norm or product of the reduction
     # overflows; a smaller m is kept, as the floor 1 of the reduction's
     # rounding scale stands for |tau| < 1
     d, e = _scaled_down(m)
-    s = _zero_diagonal_similarity(d if e > 0 else m)
-    z = s.conj().T @ m @ s
-    upper = np.triu(z, 1)
-    lower = np.tril(z, -1)
-    t1 = s @ (2.0 * upper + tau * np.eye(n)) @ s.conj().T
-    t2 = s @ (2.0 * lower + tau * np.eye(n)) @ s.conj().T
-    return HullWitness(terms=(t1, t2), similarity=s)
+    return HullWitness(matrix=A, similarity=_zero_diagonal_similarity(d if e > 0 else m))

@@ -3,8 +3,9 @@
 Spectra, symmetrized coordinates (signed characteristic-polynomial
 coefficients) and their differential, companion matrices, the bottleneck
 assignment behind every pairing of eigenvalue multisets, Schur forms with a
-prescribed diagonal order, matrix exponentials/logarithms, and the linear
-algebra of the commutation operator H -> AH - HA.
+prescribed diagonal order, the matrix exponential, the eigendecomposition
+of a unitary matrix, and the linear algebra of the commutation operator
+H -> AH - HA.
 
 Everything here is a pure function of its inputs; matrices are plain complex
 numpy arrays.
@@ -467,32 +468,24 @@ def _require_unitary(u):
 
 
 def _unitary_eig(u):
-    """(theta, q) with u = q diag(e^(i theta)) q*, theta in (-pi, pi].
+    """(theta, q) with u = q diag(e^(i theta)) q*, theta in [-pi, pi], for a
+    unitary u that the caller has validated (``_require_unitary``).
 
     u is turned by a unimodular factor that puts -1 in the middle of the
     widest gap between its eigenvalue angles.  The Cayley transform of the
     turned matrix is then Hermitian with the eigenvectors of u, so one
     ``eigh`` diagonalizes u.  The angles are those of the Rayleigh quotients
-    of u itself, so an eigenvalue -1 gives pi.  Raises InvalidInputError
-    unless u is a finite, square, unitary matrix.
+    of u itself, so an exact eigenvalue -1 gives pi, and q diag(i theta) q*
+    is the principal logarithm, of norm at most pi.
     """
-    U = as_matrix(u)
-    _require_unitary(U)
-    eye = np.eye(len(U))
-    angles = np.sort(np.angle(np.linalg.eigvals(U)))
+    eye = np.eye(len(u))
+    angles = np.sort(np.angle(np.linalg.eigvals(u)))
     gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
     k = int(np.argmax(gaps))
-    r = np.exp(1j * (np.pi - angles[k] - gaps[k] / 2.0)) * U
+    r = np.exp(1j * (np.pi - angles[k] - gaps[k] / 2.0)) * u
     h = 1j * np.linalg.solve(eye + r, eye - r)
     _, q = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return np.angle(np.diag(q.conj().T @ U @ q)), q
-
-
-def unitary_log(u) -> np.ndarray:
-    """Principal logarithm q diag(i theta) q* of a unitary matrix
-    (``_unitary_eig``): skew-Hermitian, norm <= pi."""
-    theta, q = _unitary_eig(u)
-    return (q * (1j * theta)) @ q.conj().T
+    return np.angle(np.diag(q.conj().T @ u @ q)), q
 
 
 def commutation_operator(a) -> np.ndarray:

@@ -38,6 +38,7 @@ from .errors import InternalError, InvalidInputError, NumericError
 from .matcore import (
     BORDERLINE_DECADE,
     DEFAULT_TOL,
+    PAIRING_TOL,
     SymPoint,
     _centered,
     _frobenius,
@@ -48,9 +49,6 @@ from .matcore import (
     elementary_symmetric,
     sigma_differential_matrix,
 )
-
-#: Relative gap used to group nearly-equal computed eigenvalues.
-CLUSTER_GAP = 1e-6
 
 #: Largest number of random probes for the cyclic-vector criterion.
 CYCLIC_TRIALS = 5
@@ -79,7 +77,7 @@ class NonderogReport:
     per_criterion: dict
     minimal_polynomial: PolyCoeffs
     borderline: bool = field(init=False)
-    tolerances = {"rank": DEFAULT_TOL, "cluster_gap": CLUSTER_GAP, "borderline_decade": BORDERLINE_DECADE}
+    tolerances = {"rank": DEFAULT_TOL, "cluster_gap": PAIRING_TOL, "borderline_decade": BORDERLINE_DECADE}
 
     def __post_init__(self):
         per = self.per_criterion.values()
@@ -275,9 +273,9 @@ def minimal_polynomial(a) -> PolyCoeffs:
 
 
 def _cluster_eigenvalues(values, radius):
-    """Group computed eigenvalues joined by chains of gaps at most the
-    cluster threshold; returns a list of ascending index arrays."""
-    close = (np.abs(values[:, None] - values) <= CLUSTER_GAP * (1.0 + radius)).tolist()
+    """Group computed eigenvalues joined by chains of gaps at most
+    PAIRING_TOL * (1 + radius); returns a list of ascending index arrays."""
+    close = (np.abs(values[:, None] - values) <= PAIRING_TOL * (1.0 + radius)).tolist()
     groups = []
     for i, row in enumerate(close):
         linked = [g for g in groups if any(row[j] for j in g)]
@@ -372,7 +370,7 @@ def _eigenspace_bound(M, mu, bounds):
     ||A_j||_F of rounding (subtraction and SVD); sigma_n and sigma_(n-1) a
     decade clear of the rank threshold give rank n - 1, unflagged.
     """
-    if bounds is None or not bounds[0].min() > CLUSTER_GAP * (1.0 + np.abs(mu).max()):
+    if bounds is None or not bounds[0].min() > PAIRING_TOL * (1.0 + np.abs(mu).max()):
         return None
     gaps, _, v_min, v_max, r, slack, residual = bounds
     if not gaps.min() * v_min**2 > residual * v_max:  # sigma_(n-1) bound <= 0 at the closest pair

@@ -219,27 +219,29 @@ class GapCertificate:
     """Certified comparison of r(B) with the generic distance limit at 0.
 
     ``beta`` and ``blaschke`` solve the boundary interpolation problem of the
-    eigenvalues; ``upper`` = |beta|^n bounds the two-point distance limit
-    from above; ``radius`` = r(B) is the value at the scalar base point
-    itself.  A strictly positive gap occurs exactly when the eigenvalues of B
-    are not all equal, so ``is_gap`` is upper < radius - EQUAL_EIGENVALUES_TOL.
+    n ``eigenvalues`` lambda_j; derived from them, ``upper`` = |beta|^n
+    bounds the two-point distance limit from above, and ``radius`` =
+    max |lambda_j| = r(B) is the value at the scalar base point itself.  A
+    strictly positive gap occurs exactly when the eigenvalues of B are not
+    all equal, so ``is_gap`` is upper < radius - EQUAL_EIGENVALUES_TOL.
     The pair is the analytic disc zeta -> sigma(B(eps_j zeta^(1/n))) into the
     symmetrized polydisc behind ``upper``: at zeta = beta^n the n-th roots are
-    the nodes eps_j beta, where B takes the eigenvalues within the residual.
-    ``degenerate`` marks all-zero data, radius <= DEFAULT_TOL, with beta = 0
-    and the constant-zero interpolant.  ``smallest_eigenvalue`` is the
-    smallest Pick eigenvalue of the reduced problem at |beta|: the margin of
-    the certified radius, just below zero after the search.
+    the nodes eps_j beta, where B takes the eigenvalues within
+    ``interpolation_residual``.  ``degenerate`` marks all-zero data, radius
+    <= DEFAULT_TOL, with beta = 0 and the constant-zero interpolant.
+    ``smallest_eigenvalue`` is the smallest Pick eigenvalue of the reduced
+    problem at |beta|: the margin of the certified radius, just below zero
+    after the search.
     """
 
     beta: complex
     blaschke: object
-    upper: float
-    radius: float
+    eigenvalues: np.ndarray
+    smallest_eigenvalue: float
+    upper: float = field(init=False)
+    radius: float = field(init=False)
     is_gap: bool = field(init=False)
     degenerate: bool = field(init=False)
-    interpolation_residual: float
-    smallest_eigenvalue: float
     #: DEFAULT_TOL decides all-zero data and the Pick rank, the product's order;
     #: PICK_MARGIN the search and the closed form.
     tolerances = {
@@ -251,8 +253,17 @@ class GapCertificate:
     }
 
     def __post_init__(self):
+        self.eigenvalues = np.atleast_1d(np.asarray(self.eigenvalues, dtype=complex))
+        self.upper = float(abs(self.beta) ** len(self.eigenvalues))
+        self.radius = float(np.max(np.abs(self.eigenvalues)))
         self.is_gap = bool(self.upper < self.radius - EQUAL_EIGENVALUES_TOL)
         self.degenerate = self.radius <= DEFAULT_TOL
+
+    @property
+    def interpolation_residual(self) -> float:
+        """max_j |B(eps_j |beta|) - lambda_j|, recomputed from the fields."""
+        nodes = _roots_of_unity(len(self.eigenvalues)) * abs(self.beta)
+        return float(np.max(np.abs(self.blaschke(nodes) - self.eigenvalues)))
 
     def residuals(self) -> dict:
         """``interpolation_max`` and, unless degenerate, ``circle_unimodularity``:
@@ -421,6 +432,8 @@ def blaschke_through_roots_of_unity(lambdas) -> GapCertificate:
     """
     lam = np.atleast_1d(np.asarray(lambdas, dtype=complex))
     n = len(lam)
+    if lam.ndim != 1:
+        raise InvalidInputError(f"values must form a one-dimensional list, got shape {lam.shape}")
     if n == 0:
         raise InvalidInputError("no values to interpolate")
     if not np.all(np.isfinite(lam)):
@@ -430,31 +443,23 @@ def blaschke_through_roots_of_unity(lambdas) -> GapCertificate:
     if radius >= 1.0:
         raise DomainError("values must lie in the open unit disk")
     if radius <= DEFAULT_TOL:
-        r0, bp, smallest, residual = 0.0, ZeroInterpolant(), 0.0, 0.0
+        return GapCertificate(0j, ZeroInterpolant(), lam, 0.0)
+    eps = _roots_of_unity(n)
+    matrices = _reduced_pick(lam, eps)
+    k, c = _closed_form(lam, eps, moduli)
+    if k:
+        r0 = abs(c) ** (1.0 / k)
+        bp = BlaschkeProduct(c / abs(c), np.zeros(k))
+        smallest = _smallest_eigs(matrices, np.array([r0]))[0][0]
     else:
-        eps = _roots_of_unity(n)
-        matrices = _reduced_pick(lam, eps)
-        k, c = _closed_form(lam, eps, moduli)
-        if k:
-            r0 = abs(c) ** (1.0 / k)
-            bp = BlaschkeProduct(c / abs(c), np.zeros(k))
-            smallest = _smallest_eigs(matrices, np.array([r0]))[0][0]
-        else:
-            r0, bp, smallest = _searched_product(lam, eps, matrices)
-        residual = float(np.max(np.abs(bp(eps * r0) - lam)))
-        if bp.order > n:
-            raise InternalError("recovered product exceeds the admissible order")
-        if residual > INTERPOLATION_TOL:
-            raise NumericError(f"boundary interpolation residual {residual:.3e}")
-    beta = complex(r0)
-    return GapCertificate(
-        beta=beta,
-        blaschke=bp,
-        upper=float(abs(beta) ** n),
-        radius=radius,
-        interpolation_residual=residual,
-        smallest_eigenvalue=float(smallest),
-    )
+        r0, bp, smallest = _searched_product(lam, eps, matrices)
+    if bp.order > n:
+        raise InternalError("recovered product exceeds the admissible order")
+    cert = GapCertificate(complex(r0), bp, lam, float(smallest))
+    residual = cert.interpolation_residual
+    if residual > INTERPOLATION_TOL:
+        raise NumericError(f"boundary interpolation residual {residual:.3e}")
+    return cert
 
 
 def gap_certificate(b) -> GapCertificate:

@@ -6,6 +6,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import settings
 
 import spectralball as sb
@@ -48,11 +49,18 @@ def disk_points(rng, count, radius=10.0):
     return radius * np.sqrt(rng.uniform(size=count)) * np.exp(2j * np.pi * rng.uniform(size=count))
 
 
-def exp_frame_reference(frame, frame_log, lam, t):
-    """u e T e^-1 u* with (e, e^-1) = expm_pair(lam L), and the scale
-    ||e|| ||e^-1|| ||T|| of its rounding, for stacks of lam and T."""
+def principal_log(frame, frame_end):
+    """scipy's principal logarithm of u* v, independent of the library's
+    frame path; u* v must not have the eigenvalue -1, on whose branch the
+    two need not agree."""
+    return scipy.linalg.logm(frame.conj().T @ frame_end)
+
+
+def exp_frame_reference(frame, log, lam, t):
+    """u e T e^-1 u* with (e, e^-1) = expm_pair(lam L), L = log, and the
+    scale ||e|| ||e^-1|| ||T|| of its rounding, for stacks of lam and T."""
     lam = np.asarray(lam, dtype=complex)[..., None, None]
-    e, e_inv = sb.expm_pair(lam * frame_log)
+    e, e_inv = sb.expm_pair(lam * log)
     value = frame @ (e @ t @ e_inv) @ frame.conj().T
     norms = [np.linalg.norm(m, axis=(-2, -1)) for m in (e, e_inv, t)]
     return value, norms[0] * norms[1] * norms[2]

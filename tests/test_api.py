@@ -19,19 +19,18 @@ import re
 import tokenize
 
 import numpy as np
+import pytest
 
 import spectralball as sb
-from spectralball import cli, curves, geometry, matcore, nonderog, pick
+from spectralball import cli, curves, geometry, matcore, pick
 
 PARAMETERS = {
     "BlaschkeProduct": ("unimodular", "zeros"),
     "CriterionResult": ("passed", "diagnostic", "borderline"),
     "DiscWitness": ("curve", "matrix_at_base", "matrix_at_target"),
     "ExpConjugationCurve": ("base", "generator"),
-    "GapCertificate": (
-        "beta", "blaschke", "upper", "radius", "interpolation_residual", "smallest_eigenvalue",
-    ),
-    "HullWitness": ("terms", "similarity"),
+    "GapCertificate": ("beta", "blaschke", "eigenvalues", "smallest_eigenvalue"),
+    "HullWitness": ("matrix", "similarity"),
     "MatrixPolynomialCurve": ("coefficients",),
     "NonderogReport": ("per_criterion", "minimal_polynomial"),
     "PickProblem": ("nodes", "targets"),
@@ -73,7 +72,6 @@ PARAMETERS = {
     "solve_conjugation": ("a", "b"),
     "spectrum": ("a",),
     "spectrum_polynomials_2x2": ("curve",),
-    "unitary_log": ("u",),
     "upper_bound_disc": ("a", "b", "s1"),
     "verify_constant_spectrum": ("curve", "expected", "samples", "radius"),
     "zero_metric_curve": ("a", "b"),
@@ -81,7 +79,7 @@ PARAMETERS = {
 
 #: Totals: exported names; their parameters, of which with defaults; CLI flags;
 #: tolerance literals.
-NAME_COUNT, PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT = 61, 96, 4, 18, 23
+NAME_COUNT, PARAMETER_COUNT, DEFAULT_COUNT, FLAG_COUNT, LITERAL_COUNT = 60, 93, 4, 18, 22
 
 CRITERIA = (
     "cyclic_vector",
@@ -115,11 +113,11 @@ CURVE_TOLERANCES = {"spectrum": curves.SPECTRUM_TOL, "endpoint": geometry.ENDPOI
 TOLERANCES = {
     "classify": {
         "rank": matcore.DEFAULT_TOL,
-        "cluster_gap": nonderog.CLUSTER_GAP,
+        "cluster_gap": matcore.PAIRING_TOL,
         "borderline_decade": matcore.BORDERLINE_DECADE,
     },
     "sigma": {"residual": matcore.DEFAULT_TOL},
-    "bounds": {"endpoint": geometry.ENDPOINT_TOL},
+    "bounds": {"endpoint": geometry.ENDPOINT_TOL, "scalar_base": geometry.SCALAR_BASE_TOL},
     "blaschke": GAP_TOLERANCES,
     "curve": {**CURVE_TOLERANCES, "pairing": matcore.PAIRING_TOL},
     "hull": {"reconstruction": geometry.HULL_TOL},
@@ -271,3 +269,35 @@ def test_cli_only_parses_and_emits():
     assert modules == {"curves", "geometry", "nonderog", "pick"}
     assert private == []
     assert linalg == []
+
+
+I2, T2, B2 = np.eye(2), np.array([[0.1, 1.0], [0.0, 0.2]]), np.diag([0.15, 0.75])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sb.SpectralDisc(I2, I2, np.eye(3), np.eye(3), 0.5),
+        lambda: sb.SpectralDisc(I2, I2, T2, T2, "0.5"),
+        lambda: sb.TriangularConjugationCurve(I2, I2, np.eye(3), T2),
+        lambda: sb.MatrixPolynomialCurve([]),
+        lambda: sb.MatrixPolynomialCurve([I2, np.eye(3)]),
+        lambda: sb.HullWitness(T2, np.eye(3)),
+        lambda: sb.blaschke_through_roots_of_unity([[0.1, 0.2]]),
+        lambda: sb.upper_bound_disc(T2, B2, None),
+        lambda: sb.upper_bound_disc(T2, B2, "x"),
+        lambda: sb.lempert_scalar_base("x", B2),
+        lambda: sb.kobayashi_scalar_base(None, B2),
+        lambda: sb.discontinuity_report(B2, "x"),
+    ],
+    ids=[
+        "disc-sizes", "disc-scale", "iso-sizes", "polynomial-empty", "polynomial-sizes",
+        "hull-sizes", "blaschke-2d", "disc-radius-none", "disc-radius-str", "lempert-t",
+        "kobayashi-t", "discontinuity-t",
+    ],
+)
+def test_typed_errors_at_public_constructors_and_scalar_arguments(call):
+    """Malformed arguments raise InvalidInputError, before any warning."""
+    with pytest.raises(sb.InvalidInputError):
+        call()

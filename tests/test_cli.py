@@ -113,7 +113,7 @@ class TestCommands:
         a = parse_matrix(doc["inputs"]["matrix"])
         recon = float(np.linalg.norm(0.5 * t1 + 0.5 * t2 - a))
         assert abs(recon - doc["residuals"]["reconstruction"]) <= 1e-12
-        assert sb.hull_witness(a).residuals(a)["reconstruction"] == recon
+        assert sb.hull_witness(a).residuals()["reconstruction"] == recon
         assert max(witness["term_radii"]) < 1.0
 
     def test_hull_witness_at_n5(self, tmp_path, capsys):
@@ -157,7 +157,7 @@ class TestCommands:
             ) / (1.0 + np.linalg.norm(a))
             assert doc["residuals"]["triangularity"] == pytest.approx(slack, rel=1e-6, abs=1e-15)
             assert doc["residuals"]["triangularity"] <= 1e-12
-            assert sb.hull_witness(a).residuals(a)["triangularity"] == slack
+            assert sb.hull_witness(a).residuals()["triangularity"] == slack
 
     def test_bounds(self, tmp_path, capsys):
         p1 = write_matrix(tmp_path / "a.json", np.diag([0.1, 0.8]))
@@ -701,6 +701,25 @@ class TestEveryScale:
     def test_answer_or_one_typed_error(self, tmp_path_factory, command, seed, n, shape, k):
         inputs = seeded_inputs(seed, 2 if command == "curve-quadratic" else n, shape)
         assert_one_answer(*run_scaled(tmp_path_factory.mktemp("scale"), command, inputs, k))
+
+    @pytest.mark.parametrize("command", ["bounds", "curve-iso"])
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 4), k=st.integers(-1074, 1023))
+    @settings(max_examples=20)
+    def test_ball_members_with_a_huge_nilpotent_part(self, tmp_path_factory, command, seed, n, k):
+        # D + 2^k N, D diagonal in the disk and N strictly upper, lies in the
+        # ball at every k, unlike 2^k A.  bounds pairs it with a diagonal
+        # member and answers; the iso curve joins it to its transpose, whose
+        # eigenvalues are too ill-conditioned to pair at large k: an answer,
+        # or NumericError, never a user error
+        rng = np.random.default_rng([seed, n])
+        d = np.diag(0.9 * np.exp(2j * np.pi * rng.uniform(size=n)) * rng.uniform(size=n))
+        a = d + scaled(seeded_inputs(seed, n, "upper")["a"], k)
+        inputs = {"a": a, "direction": d[::-1, ::-1] / 2.0, "conjugate": a.T.copy()}
+        code, out, err = run_scaled(tmp_path_factory.mktemp("nilpotent"), command, inputs, 0)
+        assert_one_answer(code, out, err)
+        assert code == 0 or json.loads(err)["kind"] == "NumericError"
+        if command == "bounds":
+            assert code == 0
 
     @given(seed=st.integers(0, 2**16), n=st.integers(2, 5), shape=st.sampled_from(SHAPES))
     @settings(max_examples=20)

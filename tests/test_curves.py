@@ -17,6 +17,7 @@ from conftest import (
     disk_points,
     exp_frame_reference,
     jordan_block,
+    principal_log,
     random_ball_matrix,
     random_gaussian,
     random_unitary,
@@ -29,13 +30,14 @@ def nearby_conjugate(rng, a, scale=0.15):
     return q @ a @ q.conj().T
 
 
-def assert_matches_exponential_reference(curve, lam):
-    """The closed-form values against u e T e^-1 u* from expm_pair."""
+def assert_matches_exponential_reference(curve, lam, log=None):
+    """The closed-form values against u e T e^-1 u* from expm_pair, along
+    *log*, by default scipy's principal logarithm of u* v."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     w = lam[:, None, None]
-    ref, scale = exp_frame_reference(
-        curve.frame, curve.frame_log, lam, (1.0 - w) * curve.t0 + w * curve.t1
-    )
+    if log is None:
+        log = principal_log(curve.frame, curve.frame_end)
+    ref, scale = exp_frame_reference(curve.frame, log, lam, (1.0 - w) * curve.t0 + w * curve.t1)
     err = np.linalg.norm(curve(lam) - ref, axis=(1, 2))
     assert (err <= 1e-12 * scale).all(), (err / scale).max()
 
@@ -128,7 +130,7 @@ class TestIsoSpectralCurve:
         q = (v * np.exp(1j * w)) @ v.conj().T
         b = q @ a @ q.conj().T
         c = sb.iso_spectral_curve(a, b)
-        assert np.linalg.norm(c.frame_log, 2) <= np.pi * (1.0 + 1e-14)
+        assert np.abs(c._theta).max() <= np.pi
         assert np.linalg.norm(c(1.0) - b) <= 1e-10
         assert sb.verify_constant_spectrum(c, sb.spectrum(a)).passed
         assert_matches_exponential_reference(c, disk_points(rng, 40))
@@ -163,8 +165,7 @@ class TestClosedFormFrame:
         c = sb.TriangularConjugationCurve(
             frame=u, frame_end=u @ (v * np.exp(1j * angles)) @ v.conj().T, t0=t0, t1=t1
         )
-        theta = np.linalg.eigvalsh(-1j * c.frame_log)
-        np.testing.assert_allclose(theta, np.sort(angles), atol=1e-12)
+        np.testing.assert_allclose(np.sort(c._theta), np.sort(angles), atol=1e-12)
         assert_matches_exponential_reference(c, disk_points(rng, 40))
 
     @given(
@@ -189,8 +190,10 @@ class TestClosedFormFrame:
     @settings(max_examples=90)
     def test_property_frame_pair(self, n, seed, case, lam):
         # any unitaries u, v, also with the eigenvalue -1 or repeated angles
-        # in u* v: the curve runs from u t0 u* at 0 to v t1 v* at 1 and its
-        # log is the principal one, skew-Hermitian with ||L||_2 <= pi
+        # in u* v: the curve runs from u t0 u* at 0 to v t1 v* at 1 along
+        # u* v = q diag(e^(i theta)) q* with every |theta| <= pi, and its
+        # values follow exp(lam L) for scipy's principal log L; at -1, where
+        # that log has no unique branch, for L = q diag(i theta) q*
         rng = np.random.default_rng(seed)
         u, w = random_unitary(rng, n, scale=3.0), random_unitary(rng, n, scale=3.0)
         angles = {"minus_one": [np.pi, 0.4, np.pi, -2.0], "repeated": [0.7, 0.7, -1.2, 3.0, 3.0]}
@@ -200,14 +203,14 @@ class TestClosedFormFrame:
             v = u @ (w * np.exp(1j * np.resize(angles[case], n))) @ w.conj().T
         t0, t1 = (np.triu(random_gaussian(rng, n)) for _ in range(2))
         c = sb.TriangularConjugationCurve(frame=u, frame_end=v, t0=t0, t1=t1)
-        log = c.frame_log
-        assert np.linalg.norm(log + log.conj().T) <= 1e-13
-        assert np.linalg.norm(log, 2) <= np.pi * (1.0 + 1e-14)
+        theta, q = c._theta, c._q
+        assert np.abs(theta).max() <= np.pi
+        log = (q * (1j * theta)) @ q.conj().T
         assert np.linalg.norm(u @ sb.expm_pair(log)[0] - v) <= 1e-12
         for lam_end, frame, t in ((0.0, u, t0), (1.0, v, t1)):
             end = frame @ t @ frame.conj().T
             assert np.linalg.norm(c(lam_end) - end) <= 1e-12 * (1.0 + np.linalg.norm(t))
-        assert_matches_exponential_reference(c, lam)
+        assert_matches_exponential_reference(c, lam, log if case == "minus_one" else None)
         with pytest.raises(sb.InvalidInputError, match="not unitary"):
             sb.TriangularConjugationCurve(frame=u, frame_end=1.001 * v, t0=t0, t1=t1)
 
@@ -725,6 +728,22 @@ class TestVerifier:
         c = sb.MatrixPolynomialCurve([a, np.eye(2)])
         with pytest.raises(sb.InvalidInputError):
             sb.verify_constant_spectrum(c, sb.spectrum(a), samples=samples)
+
+    @pytest.mark.parametrize(
+        "expected",
+        [[], [[0.1, 0.4, -0.3]], 5.0, [0.1, np.nan, 0.2], [0.1, 0.4], [0.1, 0.4, -0.3, 0.0]],
+        ids=["empty", "2-D", "scalar", "nan", "short", "long"],
+    )
+    def test_rejects_a_malformed_expected_spectrum(self, count_calls, expected):
+        # on a 3 x 3 curve: a list that is not 1-D, is empty, is not finite
+        # or has another length than 3 is rejected before any settle work
+        a = np.array([[0.1, 1.0, 0.0], [0.0, 0.4, 1.0], [0.0, 0.0, -0.3]])
+        c = sb.iso_spectral_curve(a, a)
+        settle = count_calls(curves_module, "_settle_ratio", "_enclosure_ratio")
+        with pytest.raises(sb.InvalidInputError, match="expected"):
+            sb.verify_constant_spectrum(c, expected)
+        assert settle == []
+        assert sb.verify_constant_spectrum(c, [0.1, 0.4, -0.3]).passed
 
     @pytest.mark.parametrize("radius", [-5.0, -1e-300, np.inf, np.nan, 1j, "10", None])
     def test_rejects_a_negative_or_non_finite_radius(self, radius):

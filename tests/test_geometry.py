@@ -13,6 +13,7 @@ from conftest import (
     disk_points,
     exp_frame_reference,
     jordan_block,
+    principal_log,
     random_ball_matrix,
     random_gaussian,
     random_unitary,
@@ -394,9 +395,10 @@ class TestUpperBoundDisc:
         b = random_ball_matrix(rng, 4, radius=0.6)
         bound, _ = sb.bottleneck_minimax(sb.spectrum(a), sb.spectrum(b))
         curve = sb.upper_bound_disc(a, b, bound + 0.05).curve
-        log = curve.frame_log
-        assert np.linalg.norm(log + log.conj().T) <= 1e-13
-        assert np.linalg.norm(log, 2) <= np.pi * (1.0 + 1e-14)
+        theta, q = curve._theta, curve._q
+        assert np.abs(theta).max() <= np.pi
+        log = principal_log(curve.frame, curve.frame_end)
+        assert np.linalg.norm((q * (1j * theta)) @ q.conj().T - log) <= 1e-12
 
     def test_value_at_zero_skips_the_exponential_bitwise(self):
         rng = np.random.default_rng(39)
@@ -406,7 +408,7 @@ class TestUpperBoundDisc:
             bound, _ = sb.bottleneck_minimax(sb.spectrum(a), sb.spectrum(b))
             curve = sb.upper_bound_disc(a, b, bound + 0.05).curve
             u, t = curve.frame, curve.triangular_part(0.0)
-            e, e_inv = sb.expm_pair(0.0 * curve.frame_log)
+            e, e_inv = sb.expm_pair(np.zeros((n, n)))
             assert np.array_equal(curve(0.0), u @ t @ u.conj().T)
             assert np.array_equal(curve(0.0), u @ (e @ t @ e_inv) @ u.conj().T)
 
@@ -445,7 +447,10 @@ class TestUpperBoundDisc:
         for curve in (disc, repeated, same):
             for zeta in curve.scale * disk_points(rng, 10):
                 ref, scale = exp_frame_reference(
-                    curve.frame, curve.frame_log, zeta / curve.scale, curve.triangular_part(zeta)
+                    curve.frame,
+                    principal_log(curve.frame, curve.frame_end),
+                    zeta / curve.scale,
+                    curve.triangular_part(zeta),
                 )
                 assert np.linalg.norm(curve(zeta) - ref) <= 1e-12 * scale
 
@@ -454,7 +459,6 @@ class TestUpperBoundDisc:
         # the log is derived from the two frames; the step I + X along an X
         # that is not skew-Hermitian is no unitary, and construction rejects it
         w = sb.upper_bound_disc(np.diag([0.1, 0.8]), np.diag([0.15, 0.75]), 0.13)
-        assert np.linalg.norm(w.curve.frame_log + w.curve.frame_log.conj().T) <= 1e-15
         with pytest.raises(sb.InvalidInputError, match="not unitary"):
             dataclasses.replace(w.curve, frame_end=w.curve.frame @ (np.eye(2) + log))
 
@@ -465,7 +469,7 @@ class TestUpperBoundDisc:
         w = sb.upper_bound_disc(np.diag([0.1, 0.8]), np.diag([0.15, 0.75]), 0.13).curve
         with pytest.raises(sb.InvalidInputError, match="not unitary"):
             dataclasses.replace(w, frame=scale * w.frame, frame_end=w.frame_end / scale)
-        assert dataclasses.replace(w, frame=w.frame).frame_log.shape == (2, 2)
+        assert np.array_equal(dataclasses.replace(w, frame=w.frame)(0.5), w(0.5))
 
     def test_certificate_radius_is_the_supremum_over_the_disk(self):
         rng = np.random.default_rng(40)
@@ -573,9 +577,21 @@ class TestHullWitness:
         base = np.array([[1.0, 0.3], [0.2j, -1.0]])
         w = sb.hull_witness(np.ldexp(1.0, k) * base)
         assert w.similarity.tobytes() == sb.hull_witness(base).similarity.tobytes()
-        residuals = w.residuals(np.ldexp(1.0, k) * base)
+        residuals = w.residuals()
         assert residuals["reconstruction"] <= 1e-15 * np.ldexp(np.linalg.norm(base), k)
         assert residuals["triangularity"] <= 1e-15
+
+    def test_terms_derive_from_the_matrix_and_similarity(self):
+        a = 0.3 * random_gaussian(np.random.default_rng(65), 3)
+        w = sb.hull_witness(a)
+        again = sb.HullWitness(a, w.similarity)
+        assert all(np.array_equal(s, t) for s, t in zip(again.terms, w.terms))
+        assert w.residuals() == again.residuals()
+        assert w.residuals()["reconstruction"] <= 1e-15
+        # the residuals read the stored matrix: a perturbed one shows
+        w.matrix[0, 0] += 1e-3
+        assert w.residuals()["reconstruction"] == pytest.approx(1e-3, rel=1e-9)
+        assert again.residuals()["reconstruction"] <= 1e-15
 
     def test_dimension_five(self):
         a = 0.3 * random_gaussian(np.random.default_rng(63), 5)

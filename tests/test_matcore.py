@@ -479,6 +479,12 @@ class TestBottleneckAssignment:
             sb.bottleneck_assignment(cost)
 
 
+def eig_log(u):
+    """q diag(i theta) q* from the frame path's decomposition u = q diag(e^(i theta)) q*."""
+    theta, q = matcore_module._unitary_eig(u)
+    return (q * (1j * theta)) @ q.conj().T
+
+
 class TestExpLog:
     def test_exp_zero(self):
         np.testing.assert_allclose(sb.expm_pair(np.zeros((3, 3)))[0], np.eye(3))
@@ -488,23 +494,26 @@ class TestExpLog:
         np.testing.assert_allclose(sb.expm_pair(n)[0], np.eye(2) + n, atol=1e-14)
 
     def test_log_identity(self):
-        np.testing.assert_allclose(sb.unitary_log(np.eye(4)), np.zeros((4, 4)))
+        np.testing.assert_allclose(eig_log(np.eye(4)), np.zeros((4, 4)))
 
     def test_roundtrip(self):
         rng = np.random.default_rng(12)
         for n in (2, 3, 5):
             u = random_unitary(rng, n, scale=1.5)
-            l = sb.unitary_log(u)
+            l = eig_log(u)
             assert np.linalg.norm(l + l.conj().T) <= 1e-12  # skew-Hermitian
             assert np.linalg.norm(sb.expm_pair(l)[0] - u) <= 1e-9
+            assert np.linalg.norm(l - scipy.linalg.logm(u)) <= 1e-12
 
     def test_log_rejects_non_unitary(self):
-        with pytest.raises(sb.InvalidInputError):
-            sb.unitary_log(2.0 * np.eye(2))
+        # the frame path checks u* v before it decomposes it
+        t = np.array([[0.1, 1.0], [0.0, 0.2]])
+        with pytest.raises(sb.InvalidInputError, match="not unitary"):
+            sb.TriangularConjugationCurve(frame=np.eye(2), frame_end=2.0 * np.eye(2), t0=t, t1=t)
 
     def test_log_principal_branch(self):
         # the eigenvalue -1 takes the angle +pi, never -pi
-        l = sb.unitary_log(np.diag([1.0, -1.0, 1j]))
+        l = eig_log(np.diag([1.0, -1.0, 1j]))
         np.testing.assert_allclose(l, np.diag([0.0, 1j * np.pi, 0.5j * np.pi]), atol=1e-15)
         assert l[1, 1].imag == np.pi
 
@@ -512,7 +521,7 @@ class TestExpLog:
         q = random_unitary(np.random.default_rng(13), 3, scale=1.0)
         angles = np.array([np.pi - 1e-3, -np.pi + 2e-3, 0.5])
         u = (q * np.exp(1j * angles)) @ q.conj().T
-        l = sb.unitary_log(u)
+        l = eig_log(u)
         np.testing.assert_allclose(
             np.sort(np.linalg.eigvalsh(-1j * l)), np.sort(angles), atol=1e-12
         )
@@ -524,7 +533,7 @@ class TestExpLog:
             for _ in range(10):
                 q, r = np.linalg.qr(random_gaussian(rng, n))
                 u = q * (np.diag(r) / np.abs(np.diag(r)))
-                l = sb.unitary_log(u)
+                l = eig_log(u)
                 assert np.linalg.norm(l, 2) <= np.pi * (1.0 + 1e-14)
                 assert np.linalg.norm(sb.expm_pair(l)[0] - u) <= 1e-12
 

@@ -773,7 +773,7 @@ class TestEigenpairProofAgreesWithClassify:
         if proof is not None:
             assert nonderog_module._criterion_eigenspaces(m, mu) == proof
         # beyond the threshold the well-separated normal M is always proved
-        separated = abs(mu[1] - mu[0]) > nonderog_module.CLUSTER_GAP * (1.0 + np.abs(mu).max())
+        separated = abs(mu[1] - mu[0]) > matcore_module.PAIRING_TOL * (1.0 + np.abs(mu).max())
         assert (proof is not None) == separated
 
     @pytest.mark.parametrize("seed", [1, 53, 149, 156, 210, 225, 243, 250, 338, 392])

@@ -616,6 +616,27 @@ class TestGapCertificate:
         values = cert.blaschke(circle_grid(8))
         assert values.shape == (8,) and values.dtype == complex and not values.any()
 
+    def test_degenerate_residual_is_the_largest_modulus(self):
+        # the constant-zero interpolant misses each eigenvalue by its modulus
+        cert = sb.blaschke_through_roots_of_unity([1e-10, -2e-10j])
+        assert cert.degenerate and cert.beta == 0.0 and cert.upper == 0.0
+        assert cert.interpolation_residual == cert.residuals()["interpolation_max"] == 2e-10
+
+    def test_fields_derive_from_the_independent_ones(self):
+        # upper, radius and the residual follow from (beta, blaschke,
+        # eigenvalues); the residual is recomputed from the stored fields
+        cert = sb.gap_certificate(np.diag([0.3, -0.5, 0.1j]))
+        again = sb.GapCertificate(
+            cert.beta, cert.blaschke, cert.eigenvalues.copy(), cert.smallest_eigenvalue
+        )
+        assert (again.upper, again.radius, again.is_gap) == (cert.upper, cert.radius, cert.is_gap)
+        assert cert.upper == abs(cert.beta) ** 3 and cert.radius == 0.5
+        before = cert.residuals()["interpolation_max"]
+        assert before == cert.interpolation_residual <= 1e-6
+        cert.eigenvalues[0] += 1e-3
+        assert cert.residuals()["interpolation_max"] >= 1e-3 - before
+        assert again.residuals()["interpolation_max"] == before
+
     def test_beta_and_product_are_the_symmetrized_disc(self):
         """(beta, B) is the analytic disc zeta -> sigma(B(eps_j zeta^(1/n)))
         into the symmetrized polydisc behind ``upper``: it maps 0 to sigma(0)
