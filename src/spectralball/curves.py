@@ -40,6 +40,7 @@ from .matcore import (
     _as_stack,
     _centered,
     _cmul,
+    _complex_array,
     _frobenius,
     _rank_by_svd,
     _scaled_down,
@@ -58,8 +59,9 @@ STRUCTURE_TOL = 1e-8
 #: constant spectrum.
 SPECTRUM_TOL = 1e-6
 
-# Safety factor c of the power-sum error bound (``_power_sums``).
-_POWER_SUM_SAFETY = 16.0
+# c u in the rounding terms of ``_enclosure_ratio``: the safety factor c = 16
+# times the unit roundoff u = eps / 2.
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 # Coefficient of the isotropy quadratic of the 2x2 witness below which it
 # counts as zero (``_solve_quadratic_tail``, on entries scaled to at most 1).
@@ -74,9 +76,57 @@ class TriangularConjugationCurve(_FramePath):
     kind = "triangular_conjugation"
     scale = 1.0  # the parameter of frame_end
 
+    def __post_init__(self):
+        super().__post_init__()
+        right = _triangular_eigenvectors(self.t0, self.t1)
+        left = _triangular_eigenvectors(self.t0[::-1, ::-1].T, self.t1[::-1, ::-1].T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # q* V(lam) and U(lam) q: one row of n^2 coefficients per power
+            vectors = [self._q.conj().T @ right, left[:, ::-1, ::-1].swapaxes(1, 2) @ self._q]
+        self._vectors = np.stack(vectors).reshape(2, len(self.t0), -1)
+
     def __call__(self, lam):
-        lam = np.asarray(lam, dtype=complex)[..., None, None]
+        lam = _complex_array(lam)[..., None, None]
         return self._similarity(lam, ((1.0 - lam, self.t0), (lam, self.t1)))
+
+    @np.errstate(over="ignore", invalid="ignore")  # a nan or inf settles nothing
+    def _eigenvectors(self, points):
+        """(values, (Z, P, mu)) at the 1-D points: Z = W V and P = U W^-1 for
+        W = p diag(e^(i lam theta)) q* and the eigenvectors T V = V diag(mu),
+        U = V^-1, of the triangular path, mu = diag t0; one product by the
+        powers of lam for both, and one by p or p* for each."""
+        m, n = len(points), len(self.t0)
+        # e^(i lam theta) = e^(-Im(lam) theta) e^(i Re(lam) theta): numpy's
+        # real exp, cos and sin are vectorized, its complex exp is not
+        turn = points.real[:, None] * self._theta
+        rotation = np.cos(turn) + 1j * np.sin(turn)
+        growth = np.exp(points.imag[:, None] * self._theta)
+        z, p = (np.vander(points, n, increasing=True) @ self._vectors).reshape(2, m, n, n)
+        z = self._p @ (z * (rotation / growth)[:, :, None]).swapaxes(0, 1).reshape(n, m * n)
+        p = (p * (rotation.conj() * growth)[:, None, :]).reshape(m * n, n) @ self._p.conj().T
+        z = z.reshape(n, m, n).swapaxes(0, 1)
+        return self(points), (z, p.reshape(m, n, n), np.diag(self.t0))
+
+
+def _triangular_eigenvectors(t0, t1):
+    """(n, n, n) coefficients C_k of V(lam) = sum_k lam^k C_k, unit upper
+    triangular with T V = V diag(t0) for T = triu(t0) + lam triu(t1 - t0, 1).
+
+    Back-substitution, one row for all columns and powers at once:
+    (t0_jj - t0_ii) v_ij = sum_(k>i) T_ik v_kj, a polynomial of degree j - i.
+    On J t^T J, J the reversal, it gives V^-1 reversed and transposed.  A
+    repeated diagonal value divides by zero: that settles nothing.
+    """
+    n = len(t0)
+    diag, upper, slope = np.diag(t0), np.triu(t0, 1), np.triu(t1 - t0, 1)
+    c = np.zeros((n, n, n), dtype=complex)
+    c[0] = np.eye(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(n - 2, -1, -1):
+            rhs = upper[i, i + 1 :] @ c[:, i + 1 :, i + 1 :]
+            rhs[1:] += slope[i, i + 1 :] @ c[:-1, i + 1 :, i + 1 :]
+            c[:, i, i + 1 :] = rhs / (diag[i + 1 :] - diag[i])
+    return c
 
 
 class _FirstOrderWitness:
@@ -154,7 +204,7 @@ class ExpConjugationCurve(_FirstOrderWitness):
     def _with_frames(self, lam):
         """(values, w, w_inv) at lam: the curve's values and the conjugators
         w = exp(lam Y) and w_inv = exp(-lam Y) they are formed with."""
-        lam = np.asarray(lam, dtype=complex)
+        lam = _complex_array(lam)
         if self._eigenbasis is None:
             w, w_inv = expm_pair(lam[..., None, None] * self.generator)
             values = w_inv @ self.base @ w
@@ -181,6 +231,19 @@ class ExpConjugationCurve(_FirstOrderWitness):
             self._base_eig = np.linalg.eig(self.base)
         return self._base_eig
 
+    def _eigenvectors(self, points):
+        """(values, (Z, P, mu)) at the 1-D points, from one evaluation
+        through the conjugators w: Z = w^-1 V and P = V^-1 w for the
+        eigenpairs A V = V diag(mu) of the base (``_base_eigenpairs``)."""
+        values, w, w_inv = self._with_frames(points)
+        m, n, _ = values.shape
+        mu, vectors = self._base_eigenpairs()
+        with np.errstate(over="ignore", invalid="ignore"):
+            # one GEMM each: the stacks against a single matrix, side by side
+            z = (w_inv.reshape(m * n, n) @ vectors).reshape(m, n, n)
+            p = (_inverse(vectors) @ w.transpose(1, 0, 2).reshape(n, m * n)).reshape(n, m, n)
+        return values, (z, p.transpose(1, 0, 2), mu)
+
     def derivative_at_zero(self) -> np.ndarray:
         """A Y - Y A, the derivative of the curve at lam = 0."""
         return self.base @ self.generator - self.generator @ self.base
@@ -196,14 +259,14 @@ class MatrixPolynomialCurve(_FirstOrderWitness):
     kind = "matrix_polynomial"
 
     def __post_init__(self):
-        coefficients = [np.asarray(c, dtype=complex) for c in self.coefficients]
+        coefficients = [_complex_array(c) for c in self.coefficients]
         if not coefficients or len({c.shape for c in coefficients}) != 1:
             raise InvalidInputError("coefficients must be one or more matrices of one size")
         self.coefficients = list(_as_stack(np.stack(coefficients)))
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflow raises below
     def __call__(self, lam):
-        lam = np.asarray(lam, dtype=complex)
+        lam = _complex_array(lam)
         x = lam[..., None, None]
         out = np.zeros_like(self.coefficients[0])
         power = np.ones_like(x)
@@ -310,7 +373,7 @@ def spectrum_polynomials_2x2(curve: MatrixPolynomialCurve):
 
     Returns (trace_coeffs, det_coeffs), ascending in the curve parameter.
     """
-    c = np.array([np.asarray(m, dtype=complex) for m in curve.coefficients])
+    c = np.array([_complex_array(m) for m in curve.coefficients])
     if c.shape[1:] != (2, 2):
         raise InvalidInputError("only 2x2 matrix polynomials are supported")
     trace = c[:, 0, 0] + c[:, 1, 1]
@@ -443,8 +506,8 @@ def multiset_distance(values_a, values_b):
     The pairing is ``bottleneck_assignment``'s, so the result is an exact
     entry of the distance matrix; empty multisets are at distance 0.
     """
-    a = np.atleast_1d(np.asarray(values_a, dtype=complex))
-    b = np.atleast_1d(np.asarray(values_b, dtype=complex))
+    a = np.atleast_1d(_complex_array(values_a))
+    b = np.atleast_1d(_complex_array(values_b))
     if a.shape[-1] != len(b):
         raise InvalidInputError("multisets must have equal size")
     # a leading axis makes even one multiset a stack, which may be empty
@@ -452,118 +515,51 @@ def multiset_distance(values_a, values_b):
     return float(value[0]) if a.ndim == 1 else value[0]
 
 
-def _power_sums(values, expected):
-    """(delta, tau), each of shape (m, n), for the (m, n, n) stack of values.
+def _inverse(x):
+    """The inverse of each matrix of a stack, nan for an exactly singular one
+    (numpy's stacked inverse fails as a whole: the stack is then split)."""
+    try:
+        return np.linalg.inv(x)
+    except np.linalg.LinAlgError:
+        if x.ndim == 2:
+            return np.full_like(x, np.nan)
+        return np.stack([_inverse(part) for part in x])
 
-    For each value X, delta_k = |p_k(X) - p_k(expected)| compares the power
-    sums p_k = tr X^k, k = 1..n, which fix the spectrum (Newton's
-    identities), and tau_k bounds, to first order in u, what rounding and
-    the backward error c n u ||X|| of a stable eigensolver change p_k by:
 
-        tau_k = c n u (||X|| (sum_{j=2..k} ||X^(j-1)|| ||X^(k-j)||
-                              + k ||X^(k-1)||) + sqrt(n) ||X^k|| + k r^k),
-
-    Frobenius norms, u the unit roundoff, r = max |expected| and c the
-    safety factor.  The terms bound the rounding of the products
-    P_k = P_(k-1) X, the eigensolver's perturbation F (|tr((X+F)^k - X^k)|
-    <= k ||X^(k-1)|| ||F|| to first order), the trace and the expected p_k.
-    A power that overflows gives inf or nan, silently.
+def _inverse_iteration(values, expected):
+    """(Z, P, expected) for any (m, n, n) stack of values X: column j of Z is
+    the largest column of the resolvent (X - (mu_j + beta) I)^-1, normalized,
+    and P = Z^-1.  The shift beta = c n u ||X||_F, the backward error that
+    ``_enclosure_ratio`` allows, keeps a pivot from vanishing by rounding
+    alone; near one eigenvalue of X the resolvent is its eigenvector times a
+    row vector, to within beta / gap, so one step of inverse iteration from
+    every unit vector finds it.  A shifted matrix that is exactly singular
+    is shifted once more; one that is so again settles nothing.
     """
     m, n, _ = values.shape
-    # X = A + iB acts on the row block [Re P, Im P] as the real matrix
-    # [[A, B], [-B, A]], whose top row block is X's own: one real product
-    # per power, about twice as fast as numpy's stacked complex product
-    step = np.empty((m, 2 * n, 2 * n))
-    step[:, :n, :n] = step[:, n:, n:] = values.real
-    step[:, :n, n:] = values.imag
-    step[:, n:, :n] = -values.imag
-    block = step[:, :n]
-    sums = np.empty((m, n), dtype=complex)
-    norms = np.empty((m, n + 1))
-    norms[:, 0] = np.sqrt(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n + 1):
-            if k > 1:
-                block = block @ step
-            sums.real[:, k - 1] = np.trace(block, axis1=1, axis2=2)
-            sums.imag[:, k - 1] = np.trace(block, offset=n, axis1=1, axis2=2)
-            norms[:, k] = np.sqrt(np.einsum("mij,mij->m", block, block))
-        order = np.arange(1, n + 1)
-        products = order * norms[:, :-1]
-        for k in range(2, n + 1):
-            products[:, k - 1] += (norms[:, 1:k] * norms[:, k - 2 :: -1]).sum(axis=1)
-        r = np.abs(expected).max(initial=0.0)
-        tau = (_POWER_SUM_SAFETY * n * np.finfo(float).eps / 2.0) * (
-            norms[:, 1:2] * products + np.sqrt(n) * norms[:, 1:] + order * r**order
-        )
-        delta = np.abs(sums - np.vander(expected, n + 1, increasing=True)[:, 1:].sum(axis=0))
-    return delta, tau
-
-
-def _settle_ratio(values, expected):
-    """For each of the (m, n, n) values, a ratio below 1 proves that every
-    matrix within a stable eigensolver's backward error of it has its
-    spectrum within SPECTRUM_TOL of *expected*; inf where nothing is proved.
-
-    With e_k the elementary symmetric functions, Newton's identities
-    k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i turn the power-sum bounds
-    eps_k = delta_k + tau_k >= |p_k(X) - p_k(expected)| (``_power_sums``)
-    into bounds d_k on |e_k(X) - e_k(expected)|, linear in eps as long as
-    every eps_k <= P_k = sum |expected|^k (then |p_k(X)| <= 2 P_k).  The
-    characteristic polynomials of X and of *expected* then differ by at most
-    H_i = sum_k d_k (|lam_i| + rho)^(n-k) on the circle |z - lam_i| = rho,
-    rho = SPECTRUM_TOL, where the expected one is at least
-    L_i = rho prod_(j != i) (|lam_i - lam_j| - rho).  Where every
-    H_i < L_i and the circles are disjoint, Rouche's theorem puts one
-    eigenvalue of X in each disc.  The ratio is the largest H_i / L_i.  An
-    expected spectrum with two values within 2 rho (repeated or clustered)
-    settles nothing, since its discs overlap.
-    """
-    m, n, _ = values.shape
-    rho = SPECTRUM_TOL
-    gaps = np.abs(expected[:, None] - expected)
-    np.fill_diagonal(gaps, np.inf)
-    if gaps.min(initial=np.inf) <= 2.0 * rho:
-        return np.full(m, np.inf)
-    radii = np.abs(expected)
-    order = np.arange(1, n + 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sums_bound = (radii ** order[:, None]).sum(axis=1)
-        # e_k(|expected|) >= |e_k(expected)|
-        coeffs_bound = np.poly(-radii).real
-        # row k: d_k = gain[k] @ eps, from
-        # k d_k <= sum_(i<k) 2 P_(k-i) d_i + sum_(i<=k) e_(k-i) eps_i
-        gain = np.zeros((n + 1, n))
-        for k in order:
-            gain[k, :k] = coeffs_bound[k - 1 :: -1]
-            if k > 1:
-                gain[k] += 2.0 * sums_bound[k - 2 :: -1] @ gain[1:k]
-            gain[k] /= k
-        floor = rho * np.prod(gaps - rho, axis=1, where=np.isfinite(gaps))
-        reach = gain[1:].T @ (radii + rho) ** (n - order[:, None]) / floor
-    # an expected spectrum too large for these bounds proves nothing
-    if not (np.isfinite(sums_bound).all() and np.isfinite(reach).all() and floor.all()):
-        return np.full(m, np.inf)
-    delta, tau = _power_sums(values, expected)
-    with np.errstate(over="ignore", invalid="ignore"):
-        errors = delta + tau
-        ratio = (errors @ reach).max(axis=1)
-        # a nan or inf power proves nothing
-        proved = (errors <= sums_bound).all(axis=1) & (ratio < 1.0)
-    return np.where(proved, ratio, np.inf)
+        beta = np.repeat(n * _ROUNDING * np.linalg.norm(values, axis=(1, 2))[:, None], n, axis=1)
+        # one stacked (m, n, n, n) inverse: every sample at every shift
+        shifted = values[:, None] - (expected + beta)[..., None, None] * np.eye(n)
+        resolvent = _inverse(shifted)
+        again = np.isnan(resolvent[..., 0, 0])
+        resolvent[again] = _inverse(shifted[again] - beta[again][:, None, None] * np.eye(n))
+        largest = np.abs(resolvent).reshape(m, n, n * n).argmax(axis=-1) % n
+        z = np.take_along_axis(resolvent, largest[..., None, None], axis=-1)[..., 0]
+        z = (z / np.linalg.norm(z, axis=-1, keepdims=True)).swapaxes(-2, -1)
+        return z, _inverse(z), expected
 
 
-def _enclosure_ratio(eigenpairs, values, w, w_inv, expected):
-    """For each of the (m, n, n) values X = w^-1 A w of an exponential
-    conjugation, a ratio below 1 proves what ``_settle_ratio`` does: every
+def _enclosure_ratio(values, z, p, paired, expected):
+    """For each of the (m, n, n) values X, a ratio below 1 proves that every
     matrix X + E with ||E|| <= beta = c n u ||X||, a stable eigensolver's
     backward error, has its spectrum within SPECTRUM_TOL of *expected*; inf
     where nothing is proved.
 
-    The eigenpairs A V = V diag(mu) of the base give Z = w^-1 V and
-    P = V^-1 w, approximate eigenvectors of X and their inverse.  With D the expected
-    values paired to mu by ``bottleneck_assignment`` and g >= ||I - P Z||
-    below 1, Z is invertible with ||Z^-1|| <= ||P|| / (1 - g), and
+    Z and P are any approximate eigenvectors of X and their inverse, column
+    j of Z for entry j of *paired*, a permutation of *expected*.  With
+    D = diag(paired) and g >= ||I - P Z|| below 1, Z is invertible with
+    ||Z^-1|| <= ||P|| / (1 - g), and
     Z^-1 (X + E) Z = D + Delta, Delta = Z^-1 (R + E Z) for the residual
     R = X Z - Z D, so
 
@@ -577,26 +573,14 @@ def _enclosure_ratio(eigenpairs, values, w, w_inv, expected):
     The ratio is r / min(SPECTRUM_TOL, gap / 2).  Frobenius norms bound the
     2-norms; the computed P Z and R are within c n u ||P|| ||Z|| and
     c n u (||X|| + max |expected|) ||Z|| of the exact ones, u the unit
-    roundoff and c the power sums' safety factor.  A nan or inf settles
-    nothing, silently.
+    roundoff and c u = _ROUNDING.  A nan or inf settles nothing.
     """
     m, n, _ = values.shape
-    mu, vectors = eigenpairs
-    try:
-        vectors_inv = np.linalg.inv(vectors)
-    except np.linalg.LinAlgError:
-        return np.full(m, np.inf)
-    _, perm = bottleneck_assignment(np.abs(mu[:, None] - expected))
-    paired = expected[perm]
     gaps = np.abs(expected[:, None] - expected)
     np.fill_diagonal(gaps, np.inf)
     reach = min(SPECTRUM_TOL, gaps.min(initial=np.inf) / 2.0)
-    cnu = _POWER_SUM_SAFETY * n * np.finfo(float).eps / 2.0
+    cnu = n * _ROUNDING
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # one GEMM each: the stacks against a single matrix, side by side
-        z = (w_inv.reshape(m * n, n) @ vectors).reshape(m, n, n)
-        p = (vectors_inv @ w.transpose(1, 0, 2).reshape(n, m * n)).reshape(n, m, n)
-        p = p.transpose(1, 0, 2)
         gram = p @ z
         gram.reshape(m, n * n)[:, :: n + 1] -= 1.0
         residual = values @ z - z * paired
@@ -612,14 +596,11 @@ def _enclosure_ratio(eigenpairs, values, w, w_inv, expected):
 
 def _settled_values(curve, points, expected):
     """(values, ratio): the curve's (m, n, n) values at the m points, from
-    one call, and each one's settle ratio.  A curve with ``_with_frames``
-    gets ``_enclosure_ratio``; any other, ``_settle_ratio``."""
-    with_frames = getattr(curve, "_with_frames", None)
-    if with_frames is None:
-        values, frames = curve(points), None
-    else:
-        values, *frames = with_frames(points)
-    values = np.asarray(values, dtype=complex)
+    one call, and each one's ``_enclosure_ratio``, with the eigenvectors of
+    the curve's ``_eigenvectors`` or, for any other curve, of its values."""
+    eigenvectors = getattr(curve, "_eigenvectors", None)
+    values, frames = (curve(points), None) if eigenvectors is None else eigenvectors(points)
+    values = _complex_array(values)
     if (
         values.ndim != 3
         or values.shape[0] != len(points)
@@ -633,9 +614,10 @@ def _settled_values(curve, points, expected):
     n = values.shape[-1]
     if len(expected) != n:
         raise InvalidInputError(f"expected {len(expected)} eigenvalues of {n} x {n} samples")
-    if frames is None:
-        return values, _settle_ratio(values, expected)
-    return values, _enclosure_ratio(curve._base_eigenpairs(), values, *frames, expected)
+    z, p, mu = frames or _inverse_iteration(values, expected)
+    if mu is not expected:  # the expected values in the order of Z's columns
+        mu = expected[bottleneck_assignment(np.abs(mu[:, None] - expected))[1]]
+    return values, _enclosure_ratio(values, z, p, mu, expected)
 
 
 def verify_constant_spectrum(
@@ -650,24 +632,24 @@ def verify_constant_spectrum(
     with |lam| <= radius, a real, finite radius >= 0 (0 and 1 are always
     sampled), against *expected*, a ``Spectrum`` or a 1-D list of n finite
     values for n x n samples.  Other arguments raise InvalidInputError, a
-    wrong length once the curve is evaluated and before any settle work.
-    Any curve must map the 1-D array of points to the stack of its values,
-    as the curve classes of this module do.  A sample is settled when a
-    proof puts its spectrum, and that of every matrix within a stable
-    eigensolver's backward error of it, within SPECTRUM_TOL of the expected
-    one: an eigenvector enclosure from the eigenpairs of the base for an
-    ``ExpConjugationCurve``, evaluated through its conjugators
-    (``_enclosure_ratio``), and the power sums for any other curve
-    (``_settle_ratio``).  Every other sample, or the settled one nearest to
-    its bound when all are, gets the optimal-pairing eigenvalue deviation;
-    the check passes iff the worst is at most SPECTRUM_TOL.
+    wrong length once the curve is evaluated.  Any curve must map the 1-D
+    array of points to the stack of its values, as the curve classes of
+    this module do.  A sample is settled when an eigenvector enclosure
+    (``_enclosure_ratio``) puts its spectrum, and that of every matrix
+    within a stable eigensolver's backward error of it, within SPECTRUM_TOL
+    of the expected one: with the conjugators and base eigenpairs of an
+    ``ExpConjugationCurve``, the frames and triangular eigenvectors of a
+    ``TriangularConjugationCurve``, and inverse iteration for any other
+    curve.  Every other sample, or the settled one nearest to its bound
+    when all are, gets the optimal-pairing eigenvalue deviation; the check
+    passes iff the worst is at most SPECTRUM_TOL.
     """
     count = operator.index(samples) if hasattr(samples, "__index__") else 0
     if count < 2:
         raise InvalidInputError(f"an integer number of samples >= 2 is required, got {samples!r}")
     if not (isinstance(radius, numbers.Real) and 0.0 <= radius < np.inf):
         raise InvalidInputError(f"radius must be real, finite and nonnegative, got {radius!r}")
-    exp_values = np.atleast_1d(np.asarray(getattr(expected, "values", expected), dtype=complex))
+    exp_values = np.atleast_1d(_complex_array(getattr(expected, "values", expected)))
     if exp_values.ndim != 1 or exp_values.size == 0 or not np.isfinite(exp_values).all():
         raise InvalidInputError("expected spectrum must be a non-empty 1-D list of finite values")
     points = _sample_points(count, float(radius))

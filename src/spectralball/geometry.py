@@ -28,6 +28,7 @@ from .matcore import (
     Spectrum,
     _centered,
     _cmul,
+    _complex_array,
     _frobenius,
     _misses_order,
     _require_unitary,
@@ -54,8 +55,8 @@ def mobius(z, w):
     and give an array, each entry rounded exactly as the scalar call
     rounds it.
     """
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    z = _complex_array(z)
+    w = _complex_array(w)
     if not ((np.abs(z) < 1.0).all() and (np.abs(w) < 1.0).all()):
         raise DomainError("arguments must lie in the open unit disk")
     q = (z - w) / (1.0 - _cmul(z, np.conj(w)))
@@ -140,8 +141,8 @@ def bottleneck_minimax(spec_a, spec_b):
     max_j mobius(a_j, b_pi(j)).  Verified against brute-force enumeration
     in the test suite.
     """
-    a = np.atleast_1d(np.asarray(getattr(spec_a, "values", spec_a), dtype=complex))
-    b = np.atleast_1d(np.asarray(getattr(spec_b, "values", spec_b), dtype=complex))
+    a = np.atleast_1d(_complex_array(getattr(spec_a, "values", spec_a)))
+    b = np.atleast_1d(_complex_array(getattr(spec_b, "values", spec_b)))
     if len(a) != len(b):
         raise InvalidInputError("eigenvalue lists must have equal length")
     return bottleneck_assignment(mobius(a[:, None], b))
@@ -204,7 +205,8 @@ class SpectralDisc(_FramePath):
     with a = diag t0 (``base_diag``) and kappa = T_a(diag t1) / s derived at
     construction: in the closed disk while |kappa_j| < 1, and exactly the
     spectrum of the value at zeta.  Construction raises InvalidInputError
-    unless the scale s is finite and positive.
+    unless the scale s is finite and positive, and DomainError, naming the
+    entry, unless both diagonals lie in the open unit disk.
     """
 
     scale: float
@@ -215,6 +217,9 @@ class SpectralDisc(_FramePath):
         if not (isinstance(self.scale, numbers.Real) and 0.0 < self.scale < np.inf):
             raise InvalidInputError(f"scale must be finite and positive, got {self.scale!r}")
         super().__post_init__()
+        diagonals = np.stack([np.diag(self.t0), np.diag(self.t1)])
+        for k, j in np.argwhere(~(np.abs(diagonals) < 1.0))[:1]:  # the first one outside
+            raise DomainError(f"t{k}[{j}, {j}] = {diagonals[k, j]:.6g} is outside the open unit disk")
         self.base_diag = np.diag(self.t0).copy()
         self.kappa = _mobius_shift(self.base_diag, np.diag(self.t1)) / self.scale
         self._slope = np.triu(self.t1 - self.t0, 1) / self.scale
@@ -225,7 +230,7 @@ class SpectralDisc(_FramePath):
         Accepts a scalar or an array of parameters; an array input yields
         one row of eigenvalues per parameter.
         """
-        z = np.asarray(zeta, dtype=complex)[..., None] * self.kappa
+        z = _complex_array(zeta)[..., None] * self.kappa
         return _mobius_shift(-self.base_diag, z)
 
     def triangular_part(self, zeta):

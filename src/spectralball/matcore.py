@@ -27,13 +27,22 @@ UNITARY_TOL = 1e-8  # largest ||U*U - I|| / sqrt(n) accepted as unitary
 BORDERLINE_DECADE = 10.0  # a rank decision this close to its threshold is borderline
 
 
+def _complex_array(x) -> np.ndarray:
+    """*x* as a complex ndarray, the one conversion of numeric arguments:
+    InvalidInputError where numpy cannot read it as numbers."""
+    try:
+        return np.asarray(x, dtype=complex)
+    except (TypeError, ValueError) as err:
+        raise InvalidInputError(f"expected numbers: {err}") from None
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate *a* as a square complex matrix and return it as an ndarray.
 
-    Raises InvalidInputError for non-square shapes, empty matrices or
-    non-finite entries.
+    Raises InvalidInputError for non-numeric or non-finite entries,
+    non-square shapes and empty matrices.
     """
-    m = np.asarray(a, dtype=complex)
+    m = _complex_array(a)
     if m.ndim != 2:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
     return _as_stack(m)
@@ -41,7 +50,7 @@ def as_matrix(a) -> np.ndarray:
 
 def _as_stack(x) -> np.ndarray:
     """Validate *x* as a stack of square complex matrices, shape (..., n, n)."""
-    m = np.asarray(x, dtype=complex)
+    m = _complex_array(x)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise InvalidInputError(f"expected square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -116,7 +125,7 @@ class Spectrum:
     radius: float = field(init=False)
 
     def __post_init__(self):
-        self.values = np.atleast_1d(np.asarray(self.values, dtype=complex))
+        self.values = np.atleast_1d(_complex_array(self.values))
         self.radius = float(np.max(np.abs(self.values)))
 
     def in_spectral_ball(self) -> bool:
@@ -142,7 +151,7 @@ class SymPoint:
     coords: np.ndarray
 
     def __post_init__(self):
-        self.coords = np.atleast_1d(np.asarray(self.coords, dtype=complex))
+        self.coords = np.atleast_1d(_complex_array(self.coords))
 
     @property
     def n(self) -> int:
@@ -172,7 +181,7 @@ def elementary_symmetric(values) -> np.ndarray:
 
     Computed by expanding prod_j (t - v_j); no eigen-solving involved.
     """
-    vals = np.atleast_1d(np.asarray(values, dtype=complex))
+    vals = np.atleast_1d(_complex_array(values))
     coeffs = np.array([1.0 + 0j])
     for v in vals:
         coeffs = np.convolve(coeffs, np.array([1.0, -v]))
@@ -243,7 +252,7 @@ def companion(s) -> np.ndarray:
     Layout: ones on the subdiagonal and the negated monic polynomial
     coefficients in the last column, so that sigma(companion(s)) == s.
     """
-    coords = np.atleast_1d(np.asarray(getattr(s, "coords", s), dtype=complex))
+    coords = np.atleast_1d(_complex_array(getattr(s, "coords", s)))
     if not np.isfinite(coords).all():
         raise InvalidInputError("coordinates must be finite")
     n = len(coords)
@@ -354,7 +363,7 @@ def ordered_triangularize(a, order):
     """
     t = _as_stack(a).copy()
     n = t.shape[-1]
-    order = np.asarray(order, dtype=complex)
+    order = _complex_array(order)
     if order.size != t.size // n or not np.isfinite(order).all():
         raise InvalidInputError("order must list all eigenvalues, as finite numbers")
     order = order.reshape(t.shape[:-1])

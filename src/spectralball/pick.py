@@ -38,7 +38,7 @@ from .errors import (
     PreconditionError,
 )
 from .geometry import _disk_point, _kobayashi_at, _lempert_at, _mobius_shift, disk_automorphism
-from .matcore import DEFAULT_TOL, as_matrix, spectrum
+from .matcore import DEFAULT_TOL, _complex_array, as_matrix, spectrum
 
 #: Descending step of the coarse feasibility scan.
 COARSE_STEP = 1e-2
@@ -70,8 +70,8 @@ class PickProblem:
     targets: np.ndarray
 
     def __post_init__(self):
-        x = self.nodes = np.atleast_1d(np.asarray(self.nodes, dtype=complex))
-        w = self.targets = np.atleast_1d(np.asarray(self.targets, dtype=complex))
+        x = self.nodes = np.atleast_1d(_complex_array(self.nodes))
+        w = self.targets = np.atleast_1d(_complex_array(self.targets))
         if x.ndim != 1 or w.ndim != 1:
             raise InvalidInputError("nodes and targets must be one-dimensional")
         if x.shape != w.shape:
@@ -107,11 +107,11 @@ class BlaschkeProduct:
     """
 
     def __init__(self, unimodular: complex, zeros):
-        u = complex(unimodular)
-        if not abs(abs(u) - 1.0) <= 1e-6:
-            raise InvalidInputError("leading constant must be unimodular")
-        self.unimodular = u / abs(u)
-        self.zeros = np.asarray(zeros, dtype=complex).ravel()
+        u = _complex_array(unimodular)
+        if u.ndim or not abs(abs(u) - 1.0) <= 1e-6:
+            raise InvalidInputError("leading constant must be one unimodular number")
+        self.unimodular = complex(u) / abs(complex(u))
+        self.zeros = _complex_array(zeros).ravel()
         if not (np.abs(self.zeros) < 1.0).all():
             raise InvalidInputError("zeros must lie in the open unit disk")
 
@@ -120,7 +120,7 @@ class BlaschkeProduct:
         return len(self.zeros)
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)[..., None]
+        z = _complex_array(z)[..., None]
         out = self.unimodular * np.prod(_mobius_shift(self.zeros, z), axis=-1)
         if out.shape == ():
             return complex(out)
@@ -141,7 +141,7 @@ class ZeroInterpolant:
     degenerate = True
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
+        z = _complex_array(z)
         out = np.zeros(z.shape, dtype=complex)
         return complex(out) if z.shape == () else out
 
@@ -253,7 +253,7 @@ class GapCertificate:
     }
 
     def __post_init__(self):
-        self.eigenvalues = np.atleast_1d(np.asarray(self.eigenvalues, dtype=complex))
+        self.eigenvalues = np.atleast_1d(_complex_array(self.eigenvalues))
         self.upper = float(abs(self.beta) ** len(self.eigenvalues))
         self.radius = float(np.max(np.abs(self.eigenvalues)))
         self.is_gap = bool(self.upper < self.radius - EQUAL_EIGENVALUES_TOL)
@@ -430,7 +430,7 @@ def blaschke_through_roots_of_unity(lambdas) -> GapCertificate:
     its final bracket, which is infeasible beyond the rounding margin
     PICK_MARGIN and within a few margins of the boundary.
     """
-    lam = np.atleast_1d(np.asarray(lambdas, dtype=complex))
+    lam = np.atleast_1d(_complex_array(lambdas))
     n = len(lam)
     if lam.ndim != 1:
         raise InvalidInputError(f"values must form a one-dimensional list, got shape {lam.shape}")

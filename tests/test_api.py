@@ -301,3 +301,49 @@ def test_typed_errors_at_public_constructors_and_scalar_arguments(call):
     """Malformed arguments raise InvalidInputError, before any warning."""
     with pytest.raises(sb.InvalidInputError):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "t0, t1, entry",
+    [
+        (I2, I2, r"t0\[0, 0\] = 1\+0j"),
+        (T2, np.diag([0.1, 1.5j]), r"t1\[1, 1\] = 0\+1.5j"),
+        (np.diag([0.1, 1j]), T2, r"t0\[1, 1\] = 0\+1j"),
+    ],
+    ids=["identity", "t1-outside", "t0-on-circle"],
+)
+def test_disc_rejects_diagonals_outside_the_disk(t0, t1, entry):
+    """A disc whose triangles put a value on or outside the unit circle
+    raises DomainError naming the entry, before any warning."""
+    with pytest.raises(sb.DomainError, match=entry + " is outside the open unit disk"):
+        sb.SpectralDisc(I2, I2, t0, t1, 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: sb.as_matrix([[x]]),
+        lambda x: sb.verify_constant_spectrum(sb.MatrixPolynomialCurve([I2]), [x, 1.0]),
+        lambda x: sb.blaschke_through_roots_of_unity([x]),
+        lambda x: sb.mobius([x], 0.1),
+        lambda x: sb.bottleneck_minimax([x], [0.1]),
+        lambda x: sb.multiset_distance([x], [0.1]),
+        lambda x: sb.elementary_symmetric([x]),
+        lambda x: sb.companion([x]),
+        lambda x: sb.PickProblem([x], [0.1]),
+        lambda x: sb.BlaschkeProduct(1.0, [x]),
+    ],
+    ids=[
+        "as_matrix", "verify_constant_spectrum", "blaschke_through_roots_of_unity", "mobius",
+        "bottleneck_minimax", "multiset_distance", "elementary_symmetric", "companion",
+        "PickProblem", "BlaschkeProduct",
+    ],
+)
+@pytest.mark.parametrize("entry", ["x", object()], ids=["string", "object"])
+def test_non_numeric_entries_are_invalid_input(call, entry):
+    """An entry numpy cannot read as a number raises InvalidInputError, not
+    numpy's ValueError or TypeError."""
+    with pytest.raises(sb.InvalidInputError, match="expected numbers"):
+        call(entry)

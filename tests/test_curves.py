@@ -736,10 +736,11 @@ class TestVerifier:
     )
     def test_rejects_a_malformed_expected_spectrum(self, count_calls, expected):
         # on a 3 x 3 curve: a list that is not 1-D, is empty, is not finite
-        # or has another length than 3 is rejected before any settle work
+        # or has another length than 3 is rejected before any sample is
+        # settled
         a = np.array([[0.1, 1.0, 0.0], [0.0, 0.4, 1.0], [0.0, 0.0, -0.3]])
         c = sb.iso_spectral_curve(a, a)
-        settle = count_calls(curves_module, "_settle_ratio", "_enclosure_ratio")
+        settle = count_calls(curves_module, "_enclosure_ratio", "_inverse_iteration")
         with pytest.raises(sb.InvalidInputError, match="expected"):
             sb.verify_constant_spectrum(c, expected)
         assert settle == []
@@ -793,9 +794,9 @@ def reference_check(curve, expected, samples=100, radius=10.0, tol=1e-6):
 
 
 def settled_samples(curve, points, expected):
-    """The verifier's own settled mask at *points*: a settle ratio below 1,
-    from the enclosure for an exponential conjugation and the power sums
-    for any other curve."""
+    """The verifier's own settled mask at *points*: an enclosure ratio below
+    1, with the eigenvectors of the curve's class or, for any other curve,
+    of inverse iteration."""
     _, ratio = curves_module._settled_values(curve, points, np.asarray(expected.values))
     return ratio < 1.0
 
@@ -827,6 +828,19 @@ class PerturbedValues(sb.ExpConjugationCurve):
     def _with_frames(self, lam):
         _, w, w_inv = super()._with_frames(lam)
         return w_inv @ (self.base + self.perturbation) @ w, w, w_inv
+
+
+@dataclass(eq=False)
+class PerturbedTriangle(sb.TriangularConjugationCurve):
+    """The frames of an iso curve, with the values of its triangular path
+    plus a perturbation conjugated along its unitary path."""
+
+    perturbation: np.ndarray
+
+    def __call__(self, lam):
+        lam = np.asarray(lam, dtype=complex)[..., None, None]
+        d = self.perturbation
+        return self._similarity(lam, ((1.0 - lam, self.t0 + d), (lam, self.t1 + d)))
 
 
 def scalar_polynomial(coefficients, lam):
@@ -928,28 +942,56 @@ class TestVectorizedVerifier:
         assert (passed, worst, worst_point) == (False, 0.55, 0.0)
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_power_sums_match_plain_loop(self, n):
-        # complex powers of one matrix at a time, the bound term by term
+    def test_inverse_iteration_finds_the_eigenvectors(self, n):
+        # values S_i diag(mu) S_i^-1: each column of Z is the unit eigenvector
+        # S_i e_j / ||S_i e_j|| up to a phase, and P Z = I, to rounding over
+        # the gap; every sample settles
         rng = np.random.default_rng(930 + n)
-        values = np.stack([random_gaussian(rng, n) for _ in range(6)])
-        expected = np.linalg.eigvals(values[0])
-        delta, tau = curves_module._power_sums(values, expected)
-        u, r = np.finfo(float).eps / 2.0, np.abs(expected).max()
-        for x, d, t in zip(values, delta, tau):
-            powers = [np.linalg.matrix_power(x, k) for k in range(n + 1)]
-            norms = [np.linalg.norm(p) for p in powers]
-            for k in range(1, n + 1):
-                products = sum(norms[j - 1] * norms[k - j] for j in range(2, k + 1))
-                products += k * norms[k - 1]
-                bound = 16 * n * u * (norms[1] * products + np.sqrt(n) * norms[k] + k * r**k)
-                assert t[k - 1] == pytest.approx(bound, rel=1e-9)
-                difference = abs(np.trace(powers[k]) - np.sum(expected**k))
-                assert abs(d[k - 1] - difference) <= 1e-9 * difference + t[k - 1]
-        assert ((delta <= tau).all(axis=1) == [True] + [False] * 5).all()
+        mu = np.linalg.eigvals(random_ball_matrix(rng, n, radius=0.8))
+        s = np.stack([np.eye(n) + 0.3 * random_gaussian(rng, n) for _ in range(6)])
+        values = s @ (mu[:, None] * np.linalg.inv(s))
+        z, p, paired = curves_module._inverse_iteration(values, mu)
+        assert paired is mu
+        unit = s / np.linalg.norm(s, axis=1, keepdims=True)
+        alignment = np.abs(np.einsum("mij,mij->mj", unit.conj(), z))
+        np.testing.assert_allclose(alignment, 1.0, atol=1e-10)
+        np.testing.assert_allclose(p @ z, np.broadcast_to(np.eye(n), z.shape), atol=1e-10)
+        assert (curves_module._enclosure_ratio(values, z, p, mu, mu) < 1e-3).all()
+
+    def test_inverse_iteration_shifts_off_an_exact_eigenvalue(self):
+        # a triangular value holds the expected values on its diagonal: the
+        # unshifted solve would meet a zero pivot
+        t = np.array([[0.5, 1.0, 0.0], [0.0, -0.25, 2.0], [0.0, 0.0, 0.125]], dtype=complex)
+        z, p, _ = curves_module._inverse_iteration(t[None], np.diag(t).copy())
+        assert np.isfinite(z).all() and np.isfinite(p).all()
+        np.testing.assert_allclose(t @ z[0], z[0] * np.diag(t), atol=1e-14)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_iso_eigenvectors_match_the_triangular_loop(self, n):
+        # Z = W V and P = V^-1 W^-1 against a per-sample reference: V the
+        # eigenvectors of T(lam) from eig, scaled to a unit diagonal, and W
+        # from scipy's principal logarithm of u* v
+        rng = np.random.default_rng(950 + n)
+        a = random_ball_matrix(rng, n, radius=0.7)
+        curve = sb.iso_spectral_curve(a, nearby_conjugate(rng, a))
+        points = curves_module._sample_points(12, 10.0)
+        values, (z, p, mu) = curve._eigenvectors(points)
+        np.testing.assert_array_equal(values, curve(points))
+        np.testing.assert_array_equal(mu, np.diag(curve.t0))
+        log = principal_log(curve.frame, curve.frame_end)
+        for lam, zk, pk in zip(points, z, p):
+            t = curve.t0 + lam * (curve.t1 - curve.t0)
+            eigenvalues, v = np.linalg.eig(t)
+            v = v[:, np.argsort(np.argmin(np.abs(eigenvalues[:, None] - mu), axis=0))]
+            v = v / np.diag(v)
+            w = curve.frame @ scipy.linalg.expm(lam * log)
+            scale = np.linalg.norm(w @ v)
+            np.testing.assert_allclose(zk, w @ v, atol=1e-9 * scale)
+            np.testing.assert_allclose(pk @ zk, np.eye(n), atol=1e-9 * scale)
 
     @pytest.mark.parametrize("delta", (1e-3, 1e-5))
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_power_sums_never_settle_a_nonconstant_sample(self, n, delta):
+    def test_nonconstant_polynomial_settles_only_lambda_zero(self, n, delta):
         # A + lam delta N with N not nilpotent: only lam = 0 has A's spectrum
         rng = np.random.default_rng(900 + n)
         a = random_ball_matrix(rng, n, radius=0.7)
@@ -960,14 +1002,11 @@ class TestVectorizedVerifier:
         assert not check.passed
         assert check.settled <= 1
 
-    def test_power_sum_bound_grows_with_the_powers(self):
-        # near 0 the bound covers the rounding of p_k through the norms of
-        # X^k, so those samples settle; far out ||X^k|| lifts the bound, which
-        # Newton's identities and 1 / prod |lam_i - lam_j| magnify past the
-        # discs of radius SPECTRUM_TOL, and those samples go to eigvals.  A
-        # plain callable with the curve's values gets the power sums; the
-        # curve itself gets the enclosure, whose bound grows only with
-        # ||P|| ||X|| ||Z||, and which settles most samples beyond ||X|| = 100
+    def test_plain_callable_gets_inverse_iteration(self):
+        # a plain callable with the values of a zero-metric curve: inverse
+        # iteration finds their eigenvectors, so the enclosure settles every
+        # sample of norm up to 100 and most beyond, as it does with the
+        # curve's own conjugators; both verdicts are the reference loop's
         rng = np.random.default_rng(910)
         a = random_ball_matrix(rng, 8, radius=0.7)
         y = 0.2 * random_gaussian(rng, 8)
@@ -977,22 +1016,17 @@ class TestVectorizedVerifier:
         def values_only(lam):
             return curve(lam)
 
-        check = sb.verify_constant_spectrum(values_only, expected, radius=10.0)
-        assert check.passed and check.settled < check.samples
-        points = curves_module._sample_points(check.samples, check.radius)
-        settled = settled_samples(values_only, points, expected)
+        points = curves_module._sample_points(100, 10.0)
         norms = np.linalg.norm(curve(points), axis=(1, 2))
-        assert settled[norms <= 10.0].all()
-        assert not settled[norms >= 100.0].any()
-        assert_matches_reference_over_unsettled(check, values_only, expected)
-        enclosed = settled_samples(curve, points, expected)
-        assert (enclosed >= settled).all() and enclosed[norms >= 100.0].mean() > 0.5
-        check = sb.verify_constant_spectrum(curve, expected, radius=10.0)
-        assert check.passed and check.settled == enclosed.sum()
-        assert_matches_reference_over_unsettled(check, curve, expected)
+        for c in (values_only, curve):
+            settled = settled_samples(c, points, expected)
+            assert settled[norms <= 100.0].all() and settled[norms > 100.0].mean() > 0.5
+            check = sb.verify_constant_spectrum(c, expected)
+            assert check.passed and check.settled == settled.sum() < check.samples
+            assert_matches_reference_over_unsettled(check, c, expected)
 
     def test_defective_spectrum_keeps_the_eigenvalue_verdict(self):
-        # a repeated expected value settles nothing, under either proof:
+        # a repeated expected value settles nothing, whatever gives Z:
         # eigvals split a 6 x 6 Jordan block by about eps^(1/6), and the
         # eigenvalue tolerance rejects the curve as the reference loop does
         rng = np.random.default_rng(1)
@@ -1040,17 +1074,26 @@ class TestVectorizedVerifier:
         assert (3e-7 * np.abs(points[settled]) <= curves_module.SPECTRUM_TOL).all()
         assert_matches_reference_over_unsettled(check, curve, expected)
 
-    def test_clustered_expected_spectrum_settles_nothing(self):
-        # two expected values 1.5 SPECTRUM_TOL apart: their discs overlap
-        expected = sb.Spectrum(np.array([0.3, 0.3 + 1.5e-6, -0.4], dtype=complex))
-        curve = sb.MatrixPolynomialCurve([np.diag(expected.values)])
-        check = sb.verify_constant_spectrum(curve, expected)
-        assert check.settled == 0 and check.passed
+    def test_clustered_expected_spectrum_settles_within_half_its_gap(self):
+        # two expected values 1.5 SPECTRUM_TOL apart: the discs shrink to
+        # half that gap, so a constant curve settles, and one that moves a
+        # clustered value by 1e-7 |lam| settles no sample it moves past them
+        values = np.array([0.3, 0.3 + 1.5e-6, -0.4], dtype=complex)
+        expected = sb.Spectrum(values)
+        check = sb.verify_constant_spectrum(sb.MatrixPolynomialCurve([np.diag(values)]), expected)
+        assert check.settled == check.samples and check.passed
+        drift = np.zeros((3, 3))
+        drift[0, 0] = 1e-7
+        curve = sb.MatrixPolynomialCurve([np.diag(values), drift])
+        points = curves_module._sample_points(100, 10.0)
+        settled = settled_samples(curve, points, expected)
+        assert settled[0] and not settled.all()
+        assert (1e-7 * np.abs(points[settled]) < 0.75e-6).all()
 
     def test_overflowing_powers_fall_back_silently(self):
-        # ||X|| ~ 1e40: the tenth powers of a plain callable's values
-        # overflow; at 1e160 the squared norms of the enclosure do too.  No
-        # sample settles and no warning is raised; eigvals then give the
+        # ||X|| ~ 1e40: the backward error c n u ||X|| alone is far above
+        # SPECTRUM_TOL; at 1e160 the squared norms of the enclosure overflow.
+        # No sample settles and no warning is raised; eigvals then give the
         # reference loop's verdict
         for scale in (1e40, 1e160):
             rng = np.random.default_rng(920)
@@ -1070,16 +1113,27 @@ class TestVectorizedVerifier:
                 assert check.passed == reference_check(c, expected, 20, 1.0)[0]
                 assert_matches_reference_over_unsettled(check, c, expected)
 
+    @pytest.mark.parametrize("route", ("exp", "iso", "callable"))
     @pytest.mark.parametrize("delta", (1e-3, 1e-5))
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_enclosure_never_settles_values_off_their_frames(self, n, delta):
-        # the frames w are those of A, the values those of A + delta E: the
-        # residual X Z - Z D carries delta w^-1 E V, far above SPECTRUM_TOL
+    def test_enclosure_never_settles_values_off_their_frames(self, n, delta, route):
+        # the frames are those of A's curve, the values those of A + delta E
+        # conjugated by them: the residual X Z - Z D carries the conjugated
+        # delta E, far above SPECTRUM_TOL.  A plain callable with those
+        # values gets inverse iteration, whose Z are eigenvectors of the
+        # values, at eigenvalues moved off the expected ones
         rng = np.random.default_rng(940 + n)
         a = random_ball_matrix(rng, n, radius=0.7)
         y = 0.2 * random_gaussian(rng, n)
         direction = random_gaussian(rng, n)
-        curve = PerturbedValues(a, y, delta * direction / np.linalg.norm(direction))
+        perturbation = delta * direction / np.linalg.norm(direction)
+        if route == "iso":
+            curve = sb.iso_spectral_curve(a, nearby_conjugate(rng, a))
+            curve = PerturbedTriangle(curve.frame, curve.frame_end, curve.t0, curve.t1, perturbation)
+        else:
+            curve = PerturbedValues(a, y, perturbation)
+        if route == "callable":
+            curve = curve.__call__
         check = sb.verify_constant_spectrum(curve, sb.spectrum(a))
         assert check.settled == 0 and not check.passed
         assert check.passed == reference_check(curve, sb.spectrum(a))[0]
