@@ -23,7 +23,7 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -76,36 +76,35 @@ class TriangularConjugationCurve(_FramePath):
     kind = "triangular_conjugation"
     scale = 1.0  # the parameter of frame_end
 
-    def __post_init__(self):
-        super().__post_init__()
-        right = _triangular_eigenvectors(self.t0, self.t1)
-        left = _triangular_eigenvectors(self.t0[::-1, ::-1].T, self.t1[::-1, ::-1].T)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # q* V(lam) and U(lam) q: one row of n^2 coefficients per power
-            vectors = [self._q.conj().T @ right, left[:, ::-1, ::-1].swapaxes(1, 2) @ self._q]
-        self._vectors = np.stack(vectors).reshape(2, len(self.t0), -1)
-
     def __call__(self, lam):
         lam = _complex_array(lam)[..., None, None]
         return self._similarity(lam, ((1.0 - lam, self.t0), (lam, self.t1)))
 
+    def _values_and_eigenvectors(self, points):
+        """The values at the 1-D points and a callable for their (Z, P, mu)."""
+        return self(points), partial(self._eigenvectors, points)
+
     @np.errstate(over="ignore", invalid="ignore")  # a nan or inf settles nothing
     def _eigenvectors(self, points):
-        """(values, (Z, P, mu)) at the 1-D points: Z = W V and P = U W^-1 for
+        """(Z, P, mu) at the 1-D points: Z = W V and P = U W^-1 for
         W = p diag(e^(i lam theta)) q* and the eigenvectors T V = V diag(mu),
         U = V^-1, of the triangular path, mu = diag t0; one product by the
         powers of lam for both, and one by p or p* for each."""
         m, n = len(points), len(self.t0)
+        right = _triangular_eigenvectors(self.t0, self.t1)
+        left = _triangular_eigenvectors(self.t0[::-1, ::-1].T, self.t1[::-1, ::-1].T)
+        # q* V(lam) and U(lam) q: one row of n^2 coefficients per power
+        vectors = [self._q.conj().T @ right, left[:, ::-1, ::-1].swapaxes(1, 2) @ self._q]
+        z, p = np.vander(points, n, increasing=True) @ np.stack(vectors).reshape(2, n, -1)
         # e^(i lam theta) = e^(-Im(lam) theta) e^(i Re(lam) theta): numpy's
         # real exp, cos and sin are vectorized, its complex exp is not
         turn = points.real[:, None] * self._theta
         rotation = np.cos(turn) + 1j * np.sin(turn)
-        growth = np.exp(points.imag[:, None] * self._theta)
-        z, p = (np.vander(points, n, increasing=True) @ self._vectors).reshape(2, m, n, n)
-        z = self._p @ (z * (rotation / growth)[:, :, None]).swapaxes(0, 1).reshape(n, m * n)
-        p = (p * (rotation.conj() * growth)[:, None, :]).reshape(m * n, n) @ self._p.conj().T
-        z = z.reshape(n, m, n).swapaxes(0, 1)
-        return self(points), (z, p.reshape(m, n, n), np.diag(self.t0))
+        exponent = points.imag[:, None] * self._theta
+        z = z.reshape(m, n, n) * (rotation * np.exp(-exponent))[:, :, None]
+        p = p.reshape(m, n, n) * (rotation.conj() * np.exp(exponent))[:, None, :]
+        z = (self._p @ z.swapaxes(0, 1).reshape(n, m * n)).reshape(n, m, n).swapaxes(0, 1)
+        return z, (p.reshape(m * n, n) @ self._p.conj().T).reshape(m, n, n), np.diag(self.t0)
 
 
 def _triangular_eigenvectors(t0, t1):
@@ -117,13 +116,12 @@ def _triangular_eigenvectors(t0, t1):
     On J t^T J, J the reversal, it gives V^-1 reversed and transposed.  A
     repeated diagonal value divides by zero: that settles nothing.
     """
-    n = len(t0)
-    diag, upper, slope = np.diag(t0), np.triu(t0, 1), np.triu(t1 - t0, 1)
+    n, diag, slope = len(t0), np.diag(t0), t1 - t0  # read above the diagonal
     c = np.zeros((n, n, n), dtype=complex)
     c[0] = np.eye(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(n - 2, -1, -1):
-            rhs = upper[i, i + 1 :] @ c[:, i + 1 :, i + 1 :]
+            rhs = t0[i, i + 1 :] @ c[:, i + 1 :, i + 1 :]
             rhs[1:] += slope[i, i + 1 :] @ c[:-1, i + 1 :, i + 1 :]
             c[:, i, i + 1 :] = rhs / (diag[i + 1 :] - diag[i])
     return c
@@ -231,18 +229,21 @@ class ExpConjugationCurve(_FirstOrderWitness):
             self._base_eig = np.linalg.eig(self.base)
         return self._base_eig
 
-    def _eigenvectors(self, points):
-        """(values, (Z, P, mu)) at the 1-D points, from one evaluation
-        through the conjugators w: Z = w^-1 V and P = V^-1 w for the
-        eigenpairs A V = V diag(mu) of the base (``_base_eigenpairs``)."""
+    def _values_and_eigenvectors(self, points):
+        """The values at the 1-D points and a callable for their (Z, P, mu)."""
         values, w, w_inv = self._with_frames(points)
-        m, n, _ = values.shape
+        return values, partial(self._eigenvectors, w, w_inv)
+
+    def _eigenvectors(self, w, w_inv):
+        """(Z, P, mu) of the values formed with the conjugators w, w_inv:
+        Z = w^-1 V, P = V^-1 w for A V = V diag(mu) (``_base_eigenpairs``)."""
+        m, n, _ = w.shape
         mu, vectors = self._base_eigenpairs()
         with np.errstate(over="ignore", invalid="ignore"):
             # one GEMM each: the stacks against a single matrix, side by side
             z = (w_inv.reshape(m * n, n) @ vectors).reshape(m, n, n)
             p = (_inverse(vectors) @ w.transpose(1, 0, 2).reshape(n, m * n)).reshape(n, m, n)
-        return values, (z, p.transpose(1, 0, 2), mu)
+        return z, p.transpose(1, 0, 2), mu
 
     def derivative_at_zero(self) -> np.ndarray:
         """A Y - Y A, the derivative of the curve at lam = 0."""
@@ -596,10 +597,11 @@ def _enclosure_ratio(values, z, p, paired, expected):
 
 def _settled_values(curve, points, expected):
     """(values, ratio): the curve's (m, n, n) values at the m points, from
-    one call, and each one's ``_enclosure_ratio``, with the eigenvectors of
-    the curve's ``_eigenvectors`` or, for any other curve, of its values."""
-    eigenvectors = getattr(curve, "_eigenvectors", None)
-    values, frames = (curve(points), None) if eigenvectors is None else eigenvectors(points)
+    one call, and each one's ``_enclosure_ratio`` with the (Z, P, mu) of the
+    callable of ``_values_and_eigenvectors``, or else of inverse iteration,
+    called only once the values and the length of *expected* are checked."""
+    split = getattr(curve, "_values_and_eigenvectors", None)
+    values, eigenvectors = split(points) if split else (curve(points), None)
     values = _complex_array(values)
     if (
         values.ndim != 3
@@ -614,7 +616,7 @@ def _settled_values(curve, points, expected):
     n = values.shape[-1]
     if len(expected) != n:
         raise InvalidInputError(f"expected {len(expected)} eigenvalues of {n} x {n} samples")
-    z, p, mu = frames or _inverse_iteration(values, expected)
+    z, p, mu = eigenvectors() if eigenvectors else _inverse_iteration(values, expected)
     if mu is not expected:  # the expected values in the order of Z's columns
         mu = expected[bottleneck_assignment(np.abs(mu[:, None] - expected))[1]]
     return values, _enclosure_ratio(values, z, p, mu, expected)
@@ -632,17 +634,17 @@ def verify_constant_spectrum(
     with |lam| <= radius, a real, finite radius >= 0 (0 and 1 are always
     sampled), against *expected*, a ``Spectrum`` or a 1-D list of n finite
     values for n x n samples.  Other arguments raise InvalidInputError, a
-    wrong length once the curve is evaluated.  Any curve must map the 1-D
-    array of points to the stack of its values, as the curve classes of
-    this module do.  A sample is settled when an eigenvector enclosure
-    (``_enclosure_ratio``) puts its spectrum, and that of every matrix
-    within a stable eigensolver's backward error of it, within SPECTRUM_TOL
-    of the expected one: with the conjugators and base eigenpairs of an
-    ``ExpConjugationCurve``, the frames and triangular eigenvectors of a
-    ``TriangularConjugationCurve``, and inverse iteration for any other
-    curve.  Every other sample, or the settled one nearest to its bound
-    when all are, gets the optimal-pairing eigenvalue deviation; the check
-    passes iff the worst is at most SPECTRUM_TOL.
+    wrong length once the curve is evaluated and before any settle work.
+    Any curve must map the 1-D array of points to the stack of its values,
+    as the curve classes of this module do.  A sample is settled when an
+    eigenvector enclosure (``_enclosure_ratio``) puts its spectrum, and that
+    of every matrix within a stable eigensolver's backward error of it,
+    within SPECTRUM_TOL of the expected one: with the conjugators and base
+    eigenpairs of an ``ExpConjugationCurve``, the frames and triangular
+    eigenvectors of a ``TriangularConjugationCurve``, and inverse iteration
+    for any other curve.  Every other sample, or the settled one nearest to
+    its bound when all are, gets the optimal-pairing eigenvalue deviation;
+    the check passes iff the worst is at most SPECTRUM_TOL.
     """
     count = operator.index(samples) if hasattr(samples, "__index__") else 0
     if count < 2:

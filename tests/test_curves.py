@@ -729,21 +729,25 @@ class TestVerifier:
         with pytest.raises(sb.InvalidInputError):
             sb.verify_constant_spectrum(c, sb.spectrum(a), samples=samples)
 
+    @pytest.mark.parametrize("kind", ("iso", "exp"))
     @pytest.mark.parametrize(
         "expected",
         [[], [[0.1, 0.4, -0.3]], 5.0, [0.1, np.nan, 0.2], [0.1, 0.4], [0.1, 0.4, -0.3, 0.0]],
         ids=["empty", "2-D", "scalar", "nan", "short", "long"],
     )
-    def test_rejects_a_malformed_expected_spectrum(self, count_calls, expected):
+    def test_rejects_a_malformed_expected_spectrum(self, count_calls, expected, kind):
         # on a 3 x 3 curve: a list that is not 1-D, is empty, is not finite
-        # or has another length than 3 is rejected before any sample is
-        # settled
+        # or has another length than 3 is rejected before any settle work
         a = np.array([[0.1, 1.0, 0.0], [0.0, 0.4, 1.0], [0.0, 0.0, -0.3]])
-        c = sb.iso_spectral_curve(a, a)
+        if kind == "iso":
+            c = sb.iso_spectral_curve(a, a)
+        else:
+            c = sb.ExpConjugationCurve(a, 0.2 * np.triu(np.ones((3, 3))))
         settle = count_calls(curves_module, "_enclosure_ratio", "_inverse_iteration")
+        eigenvectors = count_calls(type(c), "_eigenvectors")
         with pytest.raises(sb.InvalidInputError, match="expected"):
             sb.verify_constant_spectrum(c, expected)
-        assert settle == []
+        assert settle == eigenvectors == []
         assert sb.verify_constant_spectrum(c, [0.1, 0.4, -0.3]).passed
 
     @pytest.mark.parametrize("radius", [-5.0, -1e-300, np.inf, np.nan, 1j, "10", None])
@@ -975,8 +979,7 @@ class TestVectorizedVerifier:
         a = random_ball_matrix(rng, n, radius=0.7)
         curve = sb.iso_spectral_curve(a, nearby_conjugate(rng, a))
         points = curves_module._sample_points(12, 10.0)
-        values, (z, p, mu) = curve._eigenvectors(points)
-        np.testing.assert_array_equal(values, curve(points))
+        z, p, mu = curve._eigenvectors(points)
         np.testing.assert_array_equal(mu, np.diag(curve.t0))
         log = principal_log(curve.frame, curve.frame_end)
         for lam, zk, pk in zip(points, z, p):
@@ -1113,6 +1116,20 @@ class TestVectorizedVerifier:
                 assert check.passed == reference_check(c, expected, 20, 1.0)[0]
                 assert_matches_reference_over_unsettled(check, c, expected)
 
+    @pytest.mark.filterwarnings("error")
+    def test_iso_frames_underflow_silently(self):
+        # u* v = i I: every theta is pi / 2, so W(lam) = e^(i lam pi / 2) I
+        # and the values are T itself.  Past |Im lam| ~ 452 the factor
+        # e^(|Im lam| pi / 2) of Z or P overflows, past ~ 475 the other one
+        # underflows to 0: those samples settle nothing, without a warning
+        # (a division by the underflowed factor would warn), and get eigvals
+        t = np.array([[0.1, 1.0, 0.0], [0.0, 0.4, 1.0], [0.0, 0.0, -0.3]])
+        curve = sb.TriangularConjugationCurve(np.eye(3), 1j * np.eye(3), t, t)
+        check = sb.verify_constant_spectrum(curve, np.diag(t), radius=500.0)
+        assert check.passed and check.max_deviation <= 1e-12
+        far = np.abs(curves_module._sample_points(100, 500.0).imag) > 480.0
+        assert 0 < check.settled <= 100 - far.sum()
+
     @pytest.mark.parametrize("route", ("exp", "iso", "callable"))
     @pytest.mark.parametrize("delta", (1e-3, 1e-5))
     @pytest.mark.parametrize("n", range(2, 11))
@@ -1128,8 +1145,8 @@ class TestVectorizedVerifier:
         direction = random_gaussian(rng, n)
         perturbation = delta * direction / np.linalg.norm(direction)
         if route == "iso":
-            curve = sb.iso_spectral_curve(a, nearby_conjugate(rng, a))
-            curve = PerturbedTriangle(curve.frame, curve.frame_end, curve.t0, curve.t1, perturbation)
+            iso = sb.iso_spectral_curve(a, nearby_conjugate(rng, a))
+            curve = PerturbedTriangle(iso.frame, iso.frame_end, iso.t0, iso.t1, perturbation)
         else:
             curve = PerturbedValues(a, y, perturbation)
         if route == "callable":
