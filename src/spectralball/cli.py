@@ -4,8 +4,10 @@ Every subcommand reads matrices from JSON documents, runs one library
 operation and emits one JSON object on stdout: inputs, outputs, and the
 tolerances and recomputable residuals that the result types name and compute
 themselves.  Every float is printed as its shortest round-trip repr, so the
-output parses back bit-exactly.  Each handler imports the library module it
-calls, so a process loads only the modules its command uses.
+output parses back bit-exactly.  One table, ``_COMMANDS``, declares each
+command: its help, its handler and the flags of ``_FLAGS`` that it reads.
+Each handler imports the library module it calls, so a process loads only
+the modules its command uses.
 
 Exit codes: 0 success, 2 domain or precondition error, 3 numeric failure
 (including a document that would hold a non-finite number).
@@ -124,16 +126,26 @@ def _load_matrix(path) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers
+# documents
 
-def _cmd_classify(args):
+def _document(args) -> dict:
+    """One command's document: its name and inputs, then its handler's part.
+
+    A handler takes the parsed arguments and the --input and --input2
+    matrices, and returns its inputs beyond those matrices, if any, then its
+    tolerances, outputs and residuals.
+    """
+    matrices = [_load_matrix(vars(args)[flag]) for flag in ("input", "input2") if flag in vars(args)]
+    body = args.handler(args, *matrices)
+    inputs = {key: emit_matrix(m) for key, m in zip(("matrix", "matrix2"), matrices)}
+    return {"command": args.command, "inputs": {**inputs, **body.pop("inputs", {})}, **body}
+
+
+def _classify(args, a):
     from . import nonderog
 
-    a = _load_matrix(args.input)
     report = nonderog.classify(a, rng=_rng(args.seed))
     return {
-        "command": "classify",
-        "inputs": {"matrix": emit_matrix(a)},
         "tolerances": report.tolerances,
         "outputs": {
             "nonderogatory": report.verdict,
@@ -145,14 +157,13 @@ def _cmd_classify(args):
     }
 
 
-def _cmd_sigma(args):
-    a = _load_matrix(args.input)
+def _sigma(args, a):
     sp = spectrum(a)
     point = sp.symmetrized()
-    roundtrip = float(np.max(np.abs(sigma(companion(point)).coords - point.coords)))
+    # coordinate j has degree j: its error is read relative to max(1, rho)^j
+    error = np.abs(sigma(companion(point)).coords - point.coords)
+    scale = (1.0 / max(1.0, sp.radius)) ** np.arange(1, point.n + 1)
     return {
-        "command": "sigma",
-        "inputs": {"matrix": emit_matrix(a)},
         "tolerances": {"residual": DEFAULT_TOL},
         "outputs": {
             "coords": _pairs(point.coords),
@@ -160,67 +171,51 @@ def _cmd_sigma(args):
             "spectrum": _pairs(sp.values),
             "spectral_radius": sp.radius,
         },
-        "residuals": {"companion_roundtrip": roundtrip},
+        "residuals": {"companion_roundtrip": float(np.max(error * scale))},
     }
 
 
-def _cmd_bounds(args):
+def _bounds(args, a, b):
     from . import geometry
 
-    a = _load_matrix(args.input)
-    b = _load_matrix(args.input2)
     value, perm = geometry.bottleneck_minimax(spectrum(a), spectrum(b))
     s1 = args.s1 if args.s1 is not None else min(value + 0.01, (value + 1.0) / 2.0)
     witness = geometry.upper_bound_disc(a, b, s1)
     r0, r1 = witness.endpoint_residuals()
-    out = {
-        "command": "bounds",
-        "inputs": {"matrix": emit_matrix(a), "matrix2": emit_matrix(b), "s1": float(s1)},
-        "tolerances": witness.tolerances,
-        "outputs": {
-            "pairing_bound": value,
-            "permutation": [int(p) for p in perm],
-            "upper_bound": float(s1),
-            "certificate_max_radius": witness.certificate_grid.max_spectral_radius,
-        },
-        "residuals": {"endpoint_base": r0, "endpoint_target": r1},
+    outputs = {
+        "pairing_bound": value,
+        "permutation": [int(p) for p in perm],
+        "upper_bound": float(s1),
+        "certificate_max_radius": witness.certificate_grid.max_spectral_radius,
     }
     exact = witness.scalar_base_exact()
     if exact is not None:
-        out["outputs"]["scalar_base_exact"] = exact
-    return out
+        outputs["scalar_base_exact"] = exact
+    return {
+        "inputs": {"s1": float(s1)},
+        "tolerances": witness.tolerances,
+        "outputs": outputs,
+        "residuals": {"endpoint_base": r0, "endpoint_target": r1},
+    }
 
 
-def _cmd_blaschke(args):
+def _blaschke(args, b):
     from . import pick
 
-    b = _load_matrix(args.input)
     cert = pick.gap_certificate(b)
-    doc = {
-        "command": "blaschke",
-        "inputs": {"matrix": emit_matrix(b)},
-        "tolerances": cert.tolerances,
-        "outputs": {
-            "beta": _pair(cert.beta),
-            "upper_bound": cert.upper,
-            "degenerate": cert.degenerate,
-        },
-        "residuals": cert.residuals(),
-    }
+    outputs = {"beta": _pair(cert.beta), "upper_bound": cert.upper, "degenerate": cert.degenerate}
     if not cert.degenerate:
-        doc["outputs"]["blaschke"] = {
+        outputs["blaschke"] = {
             "unimodular": _pair(cert.blaschke.unimodular),
             "zeros": _pairs(cert.blaschke.zeros),
             "order": cert.blaschke.order,
         }
-    return doc
+    return {"tolerances": cert.tolerances, "outputs": outputs, "residuals": cert.residuals()}
 
 
-def _cmd_curve(args):
+def _curve(args, a, b):
     from . import curves, geometry
 
-    a = _load_matrix(args.input)
-    b = _load_matrix(args.input2)
     # constructor of each curve kind and the tolerances only it decides with
     build, tolerances = {
         "iso": (curves.iso_spectral_curve, {"pairing": PAIRING_TOL}),
@@ -236,12 +231,7 @@ def _cmd_curve(args):
         curve, spectrum(a), samples=args.samples, radius=args.radius
     )
     return {
-        "command": "curve",
-        "inputs": {
-            "matrix": emit_matrix(a),
-            "matrix2": emit_matrix(b),
-            "kind": args.kind,
-        },
+        "inputs": {"kind": args.kind},
         "tolerances": {"spectrum": check.tol, "endpoint": geometry.ENDPOINT_TOL, **tolerances},
         "outputs": {
             "curve_kind": curve.kind,
@@ -257,48 +247,39 @@ def _cmd_curve(args):
     }
 
 
-def _cmd_hull(args):
+def _hull(args, a):
     from . import geometry
 
-    a = _load_matrix(args.input)
     h, inside = geometry.hull_membership(a)
-    doc = {
-        "command": "hull",
-        "inputs": {"matrix": emit_matrix(a)},
-        "tolerances": geometry.HullWitness.tolerances,
-        "outputs": {"gauge": h, "inside": inside},
-        "residuals": {},
-    }
+    outputs, residuals = {"gauge": h, "inside": inside}, {}
     if inside:
         witness = geometry.hull_witness(a)
-        doc["outputs"]["witness"] = {
+        outputs["witness"] = {
             "weights": [float(w) for w in witness.weights],
             "terms": [emit_matrix(t) for t in witness.terms],
             "similarity": emit_matrix(witness.similarity),
             # both terms have the one-point spectrum {tr A / n}
             "term_radii": [float(abs(np.trace(a) / a.shape[0]))] * 2,
         }
-        doc["residuals"] = witness.residuals()
-    return doc
+        residuals = witness.residuals()
+    return {"tolerances": geometry.HullWitness.tolerances, "outputs": outputs, "residuals": residuals}
 
 
-def _cmd_discontinuity(args):
+def _discontinuity(args, b):
     from . import pick
 
-    b = _load_matrix(args.input)
     t = complex(args.t[0], args.t[1])
     report = pick.discontinuity_report(b, t)
     recompute = (spectrum(b).radius - abs(np.trace(b)) / b.shape[0]) / (1.0 - abs(t) ** 2)
     return {
-        "command": "discontinuity",
-        "inputs": {"matrix": emit_matrix(b), "t": _pair(t)},
+        "inputs": {"t": _pair(t)},
         "tolerances": {"eigenvalue_equality": pick.EQUAL_EIGENVALUES_TOL, **pick.GapCertificate.tolerances},
         "outputs": report,
         "residuals": {"jump_kobayashi_recomputed": float(max(recompute, 0.0))},
     }
 
 
-def _cmd_sample(args):
+def _sample(args):
     from . import geometry, nonderog
 
     mats = geometry.sample_omega(args.n, args.samples, _rng(args.seed))
@@ -306,7 +287,6 @@ def _cmd_sample(args):
     verdicts = [nonderog.classify(m, rng=rng).verdict for m in mats]
     radii = [spectrum(m).radius for m in mats]
     return {
-        "command": "sample",
         "inputs": {"n": args.n, "count": args.samples, "seed": args.seed},
         "tolerances": {"classify": DEFAULT_TOL},
         "outputs": {
@@ -319,7 +299,36 @@ def _cmd_sample(args):
 
 
 # ----------------------------------------------------------------------
-# parser / dispatch
+# command table, parser, dispatch
+
+#: Every flag a command may read, with its argparse keywords.
+_FLAGS = {
+    "--input": {"required": True, "help": "matrix document (JSON)"},
+    "--input2": {"required": True, "help": "second matrix document"},
+    "--n": {"type": int, "required": True},
+    "--seed": {"type": int, "default": 0},
+    "--samples": {"type": int, "default": 100},
+    "--radius": {"type": float, "default": 10.0},
+    "--s1": {"type": float, "default": None, "help": "witness radius"},
+    "--kind": {"choices": ("iso", "zero-metric", "quadratic"), "default": "iso"},
+    "--t": {"nargs": 2, "type": float, "default": (0.0, 0.0), "metavar": ("RE", "IM"),
+            "help": "scalar base point"},
+}
+
+#: Every command: its help, its handler, the flags of _FLAGS that it reads and
+#: the defaults in which it differs from _FLAGS, in the order of the help.
+_COMMANDS = {
+    "classify": ("non-derogatory classification", _classify, ("--input", "--seed"), {}),
+    "sigma": ("symmetrized coordinates", _sigma, ("--input",), {}),
+    "bounds": ("two-point distance bounds with disc witness", _bounds, ("--input", "--input2", "--s1"), {}),
+    "blaschke": ("boundary interpolation through the spectrum", _blaschke, ("--input",), {}),
+    "curve": ("constant-spectrum curve construction", _curve,
+              ("--input", "--input2", "--samples", "--radius", "--kind"), {}),
+    "hull": ("convex hull membership and decomposition", _hull, ("--input",), {}),
+    "discontinuity": ("scalar-base discontinuity report", _discontinuity, ("--input", "--t"), {}),
+    "sample": ("random spectral-ball matrices", _sample, ("--n", "--seed", "--samples"), {"samples": 10}),
+}
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -328,80 +337,22 @@ def _build_parser():
         "distances, certificates and constant-spectrum curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *flags, two_inputs=False):
-        """Matrix inputs plus only the listed flags, which the handler reads."""
-        p.add_argument("--input", required=True, help="matrix document (JSON)")
-        if two_inputs:
-            p.add_argument("--input2", required=True, help="second matrix document")
-        typed = {"--seed": (int, 0), "--samples": (int, 100), "--radius": (float, 10.0)}
+    for name, (help_text, handler, flags, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         for flag in flags:
-            p.add_argument(flag, type=typed[flag][0], default=typed[flag][1])
-
-    p = sub.add_parser("classify", help="non-derogatory classification")
-    common(p, "--seed")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("sigma", help="symmetrized coordinates")
-    common(p)
-    p.set_defaults(handler=_cmd_sigma)
-
-    p = sub.add_parser("bounds", help="two-point distance bounds with disc witness")
-    common(p, two_inputs=True)
-    p.add_argument("--s1", type=float, default=None, help="witness radius")
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser("blaschke", help="boundary interpolation through the spectrum")
-    common(p)
-    p.set_defaults(handler=_cmd_blaschke)
-
-    p = sub.add_parser("curve", help="constant-spectrum curve construction")
-    common(p, "--samples", "--radius", two_inputs=True)
-    p.add_argument(
-        "--kind",
-        choices=("iso", "zero-metric", "quadratic"),
-        default="iso",
-    )
-    p.set_defaults(handler=_cmd_curve)
-
-    p = sub.add_parser("hull", help="convex hull membership and decomposition")
-    common(p)
-    p.set_defaults(handler=_cmd_hull)
-
-    p = sub.add_parser("discontinuity", help="scalar-base discontinuity report")
-    common(p)
-    p.add_argument(
-        "--t",
-        nargs=2,
-        type=float,
-        default=(0.0, 0.0),
-        metavar=("RE", "IM"),
-        help="scalar base point",
-    )
-    p.set_defaults(handler=_cmd_discontinuity)
-
-    p = sub.add_parser("sample", help="random spectral-ball matrices")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10)
-    p.set_defaults(handler=_cmd_sample)
-
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler, **defaults)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        text = _to_json(args.handler(args))
-    except USER_ERRORS as exc:
-        print(_to_json({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
-        return 2
+        print(_to_json(_document(args)))
+        return 0
     except SpectralBallError as exc:
         print(_to_json({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
-        return 3
-    print(text)
-    return 0
+        return 2 if isinstance(exc, USER_ERRORS) else 3
 
 
 def run():  # console-script entry point

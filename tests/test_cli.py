@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -12,6 +13,7 @@ import spectralball as sb
 from spectralball import cli, sample_omega
 from spectralball.cli import _to_json, emit_matrix, main, parse_matrix
 from conftest import random_gaussian, random_unitary
+from test_api import CRITERIA, FLAGS
 
 
 def write_matrix(path, a):
@@ -623,6 +625,156 @@ class TestCommands:
         assert code == 2
 
 
+def key_tree(node) -> str:
+    """Keys of a document in their order, nested: ``{a b{c}}`` for
+    {"a": 1, "b": {"c": 2}}; a list of objects shows the key trees of its
+    items once each, as ``[...]``."""
+    if isinstance(node, dict):
+        return "{" + " ".join(key + key_tree(value) for key, value in node.items()) + "}"
+    if isinstance(node, list) and node and isinstance(node[0], dict):
+        return "[" + "|".join(sorted({key_tree(item) for item in node})) + "]"
+    return ""
+
+
+GAP = "interpolation rank zero_data bracket_width pick_margin"
+CRITERION = "{passed diagnostic borderline}"
+CURVE_OUTPUTS = "outputs{curve_kind constant_spectrum{passed max_deviation samples settled radius}}"
+
+#: Each case: argv (matrix names stand for their documents), exit code and
+#: the key tree of the document on stdout, or on stderr at exit 2 and 3.
+KEY_TREES = {
+    "classify": (
+        ["classify", "--input", "a"], 0,
+        "{command inputs{matrix{n rows}} tolerances{rank cluster_gap borderline_decade} "
+        "outputs{nonderogatory borderline criteria{"
+        + " ".join(name + CRITERION for name in CRITERIA)
+        + "} minimal_polynomial} residuals{minimal_polynomial_norm}}",
+    ),
+    "sigma": (
+        ["sigma", "--input", "a"], 0,
+        "{command inputs{matrix{n rows}} tolerances{residual} "
+        "outputs{coords in_symmetrized_polydisc spectrum spectral_radius} "
+        "residuals{companion_roundtrip}}",
+    ),
+    "bounds": (
+        ["bounds", "--input", "a", "--input2", "diagonal"], 0,
+        "{command inputs{matrix{n rows} matrix2{n rows} s1} tolerances{endpoint scalar_base} "
+        "outputs{pairing_bound permutation upper_bound certificate_max_radius} "
+        "residuals{endpoint_base endpoint_target}}",
+    ),
+    "bounds-scalar-base": (
+        ["bounds", "--input", "scalar", "--input2", "diagonal"], 0,
+        "{command inputs{matrix{n rows} matrix2{n rows} s1} tolerances{endpoint scalar_base} "
+        "outputs{pairing_bound permutation upper_bound certificate_max_radius scalar_base_exact} "
+        "residuals{endpoint_base endpoint_target}}",
+    ),
+    "blaschke": (
+        ["blaschke", "--input", "diagonal"], 0,
+        "{command inputs{matrix{n rows}} tolerances{" + GAP + "} "
+        "outputs{beta upper_bound degenerate blaschke{unimodular zeros order}} "
+        "residuals{interpolation_max circle_unimodularity}}",
+    ),
+    "blaschke-degenerate": (
+        ["blaschke", "--input", "nilpotent"], 0,
+        "{command inputs{matrix{n rows}} tolerances{" + GAP + "} "
+        "outputs{beta upper_bound degenerate} residuals{interpolation_max}}",
+    ),
+    "curve-iso": (
+        ["curve", "--input", "a", "--input2", "conjugate", "--kind", "iso"], 0,
+        "{command inputs{matrix{n rows} matrix2{n rows} kind} tolerances{spectrum endpoint pairing} "
+        + CURVE_OUTPUTS + " residuals{endpoint_base endpoint_target}}",
+    ),
+    "curve-zero-metric": (
+        ["curve", "--input", "a", "--input2", "direction", "--kind", "zero-metric"], 0,
+        "{command inputs{matrix{n rows} matrix2{n rows} kind} "
+        "tolerances{spectrum endpoint structure classify} "
+        + CURVE_OUTPUTS + " residuals{endpoint_base derivative}}",
+    ),
+    "curve-quadratic": (
+        ["curve", "--input", "a2", "--input2", "direction2", "--kind", "quadratic"], 0,
+        "{command inputs{matrix{n rows} matrix2{n rows} kind} tolerances{spectrum endpoint structure} "
+        + CURVE_OUTPUTS + " residuals{endpoint_base derivative max_nonconstant_coefficient}}",
+    ),
+    "hull-inside": (
+        ["hull", "--input", "a"], 0,
+        "{command inputs{matrix{n rows}} tolerances{reconstruction} "
+        "outputs{gauge inside witness{weights terms[{n rows}] similarity{n rows} term_radii}} "
+        "residuals{reconstruction triangularity}}",
+    ),
+    "hull-outside": (
+        ["hull", "--input", "far"], 0,
+        "{command inputs{matrix{n rows}} tolerances{reconstruction} outputs{gauge inside} residuals{}}",
+    ),
+    "discontinuity": (
+        ["discontinuity", "--input", "diagonal", "--t", "0.1", "0.2"], 0,
+        "{command inputs{matrix{n rows} t} tolerances{eigenvalue_equality " + GAP + "} "
+        "outputs{lempert{value_at_scalar_base generic_limit_upper} "
+        "kobayashi{value_at_scalar_base generic_limit} jump_lempert jump_kobayashi eigenvalues_equal} "
+        "residuals{jump_kobayashi_recomputed}}",
+    ),
+    "sample": (
+        ["sample", "--n", "2", "--samples", "2"], 0,
+        "{command inputs{n count seed} tolerances{classify} "
+        "outputs{matrices[{n rows}] radii nonderogatory_fraction} residuals{max_radius}}",
+    ),
+    "exit-2": (["sample", "--n", "0"], 2, "{error kind}"),
+    "exit-3": (["sigma", "--input", "huge"], 3, "{error kind}"),
+}
+
+
+class TestDocumentKeys:
+    """The keys of every command's document, nested and in order: a change
+    to the document format shows here as a diff."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("keys")
+        rng = np.random.default_rng(7)
+        a = 0.3 * random_gaussian(rng, 3)
+        y = 0.2 * random_gaussian(rng, 3)
+        d = np.diag([1.0, 1j, -1.0])
+        matrices = {
+            "a": a, "conjugate": d @ a @ d.conj(), "direction": a @ y - y @ a,
+            "a2": a[:2, :2], "direction2": a[:2, :2] @ y[:2, :2] - y[:2, :2] @ a[:2, :2],
+            "diagonal": np.diag([0.8, 0.0, 0.3]), "scalar": 0.4j * np.eye(3),
+            "nilpotent": np.array([[0.0, 1.0], [0.0, 0.0]]), "far": 1.5 * np.eye(3),
+            "huge": np.diag([1e308, 1e308]),
+        }
+        return {name: write_matrix(tmp / f"{name}.json", m) for name, m in matrices.items()}
+
+    @pytest.mark.parametrize("case", sorted(KEY_TREES))
+    def test_key_tree(self, capsys, paths, case):
+        argv, expected_code, expected = KEY_TREES[case]
+        code, out, err = run_cli(capsys, *[paths.get(arg, arg) for arg in argv])
+        assert code == expected_code
+        assert key_tree(json.loads(err if code else out)) == expected
+
+    def test_every_command_is_covered(self):
+        assert {argv[0] for argv, _, _ in KEY_TREES.values()} == set(FLAGS)
+
+
+def help_text(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestHelp:
+    """argparse formats help only when asked: every help page is built here,
+    so a malformed flag declaration fails at test time."""
+
+    def test_top_level_lists_every_command(self, capsys):
+        text = help_text(capsys)
+        assert re.findall(r"--[\w-]+", text) == ["--help"]
+        assert "{" + ",".join(FLAGS) + "}" in text
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_command_lists_exactly_its_flags(self, capsys, command):
+        text = help_text(capsys, command)
+        assert sorted(set(re.findall(r"--[\w-]+", text)) - {"--help"}) == FLAGS[command]
+
+
 def seeded_inputs(seed, n, shape):
     """Seeded A of one shape, each entry below 1 in modulus so that 2^k A is
     finite for every k up to 1023, with its unitary conjugate Q A Q* (on
@@ -700,7 +852,12 @@ class TestEveryScale:
     @settings(max_examples=20)
     def test_answer_or_one_typed_error(self, tmp_path_factory, command, seed, n, shape, k):
         inputs = seeded_inputs(seed, 2 if command == "curve-quadratic" else n, shape)
-        assert_one_answer(*run_scaled(tmp_path_factory.mktemp("scale"), command, inputs, k))
+        code, out, err = run_scaled(tmp_path_factory.mktemp("scale"), command, inputs, k)
+        assert_one_answer(code, out, err)
+        if command == "sigma" and code == 0:
+            # the roundtrip error of coordinate j is read relative to max(1, rho)^j
+            doc = json.loads(out)
+            assert doc["residuals"]["companion_roundtrip"] <= doc["tolerances"]["residual"]
 
     @pytest.mark.parametrize("command", ["bounds", "curve-iso"])
     @given(seed=st.integers(0, 2**16), n=st.integers(2, 4), k=st.integers(-1074, 1023))
